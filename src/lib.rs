@@ -64,65 +64,3 @@ pub use engine::{
     BatchOp, BatchQuery, BatchReport, Engine, EngineConfig, OwnedCircuit, QueryOutcome,
 };
 pub use verifier::{Circuit, ExtractOutcome, ExtractReport, Verifier};
-
-use gfab_core::equiv::EquivReport;
-use gfab_core::hier::HierExtraction;
-use gfab_core::{CoreError, ExtractOptions, ExtractionResult};
-use gfab_field::GfContext;
-use gfab_netlist::hierarchy::HierDesign;
-use gfab_netlist::Netlist;
-use std::sync::Arc;
-
-/// Extracts the word-level polynomial of a flat netlist with default
-/// options.
-#[deprecated(note = "use `gfab::Verifier::new(ctx).extract(&netlist)` instead")]
-pub fn extract_word_polynomial(
-    nl: &Netlist,
-    ctx: &Arc<GfContext>,
-) -> Result<ExtractionResult, CoreError> {
-    gfab_core::extract_word_polynomial(nl, ctx)
-}
-
-/// Extracts the word-level polynomial of a flat netlist with explicit
-/// options.
-#[deprecated(note = "use `gfab::Verifier::new(ctx).options(..).extract(&netlist)` instead")]
-pub fn extract_word_polynomial_with(
-    nl: &Netlist,
-    ctx: &Arc<GfContext>,
-    options: &ExtractOptions,
-) -> Result<ExtractionResult, CoreError> {
-    gfab_core::extract_word_polynomial_with(nl, ctx, options)
-}
-
-/// Extracts a hierarchical design block-by-block and composes at word
-/// level.
-#[deprecated(note = "use `gfab::Verifier::new(ctx).extract(&design)` instead")]
-pub fn extract_hierarchical(
-    design: &HierDesign,
-    ctx: &Arc<GfContext>,
-    options: &ExtractOptions,
-) -> Result<HierExtraction, CoreError> {
-    gfab_core::hier::extract_hierarchical(design, ctx, options)
-}
-
-/// Checks equivalence of two flat netlists.
-#[deprecated(note = "use `gfab::Verifier::new(ctx).check(&spec, &impl_)` instead")]
-pub fn check_equivalence(
-    spec: &Netlist,
-    impl_: &Netlist,
-    ctx: &Arc<GfContext>,
-    options: &ExtractOptions,
-) -> Result<EquivReport, CoreError> {
-    gfab_core::equiv::check_equivalence(spec, impl_, ctx, options)
-}
-
-/// Checks a flat spec against a hierarchical implementation.
-#[deprecated(note = "use `gfab::Verifier::new(ctx).check(&spec, &design)` instead")]
-pub fn check_equivalence_hier(
-    spec: &Netlist,
-    impl_: &HierDesign,
-    ctx: &Arc<GfContext>,
-    options: &ExtractOptions,
-) -> Result<EquivReport, CoreError> {
-    gfab_core::equiv::check_equivalence_hier(spec, impl_, ctx, options)
-}

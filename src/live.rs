@@ -7,10 +7,12 @@
 //! deterministic work-unit totals, but *when* the board repaints has no
 //! effect on any counter or verdict.
 
+use crate::cli::Args;
 use gfab::telemetry::events::{events_footer, events_header};
 use gfab::telemetry::{EventBus, EventKind, EventReceiver, Recv};
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -26,64 +28,43 @@ const RENDER_EVERY_ANSI: Duration = Duration::from_millis(100);
 const RENDER_EVERY_PLAIN: Duration = Duration::from_millis(250);
 const POLL: Duration = Duration::from_millis(50);
 
-/// The live-output selection shared by `extract`, `equiv`, `batch` and
-/// `fuzz`: `--progress`, `--events FILE|-`, `--events-cap N`.
-pub struct LiveArgs {
-    progress: bool,
-    events: Option<String>,
-    cap: usize,
-}
-
-impl LiveArgs {
-    pub fn parse(rest: &[String]) -> Result<LiveArgs, String> {
-        let cap = match crate::flag_value(rest, "--events-cap")? {
-            Some(v) => v
-                .parse()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or(format!("bad --events-cap value: {v}"))?,
-            None => DEFAULT_EVENT_CAP,
-        };
-        Ok(LiveArgs {
-            progress: crate::has_flag(rest, "--progress"),
-            events: crate::flag_value(rest, "--events")?.cloned(),
-            cap,
-        })
+/// Starts the live sinks of `extract`, `equiv`, `batch` and `fuzz`
+/// (`--progress`, `--events FILE|-`, `--events-cap N`): builds the event
+/// channel and the reporter thread. With neither sink the reporter is an
+/// inert no-op carrying a disabled bus (the hot path pays one `Option`
+/// branch).
+pub fn start(args: &Args) -> Result<LiveReporter, String> {
+    let cap = args
+        .value_with("--events-cap", crate::cli::positive)?
+        .unwrap_or(DEFAULT_EVENT_CAP);
+    let progress = args.has("--progress");
+    let events = args.value("--events");
+    if !progress && events.is_none() {
+        return Ok(LiveReporter {
+            bus: EventBus::disabled(),
+            state: None,
+        });
     }
-
-    /// Whether any live sink was requested.
-    pub fn enabled(&self) -> bool {
-        self.progress || self.events.is_some()
-    }
-
-    /// Builds the event channel and starts the reporter thread; with
-    /// neither flag the reporter is an inert no-op carrying a disabled
-    /// bus (the hot path pays one `Option` branch).
-    pub fn start(&self) -> Result<LiveReporter, String> {
-        if !self.enabled() {
-            return Ok(LiveReporter {
-                bus: EventBus::disabled(),
-                state: None,
-            });
+    let sink = match events {
+        None => None,
+        Some("-") => Some(EventSink::Stdout),
+        Some(path) => {
+            let f = File::create(path).map_err(|e| format!("cannot write {path}: {e}"))?;
+            Some(EventSink::File(BufWriter::new(f)))
         }
-        let sink = match self.events.as_deref() {
-            None => None,
-            Some("-") => Some(EventSink::stdout()),
-            Some(path) => Some(EventSink::file(path)?),
-        };
-        let board = self.progress.then(Board::new);
-        let (bus, rx) = EventBus::bounded(self.cap);
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("gfab-live".into())
-            .spawn(move || report_loop(&rx, sink, board, &thread_stop))
-            .map_err(|e| format!("cannot spawn reporter thread: {e}"))?;
-        Ok(LiveReporter {
-            bus,
-            state: Some(ReporterState { stop, handle }),
-        })
-    }
+    };
+    let board = progress.then(Board::new);
+    let (bus, rx) = EventBus::bounded(cap);
+    let stop = Arc::new(AtomicBool::new(false));
+    let thread_stop = Arc::clone(&stop);
+    let handle = std::thread::Builder::new()
+        .name("gfab-live".into())
+        .spawn(move || report_loop(&rx, sink, board, &thread_stop))
+        .map_err(|e| format!("cannot spawn reporter thread: {e}"))?;
+    Ok(LiveReporter {
+        bus,
+        state: Some(ReporterState { stop, handle }),
+    })
 }
 
 struct ReporterState {
@@ -178,27 +159,21 @@ fn report_loop(
 
 /// Where `--events` lines go: a buffered file or stdout.
 enum EventSink {
-    File(std::io::BufWriter<std::fs::File>),
+    File(BufWriter<File>),
     Stdout,
 }
 
 impl EventSink {
-    fn file(path: &str) -> Result<EventSink, String> {
-        let f = std::fs::File::create(path).map_err(|e| format!("cannot write {path}: {e}"))?;
-        Ok(EventSink::File(std::io::BufWriter::new(f)))
-    }
-
-    fn stdout() -> EventSink {
-        EventSink::Stdout
-    }
-
     fn line(&mut self, s: &str) -> Result<(), String> {
         let io = |e: std::io::Error| format!("cannot write event stream: {e}");
         match self {
             EventSink::File(w) => writeln!(w, "{s}").map_err(io),
-            // One writeln per line under the lock keeps event lines
+            // One write per line under the stdout lock keeps event lines
             // whole even when results interleave on the same stream.
-            EventSink::Stdout => writeln!(std::io::stdout().lock(), "{s}").map_err(io),
+            EventSink::Stdout => {
+                println!("{s}");
+                Ok(())
+            }
         }
     }
 
@@ -206,7 +181,8 @@ impl EventSink {
         let io = |e: std::io::Error| format!("cannot write event stream: {e}");
         match self {
             EventSink::File(w) => w.flush().map_err(io),
-            EventSink::Stdout => std::io::stdout().lock().flush().map_err(io),
+            // Every stdout line ends in a newline, which flushes it.
+            EventSink::Stdout => Ok(()),
         }
     }
 }
@@ -382,36 +358,24 @@ impl Board {
 /// run ledger, re-rendering a rolling verdict/latency board whenever
 /// the file grows. Torn or garbled lines from a concurrently appending
 /// writer are skipped (and counted), never fatal.
-pub fn cmd_watch(rest: &[String]) -> Result<ExitCode, String> {
-    let pos = crate::positional(rest, 1);
-    let [path] = pos.as_slice() else {
-        return Err("watch needs a ledger file path".into());
-    };
-    let interval = match crate::flag_value(rest, "--interval")? {
-        Some(v) => crate::parse_duration(v)?,
-        None => Duration::from_millis(500),
-    };
-    let iterations: Option<u64> = match crate::flag_value(rest, "--iterations")? {
-        Some(v) => Some(
-            v.parse()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or(format!("bad --iterations value: {v}"))?,
-        ),
-        None => None,
-    };
+pub fn cmd_watch(args: &Args) -> Result<ExitCode, String> {
+    let path = args.positionals[0];
+    let interval = args
+        .duration("--interval")?
+        .unwrap_or(Duration::from_millis(500));
+    let iterations: Option<u64> = args.value_with("--iterations", crate::cli::positive)?;
     let mut last_sig: Option<(usize, usize)> = None;
     let mut round = 0u64;
     loop {
         // A missing file is an empty ledger: watch can start before the
         // writer does.
-        let text = std::fs::read_to_string(path.as_str()).unwrap_or_default();
+        let text = std::fs::read_to_string(path).unwrap_or_default();
         let (ledger, skipped) = gfab::telemetry::Ledger::parse_lenient(&text);
         let sig = (ledger.rows.len(), skipped);
         if last_sig != Some(sig) {
             last_sig = Some(sig);
+            // The board ends in a newline, which flushes it.
             print!("{}", render_watch_board(path, &ledger, skipped));
-            let _ = std::io::stdout().flush();
         }
         round += 1;
         if iterations.is_some_and(|n| round >= n) {

@@ -1,20 +1,25 @@
 //! The `gfab` command-line tool: word-level abstraction and equivalence
 //! checking of Galois field circuits from netlist files.
 //!
-//! ```text
-//! gfab extract  <circuit.nl>  --k <k> [--modulus e0,e1,...]
-//! gfab equiv    <spec.nl> <impl.nl> --k <k> [--modulus ...]
-//! gfab sat-equiv <spec.nl> <impl.nl> [--conflicts N]
-//! gfab gen      <mastrovito|montgomery|squarer|adder> --k <k> [-o out.nl]
-//! gfab info     <circuit.nl>
-//! ```
+//! The [`COMMANDS`] table declares all fifteen subcommands with their
+//! operands and flags; it drives dispatch, argv parsing (see [`cli`]),
+//! `gfab help` and every `gfab <cmd> --help`:
+//!
+//! * verification — `extract`, `verify-spec`, `equiv`, `sat-equiv`,
+//!   `batch`, `fuzz`;
+//! * netlists — `gen`, `info`;
+//! * traces and run history — `trace-check`, `trace-diff`, `trace-agg`,
+//!   `flame`, `report`, `watch`, `bench-diff`.
 //!
 //! Netlists use the line-oriented text format of
 //! [`gfab::netlist::format`]; `gfab gen` produces them.
 
 mod alloc;
+#[macro_use]
+mod cli;
 mod live;
 
+use cli::{Args, Command};
 use gfab::circuits::{gf_adder, mastrovito_multiplier, montgomery_multiplier_hier, squarer};
 use gfab::core::equiv::Verdict;
 use gfab::core::ideal_membership::{spec_ring, verify_against_spec};
@@ -35,8 +40,8 @@ use std::time::Instant;
 static ALLOC: alloc::TraceAlloc = alloc::TraceAlloc;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match run(&argv) {
         Ok(code) => code,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -45,91 +50,113 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
-    let Some(cmd) = args.first() else {
+const FIELD: &[&str] = &["--k K", "--modulus E0,E1,..."];
+const THREADS: &[&str] = &["--threads N"];
+const TIMEOUT: &[&str] = &["--timeout D"];
+/// The telemetry views of one query, read by [`TraceArgs`].
+const TRACE: &[&str] = &["--trace", "--stats", "--mem-stats", "--trace-json FILE"];
+const LEDGER: &[&str] = &["--ledger FILE"];
+/// The live sinks, read by [`live::start`].
+const LIVE: &[&str] = &["--progress", "--events FILE|-", "--events-cap N"];
+/// Everything `extract` and `equiv` take besides their netlists.
+const QUERY: &[&[&str]] = &[FIELD, THREADS, TIMEOUT, TRACE, LEDGER, LIVE];
+
+/// The whole command-line grammar, one subcommand per row: dispatch,
+/// argv parsing, the COMMANDS and USAGE blocks of `gfab help` and every
+/// `gfab <cmd> --help` come from this table.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "extract", summary: "word-level extraction of one netlist",
+        positionals: &["<circuit.nl>"], flags: QUERY, run: cmd_extract },
+    Command { name: "verify-spec", summary: "ideal-membership check against a --spec polynomial",
+        positionals: &["<circuit.nl>"], flags: &[&["--spec EXPR"], FIELD], run: cmd_verify_spec },
+    Command { name: "equiv", summary: "word-level equivalence of two netlists (with SAT fallback)",
+        positionals: &["<spec.nl>", "<impl.nl>"], flags: QUERY, run: cmd_equiv },
+    Command { name: "sat-equiv", summary: "SAT-only miter equivalence check",
+        positionals: &["<spec.nl>", "<impl.nl>"], flags: &[&["--conflicts N"], TIMEOUT],
+        run: cmd_sat_equiv },
+    Command { name: "batch", summary: "run a manifest of queries over a shared-cache worker pool",
+        positionals: &["<manifest.json>"],
+        flags: &[THREADS, TIMEOUT, &["--cache-cap N", "--repeat N", "--stats", "--trace-json FILE"],
+            LEDGER, LIVE],
+        run: cmd_batch },
+    Command { name: "gen", summary: "emit a generator netlist",
+        positionals: &["<mastrovito|montgomery|squarer|adder>"], flags: &[FIELD, &["-o FILE"]],
+        run: cmd_gen },
+    Command { name: "info", summary: "print netlist facts",
+        positionals: &["<circuit.nl>"], flags: &[], run: cmd_info },
+    Command { name: "trace-check", summary: "validate a JSONL trace, aggregation or event stream",
+        positionals: &["<trace.jsonl>"], flags: &[], run: cmd_trace_check },
+    Command { name: "trace-diff", summary: "align two traces by phase path and diff work units",
+        positionals: &["<baseline.jsonl>", "<current.jsonl>"],
+        flags: &[&["--threshold PCT", "--wall"]], run: cmd_trace_diff },
+    Command { name: "trace-agg",
+        summary: "aggregate many traces into mergeable per-group summaries",
+        positionals: &["<trace.jsonl>..."], flags: &[&["--group-by phase|k|arch", "--json FILE"]],
+        run: cmd_trace_agg },
+    Command { name: "flame", summary: "export a trace as a flamegraph / critical-path analysis",
+        positionals: &["<trace.jsonl>"], flags: &[&["--out folded|speedscope", "--critical-path"]],
+        run: cmd_flame },
+    Command { name: "report", summary: "render a run-ledger dashboard",
+        positionals: &["<ledger.jsonl>"], flags: &[&["--md"]], run: cmd_report },
+    Command { name: "watch", summary: "tail-follow a run ledger as a live verdict/latency board",
+        positionals: &["<ledger.jsonl>"], flags: &[&["--interval D", "--iterations N"]],
+        run: live::cmd_watch },
+    Command { name: "bench-diff", summary: "diff two benchmark --json result files",
+        positionals: &["<baseline.json>", "<current.json>"], flags: &[&["--threshold PCT"]],
+        run: cmd_bench_diff },
+    Command { name: "fuzz", summary: "deterministic differential fuzzing campaign",
+        positionals: &[],
+        flags: &[&["--seed N", "--cases N"], THREADS,
+            &["--k-min K", "--k-max K", "--fault-rate PCT", "--faults A,B,...", "--corpus DIR"],
+            TIMEOUT, &["--sat-conflicts N", "--shrink-budget N", "--word-work-cap N"],
+            &["--replay CASE.json", "--trace", "--stats", "--trace-json FILE"], LEDGER, LIVE],
+        run: cmd_fuzz },
+];
+
+fn run(argv: &[String]) -> Result<ExitCode, String> {
+    let Some(name) = argv.first() else {
         print_usage();
         return Ok(ExitCode::from(2));
     };
-    let rest = &args[1..];
-    match cmd.as_str() {
-        "extract" => cmd_extract(rest),
-        "verify-spec" => cmd_verify_spec(rest),
-        "equiv" => cmd_equiv(rest),
-        "sat-equiv" => cmd_sat_equiv(rest),
-        "batch" => cmd_batch(rest),
-        "gen" => cmd_gen(rest),
-        "info" => cmd_info(rest),
-        "trace-check" => cmd_trace_check(rest),
-        "trace-diff" => cmd_trace_diff(rest),
-        "trace-agg" => cmd_trace_agg(rest),
-        "flame" => cmd_flame(rest),
-        "report" => cmd_report(rest),
-        "watch" => live::cmd_watch(rest),
-        "bench-diff" => cmd_bench_diff(rest),
-        "fuzz" => cmd_fuzz(rest),
+    match name.as_str() {
         "--version" | "-V" | "version" => {
             println!("{}", gfab::version::version_string());
-            Ok(ExitCode::SUCCESS)
+            return Ok(ExitCode::SUCCESS);
         }
         "--help" | "-h" | "help" => {
             print_usage();
+            return Ok(ExitCode::SUCCESS);
+        }
+        _ => {}
+    }
+    let cmd = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command `{name}` (try `gfab help`)"))?;
+    match cli::parse(cmd, &argv[1..])? {
+        Some(args) => (cmd.run)(&args),
+        None => {
+            eprintln!("gfab {} — {}\n\n{}", cmd.name, cmd.summary, cmd.synopsis());
+            eprintln!("See `gfab help` for what each flag does.");
             Ok(ExitCode::SUCCESS)
         }
-        other => Err(format!("unknown command `{other}` (try `gfab help`)")),
     }
 }
 
 fn print_usage() {
+    let commands: String = COMMANDS
+        .iter()
+        .map(|c| format!("  {:<12} {}\n", c.name, c.summary))
+        .collect();
+    let usage: String = COMMANDS.iter().map(Command::synopsis).collect();
     eprintln!(
         "gfab — word-level abstraction & equivalence checking over F_2^k
 
 COMMANDS:
-  extract      word-level extraction of one netlist
-  verify-spec  ideal-membership check against a spec polynomial
-  equiv        word-level equivalence of two netlists (with SAT fallback)
-  sat-equiv    SAT-only miter equivalence check
-  batch        run a manifest of queries over a shared-cache worker pool
-  gen          emit a generator netlist
-  info         print netlist facts
-  trace-check  validate a JSONL trace or aggregation document
-  trace-diff   align two traces by phase path and diff work units
-  trace-agg    aggregate many traces into mergeable per-group summaries
-  flame        export a trace as a flamegraph / critical-path analysis
-  report       render a run-ledger dashboard
-  watch        tail-follow a run ledger as a live verdict/latency board
-  bench-diff   diff two benchmark --json result files
-  fuzz         deterministic differential fuzzing campaign
-
+{commands}
 USAGE:
-  gfab extract   <circuit.nl> --k <k> [--modulus e0,e1,...] [--threads N]
-                 [--timeout D] [--trace] [--stats] [--mem-stats]
-                 [--trace-json FILE] [--ledger FILE]
-                 [--progress] [--events FILE|-] [--events-cap N]
-  gfab verify-spec <circuit.nl> --spec 'A*B' --k <k> [--modulus ...]
-  gfab equiv     <spec.nl> <impl.nl> --k <k> [--modulus ...] [--threads N]
-                 [--timeout D] [--trace] [--stats] [--mem-stats]
-                 [--trace-json FILE] [--ledger FILE]
-                 [--progress] [--events FILE|-] [--events-cap N]
-  gfab sat-equiv <spec.nl> <impl.nl> [--conflicts N] [--timeout D]
-  gfab batch     <manifest.json> [--threads N] [--timeout D] [--cache-cap N]
-                 [--repeat N] [--stats] [--trace-json FILE] [--ledger FILE]
-                 [--progress] [--events FILE|-] [--events-cap N]
-  gfab gen       <mastrovito|montgomery|squarer|adder> --k <k> [-o out.nl]
-  gfab info      <circuit.nl>
-  gfab trace-check <trace.jsonl | agg.jsonl>
-  gfab trace-diff  <baseline.jsonl> <current.jsonl> [--threshold PCT] [--wall]
-  gfab trace-agg   <trace.jsonl>... [--group-by phase|k|arch] [--json FILE]
-  gfab flame       <trace.jsonl> [--out folded|speedscope] [--critical-path]
-  gfab report      <ledger.jsonl> [--md]
-  gfab watch       <ledger.jsonl> [--interval D] [--iterations N]
-  gfab bench-diff  <baseline.json> <current.json> [--threshold PCT]
-  gfab fuzz      [--seed N] [--cases N] [--threads N] [--k-min K] [--k-max K]
-                 [--fault-rate PCT] [--faults a,b,...] [--corpus DIR]
-                 [--timeout D] [--sat-conflicts N] [--shrink-budget N]
-                 [--stats] [--ledger FILE]
-                 [--progress] [--events FILE|-] [--events-cap N]
-  gfab fuzz      --replay <case.json>
-
+{usage}
 The field F_2^k is constructed with the NIST polynomial when k is a NIST
 ECC degree, a low-weight irreducible otherwise, or an explicit
 --modulus given as a comma-separated exponent list (e.g. 163,7,6,3,0).
@@ -223,7 +250,9 @@ Failing specimens are shrunk by delta debugging and written to
 one. The same seed gives byte-identical summaries and corpora at any
 --threads value; --timeout only skips whole trailing cases. The
 campaign summary is one canonical JSON line on stdout; --stats adds
-human-readable coverage tables on stderr.
+human-readable coverage tables on stderr, --trace the span tree, and
+--trace-json FILE writes the spans. --word-work-cap N bounds the work
+units of each word-level oracle run (0 = unbounded).
 
 EXIT CODES:
   0  equivalent / extraction or generation succeeded
@@ -238,66 +267,14 @@ EXIT CODES:
     );
 }
 
-/// Parses `--timeout` (`500ms`, `5s`, `2m`, or a bare number of seconds).
-fn parse_timeout(rest: &[String]) -> Result<Option<std::time::Duration>, String> {
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        if a == "--timeout" {
-            let v = it.next().ok_or("--timeout needs a value")?;
-            return parse_duration(v).map(Some);
-        }
-    }
-    Ok(None)
-}
-
-fn parse_duration(v: &str) -> Result<std::time::Duration, String> {
-    let (digits, scale_ms) = if let Some(n) = v.strip_suffix("ms") {
-        (n, 1u64)
-    } else if let Some(n) = v.strip_suffix('s') {
-        (n, 1000)
-    } else if let Some(n) = v.strip_suffix('m') {
-        (n, 60_000)
-    } else {
-        (v, 1000)
-    };
-    let n: u64 = digits
-        .parse()
-        .map_err(|_| format!("bad timeout `{v}` (use e.g. 500ms, 5s, 2m)"))?;
-    Ok(std::time::Duration::from_millis(n * scale_ms))
-}
-
-/// Parses `--threads` (defaults to 0 = available parallelism).
-fn parse_threads(rest: &[String]) -> Result<usize, String> {
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        if a == "--threads" {
-            let v = it.next().ok_or("--threads needs a value")?;
-            return v.parse().map_err(|_| format!("bad thread count: {v}"));
-        }
-    }
-    Ok(0)
-}
-
 /// Parses `--k` / `--modulus` into a field context.
-fn parse_field(rest: &[String]) -> Result<Arc<GfContext>, String> {
-    let mut k: Option<usize> = None;
-    let mut modulus: Option<Gf2Poly> = None;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--k" => {
-                let v = it.next().ok_or("--k needs a value")?;
-                k = Some(v.parse().map_err(|_| format!("bad k: {v}"))?);
-            }
-            "--modulus" => {
-                let v = it.next().ok_or("--modulus needs a value")?;
-                let exps: Result<Vec<usize>, _> = v.split(',').map(|s| s.parse()).collect();
-                let exps = exps.map_err(|_| format!("bad modulus exponent list: {v}"))?;
-                modulus = Some(Gf2Poly::from_exponents(&exps));
-            }
-            _ => {}
-        }
-    }
+fn parse_field(args: &Args) -> Result<Arc<GfContext>, String> {
+    let k: Option<usize> = args.get("--k")?;
+    let modulus = args.value_with("--modulus", |v| {
+        let exps: Result<Vec<usize>, _> = v.split(',').map(|s| s.parse()).collect();
+        exps.map(|e| Gf2Poly::from_exponents(&e))
+            .map_err(|_| format!("bad exponent list `{v}`"))
+    })?;
     let p = match (modulus, k) {
         (Some(p), _) => p,
         (None, Some(k)) => {
@@ -313,72 +290,25 @@ fn load(path: &str) -> Result<Netlist, String> {
     nlformat::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn positional(rest: &[String], n: usize) -> Vec<&String> {
-    let mut out = Vec::new();
-    let mut skip_next = false;
-    for a in rest {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a.starts_with("--") || a == "-o" {
-            // All our flags take one value except the boolean switches.
-            skip_next = !matches!(
-                a.as_str(),
-                "--full"
-                    | "--trace"
-                    | "--stats"
-                    | "--mem-stats"
-                    | "--critical-path"
-                    | "--md"
-                    | "--wall"
-                    | "--progress"
-            );
-            continue;
-        }
-        out.push(a);
-        if out.len() == n {
-            break;
-        }
-    }
-    out
-}
-
-/// True when the boolean switch `name` is present.
-fn has_flag(rest: &[String], name: &str) -> bool {
-    rest.iter().any(|a| a == name)
-}
-
-/// The value of a `--flag VALUE` option, if present.
-fn flag_value<'a>(rest: &'a [String], name: &str) -> Result<Option<&'a String>, String> {
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        if a == name {
-            return it.next().map(Some).ok_or(format!("{name} needs a value"));
-        }
-    }
-    Ok(None)
-}
-
 /// Telemetry-output selection shared by `extract` and `equiv`.
 struct TraceArgs<'a> {
     tree: bool,
     stats: bool,
     mem: bool,
-    json: Option<&'a String>,
+    json: Option<&'a str>,
 }
 
 impl<'a> TraceArgs<'a> {
-    fn parse(rest: &'a [String]) -> Result<Self, String> {
-        let mem = has_flag(rest, "--mem-stats");
-        Ok(TraceArgs {
-            tree: has_flag(rest, "--trace"),
+    fn new(args: &Args<'a>) -> Self {
+        let mem = args.has("--mem-stats");
+        TraceArgs {
+            tree: args.has("--trace"),
             // Memory accounting without an output sink would be invisible;
             // --mem-stats therefore implies the per-phase stats table.
-            stats: has_flag(rest, "--stats") || mem,
+            stats: args.has("--stats") || mem,
             mem,
-            json: flag_value(rest, "--trace-json")?,
-        })
+            json: args.value("--trace-json"),
+        }
     }
 
     /// Whether the query needs a telemetry collector at all.
@@ -397,18 +327,25 @@ impl<'a> TraceArgs<'a> {
         if self.tree {
             println!("{}", trace.render_tree());
         }
-        if let Some(path) = self.json {
-            // Stamp the producing build into the header so a trace file can
-            // always be matched back to the binary that wrote it.
-            std::fs::write(
-                path,
-                trace.to_jsonl_tagged(&gfab::version::version_string()),
-            )
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("wrote {} spans to {path}", trace.spans().len());
+        match self.json {
+            Some(path) => write_trace(path, trace),
+            None => Ok(()),
         }
-        Ok(())
     }
+}
+
+/// Writes the `--trace-json` file of `extract`, `equiv`, `batch` and
+/// `fuzz`.
+fn write_trace(path: &str, trace: &gfab::telemetry::Trace) -> Result<(), String> {
+    // Stamp the producing build into the header so a trace file can
+    // always be matched back to the binary that wrote it.
+    std::fs::write(
+        path,
+        trace.to_jsonl_tagged(&gfab::version::version_string()),
+    )
+    .map_err(|e| format!("cannot write {path}: {e}"))?;
+    eprintln!("wrote {} spans to {path}", trace.spans().len());
+    Ok(())
 }
 
 /// Milliseconds since the Unix epoch (0 if the clock is before it).
@@ -441,13 +378,13 @@ struct LedgerArgs {
 }
 
 impl LedgerArgs {
-    fn parse(cmd: &'static str, rest: &[String]) -> Result<Self, String> {
-        Ok(LedgerArgs {
-            cmd,
-            path: flag_value(rest, "--ledger")?.map(std::path::PathBuf::from),
+    fn new(args: &Args) -> Self {
+        LedgerArgs {
+            cmd: args.cmd.name,
+            path: args.value("--ledger").map(std::path::PathBuf::from),
             run: format!("{}-{}", now_ms(), std::process::id()),
-            fp: gfab::telemetry::fingerprint(cmd, rest),
-        })
+            fp: args.fingerprint(),
+        }
     }
 
     /// Whether rows will be appended (and hence whether the query needs
@@ -488,17 +425,14 @@ fn stem(path: &str) -> &str {
         .unwrap_or(path)
 }
 
-fn cmd_extract(rest: &[String]) -> Result<ExitCode, String> {
-    let pos = positional(rest, 1);
-    let [path] = pos.as_slice() else {
-        return Err("extract needs a netlist path".into());
-    };
-    let ctx = parse_field(rest)?;
-    let threads = parse_threads(rest)?;
-    let timeout = parse_timeout(rest)?;
-    let tracing = TraceArgs::parse(rest)?;
-    let ledger = LedgerArgs::parse("extract", rest)?;
-    let reporter = live::LiveArgs::parse(rest)?.start()?;
+fn cmd_extract(args: &Args) -> Result<ExitCode, String> {
+    let path = args.positionals[0];
+    let ctx = parse_field(args)?;
+    let threads = args.get("--threads")?.unwrap_or(0);
+    let timeout = args.duration("--timeout")?;
+    let tracing = TraceArgs::new(args);
+    let ledger = LedgerArgs::new(args);
+    let reporter = live::start(args)?;
     let nl = load(path)?;
     let t = Instant::now();
     let mut v = Verifier::new(&ctx)
@@ -581,20 +515,12 @@ fn cmd_extract(rest: &[String]) -> Result<ExitCode, String> {
 
 /// Verifies a circuit against a textual specification polynomial via the
 /// ideal membership test of Lv-Kalla-Enescu (reference [5] of the paper).
-fn cmd_verify_spec(rest: &[String]) -> Result<ExitCode, String> {
-    let pos = positional(rest, 1);
-    let [path] = pos.as_slice() else {
-        return Err("verify-spec needs a netlist path".into());
-    };
-    let mut spec_text: Option<&String> = None;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        if a == "--spec" {
-            spec_text = Some(it.next().ok_or("--spec needs an expression")?);
-        }
-    }
-    let spec_text = spec_text.ok_or("--spec \"<expr>\" is required (e.g. --spec \"A*B\")")?;
-    let ctx = parse_field(rest)?;
+fn cmd_verify_spec(args: &Args) -> Result<ExitCode, String> {
+    let path = args.positionals[0];
+    let spec_text = args
+        .value("--spec")
+        .ok_or("--spec \"<expr>\" is required (e.g. --spec \"A*B\")")?;
+    let ctx = parse_field(args)?;
     let nl = load(path)?;
     let sr = spec_ring(&nl, &ctx);
     let f = gfab::poly::parse_poly(spec_text, &sr.ring).map_err(|e| e.to_string())?;
@@ -620,17 +546,14 @@ fn cmd_verify_spec(rest: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-fn cmd_equiv(rest: &[String]) -> Result<ExitCode, String> {
-    let pos = positional(rest, 2);
-    let [spec_path, impl_path] = pos.as_slice() else {
-        return Err("equiv needs two netlist paths".into());
-    };
-    let ctx = parse_field(rest)?;
-    let threads = parse_threads(rest)?;
-    let timeout = parse_timeout(rest)?;
-    let tracing = TraceArgs::parse(rest)?;
-    let ledger = LedgerArgs::parse("equiv", rest)?;
-    let reporter = live::LiveArgs::parse(rest)?.start()?;
+fn cmd_equiv(args: &Args) -> Result<ExitCode, String> {
+    let (spec_path, impl_path) = (args.positionals[0], args.positionals[1]);
+    let ctx = parse_field(args)?;
+    let threads = args.get("--threads")?.unwrap_or(0);
+    let timeout = args.duration("--timeout")?;
+    let tracing = TraceArgs::new(args);
+    let ledger = LedgerArgs::new(args);
+    let reporter = live::start(args)?;
     let spec = load(spec_path)?;
     let impl_ = load(impl_path)?;
     let t = Instant::now();
@@ -722,20 +645,10 @@ fn cmd_equiv(rest: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::from(exit))
 }
 
-fn cmd_sat_equiv(rest: &[String]) -> Result<ExitCode, String> {
-    let pos = positional(rest, 2);
-    let [spec_path, impl_path] = pos.as_slice() else {
-        return Err("sat-equiv needs two netlist paths".into());
-    };
-    let mut budget = 1_000_000u64;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        if a == "--conflicts" {
-            let v = it.next().ok_or("--conflicts needs a value")?;
-            budget = v.parse().map_err(|_| format!("bad conflict budget: {v}"))?;
-        }
-    }
-    let timeout = parse_timeout(rest)?;
+fn cmd_sat_equiv(args: &Args) -> Result<ExitCode, String> {
+    let (spec_path, impl_path) = (args.positionals[0], args.positionals[1]);
+    let budget = args.get("--conflicts")?.unwrap_or(1_000_000u64);
+    let timeout = args.duration("--timeout")?;
     let spec = load(spec_path)?;
     let impl_ = load(impl_path)?;
     let t = Instant::now();
@@ -765,35 +678,25 @@ fn cmd_sat_equiv(rest: &[String]) -> Result<ExitCode, String> {
 /// JSONL result line per query plus a per-pass `batch-summary` line.
 /// Overall exit: any usage/internal failure → 2, else any unknown → 3,
 /// else any refutation → 1, else 0.
-fn cmd_batch(rest: &[String]) -> Result<ExitCode, String> {
+fn cmd_batch(args: &Args) -> Result<ExitCode, String> {
     use gfab::engine::EngineConfig;
     use gfab::telemetry::json::write_json_string;
 
-    let pos = positional(rest, 1);
-    let [manifest_path] = pos.as_slice() else {
-        return Err("batch needs a manifest path".into());
-    };
-    let queries = gfab::manifest::load_manifest(manifest_path)?;
-    let repeat: usize = match flag_value(rest, "--repeat")? {
-        Some(v) => v
-            .parse()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or(format!("bad repeat count: {v}"))?,
-        None => 1,
-    };
-    let cache_cap: usize = match flag_value(rest, "--cache-cap")? {
-        Some(v) => v.parse().map_err(|_| format!("bad cache capacity: {v}"))?,
-        None => EngineConfig::default().cache_capacity,
-    };
-    let stats = has_flag(rest, "--stats");
-    let trace_json = flag_value(rest, "--trace-json")?;
-    let ledger = LedgerArgs::parse("batch", rest)?;
-    let reporter = live::LiveArgs::parse(rest)?.start()?;
+    let queries = gfab::manifest::load_manifest(args.positionals[0])?;
+    let repeat: usize = args.value_with("--repeat", cli::positive)?.unwrap_or(1);
+    let cache_cap: usize = args
+        .get("--cache-cap")?
+        .unwrap_or(EngineConfig::default().cache_capacity);
+    let threads = args.get("--threads")?.unwrap_or(0);
+    let deadline = args.duration("--timeout")?;
+    let stats = args.has("--stats");
+    let trace_json = args.value("--trace-json");
+    let ledger = LedgerArgs::new(args);
+    let reporter = live::start(args)?;
     let engine = gfab::Engine::new(EngineConfig {
-        threads: parse_threads(rest)?,
+        threads,
         cache_capacity: cache_cap,
-        deadline: parse_timeout(rest)?,
+        deadline,
         trace: trace_json.is_some() || ledger.enabled(),
         events: reporter.bus().clone(),
         ..EngineConfig::default()
@@ -882,12 +785,7 @@ fn cmd_batch(rest: &[String]) -> Result<ExitCode, String> {
     if let Some(path) = trace_json {
         let merged =
             gfab::telemetry::Trace::merged(merged_parts.iter().map(|(t, shift)| (t, *shift)));
-        std::fs::write(
-            path,
-            merged.to_jsonl_tagged(&gfab::version::version_string()),
-        )
-        .map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("wrote {} spans to {path}", merged.spans().len());
+        write_trace(path, &merged)?;
     }
     // 2 (error) dominates, then 3 (unknown), then 1 (refuted).
     let overall = if seen[2] {
@@ -981,13 +879,9 @@ fn render_query_result(outcome: &gfab::engine::QueryOutcome) -> (u8, String) {
     }
 }
 
-fn cmd_gen(rest: &[String]) -> Result<ExitCode, String> {
-    let pos = positional(rest, 1);
-    let [arch] = pos.as_slice() else {
-        return Err("gen needs an architecture name".into());
-    };
-    let ctx = parse_field(rest)?;
-    let nl = match arch.as_str() {
+fn cmd_gen(args: &Args) -> Result<ExitCode, String> {
+    let ctx = parse_field(args)?;
+    let nl = match args.positionals[0] {
         "mastrovito" => mastrovito_multiplier(&ctx),
         "montgomery" => montgomery_multiplier_hier(&ctx).flatten(),
         "squarer" => squarer(&ctx),
@@ -995,14 +889,7 @@ fn cmd_gen(rest: &[String]) -> Result<ExitCode, String> {
         other => return Err(format!("unknown architecture `{other}`")),
     };
     let text = nlformat::emit(&nl);
-    let mut out_path: Option<&String> = None;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        if a == "-o" {
-            out_path = Some(it.next().ok_or("-o needs a path")?);
-        }
-    }
-    match out_path {
+    match args.value("-o") {
         Some(path) => {
             std::fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("wrote {} ({} gates) to {path}", nl.name(), nl.num_gates());
@@ -1012,12 +899,8 @@ fn cmd_gen(rest: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_info(rest: &[String]) -> Result<ExitCode, String> {
-    let pos = positional(rest, 1);
-    let [path] = pos.as_slice() else {
-        return Err("info needs a netlist path".into());
-    };
-    let nl = load(path)?;
+fn cmd_info(args: &Args) -> Result<ExitCode, String> {
+    let nl = load(args.positionals[0])?;
     println!("name   : {}", nl.name());
     println!("gates  : {}", nl.num_gates());
     println!("nets   : {}", nl.num_nets());
@@ -1038,14 +921,10 @@ fn cmd_info(rest: &[String]) -> Result<ExitCode, String> {
 /// document against the agg schema, or an `--events` live stream against
 /// the event schema — the header line's `"type"` field decides which.
 /// Exit 0 on a valid file, 2 otherwise.
-fn cmd_trace_check(rest: &[String]) -> Result<ExitCode, String> {
+fn cmd_trace_check(args: &Args) -> Result<ExitCode, String> {
     use gfab::telemetry::json::{parse_object, Json};
-    let pos = positional(rest, 1);
-    let [path] = pos.as_slice() else {
-        return Err("trace-check needs a trace file path".into());
-    };
-    let text =
-        std::fs::read_to_string(path.as_str()).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let path = args.positionals[0];
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let doc_type = text
         .lines()
         .find(|l| !l.trim().is_empty())
@@ -1092,10 +971,7 @@ fn cmd_trace_check(rest: &[String]) -> Result<ExitCode, String> {
 }
 
 /// Parses a `--threshold` percentage (`5`, `5%`, `2.5`).
-fn parse_threshold(rest: &[String]) -> Result<Option<f64>, String> {
-    let Some(v) = flag_value(rest, "--threshold")? else {
-        return Ok(None);
-    };
+fn parse_threshold(v: &str) -> Result<f64, String> {
     let pct: f64 = v
         .trim_end_matches('%')
         .parse()
@@ -1103,7 +979,7 @@ fn parse_threshold(rest: &[String]) -> Result<Option<f64>, String> {
     if pct < 0.0 {
         return Err(format!("threshold must be non-negative, got {v}"));
     }
-    Ok(Some(pct))
+    Ok(pct)
 }
 
 fn load_trace(path: &str) -> Result<gfab::telemetry::Trace, String> {
@@ -1114,16 +990,12 @@ fn load_trace(path: &str) -> Result<gfab::telemetry::Trace, String> {
 /// Aligns two JSONL traces by phase path and reports per-phase deltas.
 /// With `--threshold PCT`, exits 1 when any phase's deterministic work
 /// units grew more than PCT percent over the baseline.
-fn cmd_trace_diff(rest: &[String]) -> Result<ExitCode, String> {
-    let pos = positional(rest, 2);
-    let [a_path, b_path] = pos.as_slice() else {
-        return Err("trace-diff needs two trace files: <baseline.jsonl> <current.jsonl>".into());
-    };
-    let threshold = parse_threshold(rest)?;
-    let a = load_trace(a_path)?;
-    let b = load_trace(b_path)?;
+fn cmd_trace_diff(args: &Args) -> Result<ExitCode, String> {
+    let threshold = args.value_with("--threshold", parse_threshold)?;
+    let a = load_trace(args.positionals[0])?;
+    let b = load_trace(args.positionals[1])?;
     let diff = gfab::telemetry::TraceDiff::compute(&a, &b);
-    print!("{}", diff.render_opts(has_flag(rest, "--wall")));
+    print!("{}", diff.render_opts(args.has("--wall")));
     let Some(pct) = threshold else {
         return Ok(ExitCode::SUCCESS);
     };
@@ -1142,23 +1014,19 @@ fn cmd_trace_diff(rest: &[String]) -> Result<ExitCode, String> {
 /// Aggregates any number of JSONL traces into per-group summaries with
 /// mergeable wall-time histograms; see the usage text for the grouping
 /// modes and the shards-vs-whole identity.
-fn cmd_trace_agg(rest: &[String]) -> Result<ExitCode, String> {
+fn cmd_trace_agg(args: &Args) -> Result<ExitCode, String> {
     use gfab::telemetry::{GroupBy, TraceAgg};
-    let paths = positional(rest, usize::MAX);
-    if paths.is_empty() {
-        return Err("trace-agg needs at least one trace file".into());
-    }
-    let group_by = match flag_value(rest, "--group-by")? {
-        None => GroupBy::Phase,
-        Some(v) => GroupBy::from_slug(v)
-            .ok_or_else(|| format!("bad --group-by `{v}` (use phase, k or arch)"))?,
-    };
+    let group_by = args
+        .value_with("--group-by", |v| {
+            GroupBy::from_slug(v).ok_or_else(|| format!("bad value `{v}` (use phase, k or arch)"))
+        })?
+        .unwrap_or(GroupBy::Phase);
     let mut agg = TraceAgg::new(group_by);
-    for path in &paths {
+    for path in &args.positionals {
         agg.add_trace(&load_trace(path)?);
     }
     print!("{}", agg.render());
-    if let Some(out) = flag_value(rest, "--json")? {
+    if let Some(out) = args.value("--json") {
         std::fs::write(out, agg.to_jsonl_tagged(&gfab::version::version_string()))
             .map_err(|e| format!("cannot write {out}: {e}"))?;
         eprintln!("wrote {} group(s) to {out}", agg.groups.len());
@@ -1168,13 +1036,10 @@ fn cmd_trace_agg(rest: &[String]) -> Result<ExitCode, String> {
 
 /// Exports one JSONL trace as flamegraph input (folded stacks or a
 /// speedscope profile) on stdout, or reports the critical path.
-fn cmd_flame(rest: &[String]) -> Result<ExitCode, String> {
-    let pos = positional(rest, 1);
-    let [path] = pos.as_slice() else {
-        return Err("flame needs a trace file path".into());
-    };
+fn cmd_flame(args: &Args) -> Result<ExitCode, String> {
+    let path = args.positionals[0];
     let trace = load_trace(path)?;
-    if has_flag(rest, "--critical-path") {
+    if args.has("--critical-path") {
         let cp = gfab::telemetry::critical_path(&trace);
         print!(
             "{}",
@@ -1182,7 +1047,7 @@ fn cmd_flame(rest: &[String]) -> Result<ExitCode, String> {
         );
         return Ok(ExitCode::SUCCESS);
     }
-    match flag_value(rest, "--out")?.map(String::as_str) {
+    match args.value("--out") {
         None | Some("folded") => print!("{}", gfab::telemetry::folded(&trace)),
         Some("speedscope") => println!("{}", gfab::telemetry::speedscope(&trace, path)),
         Some(other) => return Err(format!("bad --out `{other}` (use folded or speedscope)")),
@@ -1191,38 +1056,30 @@ fn cmd_flame(rest: &[String]) -> Result<ExitCode, String> {
 }
 
 /// Renders a run-ledger dashboard; see the usage text for the sections.
-fn cmd_report(rest: &[String]) -> Result<ExitCode, String> {
-    let pos = positional(rest, 1);
-    let [path] = pos.as_slice() else {
-        return Err("report needs a ledger file path".into());
-    };
-    let text =
-        std::fs::read_to_string(path.as_str()).map_err(|e| format!("cannot read {path}: {e}"))?;
+fn cmd_report(args: &Args) -> Result<ExitCode, String> {
+    let path = args.positionals[0];
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     // Lenient parse: a report over a ledger another process is still
     // appending to should skip its torn lines, not die on them.
     let (ledger, skipped) = gfab::telemetry::Ledger::parse_lenient(&text);
     if skipped > 0 {
         eprintln!("warning: {path}: skipped {skipped} torn/unparsable line(s)");
     }
-    print!("{}", ledger.render_report(has_flag(rest, "--md")));
+    print!("{}", ledger.render_report(args.has("--md")));
     Ok(ExitCode::SUCCESS)
 }
 
 /// Aligns two benchmark `--json` result files by row identity and reports
 /// per-field deltas; gating mirrors `trace-diff` (deterministic fields
 /// only — wall time and memory never fail the gate).
-fn cmd_bench_diff(rest: &[String]) -> Result<ExitCode, String> {
-    let pos = positional(rest, 2);
-    let [a_path, b_path] = pos.as_slice() else {
-        return Err("bench-diff needs two result files: <baseline.json> <current.json>".into());
-    };
-    let threshold = parse_threshold(rest)?;
+fn cmd_bench_diff(args: &Args) -> Result<ExitCode, String> {
+    let threshold = args.value_with("--threshold", parse_threshold)?;
     let read_rows = |path: &str| -> Result<Vec<gfab::bench::diff::Row>, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         gfab::bench::diff::parse_rows(&text).map_err(|e| format!("{path}: {e}"))
     };
-    let a = read_rows(a_path)?;
-    let b = read_rows(b_path)?;
+    let a = read_rows(args.positionals[0])?;
+    let b = read_rows(args.positionals[1])?;
     let diff = gfab::bench::diff::BenchDiff::compute(a, b);
     print!("{}", diff.render());
     let Some(pct) = threshold else {
@@ -1241,48 +1098,47 @@ fn cmd_bench_diff(rest: &[String]) -> Result<ExitCode, String> {
 }
 
 /// Parses the fuzz flags shared by campaigns and replays.
-fn parse_fuzz_config(rest: &[String]) -> Result<gfab::fuzz::FuzzConfig, String> {
+fn parse_fuzz_config(args: &Args) -> Result<gfab::fuzz::FuzzConfig, String> {
     use gfab::fuzz::FaultKind;
-    let mut cfg = gfab::fuzz::FuzzConfig {
+    let d = gfab::fuzz::FuzzConfig::default();
+    let cfg = gfab::fuzz::FuzzConfig {
         producer: gfab::version::version_string(),
-        threads: parse_threads(rest)?,
-        deadline: parse_timeout(rest)?,
-        ..gfab::fuzz::FuzzConfig::default()
+        threads: args.get("--threads")?.unwrap_or(0),
+        deadline: args.duration("--timeout")?,
+        seed: args.get("--seed")?.unwrap_or(d.seed),
+        cases: args.get("--cases")?.unwrap_or(d.cases),
+        k_min: args.get("--k-min")?.unwrap_or(d.k_min),
+        k_max: args.get("--k-max")?.unwrap_or(d.k_max),
+        fault_rate_pct: args
+            .value_with("--fault-rate", |v| {
+                v.parse()
+                    .ok()
+                    .filter(|&r| r <= 100)
+                    .ok_or_else(|| format!("bad value `{v}` (need 0..=100)"))
+            })?
+            .unwrap_or(d.fault_rate_pct),
+        sat_conflicts: args.get("--sat-conflicts")?.unwrap_or(d.sat_conflicts),
+        shrink_budget: args.get("--shrink-budget")?.unwrap_or(d.shrink_budget),
+        word_work_cap: match args.get("--word-work-cap")? {
+            Some(0) => None,
+            Some(cap) => Some(cap),
+            None => d.word_work_cap,
+        },
+        fault_kinds: args
+            .value_with("--faults", |list| {
+                let mut kinds = Vec::new();
+                for name in list.split(',') {
+                    let kind = FaultKind::from_name(name.trim())
+                        .ok_or_else(|| format!("unknown fault kind `{name}` (see `gfab help`)"))?;
+                    if !kinds.contains(&kind) {
+                        kinds.push(kind);
+                    }
+                }
+                Ok(kinds)
+            })?
+            .unwrap_or(d.fault_kinds),
+        ..d
     };
-    let num = |name: &str, default: u64| -> Result<u64, String> {
-        match flag_value(rest, name)? {
-            Some(v) => v.parse().map_err(|_| format!("bad {name} value: {v}")),
-            None => Ok(default),
-        }
-    };
-    cfg.seed = num("--seed", cfg.seed)?;
-    cfg.cases = num("--cases", cfg.cases as u64)? as usize;
-    cfg.k_min = num("--k-min", cfg.k_min as u64)? as usize;
-    cfg.k_max = num("--k-max", cfg.k_max as u64)? as usize;
-    let rate = num("--fault-rate", u64::from(cfg.fault_rate_pct))?;
-    if rate > 100 {
-        return Err(format!("--fault-rate must be 0..=100, got {rate}"));
-    }
-    cfg.fault_rate_pct = rate as u32;
-    cfg.sat_conflicts = num("--sat-conflicts", cfg.sat_conflicts)?;
-    cfg.shrink_budget = num("--shrink-budget", cfg.shrink_budget)?;
-    if let Some(v) = flag_value(rest, "--word-work-cap")? {
-        let cap: u64 = v
-            .parse()
-            .map_err(|_| format!("bad --word-work-cap value: {v}"))?;
-        cfg.word_work_cap = if cap == 0 { None } else { Some(cap) };
-    }
-    if let Some(list) = flag_value(rest, "--faults")? {
-        let mut kinds = Vec::new();
-        for name in list.split(',') {
-            let kind = FaultKind::from_name(name.trim())
-                .ok_or_else(|| format!("unknown fault kind `{name}` (see `gfab help`)"))?;
-            if !kinds.contains(&kind) {
-                kinds.push(kind);
-            }
-        }
-        cfg.fault_kinds = kinds;
-    }
     if cfg.k_min < 2 || cfg.k_max < cfg.k_min || cfg.k_max > 62 {
         return Err(format!(
             "bad degree range {}..={} (need 2 <= k-min <= k-max <= 62)",
@@ -1292,14 +1148,14 @@ fn parse_fuzz_config(rest: &[String]) -> Result<gfab::fuzz::FuzzConfig, String> 
     Ok(cfg)
 }
 
-fn cmd_fuzz(rest: &[String]) -> Result<ExitCode, String> {
+fn cmd_fuzz(args: &Args) -> Result<ExitCode, String> {
     use gfab::fuzz::{replay_case, run_campaign, write_corpus, CorpusCase, ReplayVerdict};
     use gfab::telemetry::{Collector, Telemetry};
 
-    let mut cfg = parse_fuzz_config(rest)?;
+    let mut cfg = parse_fuzz_config(args)?;
 
     // Replay mode: re-run one persisted corpus case under the oracle.
-    if let Some(path) = flag_value(rest, "--replay")? {
+    if let Some(path) = args.value("--replay") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let case = CorpusCase::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
         eprintln!(
@@ -1323,11 +1179,11 @@ fn cmd_fuzz(rest: &[String]) -> Result<ExitCode, String> {
         };
     }
 
-    let tracing = TraceArgs::parse(rest)?;
-    let ledger = LedgerArgs::parse("fuzz", rest)?;
-    let reporter = live::LiveArgs::parse(rest)?.start()?;
+    let (tree, json) = (args.has("--trace"), args.value("--trace-json"));
+    let ledger = LedgerArgs::new(args);
+    let reporter = live::start(args)?;
     let collector = Collector::new();
-    if tracing.json.is_some() || tracing.tree {
+    if json.is_some() || tree {
         cfg.telemetry = Telemetry::attached(&collector);
     }
     cfg.telemetry = cfg.telemetry.with_events(reporter.bus());
@@ -1338,22 +1194,20 @@ fn cmd_fuzz(rest: &[String]) -> Result<ExitCode, String> {
     // diff it byte-for-byte across thread counts.
     println!("{}", report.summary.canonical_json(&cfg.producer));
 
-    if let Some(dir) = flag_value(rest, "--corpus")? {
+    if let Some(dir) = args.value("--corpus") {
         let names = write_corpus(std::path::Path::new(dir), &report)?;
         eprintln!("wrote {} corpus case(s) to {dir}", names.len());
     }
-    if tracing.json.is_some() || tracing.tree {
+    if json.is_some() || tree {
         let trace = collector.snapshot();
-        if tracing.tree {
+        if tree {
             eprintln!("{}", trace.render_tree());
         }
-        if let Some(path) = tracing.json {
-            std::fs::write(path, trace.to_jsonl_tagged(&cfg.producer))
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("wrote {} spans to {path}", trace.spans().len());
+        if let Some(path) = json {
+            write_trace(path, &trace)?;
         }
     }
-    if tracing.stats {
+    if args.has("--stats") {
         let s = &report.summary;
         eprintln!(
             "campaign: {}/{} cases in {:.1}s ({} skipped), {} faulted, \

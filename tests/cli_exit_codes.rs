@@ -10,7 +10,7 @@
 //! status and the shape of stdout/stderr are asserted.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn run(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_gfab"))
@@ -111,10 +111,88 @@ fn usage_errors_exit_two() {
     ]);
     assert_eq!(code(&out), 2);
     assert!(
-        stderr(&out).contains("bad timeout"),
+        stderr(&out).contains("--timeout") && stderr(&out).contains("soon"),
         "stderr: {}",
         stderr(&out)
     );
+    // A timeout whose milliseconds overflow u64 (2^59 minutes) is
+    // rejected, never wrapped to a zero deadline.
+    let out = run(&[
+        "equiv",
+        spec.to_str().unwrap(),
+        spec.to_str().unwrap(),
+        "--k",
+        "4",
+        "--timeout",
+        "576460752303423488m",
+    ]);
+    assert_eq!(code(&out), 2, "stdout: {}", stdout(&out));
+    assert!(
+        stderr(&out).contains("--timeout") && stderr(&out).contains("576460752303423488m"),
+        "stderr: {}",
+        stderr(&out)
+    );
+    // Strict argv: per subcommand, its positionals and one flag it takes
+    // (with a valid value when the flag takes one). An unknown flag,
+    // another command's flag, a surplus positional, a missing value and
+    // a repeated flag each exit 2 naming the token and the subcommand.
+    // No case gets past parsing, so the paths need not exist.
+    let rows: [(&str, &[&str], &[&str]); 15] = [
+        ("extract", &["a.nl"], &["--k", "8"]),
+        ("verify-spec", &["a.nl"], &["--spec", "A*B"]),
+        ("equiv", &["s.nl", "i.nl"], &["--timeout", "1s"]),
+        ("sat-equiv", &["s.nl", "i.nl"], &["--conflicts", "1"]),
+        ("batch", &["m.json"], &["--repeat", "2"]),
+        ("gen", &["adder"], &["-o", "out.nl"]),
+        ("info", &["a.nl"], &[]),
+        ("trace-check", &["t.jsonl"], &[]),
+        ("trace-diff", &["a.jsonl", "b.jsonl"], &["--wall"]),
+        ("trace-agg", &["a.jsonl"], &["--group-by", "k"]),
+        ("flame", &["t.jsonl"], &["--out", "folded"]),
+        ("report", &["l.jsonl"], &["--md"]),
+        ("watch", &["l.jsonl"], &["--interval", "1s"]),
+        ("bench-diff", &["a.json", "b.json"], &["--threshold", "5"]),
+        ("fuzz", &[], &["--seed", "1"]),
+    ];
+    let mut cases: Vec<(Vec<&str>, &str)> = vec![
+        (
+            vec!["equiv", "s.nl", "i.nl", "--k", "8", "--timout", "1ms"],
+            "--timout",
+        ),
+        (vec!["extract", "a.nl", "b.nl", "--k", "8"], "b.nl"),
+        (vec!["info", "a.nl", "--k", "8"], "--k"),
+        (vec!["extract", "a.nl", "--k", "4", "--k", "8"], "--k"),
+        (
+            vec!["sat-equiv", "s.nl", "i.nl", "--conflicts"],
+            "--conflicts",
+        ),
+        (vec!["fuzz", "--mem-stats"], "--mem-stats"),
+    ];
+    for (cmd, pos, flag) in rows {
+        let base: Vec<&str> = std::iter::once(cmd).chain(pos.iter().copied()).collect();
+        let foreign = if cmd == "fuzz" { "--spec" } else { "--replay" };
+        cases.push(([&base[..], &["--frobnicate"]].concat(), "--frobnicate"));
+        cases.push(([&base[..], &[foreign, "x"]].concat(), foreign));
+        if cmd != "trace-agg" {
+            cases.push(([&base[..], &["surplus.nl"]].concat(), "surplus.nl"));
+        }
+        if let Some(&name) = flag.first() {
+            cases.push(([&base[..], flag, flag].concat(), name));
+        }
+        if flag.len() == 2 {
+            cases.push(([&base[..], &flag[..1]].concat(), flag[0]));
+        }
+    }
+    for (argv, token) in cases {
+        let out = run(&argv);
+        let err = stderr(&out);
+        assert_eq!(code(&out), 2, "gfab {argv:?}\nstderr: {err}");
+        assert!(
+            err.contains(token) && err.contains(argv[0]),
+            "gfab {argv:?}: stderr must name `{token}` and `{}`: {err}",
+            argv[0]
+        );
+    }
 }
 
 #[test]
@@ -186,30 +264,95 @@ fn version_prints_cargo_package_version() {
 #[test]
 fn help_exits_zero_and_names_every_subcommand() {
     // The usage text is the discovery surface for the whole CLI: every
-    // dispatched subcommand must appear in it. (print_usage writes to
+    // dispatched subcommand must appear in it, and each `gfab <cmd>
+    // --help` must list every flag the subcommand accepts. (Help goes to
     // stderr so stdout stays clean for piped output.)
-    const SUBCOMMANDS: [&str; 15] = [
-        "extract",
-        "verify-spec",
-        "equiv",
-        "sat-equiv",
-        "batch",
-        "gen",
-        "info",
-        "trace-check",
-        "trace-diff",
-        "trace-agg",
-        "flame",
-        "report",
-        "watch",
-        "bench-diff",
-        "fuzz",
+    const QUERY: &[&str] = &[
+        "--k",
+        "--modulus",
+        "--threads",
+        "--timeout",
+        "--trace",
+        "--stats",
+        "--mem-stats",
+        "--trace-json",
+        "--ledger",
+        "--progress",
+        "--events",
+        "--events-cap",
     ];
+    const SUBCOMMANDS: [(&str, &[&str]); 15] = [
+        ("extract", QUERY),
+        ("verify-spec", &["--spec", "--k", "--modulus"]),
+        ("equiv", QUERY),
+        ("sat-equiv", &["--conflicts", "--timeout"]),
+        (
+            "batch",
+            &[
+                "--threads",
+                "--timeout",
+                "--cache-cap",
+                "--repeat",
+                "--stats",
+                "--trace-json",
+                "--ledger",
+                "--progress",
+                "--events",
+                "--events-cap",
+            ],
+        ),
+        ("gen", &["--k", "--modulus", "-o"]),
+        ("info", &[]),
+        ("trace-check", &[]),
+        ("trace-diff", &["--threshold", "--wall"]),
+        ("trace-agg", &["--group-by", "--json"]),
+        ("flame", &["--out", "--critical-path"]),
+        ("report", &["--md"]),
+        ("watch", &["--interval", "--iterations"]),
+        ("bench-diff", &["--threshold"]),
+        (
+            "fuzz",
+            &[
+                "--seed",
+                "--cases",
+                "--threads",
+                "--k-min",
+                "--k-max",
+                "--fault-rate",
+                "--faults",
+                "--corpus",
+                "--timeout",
+                "--sat-conflicts",
+                "--shrink-budget",
+                "--word-work-cap",
+                "--replay",
+                "--trace",
+                "--stats",
+                "--trace-json",
+                "--ledger",
+                "--progress",
+                "--events",
+                "--events-cap",
+            ],
+        ),
+    ];
+    for (cmd, flags) in SUBCOMMANDS {
+        let out = run(&[cmd, "--help"]);
+        assert_eq!(code(&out), 0, "`gfab {cmd} --help` must exit 0");
+        let text = stderr(&out);
+        assert!(text.contains(&format!("gfab {cmd}")), "{text}");
+        for flag in flags {
+            assert!(
+                text.contains(&format!("[{flag}]")) || text.contains(&format!("[{flag} ")),
+                "`gfab {cmd} --help` does not list `{flag}`:\n{text}"
+            );
+        }
+    }
     for flag in ["--help", "-h", "help"] {
         let out = run(&[flag]);
         assert_eq!(code(&out), 0, "`gfab {flag}` must exit 0");
         let text = stderr(&out);
-        for cmd in SUBCOMMANDS {
+        for (cmd, _) in SUBCOMMANDS {
             assert!(
                 text.contains(cmd),
                 "`gfab {flag}` does not mention `{cmd}`:\n{text}"
@@ -370,4 +513,42 @@ fn extract_succeeds_and_times_out() {
         "stdout: {}",
         stdout(&out)
     );
+}
+
+#[test]
+fn closed_stdout_keeps_the_exit_code() {
+    // `gfab gen ... | head -1` and `gfab equiv ... | head -1`: when the
+    // reader goes away, output stops and the command still ends with
+    // the exit code of its result — never a broken-pipe panic (101).
+    let spec = fixture("mastrovito", 4);
+    let adder = fixture("adder", 4);
+    let cases: [(&[&str], i32); 2] = [
+        (&["gen", "mastrovito", "--k", "64"], 0),
+        (
+            &[
+                "equiv",
+                spec.to_str().unwrap(),
+                adder.to_str().unwrap(),
+                "--k",
+                "4",
+            ],
+            1,
+        ),
+    ];
+    for (args, want) in cases {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_gfab"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("gfab binary spawns");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("gfab runs");
+        assert_eq!(code(&out), want, "gfab {args:?}: {}", stderr(&out));
+        assert!(
+            !stderr(&out).contains("panicked"),
+            "gfab {args:?}: {}",
+            stderr(&out)
+        );
+    }
 }

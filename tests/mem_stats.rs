@@ -17,7 +17,7 @@ use gfab::field::GfContext;
 use gfab::telemetry::{mem, Gauge, Trace};
 use gfab::Verifier;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 struct TestAlloc;
 
@@ -41,6 +41,16 @@ unsafe impl GlobalAlloc for TestAlloc {
 #[global_allocator]
 static ALLOC: TestAlloc = TestAlloc;
 
+/// The tracking enable count is process-global and the test harness
+/// runs tests on parallel threads: a guard held by one test would show
+/// up as tracking (and as gauges) in another. Serialize all three; a
+/// poisoned lock only means another test failed.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn ctx() -> Arc<GfContext> {
     GfContext::shared(irreducible_polynomial(16).unwrap()).unwrap()
 }
@@ -60,6 +70,7 @@ fn peak_of(trace: &Trace, phase_slug: &str) -> Option<u64> {
 
 #[test]
 fn mem_stats_attributes_peak_bytes_to_phases() {
+    let _serial = serial();
     let ctx = ctx();
     let v = Verifier::new(&ctx).trace(true).mem_stats(true).threads(1);
     let report = v.extract(&mastrovito_multiplier(&ctx)).unwrap();
@@ -84,6 +95,7 @@ fn mem_stats_attributes_peak_bytes_to_phases() {
 
 #[test]
 fn without_mem_stats_no_gauges_are_recorded() {
+    let _serial = serial();
     let ctx = ctx();
     let v = Verifier::new(&ctx).trace(true).threads(1);
     let report = v.check(
@@ -103,6 +115,7 @@ fn without_mem_stats_no_gauges_are_recorded() {
 
 #[test]
 fn tracking_is_scoped_to_the_query() {
+    let _serial = serial();
     // The Verifier's RAII guard must switch accounting off again: after a
     // mem_stats query returns, allocations are no longer counted.
     let ctx = ctx();
