@@ -24,27 +24,27 @@
 //! the JSONL document. That is what makes sharded sweeps (one trace per
 //! worker, per host, per CI job) trustworthy to combine after the fact.
 //!
-//! # The v3 `agg` document
+//! # The `agg` document
 //!
-//! [`TraceAgg::to_jsonl`] writes a line-oriented strict-JSON document in
-//! the schema-v3 family (see the [`crate::Trace::to_jsonl`] version
-//! history): a header line
-//! `{"type":"agg","version":4,"group_by":G,"groups":N}` (plus an
-//! optional `"producer"`), then exactly `N` `"group"` lines sorted by
-//! key, each carrying the span count, recomputable work units, the
-//! counter map, the wall-µs histogram and its p50/p90/p99. The parser
-//! in [`TraceAgg::from_jsonl`] is as strict as the trace parser —
-//! unknown fields, unknown counter slugs, unsorted or duplicate keys,
-//! malformed histograms, and `work_units`/percentile fields that do not
-//! match recomputation are all errors — which is what lets
-//! `gfab trace-check` validate `agg` documents too.
+//! [`TraceAgg::to_jsonl`] writes a line-oriented strict-JSON document
+//! framed like every gfab JSONL file (see [`crate::Trace::to_jsonl`]): a
+//! header line `{"type":"agg","version":4,"group_by":G,"groups":N}`
+//! (plus an optional `"producer"`), then exactly `N` `"group"` lines
+//! sorted by key, each carrying the span count, recomputable work
+//! units, the counter map, the wall-µs histogram and its p50/p90/p99.
+//! [`TraceAgg::from_jsonl`] is as strict as the trace parser — unknown
+//! fields, unknown counter slugs, unsorted or duplicate keys, malformed
+//! histograms, and `work_units`/percentile fields that do not match
+//! recomputation are all errors — which is what lets `gfab trace-check`
+//! validate `agg` documents too.
 
-use crate::json::{parse_object, write_json_string, Json};
+use crate::json::{write_json_string, Json, Obj};
 use crate::jsonl::{
-    err, err_at, expect_keys, expect_keys_opt, get_str, get_u64, parse_hist, write_hist_json,
+    err_at, expect_keys, field_err, get_count, get_map, get_slug, get_str, get_u64, header_line,
+    parse_hist, read, write_hist_json, FieldError, Frame, Kind,
 };
 use crate::trace::fmt_duration;
-use crate::{Counter, HistData, ParseError, Trace, JSONL_VERSION};
+use crate::{Counter, HistData, ParseError, SpanRecord, Trace};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -168,6 +168,27 @@ fn root_key(label: Option<&str>, group_by: GroupBy) -> String {
     }
 }
 
+/// The spans of `trace` under their group keys, each group in span
+/// order. This is trace-diff's alignment too (with [`GroupBy::Phase`]).
+pub(crate) fn group_spans(trace: &Trace, group_by: GroupBy) -> BTreeMap<String, Vec<&SpanRecord>> {
+    // Spans are sorted by id and parents precede children, so one
+    // forward pass with an id → key memo resolves both the phase path
+    // and the inherited root label.
+    let mut memo: BTreeMap<u64, String> = BTreeMap::new();
+    let mut groups: BTreeMap<String, Vec<&SpanRecord>> = BTreeMap::new();
+    for s in trace.spans() {
+        let key = match (group_by, s.parent.and_then(|p| memo.get(&p))) {
+            (GroupBy::Phase, Some(parent_path)) => format!("{parent_path}/{}", s.phase.slug()),
+            (GroupBy::Phase, None) => s.phase.slug().to_string(),
+            (_, Some(inherited)) => inherited.clone(),
+            (_, None) => root_key(s.label.as_deref(), group_by),
+        };
+        memo.insert(s.id, key.clone());
+        groups.entry(key).or_default().push(s);
+    }
+    groups
+}
+
 impl TraceAgg {
     /// An empty aggregation over the given grouping.
     #[must_use]
@@ -186,28 +207,15 @@ impl TraceAgg {
 
     /// Folds one trace in: every span lands in exactly one group.
     pub fn add_trace(&mut self, trace: &Trace) {
-        // Spans are sorted by id and parents precede children, so one
-        // forward pass with an id → key memo resolves both the phase
-        // path and the inherited root label.
-        let mut memo: BTreeMap<u64, String> = BTreeMap::new();
-        for s in trace.spans() {
-            let key = match self.group_by {
-                GroupBy::Phase => match s.parent.and_then(|p| memo.get(&p)) {
-                    Some(parent_path) => format!("{parent_path}/{}", s.phase.slug()),
-                    None => s.phase.slug().to_string(),
-                },
-                GroupBy::K | GroupBy::Arch => match s.parent.and_then(|p| memo.get(&p)) {
-                    Some(inherited) => inherited.clone(),
-                    None => root_key(s.label.as_deref(), self.group_by),
-                },
-            };
-            memo.insert(s.id, key.clone());
+        for (key, spans) in group_spans(trace, self.group_by) {
             let g = self.groups.entry(key).or_default();
-            g.spans += 1;
-            g.wall_us
-                .record(s.duration.as_micros().min(u128::from(u64::MAX)) as u64);
-            for (c, v) in &s.counters {
-                g.add_counter(*c, *v);
+            for s in spans {
+                g.spans += 1;
+                g.wall_us
+                    .record(s.duration.as_micros().min(u128::from(u64::MAX)) as u64);
+                for (c, v) in &s.counters {
+                    g.add_counter(*c, *v);
+                }
             }
         }
     }
@@ -244,7 +252,7 @@ impl TraceAgg {
         self.groups.values().map(|g| g.spans).sum()
     }
 
-    /// Serializes to the v3 `agg` JSONL document (see the module docs).
+    /// Serializes to the `agg` JSONL document (see the module docs).
     #[must_use]
     pub fn to_jsonl(&self) -> String {
         self.emit_jsonl(None)
@@ -258,18 +266,12 @@ impl TraceAgg {
     }
 
     fn emit_jsonl(&self, producer: Option<&str>) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"type\":\"agg\",\"version\":{JSONL_VERSION},\"group_by\":\"{}\",\"groups\":{}",
+        let fields = format!(
+            ",\"group_by\":\"{}\",\"groups\":{}",
             self.group_by.slug(),
             self.groups.len()
         );
-        if let Some(p) = producer {
-            out.push_str(",\"producer\":");
-            write_json_string(&mut out, p);
-        }
-        out.push_str("}\n");
+        let mut out = header_line("agg", &fields, producer) + "\n";
         for (key, g) in &self.groups {
             out.push_str("{\"type\":\"group\",\"key\":");
             write_json_string(&mut out, key);
@@ -299,156 +301,32 @@ impl TraceAgg {
         out
     }
 
-    /// Parses and validates a v3 `agg` document (strictly — see the
+    /// Parses and validates an `agg` document (strictly — see the
     /// module docs for what is rejected).
     ///
     /// # Errors
     ///
     /// A [`ParseError`] naming the offending line and field path.
     pub fn from_jsonl(text: &str) -> Result<TraceAgg, ParseError> {
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .map(|(i, l)| (i + 1, l.trim()))
-            .filter(|(_, l)| !l.is_empty());
+        TraceAgg::from_frame(read(text, Kind::Agg, false, parse_group)?)
+    }
 
-        let (hline, header) = lines.next().ok_or_else(|| err(0, "empty agg file"))?;
-        let header = parse_object(header).map_err(|m| err(hline, m))?;
-        expect_keys_opt(
-            &header,
-            &["type", "version", "group_by", "groups"],
-            &["producer"],
-        )
-        .map_err(|e| e.on_line(hline))?;
-        if header.get("type") != Some(&Json::Str("agg".into())) {
-            return Err(err_at(hline, "type", "header \"type\" must be \"agg\""));
-        }
-        let version = get_u64(&header, "version").map_err(|e| e.on_line(hline))?;
-        if !(3..=JSONL_VERSION).contains(&version) {
-            return Err(err_at(
-                hline,
-                "version",
-                format!("unsupported agg version {version} (want 3..={JSONL_VERSION})"),
-            ));
-        }
-        if header.get("producer").is_some() {
-            get_str(&header, "producer").map_err(|e| e.on_line(hline))?;
-        }
-        let group_by_slug = get_str(&header, "group_by").map_err(|e| e.on_line(hline))?;
-        let group_by = GroupBy::from_slug(&group_by_slug).ok_or_else(|| {
-            err_at(
-                hline,
-                "group_by",
-                format!("unknown group_by {group_by_slug:?} (want phase|k|arch)"),
-            )
-        })?;
-        let declared = get_u64(&header, "groups").map_err(|e| e.on_line(hline))?;
-
+    /// The aggregation of framed group lines, whose keys must ascend.
+    pub(crate) fn from_frame(frame: Frame<(String, AggGroup)>) -> Result<TraceAgg, ParseError> {
+        let (hline, header) = &frame.header;
+        let group_by = get_slug(header, "group_by", "group_by", GroupBy::from_slug)
+            .map_err(|e| e.on_line(*hline))?;
         let mut groups: BTreeMap<String, AggGroup> = BTreeMap::new();
-        let mut last_key: Option<String> = None;
-        for (lineno, line) in lines {
-            let obj = parse_object(line).map_err(|m| err(lineno, m))?;
-            expect_keys(
-                &obj,
-                &[
-                    "type",
-                    "key",
-                    "spans",
-                    "work_units",
-                    "counters",
-                    "wall_us",
-                    "p50_us",
-                    "p90_us",
-                    "p99_us",
-                ],
-            )
-            .map_err(|e| e.on_line(lineno))?;
-            if obj.get("type") != Some(&Json::Str("group".into())) {
-                return Err(err_at(lineno, "type", "group \"type\" must be \"group\""));
-            }
-            let key = get_str(&obj, "key").map_err(|e| e.on_line(lineno))?;
-            if key.is_empty() {
-                return Err(err_at(lineno, "key", "group key must be non-empty"));
-            }
+        for (n, (key, g)) in frame.records {
             // Canonical form: keys strictly ascending (also rules out
             // duplicates), so a valid document has exactly one byte
             // representation per aggregation.
-            if let Some(prev) = &last_key {
-                if *prev >= key {
-                    return Err(err_at(
-                        lineno,
-                        "key",
-                        format!("group keys must be strictly ascending ({prev:?} >= {key:?})"),
-                    ));
-                }
-            }
-            last_key = Some(key.clone());
-
-            let mut g = AggGroup {
-                spans: get_u64(&obj, "spans").map_err(|e| e.on_line(lineno))?,
-                ..AggGroup::default()
-            };
-            let Some(Json::Obj(pairs)) = obj.get("counters") else {
-                return Err(err_at(lineno, "counters", "\"counters\" must be an object"));
-            };
-            for (slug, value) in pairs {
-                let path = format!("counters.{slug}");
-                let counter = Counter::from_slug(slug).ok_or_else(|| {
-                    err_at(lineno, &path, format!("unknown counter slug {slug:?}"))
-                })?;
-                let Json::Num(v) = value else {
-                    return Err(err_at(lineno, &path, "counter values must be integers"));
-                };
-                g.add_counter(counter, *v);
-            }
-            let Some(Json::Obj(pairs)) = obj.get("wall_us") else {
-                return Err(err_at(lineno, "wall_us", "\"wall_us\" must be an object"));
-            };
-            g.wall_us = parse_hist(&crate::json::Obj(pairs.clone()))
-                .map_err(|e| err_at(lineno, format!("wall_us.{}", e.0), e.1))?;
-            if g.wall_us.count != g.spans {
-                return Err(err_at(
-                    lineno,
-                    "wall_us.count",
-                    format!(
-                        "wall histogram has {} samples but the group declares {} spans",
-                        g.wall_us.count, g.spans
-                    ),
-                ));
-            }
-            // Derived fields must match recomputation — they are
-            // conveniences for `jq`-style consumers, not trusted input.
-            let declared_work = get_u64(&obj, "work_units").map_err(|e| e.on_line(lineno))?;
-            if declared_work != g.work() {
-                return Err(err_at(
-                    lineno,
-                    "work_units",
-                    format!(
-                        "declares {declared_work} work units, counters sum to {}",
-                        g.work()
-                    ),
-                ));
-            }
-            for (field, p) in [("p50_us", 50.0), ("p90_us", 90.0), ("p99_us", 99.0)] {
-                let declared_p = get_u64(&obj, field).map_err(|e| e.on_line(lineno))?;
-                let computed = g.wall_us.percentile(p);
-                if declared_p != computed {
-                    return Err(err_at(
-                        lineno,
-                        field,
-                        format!("declares {declared_p}, histogram computes {computed}"),
-                    ));
-                }
+            if let Some((prev, _)) = groups.last_key_value().filter(|(prev, _)| **prev >= key) {
+                let message =
+                    format!("group keys must be strictly ascending ({prev:?} >= {key:?})");
+                return Err(err_at(n, "key", message));
             }
             groups.insert(key, g);
-        }
-
-        if groups.len() as u64 != declared {
-            return Err(err_at(
-                0,
-                "groups",
-                format!("header declares {declared} groups, found {}", groups.len()),
-            ));
         }
         Ok(TraceAgg { group_by, groups })
     }
@@ -492,6 +370,68 @@ impl TraceAgg {
         );
         out
     }
+}
+
+const GROUP_KEYS: [&str; 9] = [
+    "type",
+    "key",
+    "spans",
+    "work_units",
+    "counters",
+    "wall_us",
+    "p50_us",
+    "p90_us",
+    "p99_us",
+];
+
+/// Parses one `group` line (see the module docs).
+pub(crate) fn parse_group(obj: &Obj) -> Result<(String, AggGroup), FieldError> {
+    expect_keys(obj, &GROUP_KEYS)?;
+    let key = get_str(obj, "key")?;
+    if key.is_empty() {
+        return Err(field_err("key", "group key must be non-empty"));
+    }
+    let mut g = AggGroup {
+        spans: get_u64(obj, "spans")?,
+        ..AggGroup::default()
+    };
+    for (counter, v) in get_map(obj, "counters", "counter", Counter::from_slug, get_count)? {
+        g.add_counter(counter, v);
+    }
+    g.wall_us =
+        parse_hist(obj.get("wall_us").unwrap_or(&Json::Null)).map_err(|e| e.under("wall_us"))?;
+    if g.wall_us.count != g.spans {
+        return Err(field_err(
+            "wall_us.count",
+            format!(
+                "wall histogram has {} samples but the group declares {} spans",
+                g.wall_us.count, g.spans
+            ),
+        ));
+    }
+    // Derived fields must match recomputation — they are conveniences
+    // for `jq`-style consumers, not trusted input.
+    let declared_work = get_u64(obj, "work_units")?;
+    if declared_work != g.work() {
+        return Err(field_err(
+            "work_units",
+            format!(
+                "declares {declared_work} work units, counters sum to {}",
+                g.work()
+            ),
+        ));
+    }
+    for (field, p) in [("p50_us", 50.0), ("p90_us", 90.0), ("p99_us", 99.0)] {
+        let declared_p = get_u64(obj, field)?;
+        let computed = g.wall_us.percentile(p);
+        if declared_p != computed {
+            return Err(field_err(
+                field,
+                format!("declares {declared_p}, histogram computes {computed}"),
+            ));
+        }
+    }
+    Ok((key, g))
 }
 
 #[cfg(test)]

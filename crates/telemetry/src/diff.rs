@@ -8,9 +8,9 @@
 //! Labels (block instance names, "spec"/"impl") are deliberately **not**
 //! part of the key: renaming a hierarchical block must not break the
 //! alignment, and the per-phase totals are what regression gating needs.
-//! All spans sharing a path merge into one [`PhaseAgg`]: counters and
-//! durations sum, gauges combine per [`Gauge::combine`], histograms
-//! merge bucket-wise.
+//! The grouping is [`crate::TraceAgg`]'s by-phase grouping, so diffs and
+//! aggregations align on identical keys. Per path, counters and
+//! durations sum and histograms merge bucket-wise.
 //!
 //! # Determinism
 //!
@@ -21,96 +21,76 @@
 //! built on them is stable; wall time and memory are reported as
 //! informational context, never gated.
 
-use crate::{Counter, Gauge, Hist, HistData, Trace};
-use std::collections::BTreeMap;
+use crate::agg::{group_spans, GroupBy};
+use crate::trace::fmt_duration;
+use crate::{Counter, Hist, HistData, SpanRecord, Trace};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::time::Duration;
 
-/// Everything aggregated under one phase path on one side of a diff.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PhaseAgg {
-    /// Number of spans merged into this aggregate.
-    pub spans: usize,
-    /// Sum of span durations (cumulative, not self time).
-    pub wall: Duration,
-    /// Summed counters.
-    pub counters: Vec<(Counter, u64)>,
-    /// Combined gauges (per [`Gauge::combine`]).
-    pub gauges: Vec<(Gauge, u64)>,
-    /// Bucket-wise merged histograms.
-    pub hists: Vec<(Hist, HistData)>,
-}
-
-impl PhaseAgg {
-    /// Value of one counter (0 when absent).
-    #[must_use]
-    pub fn counter(&self, counter: Counter) -> u64 {
-        self.counters
-            .iter()
-            .find(|(c, _)| *c == counter)
-            .map_or(0, |(_, v)| *v)
-    }
-
-    /// Sum of the deterministic work-unit counters
-    /// (see [`Counter::is_work`]).
-    #[must_use]
-    pub fn work(&self) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(c, _)| c.is_work())
-            .map(|(_, v)| *v)
-            .sum()
-    }
-
-    fn add_counter(&mut self, counter: Counter, value: u64) {
-        if let Some(slot) = self.counters.iter_mut().find(|(c, _)| *c == counter) {
-            slot.1 += value;
-        } else {
-            self.counters.push((counter, value));
-        }
-    }
-
-    fn add_gauge(&mut self, gauge: Gauge, value: u64) {
-        if let Some(slot) = self.gauges.iter_mut().find(|(g, _)| *g == gauge) {
-            slot.1 = gauge.combine(slot.1, value);
-        } else {
-            self.gauges.push((gauge, value));
-        }
-    }
-
-    fn add_hist(&mut self, hist: Hist, data: &HistData) {
-        if let Some(slot) = self.hists.iter_mut().find(|(h, _)| *h == hist) {
-            slot.1.merge(data);
-        } else {
-            self.hists.push((hist, *data));
-        }
-    }
-}
-
-/// One aligned phase path with its aggregate on each side (`None` when
-/// the path only occurs in the other trace).
+/// One aligned phase path with the spans it groups on each side (empty
+/// when the path only occurs in the other trace).
 #[derive(Debug, Clone)]
-pub struct DiffRow {
+pub struct DiffRow<'t> {
     /// Slash-joined phase-slug path, e.g. `check/extract/model-build`.
     pub path: String,
-    /// Aggregate in the baseline trace (A).
-    pub a: Option<PhaseAgg>,
-    /// Aggregate in the current trace (B).
-    pub b: Option<PhaseAgg>,
+    /// The path's spans in the baseline trace (A), in span order.
+    pub a: Vec<&'t SpanRecord>,
+    /// The path's spans in the current trace (B), in span order.
+    pub b: Vec<&'t SpanRecord>,
 }
 
-impl DiffRow {
+impl DiffRow<'_> {
     /// Baseline work units (0 when the phase is absent in A).
     #[must_use]
     pub fn work_a(&self) -> u64 {
-        self.a.as_ref().map_or(0, PhaseAgg::work)
+        work(&self.a)
     }
 
     /// Current work units (0 when the phase is absent in B).
     #[must_use]
     pub fn work_b(&self) -> u64 {
-        self.b.as_ref().map_or(0, PhaseAgg::work)
+        work(&self.b)
     }
+}
+
+/// Sum of the deterministic work-unit counters over `spans`.
+fn work(spans: &[&SpanRecord]) -> u64 {
+    spans
+        .iter()
+        .flat_map(|s| &s.counters)
+        .filter(|(c, _)| c.is_work())
+        .map(|(_, v)| *v)
+        .sum()
+}
+
+/// Summed durations (cumulative, not self time).
+fn wall(spans: &[&SpanRecord]) -> Duration {
+    spans.iter().map(|s| s.duration).sum()
+}
+
+fn counter(spans: &[&SpanRecord], counter: Counter) -> u64 {
+    spans
+        .iter()
+        .flat_map(|s| &s.counters)
+        .filter(|(c, _)| *c == counter)
+        .map(|(_, v)| *v)
+        .sum()
+}
+
+/// The bucket-wise merge of every `hist` histogram over `spans` (empty
+/// when none recorded it).
+fn hist(spans: &[&SpanRecord], hist: Hist) -> HistData {
+    let mut all = spans
+        .iter()
+        .flat_map(|s| &s.hists)
+        .filter(|(h, _)| *h == hist)
+        .map(|(_, d)| d);
+    let mut merged = all.next().copied().unwrap_or_default();
+    for d in all {
+        merged.merge(d);
+    }
+    merged
 }
 
 /// A work-unit regression found by [`TraceDiff::regressions`].
@@ -139,60 +119,26 @@ impl std::fmt::Display for Regression {
 
 /// The result of aligning two traces (see the module docs).
 #[derive(Debug, Clone)]
-pub struct TraceDiff {
+pub struct TraceDiff<'t> {
     /// One row per phase path occurring in either trace, sorted by path.
-    pub rows: Vec<DiffRow>,
+    pub rows: Vec<DiffRow<'t>>,
 }
 
-/// Aggregates all spans of a trace by label-free phase path.
-fn aggregate(trace: &Trace) -> BTreeMap<String, PhaseAgg> {
-    // Paths are built by walking parent links; spans are sorted by id and
-    // parents always precede children (ids order span creation), so one
-    // forward pass with an id → path memo suffices.
-    let mut path_of: BTreeMap<u64, String> = BTreeMap::new();
-    let mut out: BTreeMap<String, PhaseAgg> = BTreeMap::new();
-    for s in trace.spans() {
-        let path = match s.parent.and_then(|p| path_of.get(&p)) {
-            Some(parent_path) => format!("{parent_path}/{}", s.phase.slug()),
-            None => s.phase.slug().to_string(),
-        };
-        path_of.insert(s.id, path.clone());
-        let agg = out.entry(path).or_default();
-        agg.spans += 1;
-        agg.wall += s.duration;
-        for (c, v) in &s.counters {
-            agg.add_counter(*c, *v);
-        }
-        for (g, v) in &s.gauges {
-            agg.add_gauge(*g, *v);
-        }
-        for (h, d) in &s.hists {
-            agg.add_hist(*h, d);
-        }
-    }
-    out
-}
-
-impl TraceDiff {
+impl<'t> TraceDiff<'t> {
     /// Aligns baseline trace `a` against current trace `b`.
     #[must_use]
-    pub fn compute(a: &Trace, b: &Trace) -> TraceDiff {
-        let mut agg_a = aggregate(a);
-        let mut agg_b = aggregate(b);
-        let paths: Vec<String> = agg_a.keys().chain(agg_b.keys()).cloned().collect();
-        let mut rows = Vec::new();
-        let mut seen = std::collections::BTreeSet::new();
-        for path in paths {
-            if !seen.insert(path.clone()) {
-                continue;
-            }
-            rows.push(DiffRow {
-                a: agg_a.remove(&path),
-                b: agg_b.remove(&path),
+    pub fn compute(a: &'t Trace, b: &'t Trace) -> TraceDiff<'t> {
+        let mut a = group_spans(a, GroupBy::Phase);
+        let mut b = group_spans(b, GroupBy::Phase);
+        let paths: BTreeSet<String> = a.keys().chain(b.keys()).cloned().collect();
+        let rows = paths
+            .into_iter()
+            .map(|path| DiffRow {
+                a: a.remove(&path).unwrap_or_default(),
+                b: b.remove(&path).unwrap_or_default(),
                 path,
-            });
-        }
-        rows.sort_by(|x, y| x.path.cmp(&y.path));
+            })
+            .collect();
         TraceDiff { rows }
     }
 
@@ -252,12 +198,12 @@ impl TraceDiff {
             let _ = write!(out, " {:>12}", "Δwall%(info)");
         }
         out.push('\n');
+        let fmt_wall = |spans: &[&SpanRecord]| match spans {
+            [] => "-".to_string(),
+            _ => fmt_duration(wall(spans)),
+        };
         for r in &self.rows {
-            let spans = format!(
-                "{}/{}",
-                r.a.as_ref().map_or(0, |a| a.spans),
-                r.b.as_ref().map_or(0, |b| b.spans)
-            );
+            let spans = format!("{}/{}", r.a.len(), r.b.len());
             let (wa, wb) = (r.work_a(), r.work_b());
             let delta = wb as i128 - wa as i128;
             let delta_s = if delta == 0 {
@@ -273,60 +219,54 @@ impl TraceDiff {
                 wa,
                 wb,
                 delta_s,
-                fmt_wall(r.a.as_ref()),
-                fmt_wall(r.b.as_ref()),
+                fmt_wall(&r.a),
+                fmt_wall(&r.b),
             );
             if wall_delta {
                 let _ = write!(out, " {:>12}", fmt_wall_delta(r));
             }
             out.push('\n');
-            self.render_details(r, &mut out);
+            render_details(r, &mut out);
         }
         out
     }
+}
 
-    fn render_details(&self, r: &DiffRow, out: &mut String) {
-        let empty = PhaseAgg::default();
-        let a = r.a.as_ref().unwrap_or(&empty);
-        let b = r.b.as_ref().unwrap_or(&empty);
-        let mut counters: Vec<Counter> = Vec::new();
-        for (c, _) in a.counters.iter().chain(&b.counters) {
-            if !counters.contains(c) {
-                counters.push(*c);
-            }
+/// The counter and histogram lines under a row: each kind that differs,
+/// in order of first appearance in A, then B.
+fn render_details(r: &DiffRow, out: &mut String) {
+    let spans = || r.a.iter().chain(&r.b);
+    let mut counters: Vec<Counter> = Vec::new();
+    for (c, _) in spans().flat_map(|s| &s.counters) {
+        if !counters.contains(c) {
+            counters.push(*c);
         }
-        for c in counters {
-            let (va, vb) = (a.counter(c), b.counter(c));
-            if va != vb {
-                let _ = writeln!(out, "    {c}: {va} -> {vb} ({:+})", vb as i128 - va as i128);
-            }
+    }
+    for c in counters {
+        let (va, vb) = (counter(&r.a, c), counter(&r.b, c));
+        if va != vb {
+            let _ = writeln!(out, "    {c}: {va} -> {vb} ({:+})", vb as i128 - va as i128);
         }
-        let kinds: Vec<Hist> = a.hists.iter().chain(&b.hists).map(|(h, _)| *h).collect();
-        let mut seen = Vec::new();
-        for h in kinds {
-            if seen.contains(&h) {
-                continue;
-            }
-            seen.push(h);
-            let find = |agg: &PhaseAgg| {
-                agg.hists
-                    .iter()
-                    .find(|(k, _)| *k == h)
-                    .map_or_else(HistData::new, |(_, d)| *d)
-            };
-            let (da, db) = (find(a), find(b));
-            if da != db {
-                let _ = writeln!(
-                    out,
-                    "    hist {h}: n {} -> {}, mean {:.1} -> {:.1}, max {} -> {}",
-                    da.count,
-                    db.count,
-                    da.mean(),
-                    db.mean(),
-                    da.max,
-                    db.max
-                );
-            }
+    }
+    let mut hists: Vec<Hist> = Vec::new();
+    for (h, _) in spans().flat_map(|s| &s.hists) {
+        if !hists.contains(h) {
+            hists.push(*h);
+        }
+    }
+    for h in hists {
+        let (da, db) = (hist(&r.a, h), hist(&r.b, h));
+        if da != db {
+            let _ = writeln!(
+                out,
+                "    hist {h}: n {} -> {}, mean {:.1} -> {:.1}, max {} -> {}",
+                da.count,
+                db.count,
+                da.mean(),
+                db.mean(),
+                da.max,
+                db.max
+            );
         }
     }
 }
@@ -334,30 +274,14 @@ impl TraceDiff {
 /// Signed percent change in wall time, B vs A; `-` when either side is
 /// absent or the baseline wall is zero (no meaningful ratio).
 fn fmt_wall_delta(r: &DiffRow) -> String {
-    let (Some(a), Some(b)) = (r.a.as_ref(), r.b.as_ref()) else {
+    if r.a.is_empty() || r.b.is_empty() {
         return "-".to_string();
-    };
-    let (wa, wb) = (a.wall.as_secs_f64(), b.wall.as_secs_f64());
+    }
+    let (wa, wb) = (wall(&r.a).as_secs_f64(), wall(&r.b).as_secs_f64());
     if wa <= 0.0 {
         return "-".to_string();
     }
     format!("{:+.1}%", 100.0 * (wb - wa) / wa)
-}
-
-fn fmt_wall(agg: Option<&PhaseAgg>) -> String {
-    match agg {
-        None => "-".to_string(),
-        Some(a) => {
-            let d = a.wall;
-            if d < Duration::from_millis(1) {
-                format!("{}µs", d.as_micros())
-            } else if d < Duration::from_secs(1) {
-                format!("{:.2}ms", d.as_secs_f64() * 1e3)
-            } else {
-                format!("{:.3}s", d.as_secs_f64())
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -403,7 +327,8 @@ mod tests {
 
     #[test]
     fn inflated_work_regresses_and_names_the_phase() {
-        let d = TraceDiff::compute(&simple(100), &simple(120));
+        let (base, cur) = (simple(100), simple(120));
+        let d = TraceDiff::compute(&base, &cur);
         assert!(!d.work_identical());
         // 20% over baseline: above a 5% threshold, below a 50% one.
         let regs = d.regressions(5.0);
@@ -449,7 +374,7 @@ mod tests {
             .iter()
             .find(|r| r.path == "check/extract/guided-reduction")
             .unwrap();
-        assert!(row.a.is_some() && row.b.is_none());
+        assert!(!row.a.is_empty() && row.b.is_empty());
         // Work disappeared: an improvement, not a regression.
         assert!(d.regressions(0.0).is_empty());
         // The reverse direction (new work from nothing) does regress.
@@ -466,7 +391,8 @@ mod tests {
             s.counters = vec![(Counter::BudgetPolls, 3)]; // not a work counter
             Trace::from_spans(vec![s])
         };
-        let d = TraceDiff::compute(&mk(), &mk());
+        let (a, b) = (mk(), mk());
+        let d = TraceDiff::compute(&a, &b);
         assert!(d.work_identical());
         assert_eq!(d.rows[0].work_a(), 0);
         assert!(d.regressions(0.0).is_empty());
@@ -474,7 +400,8 @@ mod tests {
 
     #[test]
     fn wall_delta_column_is_opt_in_and_labeled_informational() {
-        let d = TraceDiff::compute(&simple(100), &simple(100));
+        let t = simple(100);
+        let d = TraceDiff::compute(&t, &t);
         assert!(!d.render().contains("Δwall%"));
         let out = d.render_opts(true);
         assert!(out.contains("Δwall%(info)"), "{out}");

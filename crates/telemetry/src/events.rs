@@ -27,9 +27,10 @@
 //! verdicts are bit-identical with events on or off, at any thread
 //! count.
 //!
-//! # NDJSON schema (v4 `events` documents)
+//! # NDJSON schema (`events` documents)
 //!
-//! One JSON object per line, validated by `gfab trace-check`:
+//! One JSON object per line, framed and read like every gfab JSONL file
+//! (see [`crate::Trace::to_jsonl`]) and validated by `gfab trace-check`:
 //!
 //! * **Header** (first line): `{"type":"events","version":4}` plus an
 //!   optional `"producer"` string (the emitting tool's version).
@@ -42,11 +43,13 @@
 //!   `{"type":"events-end","events":N,"dropped":D}` — `N` must equal
 //!   the number of event lines, `D` is the backpressure drop counter.
 //!   A file being tailed mid-run simply has no footer yet
-//!   ([`EventStream::complete`] is `false`).
+//!   ([`EventStream::complete`] is `false`), and may end in a torn
+//!   line, which is ignored.
 
-use crate::json::{parse_object, write_json_string, Json};
+use crate::json::{write_json_string, Obj};
 use crate::jsonl::{
-    err, err_at, expect_keys, expect_keys_opt, get_str, get_u64, ParseError, JSONL_VERSION,
+    err_at, expect_keys, field_err, get_opt_str, get_opt_u64, get_slug, get_str, get_u64,
+    header_line, read, FieldError, Frame, Kind, ParseError,
 };
 use crate::{Counter, Phase};
 use std::collections::BTreeSet;
@@ -280,13 +283,7 @@ impl EventReceiver {
 /// The NDJSON header line (no trailing newline); see the module docs.
 #[must_use]
 pub fn events_header(producer: Option<&str>) -> String {
-    let mut out = format!("{{\"type\":\"events\",\"version\":{JSONL_VERSION}");
-    if let Some(p) = producer {
-        out.push_str(",\"producer\":");
-        write_json_string(&mut out, p);
-    }
-    out.push('}');
-    out
+    header_line("events", "", producer)
 }
 
 /// The NDJSON footer line (no trailing newline); see the module docs.
@@ -400,83 +397,27 @@ impl EventStream {
     /// A [`ParseError`] naming the offending line and field path for
     /// any syntax or schema violation.
     pub fn from_jsonl(text: &str) -> Result<EventStream, ParseError> {
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .map(|(i, l)| (i + 1, l.trim()))
-            .filter(|(_, l)| !l.is_empty());
+        EventStream::from_frame(read(text, Kind::Events, false, parse_event)?)
+    }
 
-        let (hline, header) = lines.next().ok_or_else(|| err(0, "empty events file"))?;
-        let header = parse_object(header).map_err(|m| err(hline, m))?;
-        expect_keys_opt(&header, &["type", "version"], &["producer"])
-            .map_err(|e| e.on_line(hline))?;
-        if header.get("type") != Some(&Json::Str("events".into())) {
-            return Err(err_at(hline, "type", "header \"type\" must be \"events\""));
-        }
-        let version = get_u64(&header, "version").map_err(|e| e.on_line(hline))?;
-        if !(4..=JSONL_VERSION).contains(&version) {
-            return Err(err_at(
-                hline,
-                "version",
-                format!("unsupported events version {version} (want 4..={JSONL_VERSION})"),
-            ));
-        }
-        let producer = match header.get("producer") {
+    /// The stream of framed event lines, whose seqs must be unique.
+    pub(crate) fn from_frame(frame: Frame<Event>) -> Result<EventStream, ParseError> {
+        let dropped = match &frame.footer {
+            Some((n, footer)) => Some(get_u64(footer, "dropped").map_err(|e| e.on_line(*n))?),
             None => None,
-            Some(_) => Some(get_str(&header, "producer").map_err(|e| e.on_line(hline))?),
         };
-
-        let mut events = Vec::new();
         let mut seqs = BTreeSet::new();
-        let mut footer: Option<(u64, u64)> = None;
-        for (lineno, line) in lines {
-            if footer.is_some() {
-                return Err(err(lineno, "content after the events-end footer"));
-            }
-            let obj = parse_object(line).map_err(|m| err(lineno, m))?;
-            match obj.get("type") {
-                Some(Json::Str(t)) if t == "events-end" => {
-                    expect_keys(&obj, &["type", "events", "dropped"])
-                        .map_err(|e| e.on_line(lineno))?;
-                    let declared = get_u64(&obj, "events").map_err(|e| e.on_line(lineno))?;
-                    if declared != events.len() as u64 {
-                        return Err(err_at(
-                            lineno,
-                            "events",
-                            format!(
-                                "footer declares {declared} event(s), found {}",
-                                events.len()
-                            ),
-                        ));
-                    }
-                    let dropped = get_u64(&obj, "dropped").map_err(|e| e.on_line(lineno))?;
-                    footer = Some((declared, dropped));
-                }
-                Some(Json::Str(t)) if t == "event" => {
-                    let ev = parse_event_line(&obj, lineno)?;
-                    if !seqs.insert(ev.seq) {
-                        return Err(err_at(
-                            lineno,
-                            "seq",
-                            format!("duplicate event seq {}", ev.seq),
-                        ));
-                    }
-                    events.push(ev);
-                }
-                _ => {
-                    return Err(err_at(
-                        lineno,
-                        "type",
-                        "line \"type\" must be \"event\" or \"events-end\"",
-                    ))
-                }
+        for (n, ev) in &frame.records {
+            if !seqs.insert(ev.seq) {
+                return Err(err_at(*n, "seq", format!("duplicate event seq {}", ev.seq)));
             }
         }
         Ok(EventStream {
-            events,
-            producer,
-            dropped: footer.map(|(_, d)| d),
-            complete: footer.is_some(),
+            events: frame.records.into_iter().map(|(_, ev)| ev).collect(),
+            // The reader has checked that a producer, if any, is a string.
+            producer: get_str(&frame.header.1, "producer").ok(),
+            dropped,
+            complete: frame.footer.is_some(),
         })
     }
 
@@ -493,8 +434,9 @@ impl EventStream {
 
 const COMMON_KEYS: [&str; 5] = ["type", "seq", "ts_us", "thread", "event"];
 
-fn parse_event_line(obj: &crate::json::Obj, lineno: usize) -> Result<Event, ParseError> {
-    let slug = get_str(obj, "event").map_err(|e| e.on_line(lineno))?;
+/// Parses one `event` line (see the module docs).
+pub(crate) fn parse_event(obj: &Obj) -> Result<Event, FieldError> {
+    let slug = get_str(obj, "event")?;
     let kind_keys: &[&str] = match slug.as_str() {
         "phase-enter" => &["phase", "label"],
         "phase-exit" => &["phase", "label", "dur_us", "work_units"],
@@ -502,72 +444,37 @@ fn parse_event_line(obj: &crate::json::Obj, lineno: usize) -> Result<Event, Pars
         "budget" => &["work_done", "remaining_us"],
         "query-start" => &["query", "worker"],
         "query-done" => &["query", "verdict", "exit", "wall_us", "worker"],
-        other => {
-            return Err(err_at(
-                lineno,
-                "event",
-                format!("unknown event kind {other:?}"),
-            ))
-        }
+        other => return Err(field_err("event", format!("unknown event kind {other:?}"))),
     };
-    let mut keys: Vec<&str> = COMMON_KEYS.to_vec();
-    keys.extend_from_slice(kind_keys);
-    expect_keys(obj, &keys).map_err(|e| e.on_line(lineno))?;
-
-    let phase = |key: &str| -> Result<Phase, ParseError> {
-        let s = get_str(obj, key).map_err(|e| e.on_line(lineno))?;
-        Phase::from_slug(&s).ok_or_else(|| err_at(lineno, key, format!("unknown phase slug {s:?}")))
-    };
-    let label = || -> Result<Option<String>, ParseError> {
-        match obj.get("label") {
-            Some(Json::Null) => Ok(None),
-            Some(Json::Str(s)) => Ok(Some(s.clone())),
-            _ => Err(err_at(
-                lineno,
-                "label",
-                "\"label\" must be a string or null",
-            )),
-        }
-    };
-    let num = |key: &str| get_u64(obj, key).map_err(|e| e.on_line(lineno));
-    let string = |key: &str| get_str(obj, key).map_err(|e| e.on_line(lineno));
-
+    expect_keys(obj, &[&COMMON_KEYS[..], kind_keys].concat())?;
+    let phase = || get_slug(obj, "phase", "phase", Phase::from_slug);
+    let num = |key: &str| get_u64(obj, key);
     let kind = match slug.as_str() {
         "phase-enter" => EventKind::PhaseEnter {
-            phase: phase("phase")?,
-            label: label()?,
+            phase: phase()?,
+            label: get_opt_str(obj, "label")?,
         },
         "phase-exit" => EventKind::PhaseExit {
-            phase: phase("phase")?,
-            label: label()?,
+            phase: phase()?,
+            label: get_opt_str(obj, "label")?,
             dur_us: num("dur_us")?,
             work_units: num("work_units")?,
         },
         "progress" => EventKind::Progress {
-            phase: phase("phase")?,
+            phase: phase()?,
             work_units: num("work_units")?,
         },
         "budget" => EventKind::BudgetTick {
             work_done: num("work_done")?,
-            remaining_us: match obj.get("remaining_us") {
-                Some(Json::Null) => None,
-                Some(Json::Num(n)) => Some(*n),
-                _ => {
-                    return Err(err_at(
-                        lineno,
-                        "remaining_us",
-                        "\"remaining_us\" must be an integer or null",
-                    ))
-                }
-            },
+            remaining_us: get_opt_u64(obj, "remaining_us")?,
         },
         "query-start" => EventKind::QueryStart {
-            query: string("query")?,
+            query: get_str(obj, "query")?,
             worker: num("worker")?,
         },
         "query-done" => EventKind::QueryDone {
-            query: string("query")?,
-            verdict: string("verdict")?,
+            query: get_str(obj, "query")?,
+            verdict: get_str(obj, "verdict")?,
             exit: num("exit")?,
             wall_us: num("wall_us")?,
             worker: num("worker")?,
@@ -624,6 +531,7 @@ impl ProgressMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::parse_object;
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -728,10 +636,16 @@ mod tests {
 
     #[test]
     fn footerless_stream_parses_as_incomplete() {
-        let stream = EventStream::from_jsonl(&render(&sample_events(), false)).unwrap();
+        let text = render(&sample_events(), false);
+        let stream = EventStream::from_jsonl(&text).unwrap();
         assert!(!stream.complete);
         assert_eq!(stream.dropped, None);
         assert_eq!(stream.events.len(), 7);
+        // Read mid-run, the file may end part-way through a line: the
+        // torn line is ignored, the stream is still in flight.
+        let cut = EventStream::from_jsonl(&text[..text.len() - 10]).unwrap();
+        assert!(!cut.complete);
+        assert_eq!(cut.events, sample_events()[..6]);
     }
 
     #[test]

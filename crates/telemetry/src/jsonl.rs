@@ -1,73 +1,88 @@
-//! Line-delimited JSON codec for [`Trace`] (the `--trace-json` sink).
+//! The one reader behind every JSONL file gfab writes, and the span
+//! codec of [`Trace`] (the `--trace-json` sink).
 //!
-//! # Schema (version 4; versions 1 through 3 still parse)
+//! # Files (version 4)
 //!
-//! The file is UTF-8, one JSON object per line.
+//! Every file is UTF-8, one JSON object per line, each line naming its
+//! record type in `"type"`. Four kinds of file share one framing:
 //!
-//! * **Header line** (first line):
-//!   `{"type":"trace","version":4,"spans":N}` — `N` is the number of
-//!   span lines that follow. `version` may be 1 through 4; it fixes the
-//!   exact field set of every span line. The header may additionally
-//!   carry an optional `"producer"` string (the emitting tool's version,
-//!   e.g. `gfab 0.4.0+abc1234` — what `gfab --version` prints), written
-//!   by [`Trace::to_jsonl_tagged`] so traces and the fuzz corpus record
-//!   the build that produced them.
-//! * **Span lines** (exactly `N`), each with exactly these fields:
-//!   - `"type"`: the string `"span"`;
-//!   - `"id"`: integer ≥ 1, unique within the file;
-//!   - `"parent"`: integer id of the parent span, or `null` for roots —
-//!     must reference an id present in the file;
-//!   - `"phase"`: a [`Phase`] slug (e.g. `"guided-reduction"`);
-//!   - `"label"`: free-form string or `null`;
-//!   - `"thread"`: integer display index of the recording thread;
-//!   - `"start_us"`: integer microseconds from the trace epoch;
-//!   - `"dur_us"`: integer microseconds of span duration;
-//!   - `"counters"`: object mapping [`Counter`] slugs to integers;
-//!   - *(version 2 only)* `"gauges"`: object mapping [`Gauge`] slugs to
-//!     integers;
-//!   - *(version 2 only)* `"hists"`: object mapping [`Hist`] slugs to
-//!     histogram objects `{"count":C,"sum":S,"min":m,"max":M,`
-//!     `"buckets":[b0,…,b15]}` with exactly
-//!     [`HIST_BUCKETS`](crate::HIST_BUCKETS) buckets summing to `C`.
+//! | kind | header line | record lines | footer line |
+//! |---|---|---|---|
+//! | trace (`--trace-json`) | `{"type":"trace","version":4,"spans":N}` | exactly `N` `span` | — |
+//! | agg (`trace-agg --json`) | `{"type":"agg","version":4,"group_by":G,"groups":N}` | exactly `N` `group` | — |
+//! | events (`--events`) | `{"type":"events","version":4}` | any number of `event` | optional `{"type":"events-end","events":N,"dropped":D}` |
+//! | ledger (`--ledger`) | — | `run`, each carrying `"version":4` | — |
 //!
-//! A version-1 file must *not* carry `gauges`/`hists`; version-2 files
-//! and later must carry both (possibly empty objects). The parser
-//! is strict — unknown fields, unknown slugs, duplicate ids, dangling
-//! parents, a wrong span count and malformed histograms are all errors,
-//! and every error names the offending line *and field path* (what
-//! `gfab trace-check` prints). Version-1 files parse into spans with
-//! empty gauge/histogram sets, so every downstream consumer (trace-diff
-//! included) treats old traces uniformly.
+//! A header may also carry an optional `"producer"` string: the emitting
+//! tool's version (e.g. `gfab 0.4.0+abc1234`, what `gfab --version`
+//! prints), so a file names the build that wrote it. The record lines of
+//! each kind are documented with their parsers: spans below, groups in
+//! [`crate::TraceAgg`], events in [`crate::events`], runs in
+//! [`crate::ledger`].
+//!
+//! [`read`] is the only code that walks the lines of a file: it checks
+//! the header, the footer, the declared record count and the version,
+//! and hands each record line to the parser of its kind. The rules are
+//! the same for every kind:
+//!
+//! * Only version 4 is read; any other `"version"` is an error.
+//! * A non-JSON *final* line is torn — its writer was cut off or is
+//!   still writing — and is ignored and reported. Declared counts still
+//!   catch a truncated trace or agg file.
+//! * Any other line that is not JSON, or not a valid record of the
+//!   file's kind, is an error naming the line and the field path (what
+//!   `gfab trace-check` prints). The lenient mode `gfab report` reads
+//!   ledgers with skips and counts such lines instead, because it may
+//!   read a ledger while other processes append to it.
+//! * A well-formed line of another kind of file (a trace header in a
+//!   ledger, say) is an error in both modes.
+//!
+//! # Span lines
+//!
+//! Each `span` line carries exactly these fields:
+//!
+//! * `"type"`: the string `"span"`;
+//! * `"id"`: integer ≥ 1, unique within the file;
+//! * `"parent"`: integer id of the parent span, or `null` for roots —
+//!   must reference an id present in the file;
+//! * `"phase"`: a [`Phase`] slug (e.g. `"guided-reduction"`);
+//! * `"label"`: free-form string or `null`;
+//! * `"thread"`: integer display index of the recording thread;
+//! * `"start_us"`: integer microseconds from the trace epoch;
+//! * `"dur_us"`: integer microseconds of span duration;
+//! * `"counters"`: object mapping [`Counter`] slugs to integers;
+//! * `"gauges"`: object mapping [`Gauge`] slugs to integers;
+//! * `"hists"`: object mapping [`Hist`] slugs to histogram objects
+//!   `{"count":C,"sum":S,"min":m,"max":M,"buckets":[b0,…,b15]}` with
+//!   exactly [`HIST_BUCKETS`](crate::HIST_BUCKETS) buckets summing to
+//!   `C`.
+//!
+//! Unknown fields, unknown slugs, duplicate ids, dangling parents, a
+//! wrong span count and malformed histograms are all errors.
 //!
 //! # Version history
 //!
 //! * **v1** — header + span lines with counters only.
-//! * **v2** — adds the `gauges`/`hists` span fields (PR 3).
-//! * **v3** — span lines are *byte-identical to v2*. The bump marks the
-//!   introduction of two sibling line-oriented documents that share this
-//!   file's conventions and strict parser discipline: the `agg` summary
-//!   document written by `gfab trace-agg` (see [`crate::TraceAgg`]) and
-//!   the run-ledger `run` rows appended by `--ledger` (see
-//!   [`crate::ledger`]). A v2 consumer reading a v3 *trace* file loses
-//!   nothing; it only needs to accept the higher header number.
-//! * **v4** — span lines are still byte-identical to v2. The bump marks
-//!   the live-event stream documents written by `--events` (see
-//!   [`crate::events`]): an `events` header line followed by `event`
-//!   lines and an optional `events-end` footer. Purely additive, same
-//!   one-object-per-line conventions and strict parsing.
+//! * **v2** — adds the `gauges`/`hists` span fields.
+//! * **v3** — span lines unchanged; adds the `agg` and ledger `run`
+//!   documents.
+//! * **v4** — span lines unchanged; adds the `events` stream.
+//!
+//! Versions 1–3 were readable until one reader replaced the four
+//! per-kind ones; no build since v4 was introduced writes them, and
+//! they are now rejected naming `version`.
 
+use crate::agg::{parse_group, TraceAgg};
+use crate::events::{parse_event, EventStream};
 use crate::json::{parse_object, write_json_string, Json, Obj};
+use crate::ledger::Ledger;
 use crate::{Counter, Gauge, Hist, HistData, Phase, SpanRecord, Trace, HIST_BUCKETS};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::time::Duration;
 
-/// Schema version written by this codec. [`Trace::from_jsonl`] accepts
-/// every version from [`JSONL_MIN_VERSION`] up to this one.
+/// Schema version written and read by every gfab JSONL file.
 pub const JSONL_VERSION: u64 = 4;
-
-/// Oldest schema version [`Trace::from_jsonl`] still accepts.
-pub const JSONL_MIN_VERSION: u64 = 1;
 
 /// A JSONL parse/validation failure, with the 1-based offending line and
 /// (when the problem is tied to a specific field) the field path within
@@ -86,14 +101,10 @@ pub struct ParseError {
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match (self.line, self.path.is_empty()) {
-            (0, true) => write!(f, "trace jsonl: {}", self.message),
-            (0, false) => write!(f, "trace jsonl field {}: {}", self.path, self.message),
-            (l, true) => write!(f, "trace jsonl line {l}: {}", self.message),
-            (l, false) => write!(
-                f,
-                "trace jsonl line {l}, field {}: {}",
-                self.path, self.message
-            ),
+            (0, true) => write!(f, "{}", self.message),
+            (0, false) => write!(f, "field {}: {}", self.path, self.message),
+            (l, true) => write!(f, "line {l}: {}", self.message),
+            (l, false) => write!(f, "line {l}, field {}: {}", self.path, self.message),
         }
     }
 }
@@ -120,9 +131,370 @@ pub(crate) fn err_at(
     }
 }
 
+/// The kinds of JSONL file gfab writes (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    Trace,
+    Agg,
+    Events,
+    Ledger,
+}
+
+const KINDS: [Kind; 4] = [Kind::Trace, Kind::Agg, Kind::Events, Kind::Ledger];
+
+impl Kind {
+    fn name(self) -> &'static str {
+        match self {
+            Kind::Trace => "trace",
+            Kind::Agg => "agg",
+            Kind::Events => "events",
+            Kind::Ledger => "ledger",
+        }
+    }
+
+    /// The header's `type` and required fields; a ledger has no header.
+    fn header(self) -> Option<(&'static str, &'static [&'static str])> {
+        match self {
+            Kind::Trace => Some(("trace", &["type", "version", "spans"])),
+            Kind::Agg => Some(("agg", &["type", "version", "group_by", "groups"])),
+            Kind::Events => Some(("events", &["type", "version"])),
+            Kind::Ledger => None,
+        }
+    }
+
+    /// The `type` of the record lines.
+    fn record(self) -> &'static str {
+        match self {
+            Kind::Trace => "span",
+            Kind::Agg => "group",
+            Kind::Events => "event",
+            Kind::Ledger => "run",
+        }
+    }
+
+    /// The footer's `type` and fields, for the one kind that has one.
+    fn footer(self) -> Option<(&'static str, &'static [&'static str])> {
+        match self {
+            Kind::Events => Some(("events-end", &["type", "events", "dropped"])),
+            _ => None,
+        }
+    }
+
+    /// The field declaring the record count: in the header of a trace
+    /// or agg file, in the footer of an event stream.
+    fn count_field(self) -> Option<&'static str> {
+        match self {
+            Kind::Trace => Some("spans"),
+            Kind::Agg => Some("groups"),
+            Kind::Events => Some("events"),
+            Kind::Ledger => None,
+        }
+    }
+
+    /// The kind of a file, from the `type` of its first line: a header,
+    /// or a ledger `run` row.
+    fn of(text: &str) -> Result<Kind, ParseError> {
+        let (n, line) = lines(text).next().ok_or_else(|| err(0, "empty file"))?;
+        let obj = parse_object(line).map_err(|m| err(n, m))?;
+        let ty = type_of(&obj);
+        KINDS
+            .into_iter()
+            .find(|k| k.header().map_or(k.record(), |(h, _)| h) == ty)
+            .ok_or_else(|| {
+                let want = "a header or a \"run\" line";
+                err_at(
+                    n,
+                    "type",
+                    format!("expected {want}, found {}", describe(ty)),
+                )
+            })
+    }
+}
+
+/// The `"type"` of a line; empty when it has none.
+fn type_of(obj: &Obj) -> &str {
+    match obj.get("type") {
+        Some(Json::Str(s)) => s,
+        _ => "",
+    }
+}
+
+/// Which line of some kind of file a `type` names, if any.
+fn role(ty: &str) -> Option<&'static str> {
+    KINDS.into_iter().find_map(|k| {
+        if k.header().is_some_and(|(h, _)| h == ty) {
+            Some("header")
+        } else if k.record() == ty {
+            Some("line")
+        } else if k.footer().is_some_and(|(f, _)| f == ty) {
+            Some("footer")
+        } else {
+            None
+        }
+    })
+}
+
+/// A line's `type` as messages name it.
+fn describe(ty: &str) -> String {
+    match role(ty) {
+        Some(role) => format!("a {ty:?} {role}"),
+        None if ty.is_empty() => "no \"type\" string".into(),
+        None => format!("unknown type {ty:?}"),
+    }
+}
+
+/// The non-blank lines of `text`, trimmed, with 1-based numbers.
+fn lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines()
+        .enumerate()
+        .map(|(i, l)| (i + 1, l.trim()))
+        .filter(|(_, l)| !l.is_empty())
+}
+
+/// A header line (no trailing newline): `type`, the version, the
+/// kind's own `fields` (each written as `,"name":value`), then the
+/// optional producer.
+pub(crate) fn header_line(ty: &str, fields: &str, producer: Option<&str>) -> String {
+    let mut out = format!("{{\"type\":\"{ty}\",\"version\":{JSONL_VERSION}{fields}");
+    if let Some(p) = producer {
+        out.push_str(",\"producer\":");
+        write_json_string(&mut out, p);
+    }
+    out.push('}');
+    out
+}
+
+fn check_version(obj: &Obj) -> Result<(), FieldError> {
+    match get_u64(obj, "version")? {
+        JSONL_VERSION => Ok(()),
+        v => Err(field_err(
+            "version",
+            format!("unsupported version {v} (only {JSONL_VERSION} is read)"),
+        )),
+    }
+}
+
+/// A file as [`read`] frames it.
+pub(crate) struct Frame<T> {
+    /// The header line and its number (an empty object at line 0 for a
+    /// ledger, which has no header).
+    pub(crate) header: (usize, Obj),
+    /// Each parsed record with its line number, in file order.
+    pub(crate) records: Vec<(usize, T)>,
+    /// The footer line and its number, when the file has one.
+    pub(crate) footer: Option<(usize, Obj)>,
+    /// The number of the torn final line that was ignored, if any.
+    pub(crate) torn: Option<usize>,
+    /// Lines skipped by lenient reading.
+    pub(crate) skipped: usize,
+}
+
+/// Reads a `kind` file (see the module docs for the rules), parsing each
+/// record line with `parse`. `lenient` skips and counts unparsable lines
+/// and invalid records instead of failing on them.
+pub(crate) fn read<T>(
+    text: &str,
+    kind: Kind,
+    lenient: bool,
+    parse: fn(&Obj) -> Result<T, FieldError>,
+) -> Result<Frame<T>, ParseError> {
+    let lines: Vec<(usize, &str)> = lines(text).collect();
+    let mut frame = Frame {
+        header: (0, Obj(Vec::new())),
+        records: Vec::new(),
+        footer: None,
+        torn: None,
+        skipped: 0,
+    };
+    let mut body = &lines[..];
+    if let Some((ty, keys)) = kind.header() {
+        let &(n, line) = lines
+            .first()
+            .ok_or_else(|| err(0, format!("empty {} file", kind.name())))?;
+        let header = parse_object(line).map_err(|m| err(n, m))?;
+        if type_of(&header) != ty {
+            let found = describe(type_of(&header));
+            return Err(err_at(
+                n,
+                "type",
+                format!("expected a {ty:?} header, found {found}"),
+            ));
+        }
+        expect_keys_opt(&header, keys, &["producer"])
+            .and_then(|()| match header.get("producer") {
+                Some(_) => get_str(&header, "producer").map(drop),
+                None => Ok(()),
+            })
+            .and_then(|()| check_version(&header))
+            .map_err(|e| e.on_line(n))?;
+        frame.header = (n, header);
+        body = &lines[1..];
+    }
+    for (i, &(n, line)) in body.iter().enumerate() {
+        if let (Some(_), Some((f, _))) = (&frame.footer, kind.footer()) {
+            return Err(err(n, format!("content after the {f} footer")));
+        }
+        let obj = match parse_object(line) {
+            Ok(obj) => obj,
+            Err(_) if i + 1 == body.len() => {
+                frame.torn = Some(n);
+                break;
+            }
+            Err(_) if lenient => {
+                frame.skipped += 1;
+                continue;
+            }
+            Err(m) => return Err(err(n, m)),
+        };
+        let ty = type_of(&obj);
+        if let Some((_, keys)) = kind.footer().filter(|(f, _)| *f == ty) {
+            expect_keys(&obj, keys).map_err(|e| e.on_line(n))?;
+            frame.footer = Some((n, obj));
+            continue;
+        }
+        let record = if ty == kind.record() {
+            // Header-less ledger rows each carry their own version.
+            let version = match kind.header() {
+                None => check_version(&obj),
+                Some(_) => Ok(()),
+            };
+            version.and_then(|()| parse(&obj))
+        } else {
+            let want = kind.record();
+            let e = field_err(
+                "type",
+                format!("expected a {want:?} line, found {}", describe(ty)),
+            );
+            if role(ty).is_some() {
+                // A well-formed line of another kind of file is never
+                // mere garbage, even to a lenient reader.
+                return Err(e.on_line(n));
+            }
+            Err(e)
+        };
+        match record {
+            Ok(r) => frame.records.push((n, r)),
+            Err(_) if lenient => frame.skipped += 1,
+            Err(e) => return Err(e.on_line(n)),
+        }
+    }
+    let declared_in = match kind.footer() {
+        Some(_) => frame.footer.as_ref().map(|(n, f)| ("footer", *n, f)),
+        None => Some(("header", frame.header.0, &frame.header.1)),
+    };
+    if let (Some(field), Some((place, n, obj))) = (kind.count_field(), declared_in) {
+        let declared = get_u64(obj, field).map_err(|e| e.on_line(n))?;
+        let found = frame.records.len();
+        if declared != found as u64 {
+            return Err(err_at(
+                n,
+                field,
+                format!("{place} declares {declared} {field}, found {found}"),
+            ));
+        }
+    }
+    Ok(frame)
+}
+
+/// Validates any file gfab writes — its kind told by its first line —
+/// with the parser of that kind, and describes it in one line (what
+/// `gfab trace-check` prints): `valid trace: …`, `valid agg: …`,
+/// `valid events: …` or `valid ledger: …`.
+///
+/// # Errors
+///
+/// A [`ParseError`] naming the offending line and field path.
+pub fn check_jsonl(text: &str) -> Result<String, ParseError> {
+    let kind = Kind::of(text)?;
+    let (what, torn) = match kind {
+        Kind::Trace => {
+            let frame = read(text, kind, false, parse_span)?;
+            let torn = frame.torn;
+            let t = Trace::from_frame(frame)?;
+            let roots = t.roots().count();
+            let what = format!(
+                "{} spans, {roots} roots, wall {:?}",
+                t.spans().len(),
+                t.wall()
+            );
+            (what, torn)
+        }
+        Kind::Agg => {
+            let frame = read(text, kind, false, parse_group)?;
+            let torn = frame.torn;
+            let agg = TraceAgg::from_frame(frame)?;
+            let what = format!(
+                "{} group(s) by {}, {} span(s), {} work unit(s)",
+                agg.groups.len(),
+                agg.group_by().slug(),
+                agg.total_spans(),
+                agg.work_units()
+            );
+            (what, torn)
+        }
+        Kind::Events => {
+            let frame = read(text, kind, false, parse_event)?;
+            let torn = frame.torn;
+            let ev = EventStream::from_frame(frame)?;
+            let kinds: Vec<String> = ev
+                .kind_counts()
+                .iter()
+                .map(|(k, n)| format!("{k}={n}"))
+                .collect();
+            let what = format!(
+                "{} event(s) ({}), {} dropped, {}",
+                ev.events.len(),
+                kinds.join(" "),
+                ev.dropped.unwrap_or(0),
+                if ev.complete { "complete" } else { "in-flight" }
+            );
+            (what, torn)
+        }
+        Kind::Ledger => {
+            let ledger = Ledger::from_jsonl(text, false)?;
+            let what = format!(
+                "{} row(s) across {} run(s)",
+                ledger.rows.len(),
+                ledger.runs()
+            );
+            (what, ledger.torn)
+        }
+    };
+    let mut out = format!("valid {}: {what}", kind.name());
+    if let Some(n) = torn {
+        let _ = write!(out, "; torn final line {n} ignored");
+    }
+    Ok(out)
+}
+
+const SPAN_KEYS: [&str; 11] = [
+    "type", "id", "parent", "phase", "label", "thread", "start_us", "dur_us", "counters", "gauges",
+    "hists",
+];
+
+/// Parses one `span` line (see the module docs).
+fn parse_span(obj: &Obj) -> Result<SpanRecord, FieldError> {
+    expect_keys(obj, &SPAN_KEYS)?;
+    let id = get_u64(obj, "id")?;
+    if id == 0 {
+        return Err(field_err("id", "span id must be >= 1"));
+    }
+    Ok(SpanRecord {
+        id,
+        parent: get_opt_u64(obj, "parent")?,
+        phase: get_slug(obj, "phase", "phase", Phase::from_slug)?,
+        label: get_opt_str(obj, "label")?,
+        thread: get_u64(obj, "thread")?,
+        start: Duration::from_micros(get_u64(obj, "start_us")?),
+        duration: Duration::from_micros(get_u64(obj, "dur_us")?),
+        counters: get_map(obj, "counters", "counter", Counter::from_slug, get_count)?,
+        gauges: get_map(obj, "gauges", "gauge", Gauge::from_slug, get_count)?,
+        hists: get_map(obj, "hists", "histogram", Hist::from_slug, parse_hist)?,
+    })
+}
+
 impl Trace {
-    /// Serializes the trace to the documented JSONL schema (version 4;
-    /// span lines are byte-identical to version 2).
+    /// Serializes the trace to the documented JSONL schema (version 4).
     #[must_use]
     pub fn to_jsonl(&self) -> String {
         self.emit_jsonl(None)
@@ -137,18 +509,8 @@ impl Trace {
     }
 
     fn emit_jsonl(&self, producer: Option<&str>) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"type\":\"trace\",\"version\":{},\"spans\":{}",
-            JSONL_VERSION,
-            self.spans().len()
-        );
-        if let Some(p) = producer {
-            out.push_str(",\"producer\":");
-            write_json_string(&mut out, p);
-        }
-        out.push_str("}\n");
+        let fields = format!(",\"spans\":{}", self.spans().len());
+        let mut out = header_line("trace", &fields, producer) + "\n";
         for s in self.spans() {
             let _ = write!(out, "{{\"type\":\"span\",\"id\":{},\"parent\":", s.id);
             match s.parent {
@@ -195,176 +557,34 @@ impl Trace {
         out
     }
 
-    /// Parses and validates a trace from the documented JSONL schema
-    /// (versions 1 through 4).
+    /// Parses and validates a trace from the documented JSONL schema.
     ///
     /// # Errors
     ///
     /// A [`ParseError`] naming the offending line and field path for any
     /// syntax or schema violation (see the module docs for the rules).
     pub fn from_jsonl(text: &str) -> Result<Trace, ParseError> {
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .map(|(i, l)| (i + 1, l.trim()))
-            .filter(|(_, l)| !l.is_empty());
+        Trace::from_frame(read(text, Kind::Trace, false, parse_span)?)
+    }
 
-        let (hline, header) = lines.next().ok_or_else(|| err(0, "empty trace file"))?;
-        let header = parse_object(header).map_err(|m| err(hline, m))?;
-        expect_keys_opt(&header, &["type", "version", "spans"], &["producer"])
-            .map_err(|e| e.on_line(hline))?;
-        if header.get("producer").is_some() {
-            // Optional, but when present it must be the producing tool's
-            // version string.
-            get_str(&header, "producer").map_err(|e| e.on_line(hline))?;
-        }
-        if header.get("type") != Some(&Json::Str("trace".into())) {
-            return Err(err_at(hline, "type", "header \"type\" must be \"trace\""));
-        }
-        let version = get_u64(&header, "version").map_err(|e| e.on_line(hline))?;
-        if !(JSONL_MIN_VERSION..=JSONL_VERSION).contains(&version) {
-            return Err(err_at(
-                hline,
-                "version",
-                format!(
-                    "unsupported version {version} (want {JSONL_MIN_VERSION}..={JSONL_VERSION})"
-                ),
-            ));
-        }
-        let declared = get_u64(&header, "spans").map_err(|e| e.on_line(hline))?;
-
-        let v1_keys: &[&str] = &[
-            "type", "id", "parent", "phase", "label", "thread", "start_us", "dur_us", "counters",
-        ];
-        let v2_keys: &[&str] = &[
-            "type", "id", "parent", "phase", "label", "thread", "start_us", "dur_us", "counters",
-            "gauges", "hists",
-        ];
-        let span_keys = if version >= 2 { v2_keys } else { v1_keys };
-
-        let mut spans = Vec::new();
+    /// The trace of framed span lines: ids must be unique and every
+    /// parent must be one of them.
+    fn from_frame(frame: Frame<SpanRecord>) -> Result<Trace, ParseError> {
         let mut ids = BTreeSet::new();
-        for (lineno, line) in lines {
-            let obj = parse_object(line).map_err(|m| err(lineno, m))?;
-            expect_keys(&obj, span_keys).map_err(|e| e.on_line(lineno))?;
-            if obj.get("type") != Some(&Json::Str("span".into())) {
-                return Err(err_at(lineno, "type", "span \"type\" must be \"span\""));
-            }
-            let id = get_u64(&obj, "id").map_err(|e| e.on_line(lineno))?;
-            if id == 0 {
-                return Err(err_at(lineno, "id", "span id must be >= 1"));
-            }
-            if !ids.insert(id) {
-                return Err(err_at(lineno, "id", format!("duplicate span id {id}")));
-            }
-            let parent = match obj.get("parent") {
-                Some(Json::Null) => None,
-                Some(Json::Num(n)) => Some(*n),
-                _ => {
-                    return Err(err_at(
-                        lineno,
-                        "parent",
-                        "\"parent\" must be an integer or null",
-                    ))
-                }
-            };
-            let phase_slug = get_str(&obj, "phase").map_err(|e| e.on_line(lineno))?;
-            let phase = Phase::from_slug(&phase_slug).ok_or_else(|| {
-                err_at(
-                    lineno,
-                    "phase",
-                    format!("unknown phase slug {phase_slug:?}"),
-                )
-            })?;
-            let label = match obj.get("label") {
-                Some(Json::Null) => None,
-                Some(Json::Str(s)) => Some(s.clone()),
-                _ => {
-                    return Err(err_at(
-                        lineno,
-                        "label",
-                        "\"label\" must be a string or null",
-                    ))
-                }
-            };
-            let thread = get_u64(&obj, "thread").map_err(|e| e.on_line(lineno))?;
-            let start_us = get_u64(&obj, "start_us").map_err(|e| e.on_line(lineno))?;
-            let dur_us = get_u64(&obj, "dur_us").map_err(|e| e.on_line(lineno))?;
-
-            let counters_obj = get_obj(&obj, "counters").map_err(|e| e.on_line(lineno))?;
-            let mut counters = Vec::new();
-            for (key, value) in counters_obj {
-                let path = format!("counters.{key}");
-                let counter = Counter::from_slug(key).ok_or_else(|| {
-                    err_at(lineno, &path, format!("unknown counter slug {key:?}"))
-                })?;
-                let Json::Num(v) = value else {
-                    return Err(err_at(lineno, &path, "counter values must be integers"));
-                };
-                counters.push((counter, *v));
-            }
-
-            let mut gauges = Vec::new();
-            let mut hists = Vec::new();
-            if version >= 2 {
-                for (key, value) in get_obj(&obj, "gauges").map_err(|e| e.on_line(lineno))? {
-                    let path = format!("gauges.{key}");
-                    let gauge = Gauge::from_slug(key).ok_or_else(|| {
-                        err_at(lineno, &path, format!("unknown gauge slug {key:?}"))
-                    })?;
-                    let Json::Num(v) = value else {
-                        return Err(err_at(lineno, &path, "gauge values must be integers"));
-                    };
-                    gauges.push((gauge, *v));
-                }
-                for (key, value) in get_obj(&obj, "hists").map_err(|e| e.on_line(lineno))? {
-                    let path = format!("hists.{key}");
-                    let hist = Hist::from_slug(key).ok_or_else(|| {
-                        err_at(lineno, &path, format!("unknown histogram slug {key:?}"))
-                    })?;
-                    let Json::Obj(pairs) = value else {
-                        return Err(err_at(lineno, &path, "histograms must be objects"));
-                    };
-                    let data = parse_hist(&Obj(pairs.clone()))
-                        .map_err(|e| err_at(lineno, format!("{path}.{}", e.0), e.1))?;
-                    hists.push((hist, data));
-                }
-            }
-
-            spans.push(SpanRecord {
-                id,
-                parent,
-                phase,
-                label,
-                thread,
-                start: Duration::from_micros(start_us),
-                duration: Duration::from_micros(dur_us),
-                counters,
-                gauges,
-                hists,
-            });
-        }
-
-        if spans.len() as u64 != declared {
-            return Err(err_at(
-                0,
-                "spans",
-                format!("header declares {declared} spans, found {}", spans.len()),
-            ));
-        }
-        for s in &spans {
-            if let Some(p) = s.parent {
-                if !ids.contains(&p) {
-                    return Err(err_at(
-                        0,
-                        "parent",
-                        format!("span {} has dangling parent {p}", s.id),
-                    ));
-                }
+        for (n, s) in &frame.records {
+            if !ids.insert(s.id) {
+                return Err(err_at(*n, "id", format!("duplicate span id {}", s.id)));
             }
         }
-        spans.sort_by_key(|s| s.id);
-        Ok(Trace::from_spans(spans))
+        for (n, s) in &frame.records {
+            if let Some(p) = s.parent.filter(|p| !ids.contains(p)) {
+                let message = format!("span {} has dangling parent {p}", s.id);
+                return Err(err_at(*n, "parent", message));
+            }
+        }
+        Ok(Trace::from_spans(
+            frame.records.into_iter().map(|(_, s)| s).collect(),
+        ))
     }
 }
 
@@ -386,24 +606,21 @@ pub(crate) fn write_hist_json(out: &mut String, d: &HistData) {
     out.push_str("]}");
 }
 
-/// Validates one histogram object; the error carries the sub-path
-/// (relative to the histogram) and message.
-pub(crate) fn parse_hist(obj: &Obj) -> Result<HistData, (String, String)> {
-    expect_keys(obj, &["count", "sum", "min", "max", "buckets"])
-        .map_err(|e| (e.path, e.message))?;
-    let field = |key: &str| -> Result<u64, (String, String)> {
-        match obj.get(key) {
-            Some(Json::Num(n)) => Ok(*n),
-            _ => Err((key.into(), "must be an unsigned integer".into())),
-        }
+/// Validates one histogram object; error paths are relative to it.
+pub(crate) fn parse_hist(value: &Json) -> Result<HistData, FieldError> {
+    let Json::Obj(pairs) = value else {
+        return Err(field_err("", "histograms must be objects"));
     };
-    let (count, sum, min, max) = (field("count")?, field("sum")?, field("min")?, field("max")?);
+    let obj = Obj(pairs.clone());
+    expect_keys(&obj, &["count", "sum", "min", "max", "buckets"])?;
+    let (count, sum) = (get_u64(&obj, "count")?, get_u64(&obj, "sum")?);
+    let (min, max) = (get_u64(&obj, "min")?, get_u64(&obj, "max")?);
     let Some(Json::Arr(items)) = obj.get("buckets") else {
-        return Err(("buckets".into(), "must be an array".into()));
+        return Err(field_err("buckets", "must be an array"));
     };
     if items.len() != HIST_BUCKETS {
-        return Err((
-            "buckets".into(),
+        return Err(field_err(
+            "buckets",
             format!(
                 "must have exactly {HIST_BUCKETS} buckets, found {}",
                 items.len()
@@ -412,22 +629,20 @@ pub(crate) fn parse_hist(obj: &Obj) -> Result<HistData, (String, String)> {
     }
     let mut buckets = [0u64; HIST_BUCKETS];
     for (i, item) in items.iter().enumerate() {
-        let Json::Num(n) = item else {
-            return Err((
-                format!("buckets[{i}]"),
-                "must be an unsigned integer".into(),
-            ));
-        };
-        buckets[i] = *n;
+        buckets[i] = get_count(item).map_err(|e| e.under(&format!("buckets[{i}]")))?;
     }
-    if buckets.iter().sum::<u64>() != count {
-        return Err((
-            "buckets".into(),
+    let total = buckets.iter().try_fold(0u64, |acc, b| acc.checked_add(*b));
+    if total.is_none() {
+        return Err(field_err("buckets", "bucket totals overflow a u64"));
+    }
+    if total != Some(count) {
+        return Err(field_err(
+            "buckets",
             format!("bucket totals must sum to \"count\" ({count})"),
         ));
     }
     if count > 0 && min > max {
-        return Err(("min".into(), "histogram min exceeds max".into()));
+        return Err(field_err("min", "histogram min exceeds max"));
     }
     Ok(HistData {
         count,
@@ -451,6 +666,15 @@ impl FieldError {
             path: self.path,
             message: self.message,
         }
+    }
+
+    /// The same error with its path nested under `prefix`.
+    pub(crate) fn under(self, prefix: &str) -> FieldError {
+        let path = match self.path.as_str() {
+            "" => prefix.to_string(),
+            sub => format!("{prefix}.{sub}"),
+        };
+        FieldError { path, ..self }
     }
 }
 
@@ -500,11 +724,67 @@ pub(crate) fn get_str(obj: &Obj, key: &str) -> Result<String, FieldError> {
     }
 }
 
-pub(crate) fn get_obj<'a>(obj: &'a Obj, key: &str) -> Result<&'a Vec<(String, Json)>, FieldError> {
+/// An integer-or-`null` field.
+pub(crate) fn get_opt_u64(obj: &Obj, key: &str) -> Result<Option<u64>, FieldError> {
     match obj.get(key) {
-        Some(Json::Obj(pairs)) => Ok(pairs),
-        _ => Err(field_err(key, format!("{key:?} must be an object"))),
+        Some(Json::Null) => Ok(None),
+        Some(Json::Num(n)) => Ok(Some(*n)),
+        _ => Err(field_err(
+            key,
+            format!("{key:?} must be an integer or null"),
+        )),
     }
+}
+
+/// A string-or-`null` field.
+pub(crate) fn get_opt_str(obj: &Obj, key: &str) -> Result<Option<String>, FieldError> {
+    match obj.get(key) {
+        Some(Json::Null) => Ok(None),
+        Some(Json::Str(s)) => Ok(Some(s.clone())),
+        _ => Err(field_err(key, format!("{key:?} must be a string or null"))),
+    }
+}
+
+/// A string field naming a `what` slug, parsed by `from_slug`.
+pub(crate) fn get_slug<T>(
+    obj: &Obj,
+    key: &str,
+    what: &str,
+    from_slug: fn(&str) -> Option<T>,
+) -> Result<T, FieldError> {
+    let s = get_str(obj, key)?;
+    from_slug(&s).ok_or_else(|| field_err(key, format!("unknown {what} slug {s:?}")))
+}
+
+/// An unsigned integer value.
+pub(crate) fn get_count(value: &Json) -> Result<u64, FieldError> {
+    match value {
+        Json::Num(n) => Ok(*n),
+        _ => Err(field_err("", "must be an unsigned integer")),
+    }
+}
+
+/// The object field `key` mapping `what` slugs (parsed by `from_slug`)
+/// to values (parsed by `value`); errors carry the path `key.slug…`.
+pub(crate) fn get_map<K, V>(
+    obj: &Obj,
+    key: &str,
+    what: &str,
+    from_slug: fn(&str) -> Option<K>,
+    value: fn(&Json) -> Result<V, FieldError>,
+) -> Result<Vec<(K, V)>, FieldError> {
+    let Some(Json::Obj(pairs)) = obj.get(key) else {
+        return Err(field_err(key, format!("{key:?} must be an object")));
+    };
+    pairs
+        .iter()
+        .map(|(slug, v)| {
+            let path = format!("{key}.{slug}");
+            let k = from_slug(slug)
+                .ok_or_else(|| field_err(&path, format!("unknown {what} slug {slug:?}")))?;
+            Ok((k, value(v).map_err(|e| e.under(&path))?))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -543,15 +823,6 @@ mod tests {
         ])
     }
 
-    /// A hand-written version-1 file (the pre-metrics schema).
-    const V1_TEXT: &str = concat!(
-        "{\"type\":\"trace\",\"version\":1,\"spans\":2}\n",
-        "{\"type\":\"span\",\"id\":1,\"parent\":null,\"phase\":\"extract\",\"label\":\"spec\",",
-        "\"thread\":0,\"start_us\":5,\"dur_us\":1000,\"counters\":{\"gates\":12}}\n",
-        "{\"type\":\"span\",\"id\":2,\"parent\":1,\"phase\":\"model-build\",\"label\":null,",
-        "\"thread\":0,\"start_us\":6,\"dur_us\":400,\"counters\":{}}\n",
-    );
-
     #[test]
     fn round_trip_preserves_every_field() {
         let t = sample();
@@ -586,24 +857,26 @@ mod tests {
     }
 
     #[test]
-    fn version_1_files_still_parse() {
-        let t = Trace::from_jsonl(V1_TEXT).expect("v1 parses");
-        assert_eq!(t.spans().len(), 2);
-        assert_eq!(t.spans()[0].counters, vec![(Counter::Gates, 12)]);
-        assert!(t.spans()[0].gauges.is_empty());
-        assert!(t.spans()[0].hists.is_empty());
+    fn pre_v4_headers_are_rejected_naming_version() {
+        // A hand-written version-1 file (the pre-metrics schema), and
+        // v2/v3 headers over today's span lines: none is read.
+        let v1 = concat!(
+            "{\"type\":\"trace\",\"version\":1,\"spans\":1}\n",
+            "{\"type\":\"span\",\"id\":1,\"parent\":null,\"phase\":\"extract\",\"label\":null,",
+            "\"thread\":0,\"start_us\":5,\"dur_us\":1000,\"counters\":{\"gates\":12}}\n",
+        );
+        let current = sample().to_jsonl();
+        let v2 = current.replace("\"version\":4", "\"version\":2");
+        let v3 = current.replace("\"version\":4", "\"version\":3");
+        for text in [v1, &v2, &v3] {
+            let e = Trace::from_jsonl(text).unwrap_err();
+            assert_eq!((e.line, e.path.as_str()), (1, "version"), "{e}");
+            assert!(e.message.contains("unsupported version"), "{e}");
+        }
     }
 
     #[test]
-    fn version_1_files_must_not_carry_v2_fields() {
-        let mixed = V1_TEXT.replace("\"counters\":{}}", "\"counters\":{},\"gauges\":{}}");
-        let e = Trace::from_jsonl(&mixed).unwrap_err();
-        assert!(e.message.contains("unexpected field"), "{e}");
-        assert_eq!(e.path, "gauges");
-    }
-
-    #[test]
-    fn version_2_files_must_carry_v2_fields() {
+    fn spans_must_carry_gauges_and_hists() {
         let text = sample()
             .to_jsonl()
             .replace(",\"gauges\":{\"mem-peak-bytes\":4096,\"mem-allocs\":7}", "");
@@ -615,7 +888,7 @@ mod tests {
     #[test]
     fn rejects_missing_and_unknown_fields_with_paths() {
         let missing =
-            "{\"type\":\"trace\",\"version\":2,\"spans\":1}\n{\"type\":\"span\",\"id\":1}";
+            "{\"type\":\"trace\",\"version\":4,\"spans\":1}\n{\"type\":\"span\",\"id\":1}";
         let e = Trace::from_jsonl(missing).unwrap_err();
         assert!(e.message.contains("missing required field"), "{e}");
         assert_eq!(e.line, 2);
@@ -649,19 +922,58 @@ mod tests {
         assert_eq!(e.path, "gauges.mem-leaks");
 
         let dangling = sample().to_jsonl().replace("\"parent\":1", "\"parent\":99");
-        assert!(Trace::from_jsonl(&dangling)
-            .unwrap_err()
-            .message
-            .contains("dangling parent"));
+        let e = Trace::from_jsonl(&dangling).unwrap_err();
+        assert!(e.message.contains("dangling parent"), "{e}");
+        assert_eq!((e.line, e.path.as_str()), (3, "parent"));
+
+        let duplicate = sample().to_jsonl().replace("\"id\":2", "\"id\":1");
+        let e = Trace::from_jsonl(&duplicate).unwrap_err();
+        assert!(e.message.contains("duplicate span id"), "{e}");
+        assert_eq!((e.line, e.path.as_str()), (3, "id"));
 
         let wrong_count = sample().to_jsonl().replace("\"spans\":2", "\"spans\":3");
-        assert!(Trace::from_jsonl(&wrong_count)
-            .unwrap_err()
-            .message
-            .contains("declares 3 spans"));
+        let e = Trace::from_jsonl(&wrong_count).unwrap_err();
+        assert!(e.message.contains("declares 3 spans"), "{e}");
+        assert_eq!((e.line, e.path.as_str()), (1, "spans"));
 
         assert!(Trace::from_jsonl("").is_err());
         assert!(Trace::from_jsonl("not json").is_err());
+    }
+
+    #[test]
+    fn torn_final_line_is_tolerated_but_counts_still_bind() {
+        let text = sample().to_jsonl();
+        // Cut mid-way through the last span: one span short of the header.
+        let cut = &text[..text.len() - 20];
+        let e = Trace::from_jsonl(cut).unwrap_err();
+        assert!(e.message.contains("declares 2 spans, found 1"), "{e}");
+        // A torn line after a complete trace is ignored and reported.
+        let extra = format!("{text}{{\"type\":\"sp");
+        assert_eq!(
+            Trace::from_jsonl(&extra).expect("torn tail ignored"),
+            sample()
+        );
+        let summary = check_jsonl(&extra).expect("valid");
+        assert!(summary.starts_with("valid trace: 2 spans"), "{summary}");
+        assert!(summary.ends_with("torn final line 4 ignored"), "{summary}");
+        // Garbage anywhere else is an error naming its line.
+        let mid = text.replacen("\n{", "\nnot json\n{", 1);
+        assert_eq!(Trace::from_jsonl(&mid).unwrap_err().line, 2);
+    }
+
+    #[test]
+    fn lines_of_another_kind_are_named() {
+        let text = sample().to_jsonl();
+        let e =
+            Trace::from_jsonl(&text.replace("\"type\":\"trace\"", "\"type\":\"agg\"")).unwrap_err();
+        assert_eq!((e.line, e.path.as_str()), (1, "type"));
+        assert!(e.message.contains("found a \"agg\" header"), "{e}");
+        let e = Trace::from_jsonl(&text.replacen("\"type\":\"span\"", "\"type\":\"run\"", 1))
+            .unwrap_err();
+        assert_eq!((e.line, e.path.as_str()), (2, "type"));
+        assert!(e.message.contains("found a \"run\" line"), "{e}");
+        let e = check_jsonl("{\"type\":\"walk\"}").unwrap_err();
+        assert!(e.message.contains("unknown type \"walk\""), "{e}");
     }
 
     #[test]
@@ -684,5 +996,20 @@ mod tests {
         let bad_min = sample().to_jsonl().replace("\"min\":3", "\"min\":999");
         let e = Trace::from_jsonl(&bad_min).unwrap_err();
         assert_eq!(e.path, "hists.division-chain-len.min");
+
+        // Buckets whose total overflows a u64 (it would wrap to a
+        // matching "count" of 0), with min > max hidden behind count 0.
+        let huge = format!(
+            "{{\"count\":0,\"sum\":0,\"min\":9,\"max\":1,\"buckets\":[{0},{0}{1}]}}",
+            1u64 << 63,
+            ",0".repeat(HIST_BUCKETS - 2)
+        );
+        let overflow = sample().to_jsonl().replace(
+            "\"hists\":{}}",
+            &format!("\"hists\":{{\"sim-batch-us\":{huge}}}}}"),
+        );
+        let e = Trace::from_jsonl(&overflow).unwrap_err();
+        assert_eq!((e.line, e.path.as_str()), (3, "hists.sim-batch-us.buckets"));
+        assert!(e.message.contains("overflow"), "{e}");
     }
 }

@@ -5,7 +5,8 @@
 //! that individual `--trace-json` files lack. `extract`, `equiv`,
 //! `batch` and `fuzz` append to it when `--ledger PATH` is given;
 //! `gfab report LEDGER` renders the accumulated history as a dashboard
-//! (plain text or `--md` markdown).
+//! (plain text or `--md` markdown), once or, with `--follow`, again
+//! whenever the ledger grows.
 //!
 //! # Row format
 //!
@@ -36,14 +37,18 @@
 //!
 //! Writers open the file in append mode and write each row as a single
 //! `write` of one line; concurrent appenders therefore interleave at
-//! line granularity on POSIX. The reader tolerates exactly one torn
+//! line granularity on POSIX. The reader (the one every gfab JSONL file
+//! goes through, see [`crate::Trace::to_jsonl`]) tolerates one torn
 //! line — an unparsable *final* line, the signature of a crash mid-
-//! append — and reports it; garbage anywhere else is an error.
+//! append — and reports it; garbage anywhere else is an error, except
+//! to the lenient read of `gfab report`, which skips and counts it.
 
-use crate::json::{parse_object, write_json_string, Json};
-use crate::jsonl::JSONL_VERSION;
+use crate::json::{write_json_string, Obj};
+use crate::jsonl::{
+    expect_keys_opt, get_str, get_u64, read, FieldError, Kind, ParseError, JSONL_VERSION,
+};
 use crate::metrics::HistData;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
@@ -116,68 +121,6 @@ impl LedgerRow {
         out
     }
 
-    fn from_json_line(line: &str) -> Result<LedgerRow, String> {
-        let obj = parse_object(line)?;
-        const KEYS: [&str; 13] = [
-            "type",
-            "version",
-            "ts_ms",
-            "run",
-            "producer",
-            "cmd",
-            "fp",
-            "query",
-            "k",
-            "verdict",
-            "exit",
-            "work_units",
-            "wall_us",
-        ];
-        for (key, _) in &obj.0 {
-            if !KEYS.contains(&key.as_str()) && key != "mem_peak_bytes" {
-                return Err(format!("unexpected key {key:?}"));
-            }
-        }
-        let get_num = |key: &str| -> Result<u64, String> {
-            match obj.get(key) {
-                Some(Json::Num(n)) => Ok(*n),
-                _ => Err(format!("missing or non-numeric {key:?}")),
-            }
-        };
-        let get_str = |key: &str| -> Result<String, String> {
-            match obj.get(key) {
-                Some(Json::Str(s)) => Ok(s.clone()),
-                _ => Err(format!("missing or non-string {key:?}")),
-            }
-        };
-        if get_str("type")? != "run" {
-            return Err("\"type\" is not \"run\"".into());
-        }
-        let version = get_num("version")?;
-        if !(3..=JSONL_VERSION).contains(&version) {
-            return Err(format!("unsupported ledger row version {version}"));
-        }
-        let mem_peak_bytes = match obj.get("mem_peak_bytes") {
-            None => None,
-            Some(Json::Num(n)) => Some(*n),
-            Some(_) => return Err("non-numeric \"mem_peak_bytes\"".into()),
-        };
-        Ok(LedgerRow {
-            ts_ms: get_num("ts_ms")?,
-            run: get_str("run")?,
-            producer: get_str("producer")?,
-            cmd: get_str("cmd")?,
-            fp: get_str("fp")?,
-            query: get_str("query")?,
-            k: get_num("k")?,
-            verdict: get_str("verdict")?,
-            exit: get_num("exit")?,
-            work_units: get_num("work_units")?,
-            wall_us: get_num("wall_us")?,
-            mem_peak_bytes,
-        })
-    }
-
     /// Appends the row to the ledger at `path` (created if absent) as
     /// one atomic-at-line-granularity write.
     ///
@@ -225,91 +168,107 @@ pub fn fingerprint(cmd: &str, args: &[String]) -> String {
     format!("{h:016x}")
 }
 
-/// A parsed ledger: all intact rows in file order, plus whether the
-/// final line was torn (see module docs).
+const RUN_KEYS: [&str; 13] = [
+    "type",
+    "version",
+    "ts_ms",
+    "run",
+    "producer",
+    "cmd",
+    "fp",
+    "query",
+    "k",
+    "verdict",
+    "exit",
+    "work_units",
+    "wall_us",
+];
+
+/// Parses one `run` row (see the module docs).
+pub(crate) fn parse_run(obj: &Obj) -> Result<LedgerRow, FieldError> {
+    expect_keys_opt(obj, &RUN_KEYS, &["mem_peak_bytes"])?;
+    Ok(LedgerRow {
+        ts_ms: get_u64(obj, "ts_ms")?,
+        run: get_str(obj, "run")?,
+        producer: get_str(obj, "producer")?,
+        cmd: get_str(obj, "cmd")?,
+        fp: get_str(obj, "fp")?,
+        query: get_str(obj, "query")?,
+        k: get_u64(obj, "k")?,
+        verdict: get_str(obj, "verdict")?,
+        exit: get_u64(obj, "exit")?,
+        work_units: get_u64(obj, "work_units")?,
+        wall_us: get_u64(obj, "wall_us")?,
+        mem_peak_bytes: match obj.get("mem_peak_bytes") {
+            None => None,
+            Some(_) => Some(get_u64(obj, "mem_peak_bytes")?),
+        },
+    })
+}
+
+/// A parsed ledger: all intact rows in file order, plus what the reader
+/// set aside (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct Ledger {
     /// Intact rows, oldest first.
     pub rows: Vec<LedgerRow>,
-    /// Whether the final line failed to parse (crash mid-append).
-    pub torn_tail: bool,
+    /// The number of the torn final line that was ignored (a crash or a
+    /// writer still mid-append), if any.
+    pub torn: Option<usize>,
+    /// Unparsable lines a lenient read skipped.
+    pub skipped: usize,
 }
 
 impl Ledger {
-    /// Parses ledger text. Tolerates exactly one torn *final* line;
-    /// any other unparsable line is an error naming its line number.
+    /// Parses ledger text. A torn final line is tolerated and recorded
+    /// in [`Ledger::torn`]. With `lenient` — for reading a ledger that
+    /// other processes may still be appending to — any other unparsable
+    /// line or invalid row is skipped and counted in
+    /// [`Ledger::skipped`]; without it, it is an error.
     ///
     /// # Errors
     ///
-    /// A message naming the 1-based line for garbage anywhere but the
-    /// final line.
-    pub fn parse(text: &str) -> Result<Ledger, String> {
-        let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-        let mut rows = Vec::new();
-        let mut torn_tail = false;
-        for (i, line) in lines.iter().enumerate() {
-            match LedgerRow::from_json_line(line) {
-                Ok(row) => rows.push(row),
-                Err(e) if i + 1 == lines.len() => {
-                    // A torn tail is a crash artifact only if the line
-                    // is not even valid JSON; a *well-formed* line with
-                    // bad fields is a real error anywhere.
-                    if parse_object(line).is_ok() {
-                        return Err(format!("ledger line {}: {e}", i + 1));
-                    }
-                    torn_tail = true;
-                }
-                Err(e) => return Err(format!("ledger line {}: {e}", i + 1)),
-            }
-        }
-        Ok(Ledger { rows, torn_tail })
+    /// A [`ParseError`] naming the line and field path of the first bad
+    /// row (strict) or of a line from another kind of file (either way).
+    pub fn from_jsonl(text: &str, lenient: bool) -> Result<Ledger, ParseError> {
+        let frame = read(text, Kind::Ledger, lenient, parse_run)?;
+        Ok(Ledger {
+            rows: frame.records.into_iter().map(|(_, r)| r).collect(),
+            torn: frame.torn,
+            skipped: frame.skipped,
+        })
     }
 
-    /// Parses ledger text that a writer may still be appending to:
-    /// every unparsable line is *skipped* and counted instead of being
-    /// fatal. This is what `gfab watch` (and `gfab report`) use — a
-    /// follower that reads mid-append can observe a torn line anywhere,
-    /// not just at the tail. A non-JSON *final* line still sets
-    /// [`Ledger::torn_tail`] (it is the expected mid-append artifact and
-    /// will usually heal on the next poll); every other bad line bumps
-    /// the returned skip counter.
+    /// The number of distinct runs (process invocations) in the ledger.
     #[must_use]
-    pub fn parse_lenient(text: &str) -> (Ledger, usize) {
-        let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-        let mut rows = Vec::new();
-        let mut skipped = 0usize;
-        let mut torn_tail = false;
-        for (i, line) in lines.iter().enumerate() {
-            match LedgerRow::from_json_line(line) {
-                Ok(row) => rows.push(row),
-                Err(_) if i + 1 == lines.len() && parse_object(line).is_err() => torn_tail = true,
-                Err(_) => skipped += 1,
-            }
-        }
-        (Ledger { rows, torn_tail }, skipped)
+    pub fn runs(&self) -> usize {
+        let runs: BTreeSet<&str> = self.rows.iter().map(|r| r.run.as_str()).collect();
+        runs.len()
     }
 
     /// Renders the report dashboard: verdict mix, per-`k` latency
-    /// percentiles, and the work-unit delta between the two most recent
-    /// runs of each repeated command fingerprint. Markdown tables when
-    /// `md`, aligned plain text otherwise.
+    /// percentiles, the work-unit delta between the two most recent
+    /// runs of each repeated command fingerprint, and the latest rows.
+    /// Markdown tables when `md`, aligned plain text otherwise.
     #[must_use]
     pub fn render_report(&self, md: bool) -> String {
         let mut out = String::new();
-        let runs: std::collections::BTreeSet<&str> =
-            self.rows.iter().map(|r| r.run.as_str()).collect();
-        let _ = writeln!(
+        if md {
+            out.push_str("# Run ledger\n\n");
+        }
+        let _ = write!(
             out,
-            "{}ledger: {} row(s) across {} run(s){}",
-            if md { "# Run ledger\n\n" } else { "" },
+            "ledger: {} row(s) across {} run(s)",
             self.rows.len(),
-            runs.len(),
-            if self.torn_tail {
-                " (torn final line ignored)"
-            } else {
-                ""
-            }
+            self.runs()
         );
+        if self.skipped > 0 {
+            let _ = write!(out, ", {} unparsable line(s) skipped", self.skipped);
+        }
+        if self.torn.is_some() {
+            out.push_str(" (torn final line ignored)");
+        }
+        out.push('\n');
         if self.rows.is_empty() {
             return out;
         }
@@ -399,6 +358,26 @@ impl Ledger {
                 &rows,
             );
         }
+
+        section(&mut out, md, "Latest rows");
+        let rows: Vec<Vec<String>> = self.rows[self.rows.len().saturating_sub(5)..]
+            .iter()
+            .map(|r| {
+                vec![
+                    r.query.clone(),
+                    r.verdict.clone(),
+                    r.exit.to_string(),
+                    r.work_units.to_string(),
+                    format!("{}us", r.wall_us),
+                ]
+            })
+            .collect();
+        table(
+            &mut out,
+            md,
+            &["query", "verdict", "exit", "work", "wall"],
+            &rows,
+        );
         out
     }
 }
@@ -469,62 +448,75 @@ mod tests {
         }
     }
 
+    /// Parses one row through the strict reader.
+    fn parse_line(line: &str) -> Result<LedgerRow, ParseError> {
+        let mut ledger = Ledger::from_jsonl(line, false)?;
+        assert_eq!(ledger.rows.len(), 1, "{line}");
+        Ok(ledger.rows.remove(0))
+    }
+
     #[test]
     fn rows_round_trip_with_and_without_mem() {
         let mut r = row("1-2", "00ff", 16, "equivalent", 120, 900);
         let line = r.to_json_line();
-        assert_eq!(LedgerRow::from_json_line(&line).unwrap(), r);
+        assert_eq!(parse_line(&line).unwrap(), r);
         r.mem_peak_bytes = Some(4096);
         let line = r.to_json_line();
         assert!(line.contains("\"mem_peak_bytes\":4096"));
-        assert_eq!(LedgerRow::from_json_line(&line).unwrap(), r);
-        // Strictness: unknown keys and wrong types are rejected.
-        assert!(
-            LedgerRow::from_json_line(&line.replace("\"k\":16", "\"k\":16,\"extra\":1"))
-                .unwrap_err()
-                .contains("unexpected key")
-        );
-        assert!(
-            LedgerRow::from_json_line(&line.replace("\"version\":4", "\"version\":99"))
-                .unwrap_err()
-                .contains("version")
-        );
+        assert_eq!(parse_line(&line).unwrap(), r);
+        // Strictness: unknown keys, wrong types and other versions are
+        // rejected with the field named.
+        let e = parse_line(&line.replace("\"k\":16", "\"k\":16,\"extra\":1")).unwrap_err();
+        assert!(e.message.contains("unexpected field"), "{e}");
+        assert_eq!(e.path, "extra");
+        let e = parse_line(&line.replace("\"k\":16", "\"k\":\"16\"")).unwrap_err();
+        assert_eq!(e.path, "k");
+        for version in ["99", "3"] {
+            let e = parse_line(&line.replace("\"version\":4", &format!("\"version\":{version}")))
+                .unwrap_err();
+            assert_eq!(e.path, "version");
+        }
     }
 
     #[test]
     fn parse_tolerates_only_a_torn_final_line() {
         let good = row("1-2", "00ff", 16, "equivalent", 1, 2).to_json_line();
         let text = format!("{good}\n{good}\n{{\"type\":\"run\",\"vers");
-        let ledger = Ledger::parse(&text).expect("torn tail tolerated");
+        let ledger = Ledger::from_jsonl(&text, false).expect("torn tail tolerated");
         assert_eq!(ledger.rows.len(), 2);
-        assert!(ledger.torn_tail);
+        assert_eq!(ledger.torn, Some(3));
         // Torn line in the middle is an error.
         let text = format!("{good}\n{{\"type\":\"run\",\"vers\n{good}");
-        assert!(Ledger::parse(&text).unwrap_err().contains("line 2"));
+        assert_eq!(Ledger::from_jsonl(&text, false).unwrap_err().line, 2);
         // A well-formed final line with bad fields is an error too.
         let bad = good.replace("\"type\":\"run\"", "\"type\":\"walk\"");
-        let text = format!("{good}\n{bad}");
-        assert!(Ledger::parse(&text).unwrap_err().contains("line 2"));
+        let e = Ledger::from_jsonl(&format!("{good}\n{bad}"), false).unwrap_err();
+        assert_eq!((e.line, e.path.as_str()), (2, "type"));
     }
 
     #[test]
-    fn parse_lenient_skips_mid_file_garbage_with_a_counter() {
+    fn lenient_parse_skips_mid_file_garbage_with_a_counter() {
         let good = row("1-2", "00ff", 16, "equivalent", 1, 2).to_json_line();
         // Mid-file garbage (torn line healed over by later appends) plus
         // a genuinely torn tail.
         let text = format!("{good}\n{{\"type\":\"run\",\"vers\n{good}\n{{\"type\":\"run\",\"ve");
-        let (ledger, skipped) = Ledger::parse_lenient(&text);
+        let ledger = Ledger::from_jsonl(&text, true).unwrap();
         assert_eq!(ledger.rows.len(), 2);
-        assert_eq!(skipped, 1);
-        assert!(ledger.torn_tail);
+        assert_eq!(ledger.skipped, 1);
+        assert_eq!(ledger.torn, Some(4));
         // A well-formed line with bad fields is skipped, not fatal.
         let bad = good.replace("\"type\":\"run\"", "\"type\":\"walk\"");
-        let (ledger, skipped) = Ledger::parse_lenient(&format!("{bad}\n{good}"));
+        let ledger = Ledger::from_jsonl(&format!("{bad}\n{good}"), true).unwrap();
         assert_eq!(ledger.rows.len(), 1);
-        assert_eq!(skipped, 1);
-        assert!(!ledger.torn_tail);
+        assert_eq!(ledger.skipped, 1);
+        assert_eq!(ledger.torn, None);
+        // But a line of another kind of file is an error even here.
+        let span = "{\"type\":\"trace\",\"version\":4,\"spans\":0}";
+        let e = Ledger::from_jsonl(&format!("{good}\n{span}"), true).unwrap_err();
+        assert_eq!((e.line, e.path.as_str()), (2, "type"));
+        assert!(e.message.contains("found a \"trace\" header"), "{e}");
         // Strict parse still rejects the same inputs.
-        assert!(Ledger::parse(&text).is_err());
+        assert!(Ledger::from_jsonl(&text, false).is_err());
     }
 
     #[test]
@@ -556,12 +548,12 @@ mod tests {
             row("2-1", "aa", 8, "equivalent", 120, 450),
             row("3-1", "bb", 16, "inequivalent", 10, 900),
         ];
-        let ledger = Ledger {
+        let mut ledger = Ledger {
             rows,
-            torn_tail: false,
+            ..Ledger::default()
         };
         let text = ledger.render_report(false);
-        assert!(text.contains("4 row(s) across 3 run(s)"), "{text}");
+        assert!(text.contains("4 row(s) across 3 run(s)\n"), "{text}");
         assert!(text.contains("equivalent"), "{text}");
         assert!(text.contains("k8"), "{text}");
         assert!(text.contains("k16"), "{text}");
@@ -569,10 +561,24 @@ mod tests {
         assert!(text.contains("-30"), "{text}");
         // fp "bb" has one run: no drift row.
         assert!(!text.contains("bb equiv"), "{text}");
+        // The latest five rows close the report, oldest first.
+        let latest = text.split("Latest rows:").nth(1).expect("latest rows");
+        assert_eq!(
+            latest.lines().filter(|l| l.contains("equivalent")).count(),
+            4
+        );
         let md = ledger.render_report(true);
         assert!(md.starts_with("# Run ledger"), "{md}");
         assert!(md.contains("| verdict | rows |"), "{md}");
         assert!(md.contains("| --- |"), "{md}");
+        // What a lenient read set aside is shown in the headline.
+        ledger.skipped = 2;
+        ledger.torn = Some(9);
+        let text = ledger.render_report(false);
+        assert!(
+            text.contains(", 2 unparsable line(s) skipped (torn final line ignored)"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -585,9 +591,9 @@ mod tests {
         r.append(&path).unwrap();
         r.append(&path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        let ledger = Ledger::parse(&text).unwrap();
+        let ledger = Ledger::from_jsonl(&text, false).unwrap();
         assert_eq!(ledger.rows.len(), 2);
-        assert!(!ledger.torn_tail);
+        assert_eq!(ledger.torn, None);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
     }

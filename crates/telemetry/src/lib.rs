@@ -38,9 +38,11 @@
 //!
 //! # JSONL schema
 //!
-//! See [`Trace::to_jsonl`] for the documented line format; the parser in
-//! [`Trace::from_jsonl`] is strict and is what `gfab trace-check` and CI
-//! use to validate emitted files.
+//! See [`Trace::to_jsonl`] for the documented line format. One strict
+//! reader frames every JSONL file gfab writes — traces, `agg` summaries,
+//! `--events` streams and `--ledger` run ledgers — and
+//! [`check_jsonl`] is what `gfab trace-check` and CI use to validate
+//! emitted files of any of the four kinds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,10 +60,10 @@ mod span;
 mod trace;
 
 pub use agg::{AggGroup, GroupBy, TraceAgg};
-pub use diff::{DiffRow, PhaseAgg, Regression, TraceDiff};
+pub use diff::{DiffRow, Regression, TraceDiff};
 pub use events::{Event, EventBus, EventKind, EventReceiver, EventStream, Recv, PROGRESS_STRIDE};
 pub use flame::{critical_path, folded, parse_folded, speedscope, CriticalPath};
-pub use jsonl::{ParseError, JSONL_VERSION};
+pub use jsonl::{check_jsonl, ParseError, JSONL_VERSION};
 pub use ledger::{fingerprint, Ledger, LedgerRow};
 pub use metrics::{Gauge, Hist, HistData, HIST_BUCKETS};
 pub use span::{Collector, Span, SpanRecord, Telemetry};

@@ -140,6 +140,7 @@ echo "== cross-run observability smoke: trace-agg, flame, ledger =="
     | grep -q 'critical path:'
 "$GFAB" flame "$TRACE_DIR/batch_trace.jsonl" --out folded \
     | grep -q '[a-z] [0-9]'
+"$GFAB" trace-check "$TRACE_DIR/ledger.jsonl"
 "$GFAB" report "$TRACE_DIR/ledger.jsonl" > "$TRACE_DIR/report.txt"
 # The verdict mix must show both producers: batch's equivalence verdicts
 # and the fuzz campaign's clean-sweep row.
@@ -161,7 +162,7 @@ if grep -q $'\x1b' "$TRACE_DIR/live_out.txt" "$TRACE_DIR/live_err.txt"; then
     exit 1
 fi
 grep -q '^progress:' "$TRACE_DIR/live_err.txt"
-"$GFAB" watch "$TRACE_DIR/watch_ledger.jsonl" --iterations 1 \
+"$GFAB" report "$TRACE_DIR/watch_ledger.jsonl" --follow --iterations 1 \
     | grep -q 'row(s) across'
 
 echo "== perf gate: pinned workload vs committed baselines =="

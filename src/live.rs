@@ -1,5 +1,5 @@
-//! Live event streaming for the CLI: the `--progress` board, the
-//! `--events` NDJSON tap, and the `gfab watch` ledger follower.
+//! Live event streaming for the CLI: the `--progress` board and the
+//! `--events` NDJSON tap.
 //!
 //! The hot path publishes into a bounded [`EventBus`] and never blocks;
 //! everything here runs on a dedicated reporter thread that drains the
@@ -13,7 +13,6 @@ use gfab::telemetry::{EventBus, EventKind, EventReceiver, Recv};
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -352,89 +351,4 @@ impl Board {
         );
         let _ = std::io::stderr().flush();
     }
-}
-
-/// `gfab watch LEDGER [--interval D] [--iterations N]`: tail-follow a
-/// run ledger, re-rendering a rolling verdict/latency board whenever
-/// the file grows. Torn or garbled lines from a concurrently appending
-/// writer are skipped (and counted), never fatal.
-pub fn cmd_watch(args: &Args) -> Result<ExitCode, String> {
-    let path = args.positionals[0];
-    let interval = args
-        .duration("--interval")?
-        .unwrap_or(Duration::from_millis(500));
-    let iterations: Option<u64> = args.value_with("--iterations", crate::cli::positive)?;
-    let mut last_sig: Option<(usize, usize)> = None;
-    let mut round = 0u64;
-    loop {
-        // A missing file is an empty ledger: watch can start before the
-        // writer does.
-        let text = std::fs::read_to_string(path).unwrap_or_default();
-        let (ledger, skipped) = gfab::telemetry::Ledger::parse_lenient(&text);
-        let sig = (ledger.rows.len(), skipped);
-        if last_sig != Some(sig) {
-            last_sig = Some(sig);
-            // The board ends in a newline, which flushes it.
-            print!("{}", render_watch_board(path, &ledger, skipped));
-        }
-        round += 1;
-        if iterations.is_some_and(|n| round >= n) {
-            return Ok(ExitCode::SUCCESS);
-        }
-        std::thread::sleep(interval);
-    }
-}
-
-/// One watch repaint: row/run totals, verdict mix, wall-time
-/// percentiles, and the most recent rows.
-fn render_watch_board(path: &str, ledger: &gfab::telemetry::Ledger, skipped: usize) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let runs: std::collections::BTreeSet<&str> =
-        ledger.rows.iter().map(|r| r.run.as_str()).collect();
-    let _ = write!(
-        out,
-        "watch {path}: {} row(s) across {} run(s)",
-        ledger.rows.len(),
-        runs.len()
-    );
-    if skipped > 0 {
-        let _ = write!(out, ", {skipped} torn line(s) skipped");
-    }
-    if ledger.torn_tail {
-        out.push_str(", torn tail");
-    }
-    out.push('\n');
-    if ledger.rows.is_empty() {
-        out.push_str("  (empty — waiting for rows)\n");
-        return out;
-    }
-    let mut verdicts: BTreeMap<&str, u64> = BTreeMap::new();
-    for r in &ledger.rows {
-        *verdicts.entry(r.verdict.as_str()).or_default() += 1;
-    }
-    out.push_str("  verdicts:");
-    for (v, n) in &verdicts {
-        let _ = write!(out, " {v}={n}");
-    }
-    out.push('\n');
-    let mut walls: Vec<u64> = ledger.rows.iter().map(|r| r.wall_us).collect();
-    walls.sort_unstable();
-    let pct = |p: usize| walls[(walls.len() - 1) * p / 100];
-    let _ = writeln!(
-        out,
-        "  wall us : p50={} p90={} max={}",
-        pct(50),
-        pct(90),
-        pct(100)
-    );
-    let tail = ledger.rows.len().saturating_sub(5);
-    for r in &ledger.rows[tail..] {
-        let _ = writeln!(
-            out,
-            "  {:<24} {:<12} exit={} work={} wall={}us",
-            r.query, r.verdict, r.exit, r.work_units, r.wall_us
-        );
-    }
-    out
 }

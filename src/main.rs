@@ -1,7 +1,7 @@
 //! The `gfab` command-line tool: word-level abstraction and equivalence
 //! checking of Galois field circuits from netlist files.
 //!
-//! The [`COMMANDS`] table declares all fifteen subcommands with their
+//! The [`COMMANDS`] table declares all fourteen subcommands with their
 //! operands and flags; it drives dispatch, argv parsing (see [`cli`]),
 //! `gfab help` and every `gfab <cmd> --help`:
 //!
@@ -9,7 +9,7 @@
 //!   `batch`, `fuzz`;
 //! * netlists — `gen`, `info`;
 //! * traces and run history — `trace-check`, `trace-diff`, `trace-agg`,
-//!   `flame`, `report`, `watch`, `bench-diff`.
+//!   `flame`, `report`, `bench-diff`.
 //!
 //! Netlists use the line-oriented text format of
 //! [`gfab::netlist::format`]; `gfab gen` produces them.
@@ -85,7 +85,8 @@ const COMMANDS: &[Command] = &[
         run: cmd_gen },
     Command { name: "info", summary: "print netlist facts",
         positionals: &["<circuit.nl>"], flags: &[], run: cmd_info },
-    Command { name: "trace-check", summary: "validate a JSONL trace, aggregation or event stream",
+    Command { name: "trace-check",
+        summary: "validate a JSONL trace, aggregation, event stream or ledger",
         positionals: &["<trace.jsonl>"], flags: &[], run: cmd_trace_check },
     Command { name: "trace-diff", summary: "align two traces by phase path and diff work units",
         positionals: &["<baseline.jsonl>", "<current.jsonl>"],
@@ -97,11 +98,9 @@ const COMMANDS: &[Command] = &[
     Command { name: "flame", summary: "export a trace as a flamegraph / critical-path analysis",
         positionals: &["<trace.jsonl>"], flags: &[&["--out folded|speedscope", "--critical-path"]],
         run: cmd_flame },
-    Command { name: "report", summary: "render a run-ledger dashboard",
-        positionals: &["<ledger.jsonl>"], flags: &[&["--md"]], run: cmd_report },
-    Command { name: "watch", summary: "tail-follow a run ledger as a live verdict/latency board",
-        positionals: &["<ledger.jsonl>"], flags: &[&["--interval D", "--iterations N"]],
-        run: live::cmd_watch },
+    Command { name: "report", summary: "render a run-ledger dashboard, or follow it as it grows",
+        positionals: &["<ledger.jsonl>"],
+        flags: &[&["--md", "--follow", "--interval D", "--iterations N"]], run: cmd_report },
     Command { name: "bench-diff", summary: "diff two benchmark --json result files",
         positionals: &["<baseline.json>", "<current.json>"], flags: &[&["--threshold PCT"]],
         run: cmd_bench_diff },
@@ -186,8 +185,11 @@ running the queries sequentially, at any --threads value. With batch,
 of wall clock); --trace prints the full span tree with counters;
 --mem-stats additionally attributes live-bytes peak and allocation
 totals to each phase (implies --stats); --trace-json FILE writes the
-span records as JSONL (one object per span; `gfab trace-check`
-validates the schema).
+span records as JSONL (one object per span). `gfab trace-check`
+validates any JSONL file gfab writes: a trace, a trace-agg --json
+summary, an --events stream or a --ledger file. One reader frames all
+four, reads schema version 4 only, and ignores (and reports) a torn
+final line, such as a file being read while its writer is mid-line.
 
 trace-diff aligns two JSONL traces by phase path and reports per-phase
 deltas. With --threshold PCT it exits 1 when any phase's *work units*
@@ -220,12 +222,13 @@ equiv, batch and fuzz all accept it, and the same file can accumulate
 rows from all of them across runs. `gfab report LEDGER` renders the
 accumulated history as a dashboard — verdict mix, per-k latency
 percentiles, and the work-unit drift between the two most recent runs
-of each repeated command line (--md for markdown). Writes are crash-
-safe at line granularity; the reader tolerates one torn final line.
-`gfab watch LEDGER` tail-follows the same file while other processes
-append, re-rendering a rolling verdict/latency board on change; torn
-lines from a concurrent writer are skipped and counted, never fatal
-(--interval sets the poll cadence, --iterations bounds the loop).
+of each repeated command line, and the latest five rows (--md for
+markdown). Writes are crash-safe at line granularity; the reader
+tolerates one torn final line, and report skips and counts any other
+unparsable line rather than dying on it. `gfab report LEDGER --follow`
+keeps reading the file while other processes append to it, re-rendering
+the report whenever it changes (a missing file reads as empty;
+--interval sets the poll cadence, --iterations bounds the loop).
 
 --progress renders a live status line on stderr while the query runs
 (phase, work units/s, budget remaining, per-worker queries). On a real
@@ -915,57 +918,15 @@ fn cmd_info(args: &Args) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Validates a `--trace-json` file against the JSONL trace schema (every
-/// line must parse, carry exactly the documented fields, and the span ids
-/// must form a well-parented tree), a `trace-agg --json` aggregation
-/// document against the agg schema, or an `--events` live stream against
-/// the event schema — the header line's `"type"` field decides which.
-/// Exit 0 on a valid file, 2 otherwise.
+/// Validates any JSONL file gfab writes — trace, `agg` summary,
+/// `--events` stream or `--ledger` file, told apart by its first line —
+/// and describes it. Exit 0 on a valid file, 2 otherwise.
 fn cmd_trace_check(args: &Args) -> Result<ExitCode, String> {
-    use gfab::telemetry::json::{parse_object, Json};
     let path = args.positionals[0];
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc_type = text
-        .lines()
-        .find(|l| !l.trim().is_empty())
-        .and_then(|l| parse_object(l).ok())
-        .and_then(|o| match o.get("type") {
-            Some(Json::Str(s)) => Some(s.clone()),
-            _ => None,
-        });
-    if doc_type.as_deref() == Some("agg") {
-        let agg = gfab::telemetry::TraceAgg::from_jsonl(&text).map_err(|e| e.to_string())?;
-        println!(
-            "valid agg: {} group(s) by {}, {} span(s), {} work unit(s)",
-            agg.groups.len(),
-            agg.group_by().slug(),
-            agg.total_spans(),
-            agg.work_units()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-    if doc_type.as_deref() == Some("events") {
-        let ev = gfab::telemetry::EventStream::from_jsonl(&text).map_err(|e| e.to_string())?;
-        let kinds: Vec<String> = ev
-            .kind_counts()
-            .iter()
-            .map(|(k, n)| format!("{k}={n}"))
-            .collect();
-        println!(
-            "valid events: {} event(s) ({}), {} dropped, {}",
-            ev.events.len(),
-            kinds.join(" "),
-            ev.dropped.unwrap_or(0),
-            if ev.complete { "complete" } else { "in-flight" }
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-    let trace = gfab::telemetry::Trace::from_jsonl(&text).map_err(|e| e.to_string())?;
     println!(
-        "valid trace: {} spans, {} roots, wall {:?}",
-        trace.spans().len(),
-        trace.roots().count(),
-        trace.wall()
+        "{}",
+        gfab::telemetry::check_jsonl(&text).map_err(|e| format!("{path}: {e}"))?
     );
     Ok(ExitCode::SUCCESS)
 }
@@ -976,8 +937,10 @@ fn parse_threshold(v: &str) -> Result<f64, String> {
         .trim_end_matches('%')
         .parse()
         .map_err(|_| format!("bad threshold `{v}` (use e.g. 5 or 2.5%)"))?;
-    if pct < 0.0 {
-        return Err(format!("threshold must be non-negative, got {v}"));
+    if !pct.is_finite() || pct < 0.0 {
+        return Err(format!(
+            "threshold must be a finite non-negative percentage, got {v}"
+        ));
     }
     Ok(pct)
 }
@@ -1056,16 +1019,38 @@ fn cmd_flame(args: &Args) -> Result<ExitCode, String> {
 }
 
 /// Renders a run-ledger dashboard; see the usage text for the sections.
+/// With `--follow`, polls the ledger and renders it again whenever its
+/// row count or skipped-line count changes.
 fn cmd_report(args: &Args) -> Result<ExitCode, String> {
     let path = args.positionals[0];
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    // Lenient parse: a report over a ledger another process is still
-    // appending to should skip its torn lines, not die on them.
-    let (ledger, skipped) = gfab::telemetry::Ledger::parse_lenient(&text);
-    if skipped > 0 {
-        eprintln!("warning: {path}: skipped {skipped} torn/unparsable line(s)");
+    let follow = args.has("--follow");
+    let interval = args.duration("--interval")?;
+    let iterations: Option<u64> = args.value_with("--iterations", cli::positive)?;
+    if !follow && (interval.is_some() || iterations.is_some()) {
+        return Err("report: --interval and --iterations need --follow".into());
     }
-    print!("{}", ledger.render_report(args.has("--md")));
+    let mut last = None;
+    for round in 1u64.. {
+        let text = match std::fs::read_to_string(path) {
+            Ok(text) => text,
+            // A followed ledger may not exist until its writer starts.
+            Err(e) if follow && e.kind() == std::io::ErrorKind::NotFound => String::new(),
+            Err(e) => return Err(format!("cannot read {path}: {e}")),
+        };
+        // Lenient: a ledger another process is still appending to may
+        // hold torn lines; they are skipped and counted, not fatal.
+        let ledger =
+            gfab::telemetry::Ledger::from_jsonl(&text, true).map_err(|e| format!("{path}: {e}"))?;
+        let seen = Some((ledger.rows.len(), ledger.skipped));
+        if last != seen {
+            last = seen;
+            print!("{}", ledger.render_report(args.has("--md")));
+        }
+        if !follow || iterations.is_some_and(|n| round >= n) {
+            break;
+        }
+        std::thread::sleep(interval.unwrap_or(std::time::Duration::from_millis(500)));
+    }
     Ok(ExitCode::SUCCESS)
 }
 

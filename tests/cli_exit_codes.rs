@@ -137,7 +137,7 @@ fn usage_errors_exit_two() {
     // another command's flag, a surplus positional, a missing value and
     // a repeated flag each exit 2 naming the token and the subcommand.
     // No case gets past parsing, so the paths need not exist.
-    let rows: [(&str, &[&str], &[&str]); 15] = [
+    let rows: [(&str, &[&str], &[&str]); 14] = [
         ("extract", &["a.nl"], &["--k", "8"]),
         ("verify-spec", &["a.nl"], &["--spec", "A*B"]),
         ("equiv", &["s.nl", "i.nl"], &["--timeout", "1s"]),
@@ -149,8 +149,7 @@ fn usage_errors_exit_two() {
         ("trace-diff", &["a.jsonl", "b.jsonl"], &["--wall"]),
         ("trace-agg", &["a.jsonl"], &["--group-by", "k"]),
         ("flame", &["t.jsonl"], &["--out", "folded"]),
-        ("report", &["l.jsonl"], &["--md"]),
-        ("watch", &["l.jsonl"], &["--interval", "1s"]),
+        ("report", &["l.jsonl"], &["--interval", "1s"]),
         ("bench-diff", &["a.json", "b.json"], &["--threshold", "5"]),
         ("fuzz", &[], &["--seed", "1"]),
     ];
@@ -167,6 +166,21 @@ fn usage_errors_exit_two() {
             "--conflicts",
         ),
         (vec!["fuzz", "--mem-stats"], "--mem-stats"),
+        // The follow loop's knobs mean nothing without --follow, and it
+        // runs at least once.
+        (vec!["report", "l.jsonl", "--interval", "1s"], "--interval"),
+        (
+            vec!["report", "l.jsonl", "--iterations", "2"],
+            "--iterations",
+        ),
+        (
+            vec!["report", "l.jsonl", "--follow", "--iterations", "0"],
+            "--iterations",
+        ),
+        (
+            vec!["report", "l.jsonl", "--follow", "--interval", "soon"],
+            "--interval",
+        ),
     ];
     for (cmd, pos, flag) in rows {
         let base: Vec<&str> = std::iter::once(cmd).chain(pos.iter().copied()).collect();
@@ -281,7 +295,7 @@ fn help_exits_zero_and_names_every_subcommand() {
         "--events",
         "--events-cap",
     ];
-    const SUBCOMMANDS: [(&str, &[&str]); 15] = [
+    const SUBCOMMANDS: [(&str, &[&str]); 14] = [
         ("extract", QUERY),
         ("verify-spec", &["--spec", "--k", "--modulus"]),
         ("equiv", QUERY),
@@ -307,8 +321,10 @@ fn help_exits_zero_and_names_every_subcommand() {
         ("trace-diff", &["--threshold", "--wall"]),
         ("trace-agg", &["--group-by", "--json"]),
         ("flame", &["--out", "--critical-path"]),
-        ("report", &["--md"]),
-        ("watch", &["--interval", "--iterations"]),
+        (
+            "report",
+            &["--md", "--follow", "--interval", "--iterations"],
+        ),
         ("bench-diff", &["--threshold"]),
         (
             "fuzz",
@@ -348,6 +364,14 @@ fn help_exits_zero_and_names_every_subcommand() {
             );
         }
     }
+    // `watch` became `report --follow`.
+    let out = run(&["watch", "l.jsonl"]);
+    assert_eq!(code(&out), 2);
+    assert!(
+        stderr(&out).contains("unknown command `watch`"),
+        "{}",
+        stderr(&out)
+    );
     for flag in ["--help", "-h", "help"] {
         let out = run(&[flag]);
         assert_eq!(code(&out), 0, "`gfab {flag}` must exit 0");

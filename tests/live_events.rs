@@ -1,8 +1,8 @@
 //! Integration tests for the live event-streaming layer: the
 //! `--progress` board must never leak ANSI escapes into a pipe, the
 //! `--events` NDJSON stream must validate and must not perturb the
-//! deterministic computation, and the ledger followers (`gfab watch`,
-//! `gfab report`) must survive a concurrently appending writer.
+//! deterministic computation, and `gfab report` (with and without
+//! `--follow`) must survive a concurrently appending writer.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -237,8 +237,8 @@ fn tiny_events_cap_reports_drops_consistently() {
 }
 
 #[test]
-fn watch_renders_a_board_and_skips_garbage_lines() {
-    let dir = scratch("watch");
+fn report_follow_renders_and_skips_garbage_lines() {
+    let dir = scratch("follow");
     let ledger = dir.join("ledger.jsonl");
     let nl = fixture(&dir, "squarer", 8);
     for _ in 0..2 {
@@ -255,7 +255,7 @@ fn watch_renders_a_board_and_skips_garbage_lines() {
     // Corruption from a hypothetical crashed writer: garbage in the
     // middle, a torn row at the end.
     let mut text = std::fs::read_to_string(&ledger).expect("ledger");
-    let rows: Vec<&str> = text.lines().collect();
+    let rows: Vec<String> = text.lines().map(str::to_owned).collect();
     assert_eq!(rows.len(), 2);
     text = format!(
         "{}\nnot json at all\n{}\n{{\"type\":\"run\",\"tor",
@@ -263,18 +263,63 @@ fn watch_renders_a_board_and_skips_garbage_lines() {
     );
     std::fs::write(&ledger, text).expect("rewrite ledger");
 
-    let out = run(&["watch", ledger.to_str().unwrap(), "--iterations", "1"]);
-    assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
-    let board = stdout(&out);
-    assert!(board.contains("2 row(s)"), "stdout: {board}");
-    assert!(board.contains("1 torn line(s) skipped"), "stdout: {board}");
-    assert!(board.contains("verdicts: extracted=2"), "stdout: {board}");
+    // The followed report, and a one-shot report, skip and count the
+    // garbage line and set the torn row aside.
+    for follow in [&["--follow", "--iterations", "1"][..], &[]] {
+        let out = run(&[&["report", ledger.to_str().unwrap()][..], follow].concat());
+        assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
+        let report = stdout(&out);
+        assert!(
+            report.starts_with(
+                "ledger: 2 row(s) across 2 run(s), 1 unparsable line(s) skipped \
+                 (torn final line ignored)"
+            ),
+            "stdout: {report}"
+        );
+        let verdicts: Vec<&str> = report
+            .lines()
+            .skip_while(|l| *l != "Verdicts:")
+            .nth(2)
+            .map(|l| l.split_whitespace().collect())
+            .unwrap_or_default();
+        assert_eq!(verdicts, ["extracted", "2"], "stdout: {report}");
+        assert!(report.contains("Latest rows:"), "stdout: {report}");
+    }
 
-    // `report` shares the lenient reader and must warn, not die.
-    let out = run(&["report", ledger.to_str().unwrap()]);
+    // A well-formed line of another kind of file is not a torn line:
+    // report fails naming the line and what it found there.
+    let trace = dir.join("trace.jsonl");
+    let out = run(&[
+        "extract",
+        nl.to_str().unwrap(),
+        "--k",
+        "8",
+        "--trace-json",
+        trace.to_str().unwrap(),
+    ]);
     assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
+    let out = run(&["report", trace.to_str().unwrap()]);
+    assert_eq!(code(&out), 2, "stdout: {}", stdout(&out));
+    let err = stderr(&out);
     assert!(
-        stderr(&out).contains("skipped 1 torn/unparsable line(s)"),
+        err.contains("line 1, field type") && err.contains("found a \"trace\" header"),
+        "stderr: {err}"
+    );
+    std::fs::write(
+        &ledger,
+        format!("{}\n{}", rows[0], std::fs::read_to_string(&trace).unwrap()),
+    )
+    .expect("rewrite ledger");
+    let out = run(&[
+        "report",
+        ledger.to_str().unwrap(),
+        "--follow",
+        "--iterations",
+        "1",
+    ]);
+    assert_eq!(code(&out), 2, "stdout: {}", stdout(&out));
+    assert!(
+        stderr(&out).contains("line 2, field type"),
         "stderr: {}",
         stderr(&out)
     );
@@ -311,8 +356,11 @@ fn lenient_reader_races_a_concurrently_appending_writer() {
     let mut last_rows = 0usize;
     while !writer.is_finished() {
         let text = std::fs::read_to_string(&path).unwrap_or_default();
-        let (ledger, skipped) = Ledger::parse_lenient(&text);
-        assert_eq!(skipped, 0, "line-atomic appends never produce garbage");
+        let ledger = Ledger::from_jsonl(&text, true).expect("a growing ledger reads");
+        assert_eq!(
+            ledger.skipped, 0,
+            "line-atomic appends never produce garbage"
+        );
         assert!(
             ledger.rows.len() >= last_rows,
             "parsed rows went backwards: {} -> {}",
@@ -323,15 +371,15 @@ fn lenient_reader_races_a_concurrently_appending_writer() {
     }
     writer.join().expect("writer thread");
     let text = std::fs::read_to_string(&path).expect("ledger");
-    let (ledger, skipped) = Ledger::parse_lenient(&text);
+    let ledger = Ledger::from_jsonl(&text, false).expect("finished ledger reads strictly");
     assert_eq!(ledger.rows.len() as u64, ROWS);
-    assert_eq!(skipped, 0);
-    assert!(!ledger.torn_tail);
+    assert_eq!(ledger.torn, None);
 
     // And the CLI follower survives the same file while still growing.
     let out = run(&[
-        "watch",
+        "report",
         path.to_str().unwrap(),
+        "--follow",
         "--iterations",
         "2",
         "--interval",

@@ -1,10 +1,10 @@
 //! Integration tests for the trace/bench comparison tooling:
 //!
 //! * `gfab trace-diff` — alignment by phase path, deterministic
-//!   work-unit gating across thread counts, v1-vs-v2 schema mixing,
+//!   work-unit gating across thread counts, rejection of pre-v4 files,
 //!   mutation-style regression detection;
 //! * `gfab trace-check` — line number *and* field path on corrupted
-//!   traces;
+//!   traces, ledgers and event streams, and torn final lines;
 //! * `gfab bench-diff` — gating on deterministic benchmark fields only.
 //!
 //! The binary is spawned for real (via `CARGO_BIN_EXE_gfab`), traces are
@@ -172,52 +172,57 @@ fn inflated_counter_trips_the_gate_and_names_the_phase() {
     assert_eq!(code(&out), 0, "stdout: {}", stdout(&out));
 }
 
-/// A hand-written v1 trace (pre-gauges/histograms schema): two spans
-/// shaped like an `extract` run.
-const V1_TRACE: &str = concat!(
-    "{\"type\":\"trace\",\"version\":1,\"spans\":2}\n",
+/// A hand-written v4 trace: two spans shaped like an `extract` run.
+const V4_TRACE: &str = concat!(
+    "{\"type\":\"trace\",\"version\":4,\"spans\":2}\n",
     "{\"type\":\"span\",\"id\":1,\"parent\":null,\"phase\":\"extract\",\"label\":\"old\",",
-    "\"thread\":0,\"start_us\":0,\"dur_us\":1000,\"counters\":{\"gates\":12}}\n",
+    "\"thread\":0,\"start_us\":0,\"dur_us\":1000,\"counters\":{\"gates\":12},",
+    "\"gauges\":{},\"hists\":{}}\n",
     "{\"type\":\"span\",\"id\":2,\"parent\":1,\"phase\":\"guided-reduction\",\"label\":null,",
-    "\"thread\":0,\"start_us\":10,\"dur_us\":900,\"counters\":{\"reduction-steps\":500}}\n",
+    "\"thread\":0,\"start_us\":10,\"dur_us\":900,\"counters\":{\"reduction-steps\":500},",
+    "\"gauges\":{\"mem-peak-bytes\":4096},\"hists\":{}}\n",
 );
 
 #[test]
-fn trace_diff_accepts_v1_baseline_against_v2_current() {
-    // Old committed baselines must stay diffable after the schema bump:
-    // v1 spans simply have no gauges/histograms.
-    let old = temp_dir().join("v1-base.jsonl");
-    std::fs::write(&old, V1_TRACE).expect("write v1 trace");
-    let mut current = V1_TRACE.replace("\"version\":1", "\"version\":2");
-    current = current
-        .replace(
-            "\"counters\":{\"gates\":12}}",
-            "\"counters\":{\"gates\":12},\"gauges\":{},\"hists\":{}}",
-        )
-        .replace(
-            "\"counters\":{\"reduction-steps\":500}}",
-            "\"counters\":{\"reduction-steps\":500},\"gauges\":{\"mem-peak-bytes\":4096},\"hists\":{}}",
-        )
-        // The current run renamed the labelled block: alignment is by
-        // phase path, so this must not split the rows.
-        .replace("\"label\":\"old\"", "\"label\":\"renamed\"");
-    let cur = temp_dir().join("v2-current.jsonl");
-    std::fs::write(&cur, current).expect("write v2 trace");
+fn trace_diff_rejects_pre_v4_traces_and_aligns_renamed_blocks() {
+    let base = temp_dir().join("v4-base.jsonl");
+    std::fs::write(&base, V4_TRACE).expect("write v4 trace");
+    // The current run renamed the labelled block: alignment is by phase
+    // path, so this must not split the rows.
+    let cur = temp_dir().join("v4-renamed.jsonl");
+    std::fs::write(
+        &cur,
+        V4_TRACE.replace("\"label\":\"old\"", "\"label\":\"renamed\""),
+    )
+    .expect("write renamed trace");
     let out = run(&[
         "trace-diff",
-        old.to_str().unwrap(),
+        base.to_str().unwrap(),
         cur.to_str().unwrap(),
         "--threshold",
         "0",
     ]);
-    assert_eq!(
-        code(&out),
-        0,
-        "stdout: {}\nstderr: {}",
-        stdout(&out),
-        stderr(&out)
-    );
-    assert!(stdout(&out).contains("OK"), "stdout: {}", stdout(&out));
+    assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("OK"), "stdout: {text}");
+    assert_eq!(text.lines().filter(|l| l.starts_with("extract")).count(), 2);
+
+    // Only version 4 is read: a v1, v2 or v3 header fails naming the
+    // line and `version`, on either side of the diff.
+    for version in 1..=3 {
+        let old = temp_dir().join(format!("v{version}-base.jsonl"));
+        std::fs::write(
+            &old,
+            V4_TRACE.replace("\"version\":4", &format!("\"version\":{version}")),
+        )
+        .expect("write old trace");
+        for (a, b) in [(&old, &cur), (&cur, &old)] {
+            let out = run(&["trace-diff", a.to_str().unwrap(), b.to_str().unwrap()]);
+            assert_eq!(code(&out), 2, "v{version}: stdout: {}", stdout(&out));
+            let err = stderr(&out);
+            assert!(err.contains("line 1, field version"), "v{version}: {err}");
+        }
+    }
 }
 
 #[test]
@@ -244,6 +249,72 @@ fn trace_check_names_line_and_field_path() {
     // The pristine file still validates.
     let out = run(&["trace-check", good.to_str().unwrap()]);
     assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
+    assert!(stdout(&out).starts_with("valid trace:"), "{}", stdout(&out));
+
+    // A ledger goes through the same reader: a bad field mid-file fails
+    // naming its line and field, and a torn final line is tolerated and
+    // reported.
+    let spec = fixture("mastrovito", 16);
+    let ledger = temp_dir().join("check-ledger.jsonl");
+    let _ = std::fs::remove_file(&ledger);
+    for _ in 0..2 {
+        let out = run(&[
+            "extract",
+            spec.to_str().unwrap(),
+            "--k",
+            "16",
+            "--ledger",
+            ledger.to_str().unwrap(),
+        ]);
+        assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
+    }
+    let rows = std::fs::read_to_string(&ledger).expect("ledger readable");
+    let out = run(&["trace-check", ledger.to_str().unwrap()]);
+    assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
+    assert!(
+        stdout(&out).contains("valid ledger: 2 row(s) across 2 run(s)"),
+        "{}",
+        stdout(&out)
+    );
+    let lines: Vec<&str> = rows.lines().collect();
+    let bad_row = lines[1].replace("\"k\":16", "\"k\":\"sixteen\"");
+    let bad = temp_dir().join("check-ledger-bad.jsonl");
+    std::fs::write(&bad, format!("{}\n{bad_row}\n{}\n", lines[0], lines[0])).expect("write");
+    let out = run(&["trace-check", bad.to_str().unwrap()]);
+    assert_eq!(code(&out), 2, "stdout: {}", stdout(&out));
+    assert!(stderr(&out).contains("line 2, field k"), "{}", stderr(&out));
+    let torn = temp_dir().join("check-ledger-torn.jsonl");
+    std::fs::write(&torn, format!("{rows}{{\"type\":\"run\",\"vers")).expect("write");
+    let out = run(&["trace-check", torn.to_str().unwrap()]);
+    assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("valid ledger: 2 row(s)"), "{text}");
+    assert!(text.contains("torn final line 3 ignored"), "{text}");
+
+    // An --events stream read mid-run can end part-way through a line:
+    // it validates as in flight.
+    let events = temp_dir().join("check-events.jsonl");
+    let out = run(&[
+        "extract",
+        spec.to_str().unwrap(),
+        "--k",
+        "16",
+        "--events",
+        events.to_str().unwrap(),
+    ]);
+    assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
+    let stream = std::fs::read_to_string(&events).expect("events readable");
+    let last_event = stream.rfind("{\"type\":\"event\"").expect("an event line");
+    let cut = temp_dir().join("check-events-cut.jsonl");
+    std::fs::write(&cut, &stream[..last_event + 20]).expect("write");
+    let out = run(&["trace-check", cut.to_str().unwrap()]);
+    assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(
+        text.contains("valid events") && text.contains("in-flight"),
+        "{text}"
+    );
+    assert!(text.contains("torn final line"), "{text}");
 }
 
 #[test]
@@ -303,4 +374,14 @@ fn diff_usage_errors_exit_two() {
         "stderr: {}",
         stderr(&out)
     );
+    // A threshold that is not a finite percentage would let every
+    // regression pass the gate.
+    for cmd in ["trace-diff", "bench-diff"] {
+        for value in ["nan", "inf", "NaN%"] {
+            let out = run(&[cmd, "a.jsonl", "b.jsonl", "--threshold", value]);
+            assert_eq!(code(&out), 2, "{cmd} --threshold {value}");
+            let err = stderr(&out);
+            assert!(err.contains("--threshold") && err.contains(value), "{err}");
+        }
+    }
 }
