@@ -8,17 +8,16 @@
 //!
 //! * default — timing sweep: per-op latency of the kernel path vs the
 //!   reference path at each k, with the speedup factor and inline-storage
-//!   residency. `--json` emits one JSON object per row.
+//!   residency.
 //! * `--smoke` — quick differential self-check over every NIST field plus
 //!   small dense moduli; exits 1 on any mismatch (wired into `ci.sh`).
-//! * `--pinned` — a fixed seeded workload whose output (kernel work
-//!   counters + FNV-1a result checksum per field) is a pure function of
-//!   the code, asserted exactly against `scripts/kernel_work_baseline.txt`
-//!   by `perf_gate.sh`. No timings, so the output is machine-independent.
 //!
-//! Run: `cargo run --release -p gfab-bench --bin kernels [--smoke|--pinned] [--json] [k ...]`
+//! The kernels' work counters are pinned exactly by
+//! `kernel_counter_deltas_are_deterministic` in `tests/field_kernels.rs`.
+//!
+//! Run: `cargo run --release -p gfab-bench --bin kernels [--smoke] [k ...]`
 
-use gfab_bench::JsonRow;
+use gfab_bench::require_field;
 use gfab_field::nist::{irreducible_polynomial, NIST_DEGREES};
 use gfab_field::rng::Rng;
 use gfab_field::{kernel, reference, Gf, Gf2Poly, GfContext};
@@ -30,18 +29,17 @@ const DENSE_SMOKE_DEGREES: [usize; 7] = [2, 8, 63, 64, 65, 128, 129];
 
 fn main() {
     let mut smoke = false;
-    let mut pinned = false;
-    let mut json = false;
     let mut ks: Vec<usize> = Vec::new();
     for a in std::env::args().skip(1) {
         match a.as_str() {
             "--smoke" => smoke = true,
-            "--pinned" => pinned = true,
-            "--json" => json = true,
             other => match other.parse::<usize>() {
-                Ok(k) => ks.push(k),
+                Ok(k) => {
+                    require_field(k);
+                    ks.push(k);
+                }
                 Err(_) => {
-                    eprintln!("usage: kernels [--smoke|--pinned] [--json] [k ...]");
+                    eprintln!("usage: kernels [--smoke] [k ...]");
                     std::process::exit(2);
                 }
             },
@@ -49,33 +47,19 @@ fn main() {
     }
     if smoke {
         run_smoke();
-    } else if pinned {
-        run_pinned();
     } else {
         let sweep = if ks.is_empty() {
             vec![64, 163, 233, 283, 409, 571]
         } else {
             ks
         };
-        run_timing(&sweep, json);
+        run_timing(&sweep);
     }
 }
 
 /// A random reduced element of the field (dense, degree < k).
 fn random_element(ctx: &GfContext, rng: &mut Rng) -> Gf {
     ctx.random(rng)
-}
-
-/// FNV-1a over the limb bytes of a polynomial, for pinned checksums.
-fn fnv1a(acc: u64, p: &Gf2Poly) -> u64 {
-    let mut h = acc;
-    for &limb in p.limbs() {
-        for b in limb.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
 }
 
 // ---------------------------------------------------------------------------
@@ -146,62 +130,6 @@ fn run_smoke() {
 }
 
 // ---------------------------------------------------------------------------
-// --pinned: machine-independent work profile for the perf gate
-// ---------------------------------------------------------------------------
-
-fn run_pinned() {
-    let mut total = kernel::KernelCounts::new();
-    let mut checksum = 0xCBF2_9CE4_8422_2325u64; // FNV-1a offset basis
-    for k in NIST_DEGREES {
-        let ctx = GfContext::new(irreducible_polynomial(k).expect("NIST k")).expect("irreducible");
-        let mut rng = Rng::seed_from_u64(0xC0FF_EE00 ^ k as u64);
-        let elems: Vec<Gf> = (0..64).map(|_| random_element(&ctx, &mut rng)).collect();
-        let before = kernel::snapshot();
-        let mut field_sum = checksum;
-        for pair in elems.chunks(2) {
-            let p = ctx.mul(&pair[0], &pair[1]);
-            field_sum = fnv1a(field_sum, p.as_poly());
-            let s = ctx.square(&pair[0]);
-            field_sum = fnv1a(field_sum, s.as_poly());
-        }
-        let nonzero: Vec<Gf> = elems.iter().filter(|e| !e.is_zero()).cloned().collect();
-        for inv in ctx.batch_inv(&nonzero).expect("no zeros") {
-            field_sum = fnv1a(field_sum, inv.as_poly());
-        }
-        let delta = kernel::snapshot().delta_since(&before);
-        checksum = field_sum;
-        println!(
-            "k={k} coeff-muls={} coeff-squares={} reduction-folds={} inline={} heap={} checksum={:016x}",
-            delta.coeff_muls,
-            delta.coeff_squares,
-            delta.reduction_folds,
-            delta.inline_results,
-            delta.heap_results,
-            field_sum,
-        );
-        total = total_add(&total, &delta);
-    }
-    println!(
-        "total coeff-muls={} coeff-squares={} reduction-folds={} inline={} heap={} checksum={checksum:016x}",
-        total.coeff_muls,
-        total.coeff_squares,
-        total.reduction_folds,
-        total.inline_results,
-        total.heap_results,
-    );
-}
-
-fn total_add(a: &kernel::KernelCounts, b: &kernel::KernelCounts) -> kernel::KernelCounts {
-    kernel::KernelCounts {
-        coeff_muls: a.coeff_muls + b.coeff_muls,
-        coeff_squares: a.coeff_squares + b.coeff_squares,
-        reduction_folds: a.reduction_folds + b.reduction_folds,
-        inline_results: a.inline_results + b.inline_results,
-        heap_results: a.heap_results + b.heap_results,
-    }
-}
-
-// ---------------------------------------------------------------------------
 // default: timing sweep, kernel vs reference
 // ---------------------------------------------------------------------------
 
@@ -223,19 +151,14 @@ fn best_ns_per_call(calls_per_pass: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-fn run_timing(sweep: &[usize], json: bool) {
-    if !json {
-        println!("Coefficient-kernel timings (kernel path vs bit-serial reference)\n");
-        println!(
-            "{:>5} {:>12} {:>12} {:>9} {:>12} {:>12} {:>9} {:>8}",
-            "k", "mul_ns", "ref_mul_ns", "speedup", "sq_ns", "ref_sq_ns", "sq_spdup", "inline%"
-        );
-    }
+fn run_timing(sweep: &[usize]) {
+    println!("Coefficient-kernel timings (kernel path vs bit-serial reference)\n");
+    println!(
+        "{:>5} {:>12} {:>12} {:>9} {:>12} {:>12} {:>9} {:>8}",
+        "k", "mul_ns", "ref_mul_ns", "speedup", "sq_ns", "ref_sq_ns", "sq_spdup", "inline%"
+    );
     for &k in sweep {
-        let Some(p) = irreducible_polynomial(k) else {
-            eprintln!("{k:>5}  no irreducible polynomial found");
-            continue;
-        };
+        let p = irreducible_polynomial(k).expect("k checked by require_field");
         let m = p.clone();
         let ctx = GfContext::new(p).expect("irreducible");
         let mut rng = Rng::seed_from_u64(0xBE2C_0000 ^ k as u64);
@@ -274,22 +197,9 @@ fn run_timing(sweep: &[usize], json: bool) {
 
         let speedup = ref_mul_ns / mul_ns;
         let sq_speedup = ref_sq_ns / sq_ns;
-        if json {
-            JsonRow::new("kernels")
-                .num("k", k as u64)
-                .num("mul_ns", mul_ns as u64)
-                .num("ref_mul_ns", ref_mul_ns as u64)
-                .str("speedup", &format!("{speedup:.1}"))
-                .num("square_ns", sq_ns as u64)
-                .num("ref_square_ns", ref_sq_ns as u64)
-                .str("square_speedup", &format!("{sq_speedup:.1}"))
-                .str("inline_pct", &format!("{inline_pct:.1}"))
-                .emit();
-        } else {
-            println!(
-                "{:>5} {:>12.0} {:>12.0} {:>8.1}x {:>12.0} {:>12.0} {:>8.1}x {:>7.1}%",
-                k, mul_ns, ref_mul_ns, speedup, sq_ns, ref_sq_ns, sq_speedup, inline_pct
-            );
-        }
+        println!(
+            "{:>5} {:>12.0} {:>12.0} {:>8.1}x {:>12.0} {:>12.0} {:>8.1}x {:>7.1}%",
+            k, mul_ns, ref_mul_ns, speedup, sq_ns, ref_sq_ns, sq_speedup, inline_pct
+        );
     }
 }

@@ -11,61 +11,57 @@
 //! k=409: 34002, k=571: 87458.
 //!
 //! Run: `cargo run --release -p gfab-bench --bin table2
-//!       [--full] [--threads N] [k ...]`
+//!       [--full] [--threads N] [--trace-json FILE] [k ...]`
 //! Default sweep: 8 16 32 64 163; `--full` adds 233 283 409 571.
-//! With `--threads N` (N ≠ 1) each row is additionally run serially and a
-//! speedup column is printed; the two runs must produce byte-identical
-//! polynomials.
+//! With `--threads N` (N ≠ 1) each row is additionally run serially (and
+//! untraced) and a speedup column is printed; the two runs must produce
+//! byte-identical polynomials. Exits 1 if any row composes anything but
+//! `G = A*B`.
 
-use gfab_bench::{fmt_gates, fmt_mb, fmt_secs, JsonRow, PeakAlloc, TableArgs};
+use gfab_bench::{field, fmt_gates, fmt_mb, fmt_secs, PeakAlloc, TableArgs};
 use gfab_circuits::montgomery_multiplier_hier;
 use gfab_core::hier::extract_hierarchical;
+use gfab_core::telemetry::Phase;
 use gfab_core::ExtractOptions;
-use gfab_field::nist::irreducible_polynomial;
-use gfab_field::GfContext;
+use std::process::ExitCode;
 use std::time::Instant;
 
 #[global_allocator]
 static ALLOC: PeakAlloc = PeakAlloc::new();
 
-fn main() {
+fn main() -> ExitCode {
     let args = TableArgs::parse();
     let ks = args.sweep(&[8, 16, 32, 64, 163], &[233, 283, 409, 571]);
     let options = ExtractOptions::default().with_threads(args.threads);
     let compare_serial = options.effective_threads() > 1;
 
-    if !args.json {
-        println!("Table 2: Abstraction of Montgomery blocks (Fig. 1: AR, BR, ABR, G)");
-        println!(
-            "(paper totals: k=163: 636 s ... k=571: 87458 s; threads = {})\n",
-            options.effective_threads()
-        );
-        println!(
-            "{:>5} {:>9} {:>9} {:>9} {:>9} | {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10} {:>8}{}",
-            "k",
-            "gA",
-            "gB",
-            "gMid",
-            "gOut",
-            "tA_s",
-            "tB_s",
-            "tMid_s",
-            "tOut_s",
-            "model_s",
-            "reduce_s",
-            "compose",
-            "total_s",
-            "mem_MB",
-            "result",
-            if compare_serial { "  serial_s  speedup" } else { "" }
-        );
-    }
+    println!("Table 2: Abstraction of Montgomery blocks (Fig. 1: AR, BR, ABR, G)");
+    println!(
+        "(paper totals: k=163: 636 s ... k=571: 87458 s; threads = {})\n",
+        options.effective_threads()
+    );
+    println!(
+        "{:>5} {:>9} {:>9} {:>9} {:>9} | {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10} {:>8}{}",
+        "k",
+        "gA",
+        "gB",
+        "gMid",
+        "gOut",
+        "tA_s",
+        "tB_s",
+        "tMid_s",
+        "tOut_s",
+        "model_s",
+        "reduce_s",
+        "compose",
+        "total_s",
+        "mem_MB",
+        "result",
+        if compare_serial { "  serial_s  speedup" } else { "" }
+    );
+    let mut wrong = Vec::new();
     for k in ks {
-        let Some(p) = irreducible_polynomial(k) else {
-            eprintln!("{k:>5}  no irreducible polynomial found");
-            continue;
-        };
-        let ctx = GfContext::shared(p).expect("irreducible");
+        let ctx = field(k);
         let design = montgomery_multiplier_hier(&ctx);
         let gates: Vec<usize> = design
             .blocks
@@ -73,9 +69,12 @@ fn main() {
             .map(|b| b.netlist.num_gates())
             .collect();
         ALLOC.reset_peak();
+        let span = args.row_span(Phase::Extract, &design.name);
+        let traced = options.clone().with_telemetry(span.telemetry());
         let t = Instant::now();
-        let result = extract_hierarchical(&design, &ctx, &options).expect("all blocks are Case 1");
+        let result = extract_hierarchical(&design, &ctx, &traced).expect("all blocks are Case 1");
         let total = t.elapsed();
+        let _ = span.finish();
         let peak_mb = fmt_mb(ALLOC.peak_bytes());
         let times: Vec<String> = result
             .blocks
@@ -90,6 +89,11 @@ fn main() {
         let verdict = if format!("{}", result.function.display()) == "A*B" {
             "G=A*B"
         } else {
+            wrong.push(format!(
+                "{}: G = {}",
+                design.name,
+                result.function.display()
+            ));
             "WRONG"
         };
         let tail = if compare_serial {
@@ -110,42 +114,25 @@ fn main() {
         } else {
             String::new()
         };
-        if args.json {
-            let mut row = JsonRow::new("table2")
-                .num("k", k as u64)
-                .num("threads", options.effective_threads() as u64);
-            for (i, (name, _, s)) in result.blocks.iter().enumerate() {
-                row = row
-                    .num(&format!("gates_{name}"), gates[i] as u64)
-                    .secs(&format!("time_{name}_s"), s.duration);
-            }
-            row.secs("model_s", model_s)
-                .secs("reduce_s", reduce_s)
-                .secs("compose_s", result.compose_time)
-                .secs("total_s", total)
-                .num("peak_mem_bytes", ALLOC.peak_bytes() as u64)
-                .str("result", verdict)
-                .emit();
-        } else {
-            println!(
-                "{:>5} {:>9} {:>9} {:>9} {:>9} | {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10} {:>8}{}",
-                k,
-                fmt_gates(gates[0]),
-                fmt_gates(gates[1]),
-                fmt_gates(gates[2]),
-                fmt_gates(gates[3]),
-                times[0],
-                times[1],
-                times[2],
-                times[3],
-                fmt_secs(model_s),
-                fmt_secs(reduce_s),
-                fmt_secs(result.compose_time),
-                fmt_secs(total),
-                peak_mb,
-                verdict,
-                tail
-            );
-        }
+        println!(
+            "{:>5} {:>9} {:>9} {:>9} {:>9} | {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10} {:>8}{}",
+            k,
+            fmt_gates(gates[0]),
+            fmt_gates(gates[1]),
+            fmt_gates(gates[2]),
+            fmt_gates(gates[3]),
+            times[0],
+            times[1],
+            times[2],
+            times[3],
+            fmt_secs(model_s),
+            fmt_secs(reduce_s),
+            fmt_secs(result.compose_time),
+            fmt_secs(total),
+            peak_mb,
+            verdict,
+            tail
+        );
     }
+    args.finish(&wrong)
 }

@@ -13,20 +13,25 @@
 //! * ideal membership: reduce `Z + A·B` modulo the circuit (needs spec);
 //! * guided abstraction: extract both canonical forms and coefficient-match.
 //!
-//! Run: `cargo run --release -p gfab-bench --bin table3 [--full] [k ...]`
+//! Run: `cargo run --release -p gfab-bench --bin table3
+//!       [--full] [--timeout SECS] [--trace-json FILE] [k ...]`
 //! Default sweep: 2 3 4 6 8 10 12 16; `--full` adds 24 32 48 64.
+//! In the trace each row is one `check` span; the SAT, full-GB and guided
+//! engines record their spans under it (ideal membership is untraced).
+//! Exits 1 if any engine refutes the (equivalent) pair or errors;
+//! `give-up` is a legal cell.
 
-use gfab_bench::{fmt_secs, JsonRow, TableArgs};
+use gfab_bench::{field, fmt_secs, TableArgs};
 use gfab_circuits::{mastrovito_multiplier, montgomery_multiplier_hier};
 use gfab_core::equiv::{check_equivalence, Verdict};
-use gfab_core::fullgb::{full_gb_abstraction, CircuitVarOrder, FullGbOutcome};
+use gfab_core::fullgb::{full_gb_abstraction_traced, CircuitVarOrder, FullGbOutcome};
 use gfab_core::ideal_membership::{multiplier_spec, spec_ring, verify_against_spec};
+use gfab_core::telemetry::Phase;
 use gfab_core::ExtractOptions;
-use gfab_field::budget::BudgetSpec;
-use gfab_field::nist::irreducible_polynomial;
-use gfab_field::GfContext;
+use gfab_field::budget::{Budget, BudgetSpec};
 use gfab_poly::buchberger::GbLimits;
-use gfab_sat::equiv::{check_equivalence_sat_with, SatVerdict};
+use gfab_sat::equiv::{check_equivalence_sat_traced, SatVerdict};
+use std::process::ExitCode;
 use std::time::Instant;
 
 const SAT_CONFLICT_BUDGET: u64 = 300_000;
@@ -34,31 +39,35 @@ const SAT_CONFLICT_BUDGET: u64 = 300_000;
 /// override with `--timeout SECS`).
 const WALL_BUDGET: std::time::Duration = std::time::Duration::from_secs(120);
 
-fn main() {
+fn main() -> ExitCode {
     let args = TableArgs::parse();
     let wall = args.wall_budget(WALL_BUDGET);
     let ks = args.sweep(&[2, 3, 4, 6, 8, 10, 12, 16], &[24, 32, 48, 64]);
 
-    if !args.json {
-        println!("Method comparison: prove Mastrovito == Montgomery (flattened miter)");
-        println!("(paper: SAT dies >16 bit, full GB >32 bit, [5] >163 bit, ours 409+)\n");
-        println!(
-            "{:>4} {:>12} {:>14} {:>16} {:>14}",
-            "k", "sat_miter", "full_groebner", "ideal_member[5]", "guided(ours)"
-        );
-    }
+    println!("Method comparison: prove Mastrovito == Montgomery (flattened miter)");
+    println!("(paper: SAT dies >16 bit, full GB >32 bit, [5] >163 bit, ours 409+)\n");
+    println!(
+        "{:>4} {:>12} {:>14} {:>16} {:>14}",
+        "k", "sat_miter", "full_groebner", "ideal_member[5]", "guided(ours)"
+    );
 
+    let mut wrong = Vec::new();
     for k in ks {
-        let Some(p) = irreducible_polynomial(k) else {
-            continue;
-        };
-        let ctx = GfContext::shared(p).expect("irreducible");
+        let ctx = field(k);
         let spec = mastrovito_multiplier(&ctx);
         let impl_ = montgomery_multiplier_hier(&ctx).flatten();
+        let span = args.row_span(Phase::Check, &format!("mastrovito-montgomery_{k}"));
+        let tele = span.telemetry();
 
         // (a) SAT miter.
         let t = Instant::now();
-        let sat = check_equivalence_sat_with(&spec, &impl_, SAT_CONFLICT_BUDGET, Some(wall));
+        let sat = check_equivalence_sat_traced(
+            &spec,
+            &impl_,
+            SAT_CONFLICT_BUDGET,
+            &Budget::with_deadline(wall),
+            &tele,
+        );
         let sat_time = t.elapsed();
         let sat_verdict = match sat.verdict {
             SatVerdict::Equivalent => "eq".to_string(),
@@ -75,13 +84,18 @@ fn main() {
             max_wall_ms: wall.as_millis() as u64,
         };
         let t = Instant::now();
-        let gb_verdict =
-            match full_gb_abstraction(&spec, &ctx, CircuitVarOrder::ReverseTopological, &gb_limits)
-            {
-                Ok(FullGbOutcome::Canonical { .. }) => "eq".to_string(),
-                Ok(FullGbOutcome::GaveUp { .. }) => "give-up".to_string(),
-                Err(e) => format!("err:{e}"),
-            };
+        let gb_verdict = match full_gb_abstraction_traced(
+            &spec,
+            &ctx,
+            CircuitVarOrder::ReverseTopological,
+            &gb_limits,
+            &Budget::unlimited(),
+            &tele,
+        ) {
+            Ok(FullGbOutcome::Canonical { .. }) => "eq".to_string(),
+            Ok(FullGbOutcome::GaveUp { .. }) => "give-up".to_string(),
+            Err(e) => format!("err:{e}"),
+        };
         let gb_time = t.elapsed();
         let gb_cell = cell(&gb_verdict, gb_time);
 
@@ -100,7 +114,9 @@ fn main() {
         // (d) Guided abstraction (ours): full equivalence check, under the
         // same per-cell wall budget as the baselines (budget exhaustion
         // shows up as a graceful give-up cell, not an abort).
-        let options = ExtractOptions::default().with_budget(BudgetSpec::wall(wall));
+        let options = ExtractOptions::default()
+            .with_budget(BudgetSpec::wall(wall))
+            .with_telemetry(tele);
         let t = Instant::now();
         let ours_verdict = match check_equivalence(&spec, &impl_, &ctx, &options) {
             Ok(report) if report.verdict.is_equivalent() => "eq".to_string(),
@@ -112,23 +128,21 @@ fn main() {
         };
         let ours_time = t.elapsed();
         let ours_cell = cell(&ours_verdict, ours_time);
+        let _ = span.finish();
 
-        if args.json {
-            JsonRow::new("table3")
-                .num("k", k as u64)
-                .str("sat_verdict", &sat_verdict)
-                .secs("sat_time_s", sat_time)
-                .str("fullgb_verdict", &gb_verdict)
-                .secs("fullgb_time_s", gb_time)
-                .str("ideal_verdict", &im_verdict)
-                .secs("ideal_time_s", im_time)
-                .str("guided_verdict", &ours_verdict)
-                .secs("guided_time_s", ours_time)
-                .emit();
-        } else {
-            println!("{k:>4} {sat_cell:>12} {gb_cell:>14} {im_cell:>16} {ours_cell:>14}");
+        let verdicts = [&sat_verdict, &gb_verdict, &im_verdict, &ours_verdict];
+        if verdicts
+            .iter()
+            .any(|v| !matches!(v.as_str(), "eq" | "give-up"))
+        {
+            wrong.push(format!(
+                "k={k}: sat {sat_verdict}, full GB {gb_verdict}, ideal {im_verdict}, \
+                 guided {ours_verdict}"
+            ));
         }
+        println!("{k:>4} {sat_cell:>12} {gb_cell:>14} {im_cell:>16} {ours_cell:>14}");
     }
+    args.finish(&wrong)
 }
 
 /// A human table cell: `eq <secs>` for decided runs, the bare verdict for

@@ -10,48 +10,58 @@
 //!    are "simplified by constant-propagation". We compare extracting the
 //!    constant-folded block vs. the full two-operand block.
 //!
-//! Run: `cargo run --release -p gfab-bench --bin table4 [--json]`
+//! Run: `cargo run --release -p gfab-bench --bin table4 [--trace-json FILE] [k ...]`
+//! The k list applies to ablation 3 (default 16 32 64 163); ablations 1
+//! and 2 pin their own sweeps. In the trace, each circuit is one
+//! `extract` root span labelled with its name; the Buchberger, Case-2
+//! and extraction spans nest under it.
 
-use gfab_bench::{fmt_secs, JsonRow, TableArgs};
+use gfab_bench::{field, fmt_secs, TableArgs};
 use gfab_circuits::{mastrovito_multiplier, monpro, MonproOperand};
-use gfab_core::fullgb::{full_gb_abstraction, CircuitVarOrder, FullGbOutcome};
-use gfab_core::{extract_word_polynomial, extract_word_polynomial_with, ExtractOptions};
-use gfab_field::budget::BudgetSpec;
-use gfab_field::nist::irreducible_polynomial;
+use gfab_core::fullgb::{full_gb_abstraction_traced, CircuitVarOrder, FullGbOutcome};
+use gfab_core::telemetry::Phase;
+use gfab_core::{extract_word_polynomial_with, ExtractOptions};
+use gfab_field::budget::{Budget, BudgetSpec};
 use gfab_field::GfContext;
 use gfab_netlist::mutate::inject_random_bug;
+use gfab_netlist::Netlist;
 use gfab_poly::buchberger::GbLimits;
+use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
-fn main() {
+fn main() -> ExitCode {
     let args = TableArgs::parse();
     ablation_variable_order(&args);
     ablation_case2_cost(&args);
     ablation_constant_blocks(&args);
+    args.finish(&[])
 }
 
 fn ablation_variable_order(args: &TableArgs) {
-    if !args.json {
-        println!("Ablation 1: full-GB effort, RATO vs. declaration variable order");
-        println!(
-            "{:>4} {:>12} {:>12} {:>12} {:>12} {:>10} {:>10}",
-            "k", "pairs_rato", "pairs_decl", "pruned_rato", "pruned_decl", "t_rato", "t_decl"
-        );
-    }
+    println!("Ablation 1: full-GB effort, RATO vs. declaration variable order");
+    println!(
+        "{:>4} {:>12} {:>12} {:>12} {:>12} {:>10} {:>10}",
+        "k", "pairs_rato", "pairs_decl", "pruned_rato", "pruned_decl", "t_rato", "t_decl"
+    );
     let limits = GbLimits {
         max_pair_reductions: 200_000,
         ..GbLimits::default()
     };
     for k in [2usize, 3] {
-        let ctx = GfContext::shared(irreducible_polynomial(k).unwrap()).unwrap();
+        let ctx = field(k);
         let nl = mastrovito_multiplier(&ctx);
+        let span = args.row_span(Phase::Extract, nl.name());
         let mut cells = Vec::new();
         for order in [
             CircuitVarOrder::ReverseTopological,
             CircuitVarOrder::Declaration,
         ] {
             let t = Instant::now();
-            match full_gb_abstraction(&nl, &ctx, order, &limits).unwrap() {
+            let tele = span.telemetry();
+            match full_gb_abstraction_traced(&nl, &ctx, order, &limits, &Budget::unlimited(), &tele)
+                .unwrap()
+            {
                 FullGbOutcome::Canonical { stats, .. } => {
                     cells.push((
                         stats.pairs_reduced.to_string(),
@@ -68,41 +78,25 @@ fn ablation_variable_order(args: &TableArgs) {
                 }
             }
         }
-        if args.json {
-            JsonRow::new("table4")
-                .str("ablation", "variable_order")
-                .num("k", k as u64)
-                .str("pairs_rato", &cells[0].0)
-                .str("pairs_decl", &cells[1].0)
-                .str("pruned_rato", &cells[0].1)
-                .str("pruned_decl", &cells[1].1)
-                .str("t_rato_s", &cells[0].2)
-                .str("t_decl_s", &cells[1].2)
-                .emit();
-        } else {
-            println!(
-                "{:>4} {:>12} {:>12} {:>12} {:>12} {:>10} {:>10}",
-                k, cells[0].0, cells[1].0, cells[0].1, cells[1].1, cells[0].2, cells[1].2
-            );
-        }
+        let _ = span.finish();
+        println!(
+            "{:>4} {:>12} {:>12} {:>12} {:>12} {:>10} {:>10}",
+            k, cells[0].0, cells[1].0, cells[0].1, cells[1].1, cells[0].2, cells[1].2
+        );
     }
-    if !args.json {
-        println!();
-    }
+    println!();
 }
 
 fn ablation_case2_cost(args: &TableArgs) {
-    if !args.json {
-        println!("Ablation 2: Case-2 completion cost on buggy Mastrovito multipliers");
-        println!(
-            "{:>4} {:>6} {:>14} {:>14} {:>12}",
-            "k", "bugs", "case1(benign)", "case2(buggy)", "avg_t_case2"
-        );
-    }
+    println!("Ablation 2: Case-2 completion cost on buggy Mastrovito multipliers");
+    println!(
+        "{:>4} {:>6} {:>14} {:>14} {:>12}",
+        "k", "bugs", "case1(benign)", "case2(buggy)", "avg_t_case2"
+    );
     // A deterministic *work* budget instead of the default 15 s wall
     // limit: whether a completion finishes or is capped is then identical
     // on every machine (work units are machine-independent), so the
-    // emitted counts can gate CI, and the sweep's wall time stays bounded
+    // traced work can gate CI, and the sweep's wall time stays bounded
     // on slow hardware. The largest completions at k = 5 land well under
     // this cap; a capped trial is reported, not a panic.
     let options = ExtractOptions {
@@ -114,8 +108,10 @@ fn ablation_case2_cost(args: &TableArgs) {
         ..ExtractOptions::default()
     };
     for k in [2usize, 3, 4, 5] {
-        let ctx = GfContext::shared(irreducible_polynomial(k).unwrap()).unwrap();
+        let ctx = field(k);
         let golden = mastrovito_multiplier(&ctx);
+        let span = args.row_span(Phase::Extract, golden.name());
+        let options = options.clone().with_telemetry(span.telemetry());
         let (mut case1, mut case2, mut capped) = (0usize, 0usize, 0usize);
         let mut case2_time = std::time::Duration::ZERO;
         let trials = 8u64;
@@ -133,70 +129,50 @@ fn ablation_case2_cost(args: &TableArgs) {
                 capped += 1;
             }
         }
+        let _ = span.finish();
         let avg = if case2 > 0 {
             fmt_secs(case2_time / case2 as u32)
         } else {
             "-".into()
         };
-        if args.json {
-            JsonRow::new("table4")
-                .str("ablation", "case2_cost")
-                .num("k", k as u64)
-                .num("trials", trials)
-                .num("case1", case1 as u64)
-                .num("case2", case2 as u64)
-                .num("capped", capped as u64)
-                .secs("case2_total_s", case2_time)
-                .emit();
-        } else {
-            println!("{k:>4} {trials:>6} {case1:>14} {case2:>14} {avg:>12}");
-            if capped > 0 {
-                println!("     ({capped} completion(s) hit the work budget)");
-            }
+        println!("{k:>4} {trials:>6} {case1:>14} {case2:>14} {avg:>12}");
+        if capped > 0 {
+            println!("     ({capped} completion(s) hit the work budget)");
         }
     }
-    if !args.json {
-        println!();
-    }
+    println!();
 }
 
 fn ablation_constant_blocks(args: &TableArgs) {
-    if !args.json {
-        println!("Ablation 3: constant-operand MonPro blocks vs. full two-operand blocks");
-        println!(
-            "{:>4} {:>12} {:>12} {:>10} {:>10} {:>8}",
-            "k", "gates_const", "gates_full", "t_const", "t_full", "ratio"
-        );
-    }
+    println!("Ablation 3: constant-operand MonPro blocks vs. full two-operand blocks");
+    println!(
+        "{:>4} {:>12} {:>12} {:>10} {:>10} {:>8}",
+        "k", "gates_const", "gates_full", "t_const", "t_full", "ratio"
+    );
+    // Extracts one block under its own root span; returns the wall time.
+    let extract = |nl: &Netlist, label: &str, ctx: &Arc<GfContext>| {
+        let span = args.row_span(Phase::Extract, label);
+        let options = ExtractOptions::default().with_telemetry(span.telemetry());
+        let t = Instant::now();
+        extract_word_polynomial_with(nl, ctx, &options).expect("block extracts");
+        let elapsed = t.elapsed();
+        let _ = span.finish();
+        elapsed
+    };
     for k in args.sweep(&[16, 32, 64, 163], &[]) {
-        let ctx = GfContext::shared(irreducible_polynomial(k).unwrap()).unwrap();
+        let ctx = field(k);
         let constant = monpro(&ctx, "c", MonproOperand::Const(ctx.montgomery_r2()));
         let full = monpro(&ctx, "f", MonproOperand::Word);
-        let t = Instant::now();
-        extract_word_polynomial(&constant, &ctx).expect("const block");
-        let t_const = t.elapsed();
-        let t = Instant::now();
-        extract_word_polynomial(&full, &ctx).expect("full block");
-        let t_full = t.elapsed();
-        if args.json {
-            JsonRow::new("table4")
-                .str("ablation", "constant_blocks")
-                .num("k", k as u64)
-                .num("gates_const", constant.num_gates() as u64)
-                .num("gates_full", full.num_gates() as u64)
-                .secs("t_const_s", t_const)
-                .secs("t_full_s", t_full)
-                .emit();
-        } else {
-            println!(
-                "{:>4} {:>12} {:>12} {:>10} {:>10} {:>8.2}",
-                k,
-                constant.num_gates(),
-                full.num_gates(),
-                fmt_secs(t_const),
-                fmt_secs(t_full),
-                t_full.as_secs_f64() / t_const.as_secs_f64().max(1e-9)
-            );
-        }
+        let t_const = extract(&constant, &format!("monpro-const_{k}"), &ctx);
+        let t_full = extract(&full, &format!("monpro_{k}"), &ctx);
+        println!(
+            "{:>4} {:>12} {:>12} {:>10} {:>10} {:>8.2}",
+            k,
+            constant.num_gates(),
+            full.num_gates(),
+            fmt_secs(t_const),
+            fmt_secs(t_full),
+            t_full.as_secs_f64() / t_const.as_secs_f64().max(1e-9)
+        );
     }
 }

@@ -1,12 +1,16 @@
 //! Shared harness utilities for the paper-table binaries: a peak-tracking
 //! global allocator (the paper's "Max Mem" column), small formatting
-//! helpers, and the [`diff`] module comparing two `--json` result files
-//! (`gfab bench-diff`).
+//! helpers, and [`TableArgs`] — the common flags, including
+//! `--trace-json FILE`, which writes a run's span trace for
+//! `gfab trace-diff` (the perf gate's only comparison).
 
-pub mod diff;
-
+use gfab_core::telemetry::{Collector, Phase, Span, Telemetry};
+use gfab_field::nist::irreducible_polynomial;
+use gfab_field::GfContext;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// A wrapper around the system allocator that tracks current and peak
 /// live allocation. Install in a binary with:
@@ -98,11 +102,32 @@ pub fn fmt_gates(n: usize) -> String {
     }
 }
 
+/// The field `GF(2^k)` of a table row. Every `k` reaching a binary's
+/// sweep has been through [`require_field`].
+pub fn field(k: usize) -> Arc<GfContext> {
+    let p = irreducible_polynomial(k).expect("k checked by require_field");
+    GfContext::shared(p).expect("irreducible")
+}
+
+/// Rejects, before any work runs, a degree with no irreducible
+/// polynomial over GF(2) (`k < 2`): exit 2, naming `k`.
+pub fn require_field(k: usize) {
+    if irreducible_polynomial(k).is_none() {
+        eprintln!("k = {k}: no irreducible polynomial of degree {k} over GF(2)");
+        std::process::exit(2);
+    }
+}
+
 /// Parses the common CLI flags of the table binaries: `--full` enables the
 /// NIST-scale rows; `--threads N` sets the extraction thread budget;
-/// `--timeout SECS` overrides the per-cell wall budget; `--json` switches
-/// the output to one JSON object per row (machine-readable, consumed by
-/// `scripts/bench.sh`); a trailing list of integers overrides the k sweep.
+/// `--timeout SECS` overrides the per-cell wall budget; `--trace-json FILE`
+/// writes the run's span trace; a trailing list of integers overrides the
+/// k sweep (each checked by [`require_field`]).
+///
+/// In the trace, every row is one root span labelled with its circuit
+/// name ([`TableArgs::row_span`]) and the library's own spans nest under
+/// it, so the committed `BENCH_table*.jsonl` baselines gate the rows'
+/// work units through `gfab trace-diff`.
 pub struct TableArgs {
     /// Whether `--full` was passed.
     pub full: bool,
@@ -112,50 +137,58 @@ pub struct TableArgs {
     pub threads: usize,
     /// Per-cell wall-clock budget override, if `--timeout` was given.
     pub timeout: Option<std::time::Duration>,
-    /// Whether `--json` was passed: emit one JSON object per row instead
-    /// of the human-readable table.
-    pub json: bool,
+    /// The `--trace-json` file and the collector recording into it.
+    trace: Option<(String, Arc<Collector>)>,
 }
 
 impl TableArgs {
-    /// Parses `std::env::args`.
+    /// Parses `std::env::args`; exits 2 on a usage error.
     pub fn parse() -> TableArgs {
-        let mut full = false;
-        let mut ks = Vec::new();
-        let mut threads = 0usize;
-        let mut timeout = None;
-        let mut json = false;
+        let mut args = TableArgs {
+            full: false,
+            ks: Vec::new(),
+            threads: 0,
+            timeout: None,
+            trace: None,
+        };
         let mut it = std::env::args().skip(1);
         while let Some(a) = it.next() {
-            if a == "--full" {
-                full = true;
-            } else if a == "--json" {
-                json = true;
-            } else if a == "--threads" {
-                threads = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--threads needs a number");
+            let mut value = |what: &str| {
+                it.next().unwrap_or_else(|| {
+                    eprintln!("{a} needs {what}");
                     std::process::exit(2);
-                });
-            } else if a == "--timeout" {
-                let secs: u64 = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--timeout needs a number of seconds");
+                })
+            };
+            let number = |v: String| {
+                v.parse().unwrap_or_else(|_| {
+                    eprintln!("bad number `{v}`");
                     std::process::exit(2);
-                });
-                timeout = Some(std::time::Duration::from_secs(secs));
-            } else if let Ok(k) = a.parse::<usize>() {
-                ks.push(k);
-            } else {
-                eprintln!("usage: [--full] [--json] [--threads N] [--timeout SECS] [k ...]");
-                std::process::exit(2);
+                })
+            };
+            match a.as_str() {
+                "--full" => args.full = true,
+                "--threads" => args.threads = number(value("a number")),
+                "--timeout" => {
+                    let secs = number(value("a number of seconds"));
+                    args.timeout = Some(std::time::Duration::from_secs(secs as u64));
+                }
+                "--trace-json" => args.trace = Some((value("a file"), Collector::new())),
+                _ => match a.parse::<usize>() {
+                    Ok(k) => {
+                        require_field(k);
+                        args.ks.push(k);
+                    }
+                    Err(_) => {
+                        eprintln!(
+                            "usage: [--full] [--threads N] [--timeout SECS] \
+                             [--trace-json FILE] [k ...]"
+                        );
+                        std::process::exit(2);
+                    }
+                },
             }
         }
-        TableArgs {
-            full,
-            ks,
-            threads,
-            timeout,
-            json,
-        }
+        args
     }
 
     /// The per-cell wall budget: `--timeout` if given, else `default`.
@@ -175,90 +208,41 @@ impl TableArgs {
         }
         v
     }
-}
 
-/// An ordered JSON object builder for the table binaries' `--json` mode:
-/// one object per row, keys in insertion order, no external dependencies.
-///
-/// ```
-/// let row = gfab_bench::JsonRow::new("table1")
-///     .num("k", 163)
-///     .secs("time_s", std::time::Duration::from_millis(1500))
-///     .str("result", "Z=A*B");
-/// assert_eq!(
-///     row.render(),
-///     r#"{"table":"table1","k":163,"time_s":1.5,"result":"Z=A*B"}"#
-/// );
-/// ```
-pub struct JsonRow {
-    fields: Vec<(String, String)>,
-}
-
-impl JsonRow {
-    /// Starts a row tagged with its table name (`"table": name`).
-    pub fn new(table: &str) -> JsonRow {
-        JsonRow { fields: Vec::new() }.str("table", table)
+    /// Opens the root span of one table row, labelled with its circuit
+    /// name (`mastrovito_16`). Hand `span.telemetry()` to the library so
+    /// its spans nest under the row; without `--trace-json` the span
+    /// records nothing.
+    pub fn row_span(&self, phase: Phase, label: &str) -> Span {
+        let tele = match &self.trace {
+            Some((_, collector)) => Telemetry::attached(collector),
+            None => Telemetry::disabled(),
+        };
+        tele.span_labeled(phase, label)
     }
 
-    fn push(mut self, key: &str, encoded: String) -> JsonRow {
-        self.fields.push((key.to_string(), encoded));
-        self
-    }
-
-    /// Adds a string field (escaped).
-    #[must_use]
-    pub fn str(self, key: &str, value: &str) -> JsonRow {
-        let mut s = String::with_capacity(value.len() + 2);
-        s.push('"');
-        for c in value.chars() {
-            match c {
-                '"' => s.push_str("\\\""),
-                '\\' => s.push_str("\\\\"),
-                c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
-                c => s.push(c),
+    /// Ends the run: writes the `--trace-json` file, if one was asked
+    /// for, and returns the exit code — 1 when any row gave a wrong
+    /// answer (`wrong` names them), 2 when the trace cannot be written,
+    /// else 0.
+    pub fn finish(&self, wrong: &[String]) -> ExitCode {
+        if let Some((path, collector)) = &self.trace {
+            let trace = collector.snapshot();
+            let producer = concat!("gfab-bench ", env!("CARGO_PKG_VERSION"));
+            if let Err(e) = std::fs::write(path, trace.to_jsonl_tagged(producer)) {
+                eprintln!("cannot write {path}: {e}");
+                return ExitCode::from(2);
             }
+            eprintln!("wrote {} spans to {path}", trace.spans().len());
         }
-        s.push('"');
-        self.push(key, s)
-    }
-
-    /// Adds an integer field.
-    #[must_use]
-    pub fn num(self, key: &str, value: u64) -> JsonRow {
-        self.push(key, value.to_string())
-    }
-
-    /// Adds a duration field, in (fractional) seconds.
-    #[must_use]
-    pub fn secs(self, key: &str, value: std::time::Duration) -> JsonRow {
-        self.push(key, format!("{}", value.as_secs_f64()))
-    }
-
-    /// Adds a boolean field.
-    #[must_use]
-    pub fn flag(self, key: &str, value: bool) -> JsonRow {
-        self.push(key, value.to_string())
-    }
-
-    /// Renders the object on one line.
-    pub fn render(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(k);
-            out.push_str("\":");
-            out.push_str(v);
+        for row in wrong {
+            eprintln!("wrong answer: {row}");
         }
-        out.push('}');
-        out
-    }
-
-    /// Prints the rendered object to stdout.
-    pub fn emit(&self) {
-        println!("{}", self.render());
+        if wrong.is_empty() {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        }
     }
 }
 

@@ -68,5 +68,9 @@ pub use extract::{
     extract_word_polynomial, extract_word_polynomial_budgeted, extract_word_polynomial_with,
     ExtractOptions, Extraction, ExtractionResult, ExtractionStats,
 };
+/// The telemetry types this crate's API exposes ([`ExtractOptions::telemetry`],
+/// `EquivReport::trace`), re-exported so callers can record and write traces
+/// without depending on `gfab-telemetry` directly.
+pub use gfab_telemetry as telemetry;
 pub use provider::{DirectExtract, ExtractProvider};
 pub use wordfn::WordFunction;

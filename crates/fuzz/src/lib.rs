@@ -469,8 +469,14 @@ fn run_case(cfg: &FuzzConfig, cache: &ContextCache, budget: &Budget, index: usiz
         CaseClass::Clean
     };
 
+    // The oracle's work lands on the case span counter by counter, so
+    // the campaign trace carries exactly the summary's work units.
+    for &(counter, value) in &outcome.work {
+        span.counter(counter, value);
+    }
+
     // Shrink failing specimens and build their corpus entry.
-    let mut work_units = outcome.work_units;
+    let mut work_units = outcome.work_units();
     let corpus = if matches!(class, CaseClass::Caught | CaseClass::Finding) {
         let original_gates = (spec.num_gates() + impl_.num_gates()) as u64;
         let shrunk = outcome.witness.as_ref().map(|w| {

@@ -34,6 +34,7 @@ use gfab_field::{Gf, GfContext, Rng};
 use gfab_netlist::sim::{simulate_bits, simulate_wide, simulate_word};
 use gfab_netlist::Netlist;
 use gfab_sat::equiv::{check_equivalence_sat, SatVerdict};
+use gfab_telemetry::Counter;
 use std::fmt;
 use std::sync::Arc;
 
@@ -135,9 +136,18 @@ pub struct OracleOutcome {
     pub word_unknown: bool,
     /// The SAT rung capped out.
     pub sat_unknown: bool,
-    /// Deterministic effort: simulation rounds + extraction reduction
-    /// steps + gate counts + SAT conflicts.
-    pub work_units: u64,
+    /// Deterministic effort, one entry per work-unit counter: simulated
+    /// ground-truth vectors, extraction reduction steps and modelled
+    /// gates (both sides), and SAT conflicts.
+    pub work: [(Counter, u64); 4],
+}
+
+impl OracleOutcome {
+    /// Total deterministic work units (the sum of [`OracleOutcome::work`]).
+    #[must_use]
+    pub fn work_units(&self) -> u64 {
+        self.work.iter().map(|(_, v)| v).sum()
+    }
 }
 
 /// Lane masks for the 64-pattern-per-round exhaustive sweep: input bit
@@ -166,11 +176,11 @@ fn wide_diff(spec: &Netlist, impl_: &Netlist, inputs: &[u64]) -> u64 {
 
 /// Exhaustive ground truth over all `2^n` patterns (`n ≤ 63` assumed,
 /// enforced by the caller's `exhaustive_bits` cap). Returns the lowest
-/// differing pattern of the first differing 64-block, plus rounds spent.
+/// differing pattern of the first differing 64-block, plus the number of
+/// patterns simulated.
 fn exhaustive_diff(spec: &Netlist, impl_: &Netlist) -> (Option<Vec<bool>>, u64) {
     let n = spec.input_bits().len();
     let patterns = 1u64 << n;
-    let mut rounds = 0u64;
     let mut base = 0u64;
     while base < patterns {
         let lanes = (patterns - base).min(64);
@@ -191,18 +201,18 @@ fn exhaustive_diff(spec: &Netlist, impl_: &Netlist) -> (Option<Vec<bool>>, u64) 
             (1u64 << lanes) - 1
         };
         let diff = wide_diff(spec, impl_, &inputs) & valid;
-        rounds += 1;
         if diff != 0 {
             let pattern = base + u64::from(diff.trailing_zeros());
             let witness = (0..n).map(|i| (pattern >> i) & 1 == 1).collect();
-            return (Some(witness), rounds);
+            return (Some(witness), base + lanes);
         }
         base += 64;
     }
-    (None, rounds)
+    (None, patterns)
 }
 
 /// Sampled ground truth: `vectors` seeded random patterns, 64 per round.
+/// Returns the first witness found, plus the number of patterns simulated.
 fn sampled_diff(
     spec: &Netlist,
     impl_: &Netlist,
@@ -218,10 +228,10 @@ fn sampled_diff(
         if diff != 0 {
             let lane = diff.trailing_zeros();
             let witness = inputs.iter().map(|m| (m >> lane) & 1 == 1).collect();
-            return (Some(witness), r + 1);
+            return (Some(witness), (r + 1) * 64);
         }
     }
-    (None, rounds)
+    (None, rounds * 64)
 }
 
 /// Whether `bits` distinguishes the two netlists (bit-level simulation).
@@ -332,16 +342,14 @@ pub fn run_oracle(
         impl_.input_bits().len(),
         "input signature mismatch"
     );
-    let mut work = 0u64;
 
     // Rung 1: simulation ground truth.
     let truth_exhaustive = total_bits <= cfg.exhaustive_bits;
-    let (sim_witness, rounds) = if truth_exhaustive {
+    let (sim_witness, vectors) = if truth_exhaustive {
         exhaustive_diff(spec, impl_)
     } else {
         sampled_diff(spec, impl_, cfg.sample_vectors, cfg.seed)
     };
-    work += rounds;
 
     // Rung 2: word-level abstraction (deterministic limits only).
     let mut options = ExtractOptions {
@@ -353,12 +361,11 @@ pub fn run_oracle(
     if let Some(cap) = cfg.word_work_cap {
         options.budget = BudgetSpec::work(cap);
     }
+    let (mut steps, mut gates) = (0u64, 0u64);
     let word_claim = match check_equivalence(spec, impl_, ctx, &options) {
         Ok(report) => {
-            work += report.spec_stats.reduction_steps
-                + report.impl_stats.reduction_steps
-                + report.spec_stats.gates as u64
-                + report.impl_stats.gates as u64;
+            steps = report.spec_stats.reduction_steps + report.impl_stats.reduction_steps;
+            gates = (report.spec_stats.gates + report.impl_stats.gates) as u64;
             let digest = |cex: Option<&[Gf]>, equal: Option<bool>| match cex {
                 Some(c) => match check_word_cex(spec, impl_, ctx, c) {
                     CexCheck::BitWitness(w) => Claim {
@@ -414,7 +421,6 @@ pub fn run_oracle(
 
     // Rung 3: SAT miter under a deterministic conflict cap.
     let sat_report = check_equivalence_sat(spec, impl_, cfg.sat_conflicts);
-    work += sat_report.stats.conflicts;
     let sat_claim = match &sat_report.verdict {
         SatVerdict::Equivalent => Claim {
             engine: "sat",
@@ -517,7 +523,12 @@ pub fn run_oracle(
         findings,
         word_unknown,
         sat_unknown,
-        work_units: work,
+        work: [
+            (Counter::SimVectors, vectors),
+            (Counter::ReductionSteps, steps),
+            (Counter::Gates, gates),
+            (Counter::Conflicts, sat_report.stats.conflicts),
+        ],
     }
 }
 
@@ -541,7 +552,10 @@ mod tests {
         assert!(out.truth_exhaustive);
         assert!(out.findings.is_empty(), "{:?}", out.findings);
         assert!(!out.word_unknown);
-        assert!(out.work_units > 0);
+        assert!(out.work.iter().all(|&(c, _)| c.is_work()));
+        // 8 input bits: the exhaustive sweep simulates all 256 vectors.
+        assert_eq!(out.work[0], (Counter::SimVectors, 256));
+        assert!(out.work_units() > 256);
     }
 
     #[test]
@@ -578,7 +592,7 @@ mod tests {
         let a = run_oracle(&spec, &bad, &ctx, true, &OracleConfig::default());
         let b = run_oracle(&spec, &bad, &ctx, true, &OracleConfig::default());
         assert_eq!(a.witness, b.witness);
-        assert_eq!(a.work_units, b.work_units);
+        assert_eq!(a.work, b.work);
         assert_eq!(a.truth_differs, b.truth_differs);
     }
 }

@@ -37,6 +37,14 @@
 //! histograms, and `work_units`/percentile fields that do not match
 //! recomputation are all errors — which is what lets `gfab trace-check`
 //! validate `agg` documents too.
+//!
+//! # Overflow
+//!
+//! Counters are summed from files, so every sum is checked: a group's
+//! counter, its work units, or the total over all groups overflowing a
+//! `u64` is an error naming the group and the counter — from
+//! [`TraceAgg::add_trace`], [`TraceAgg::merge`] and the parser alike —
+//! never a wrapped total.
 
 use crate::json::{write_json_string, Json, Obj};
 use crate::jsonl::{
@@ -98,7 +106,8 @@ pub struct AggGroup {
 
 impl AggGroup {
     /// Sum of the deterministic work-unit counters
-    /// (see [`Counter::is_work`]).
+    /// (see [`Counter::is_work`]). Fits in a `u64` for every group a
+    /// [`TraceAgg`] holds (see the module docs on overflow).
     #[must_use]
     pub fn work(&self) -> u64 {
         self.counters
@@ -108,23 +117,48 @@ impl AggGroup {
             .sum()
     }
 
-    fn add_counter(&mut self, counter: Counter, value: u64) {
+    /// Adds `value` to `counter`; on overflow, returns the counter.
+    fn add_counter(&mut self, counter: Counter, value: u64) -> Result<(), Counter> {
         match self
             .counters
             .binary_search_by(|(c, _)| c.slug().cmp(counter.slug()))
         {
-            Ok(i) => self.counters[i].1 += value,
+            Ok(i) => {
+                let sum = &mut self.counters[i].1;
+                *sum = sum.checked_add(value).ok_or(counter)?;
+            }
             Err(i) => self.counters.insert(i, (counter, value)),
         }
+        Ok(())
     }
 
-    fn merge(&mut self, other: &AggGroup) {
-        self.spans += other.spans;
+    fn merge(&mut self, other: &AggGroup) -> Result<(), Counter> {
+        self.spans = self.spans.saturating_add(other.spans);
         for (c, v) in &other.counters {
-            self.add_counter(*c, *v);
+            self.add_counter(*c, *v)?;
         }
         self.wall_us.merge(&other.wall_us);
+        Ok(())
     }
+}
+
+/// The message for a group's counter sum overflowing.
+fn overflow(key: &str, counter: Counter) -> String {
+    format!("group {key}: the sum of counter {counter} overflows u64")
+}
+
+/// The work-unit total over `groups`, folded in key order; on overflow,
+/// the group and counter whose addition overflowed.
+fn checked_work<'a>(
+    groups: impl IntoIterator<Item = (&'a String, &'a AggGroup)>,
+) -> Result<u64, (&'a str, Counter)> {
+    let mut total = 0u64;
+    for (key, g) in groups {
+        for &(c, v) in g.counters.iter().filter(|(c, _)| c.is_work()) {
+            total = total.checked_add(v).ok_or((key.as_str(), c))?;
+        }
+    }
+    Ok(total)
 }
 
 /// A mergeable multi-trace aggregation (see the module docs).
@@ -206,18 +240,25 @@ impl TraceAgg {
     }
 
     /// Folds one trace in: every span lands in exactly one group.
-    pub fn add_trace(&mut self, trace: &Trace) {
+    ///
+    /// # Errors
+    ///
+    /// When a counter sum or the work-unit total overflows a `u64`
+    /// (naming the group and counter); the aggregation is then only
+    /// partly updated.
+    pub fn add_trace(&mut self, trace: &Trace) -> Result<(), String> {
         for (key, spans) in group_spans(trace, self.group_by) {
-            let g = self.groups.entry(key).or_default();
+            let g = self.groups.entry(key.clone()).or_default();
             for s in spans {
                 g.spans += 1;
                 g.wall_us
                     .record(s.duration.as_micros().min(u128::from(u64::MAX)) as u64);
                 for (c, v) in &s.counters {
-                    g.add_counter(*c, *v);
+                    g.add_counter(*c, *v).map_err(|c| overflow(&key, c))?;
                 }
             }
         }
+        self.check_work()
     }
 
     /// Merges another aggregation in (shard recombination).
@@ -225,7 +266,8 @@ impl TraceAgg {
     /// # Errors
     ///
     /// When the two sides were grouped differently — their keys would
-    /// not be comparable.
+    /// not be comparable — or, as for [`TraceAgg::add_trace`], a sum
+    /// overflows.
     pub fn merge(&mut self, other: &TraceAgg) -> Result<(), String> {
         if self.group_by != other.group_by {
             return Err(format!(
@@ -235,9 +277,18 @@ impl TraceAgg {
             ));
         }
         for (key, g) in &other.groups {
-            self.groups.entry(key.clone()).or_default().merge(g);
+            let mine = self.groups.entry(key.clone()).or_default();
+            mine.merge(g).map_err(|c| overflow(key, c))?;
         }
-        Ok(())
+        self.check_work()
+    }
+
+    /// Checks that the work-unit total, and so every group's, fits a
+    /// `u64`.
+    fn check_work(&self) -> Result<(), String> {
+        checked_work(&self.groups).map(|_| ()).map_err(|(key, c)| {
+            format!("group {key}: work units overflow u64 when adding counter {c}")
+        })
     }
 
     /// Total deterministic work units over all groups.
@@ -317,6 +368,7 @@ impl TraceAgg {
         let group_by = get_slug(header, "group_by", "group_by", GroupBy::from_slug)
             .map_err(|e| e.on_line(*hline))?;
         let mut groups: BTreeMap<String, AggGroup> = BTreeMap::new();
+        let mut total = 0u64;
         for (n, (key, g)) in frame.records {
             // Canonical form: keys strictly ascending (also rules out
             // duplicates), so a valid document has exactly one byte
@@ -326,6 +378,14 @@ impl TraceAgg {
                     format!("group keys must be strictly ascending ({prev:?} >= {key:?})");
                 return Err(err_at(n, "key", message));
             }
+            // Each group's own work was checked by `parse_group`.
+            total = total.checked_add(g.work()).ok_or_else(|| {
+                err_at(
+                    n,
+                    "work_units",
+                    "work units summed over groups overflow u64",
+                )
+            })?;
             groups.insert(key, g);
         }
         Ok(TraceAgg { group_by, groups })
@@ -395,9 +455,10 @@ pub(crate) fn parse_group(obj: &Obj) -> Result<(String, AggGroup), FieldError> {
         spans: get_u64(obj, "spans")?,
         ..AggGroup::default()
     };
-    for (counter, v) in get_map(obj, "counters", "counter", Counter::from_slug, get_count)? {
-        g.add_counter(counter, v);
-    }
+    // The strict JSON reader rejects duplicate keys, so each counter
+    // appears once; only the canonical slug order needs restoring.
+    g.counters = get_map(obj, "counters", "counter", Counter::from_slug, get_count)?;
+    g.counters.sort_by_key(|(c, _)| c.slug());
     g.wall_us =
         parse_hist(obj.get("wall_us").unwrap_or(&Json::Null)).map_err(|e| e.under("wall_us"))?;
     if g.wall_us.count != g.spans {
@@ -412,13 +473,16 @@ pub(crate) fn parse_group(obj: &Obj) -> Result<(String, AggGroup), FieldError> {
     // Derived fields must match recomputation — they are conveniences
     // for `jq`-style consumers, not trusted input.
     let declared_work = get_u64(obj, "work_units")?;
-    if declared_work != g.work() {
+    let work = checked_work([(&key, &g)]).map_err(|(_, c)| {
+        field_err(
+            "work_units",
+            format!("counters sum past u64 at counter {c}"),
+        )
+    })?;
+    if declared_work != work {
         return Err(field_err(
             "work_units",
-            format!(
-                "declares {declared_work} work units, counters sum to {}",
-                g.work()
-            ),
+            format!("declares {declared_work} work units, counters sum to {work}"),
         ));
     }
     for (field, p) in [("p50_us", 50.0), ("p90_us", 90.0), ("p99_us", 99.0)] {
@@ -472,7 +536,7 @@ mod tests {
     #[test]
     fn phase_grouping_matches_diff_paths() {
         let mut agg = TraceAgg::new(GroupBy::Phase);
-        agg.add_trace(&sample());
+        agg.add_trace(&sample()).unwrap();
         let keys: Vec<&String> = agg.groups.keys().collect();
         assert_eq!(keys, ["check", "check/extract"]);
         assert_eq!(agg.groups["check/extract"].spans, 2);
@@ -499,7 +563,7 @@ mod tests {
 
         // Children inherit the root's key, labels of their own ignored.
         let mut agg = TraceAgg::new(GroupBy::Arch);
-        agg.add_trace(&sample());
+        agg.add_trace(&sample()).unwrap();
         assert_eq!(agg.groups.len(), 1);
         assert_eq!(agg.groups["mastrovito"].spans, 3);
     }
@@ -516,33 +580,33 @@ mod tests {
 
         for group_by in [GroupBy::Phase, GroupBy::K, GroupBy::Arch] {
             let mut sharded = TraceAgg::new(group_by);
-            sharded.add_trace(&a);
-            sharded.add_trace(&b);
+            sharded.add_trace(&a).unwrap();
+            sharded.add_trace(&b).unwrap();
             let mut unsharded = TraceAgg::new(group_by);
-            unsharded.add_trace(&whole);
+            unsharded.add_trace(&whole).unwrap();
             assert_eq!(sharded, unsharded, "group_by {}", group_by.slug());
             assert_eq!(sharded.to_jsonl(), unsharded.to_jsonl());
 
             // And TraceAgg::merge of per-shard aggregations agrees too.
             let mut left = TraceAgg::new(group_by);
-            left.add_trace(&a);
+            left.add_trace(&a).unwrap();
             let mut right = TraceAgg::new(group_by);
-            right.add_trace(&b);
+            right.add_trace(&b).unwrap();
             left.merge(&right).unwrap();
             assert_eq!(left, sharded);
         }
 
         let mut phase = TraceAgg::new(GroupBy::Phase);
         let mut arch = TraceAgg::new(GroupBy::Arch);
-        phase.add_trace(&a);
-        arch.add_trace(&b);
+        phase.add_trace(&a).unwrap();
+        arch.add_trace(&b).unwrap();
         assert!(phase.merge(&arch).is_err(), "mismatched group_by");
     }
 
     #[test]
     fn agg_document_round_trips_and_is_strict() {
         let mut agg = TraceAgg::new(GroupBy::Phase);
-        agg.add_trace(&sample());
+        agg.add_trace(&sample()).unwrap();
         let text = agg.to_jsonl_tagged("gfab test");
         assert!(text.starts_with("{\"type\":\"agg\",\"version\":4,"));
         let parsed = TraceAgg::from_jsonl(&text).expect("round trip");
@@ -576,7 +640,7 @@ mod tests {
     #[test]
     fn render_lists_every_group() {
         let mut agg = TraceAgg::new(GroupBy::Phase);
-        agg.add_trace(&sample());
+        agg.add_trace(&sample()).unwrap();
         let out = agg.render();
         assert!(out.contains("check/extract"));
         assert!(out.contains("total: 2 group(s), 3 span(s), 171 work unit(s)"));

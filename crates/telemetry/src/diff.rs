@@ -20,6 +20,13 @@
 //! thread counts and machines (PR 2's budget determinism), so a CI gate
 //! built on them is stable; wall time and memory are reported as
 //! informational context, never gated.
+//!
+//! # Overflow
+//!
+//! Traces are files, and a file can carry any `u64`. Every counter sum
+//! and work-unit sum per phase path is checked when the diff is built:
+//! a sum that would overflow is an error naming the side, the path and
+//! the counter, never a wrapped total that could hide a regression.
 
 use crate::agg::{group_spans, GroupBy};
 use crate::trace::fmt_duration;
@@ -52,6 +59,32 @@ impl DiffRow<'_> {
     pub fn work_b(&self) -> u64 {
         work(&self.b)
     }
+}
+
+/// Checks that the work-unit sum and every counter's sum over `spans`
+/// fit in a `u64`; on overflow, names the counter whose addition
+/// overflowed. [`TraceDiff::compute`] runs this on every row, so the
+/// plain sums below never wrap.
+fn check_sums(spans: &[&SpanRecord]) -> Result<(), String> {
+    let mut work = 0u64;
+    let mut sums: Vec<(Counter, u64)> = Vec::new();
+    for &(c, v) in spans.iter().flat_map(|s| &s.counters) {
+        if c.is_work() {
+            work = work
+                .checked_add(v)
+                .ok_or_else(|| format!("work units overflow u64 at counter {c}"))?;
+        }
+        match sums.iter_mut().find(|(k, _)| *k == c) {
+            Some(slot) => {
+                slot.1 = slot
+                    .1
+                    .checked_add(v)
+                    .ok_or_else(|| format!("the sum of counter {c} overflows u64"))?;
+            }
+            None => sums.push((c, v)),
+        }
+    }
+    Ok(())
 }
 
 /// Sum of the deterministic work-unit counters over `spans`.
@@ -126,12 +159,17 @@ pub struct TraceDiff<'t> {
 
 impl<'t> TraceDiff<'t> {
     /// Aligns baseline trace `a` against current trace `b`.
-    #[must_use]
-    pub fn compute(a: &'t Trace, b: &'t Trace) -> TraceDiff<'t> {
+    ///
+    /// # Errors
+    ///
+    /// When a phase path's work-unit sum or one of its counter sums
+    /// overflows a `u64` on either side; the message names the side, the
+    /// path and the counter.
+    pub fn compute(a: &'t Trace, b: &'t Trace) -> Result<TraceDiff<'t>, String> {
         let mut a = group_spans(a, GroupBy::Phase);
         let mut b = group_spans(b, GroupBy::Phase);
         let paths: BTreeSet<String> = a.keys().chain(b.keys()).cloned().collect();
-        let rows = paths
+        let rows: Vec<DiffRow> = paths
             .into_iter()
             .map(|path| DiffRow {
                 a: a.remove(&path).unwrap_or_default(),
@@ -139,7 +177,13 @@ impl<'t> TraceDiff<'t> {
                 path,
             })
             .collect();
-        TraceDiff { rows }
+        for r in &rows {
+            for (side, spans) in [("baseline", &r.a), ("current", &r.b)] {
+                check_sums(spans)
+                    .map_err(|e| format!("{side} trace, phase path {}: {e}", r.path))?;
+            }
+        }
+        Ok(TraceDiff { rows })
     }
 
     /// Whether every phase path has identical work units on both sides —
@@ -315,7 +359,7 @@ mod tests {
     #[test]
     fn self_diff_is_work_identical() {
         let t = simple(100);
-        let d = TraceDiff::compute(&t, &t);
+        let d = TraceDiff::compute(&t, &t).unwrap();
         assert!(d.work_identical());
         assert!(d.regressions(0.0).is_empty());
         assert_eq!(d.rows.len(), 3);
@@ -328,7 +372,7 @@ mod tests {
     #[test]
     fn inflated_work_regresses_and_names_the_phase() {
         let (base, cur) = (simple(100), simple(120));
-        let d = TraceDiff::compute(&base, &cur);
+        let d = TraceDiff::compute(&base, &cur).unwrap();
         assert!(!d.work_identical());
         // 20% over baseline: above a 5% threshold, below a 50% one.
         let regs = d.regressions(5.0);
@@ -339,8 +383,25 @@ mod tests {
         assert!(d.regressions(50.0).is_empty());
         // Improvements never regress.
         assert!(TraceDiff::compute(&simple(120), &simple(100))
+            .unwrap()
             .regressions(0.0)
             .is_empty());
+    }
+
+    #[test]
+    fn overflowing_sums_are_errors_naming_side_path_and_counter() {
+        let half = 1u64 << 63;
+        let mut spans = simple(half).spans().to_vec();
+        let mut twin = spans[2].clone();
+        twin.id = 4;
+        spans.push(twin);
+        let big = Trace::from_spans(spans);
+        let err = TraceDiff::compute(&simple(1), &big).unwrap_err();
+        assert!(err.starts_with("current trace"), "{err}");
+        assert!(err.contains("check/extract/guided-reduction"), "{err}");
+        assert!(err.contains("reduction-steps"), "{err}");
+        let err = TraceDiff::compute(&big, &simple(1)).unwrap_err();
+        assert!(err.starts_with("baseline trace"), "{err}");
     }
 
     #[test]
@@ -359,7 +420,7 @@ mod tests {
         b_spans.push(blk);
         let b = Trace::from_spans(b_spans);
 
-        let d = TraceDiff::compute(&a, &b);
+        let d = TraceDiff::compute(&a, &b).unwrap();
         assert!(d.work_identical());
         assert_eq!(d.rows.len(), 2);
     }
@@ -368,7 +429,7 @@ mod tests {
     fn missing_phase_sides_are_explicit() {
         let a = simple(100);
         let b = Trace::from_spans(vec![span(1, None, Phase::Check, None)]);
-        let d = TraceDiff::compute(&a, &b);
+        let d = TraceDiff::compute(&a, &b).unwrap();
         let row = d
             .rows
             .iter()
@@ -378,7 +439,7 @@ mod tests {
         // Work disappeared: an improvement, not a regression.
         assert!(d.regressions(0.0).is_empty());
         // The reverse direction (new work from nothing) does regress.
-        let d = TraceDiff::compute(&b, &a);
+        let d = TraceDiff::compute(&b, &a).unwrap();
         let regs = d.regressions(0.0);
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].baseline, 0);
@@ -392,7 +453,7 @@ mod tests {
             Trace::from_spans(vec![s])
         };
         let (a, b) = (mk(), mk());
-        let d = TraceDiff::compute(&a, &b);
+        let d = TraceDiff::compute(&a, &b).unwrap();
         assert!(d.work_identical());
         assert_eq!(d.rows[0].work_a(), 0);
         assert!(d.regressions(0.0).is_empty());
@@ -401,7 +462,7 @@ mod tests {
     #[test]
     fn wall_delta_column_is_opt_in_and_labeled_informational() {
         let t = simple(100);
-        let d = TraceDiff::compute(&t, &t);
+        let d = TraceDiff::compute(&t, &t).unwrap();
         assert!(!d.render().contains("Δwall%"));
         let out = d.render_opts(true);
         assert!(out.contains("Δwall%(info)"), "{out}");
@@ -411,7 +472,9 @@ mod tests {
         assert!(d.regressions(0.0).is_empty());
         // One-sided rows render "-" rather than a bogus ratio.
         let b = Trace::from_spans(vec![span(1, None, Phase::Check, None)]);
-        let out = TraceDiff::compute(&simple(100), &b).render_opts(true);
+        let out = TraceDiff::compute(&simple(100), &b)
+            .unwrap()
+            .render_opts(true);
         let row = out
             .lines()
             .find(|l| l.starts_with("check/extract "))
@@ -427,7 +490,7 @@ mod tests {
         h.record(12);
         spans[2].hists = vec![(Hist::DivisionChainLen, h)];
         b = Trace::from_spans(spans);
-        let out = TraceDiff::compute(&simple(100), &b).render();
+        let out = TraceDiff::compute(&simple(100), &b).unwrap().render();
         assert!(out.contains("check/extract/guided-reduction"));
         assert!(out.contains("reduction-steps: 100 -> 120 (+20)"));
         assert!(out.contains("hist division-chain-len"));

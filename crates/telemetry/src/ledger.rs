@@ -250,8 +250,12 @@ impl Ledger {
     /// percentiles, the work-unit delta between the two most recent
     /// runs of each repeated command fingerprint, and the latest rows.
     /// Markdown tables when `md`, aligned plain text otherwise.
-    #[must_use]
-    pub fn render_report(&self, md: bool) -> String {
+    ///
+    /// # Errors
+    ///
+    /// When the `work_units` of one run's rows sum past `u64::MAX`; the
+    /// message names the run.
+    pub fn render_report(&self, md: bool) -> Result<String, String> {
         let mut out = String::new();
         if md {
             out.push_str("# Run ledger\n\n");
@@ -270,7 +274,7 @@ impl Ledger {
         }
         out.push('\n');
         if self.rows.is_empty() {
-            return out;
+            return Ok(out);
         }
 
         // Verdict mix.
@@ -324,7 +328,11 @@ impl Ledger {
                 .entry(r.fp.as_str())
                 .or_insert((r.cmd.as_str(), Vec::new()));
             match runs.last_mut() {
-                Some((run, work)) if *run == r.run => *work += r.work_units,
+                Some((run, work)) if *run == r.run => {
+                    *work = work.checked_add(r.work_units).ok_or_else(|| {
+                        format!("run {run}: the sum of counter work_units overflows u64")
+                    })?;
+                }
                 _ => runs.push((r.run.as_str(), r.work_units)),
             }
         }
@@ -378,7 +386,7 @@ impl Ledger {
             &["query", "verdict", "exit", "work", "wall"],
             &rows,
         );
-        out
+        Ok(out)
     }
 }
 
@@ -552,13 +560,25 @@ mod tests {
             rows,
             ..Ledger::default()
         };
-        let text = ledger.render_report(false);
+        let text = ledger.render_report(false).unwrap();
         assert!(text.contains("4 row(s) across 3 run(s)\n"), "{text}");
         assert!(text.contains("equivalent"), "{text}");
         assert!(text.contains("k8"), "{text}");
         assert!(text.contains("k16"), "{text}");
         // fp "aa": run 1-1 totals 150, run 2-1 totals 120 → delta -30.
         assert!(text.contains("-30"), "{text}");
+        // A run whose rows sum past u64 is an error naming the run.
+        let big = row("4-1", "aa", 8, "equivalent", 1 << 63, 1);
+        let later = row("5-1", "aa", 8, "equivalent", 1, 1);
+        let overflowing = Ledger {
+            rows: vec![big.clone(), big, later],
+            ..Ledger::default()
+        };
+        let err = overflowing.render_report(false).unwrap_err();
+        assert!(
+            err.contains("run 4-1") && err.contains("work_units"),
+            "{err}"
+        );
         // fp "bb" has one run: no drift row.
         assert!(!text.contains("bb equiv"), "{text}");
         // The latest five rows close the report, oldest first.
@@ -567,14 +587,14 @@ mod tests {
             latest.lines().filter(|l| l.contains("equivalent")).count(),
             4
         );
-        let md = ledger.render_report(true);
+        let md = ledger.render_report(true).unwrap();
         assert!(md.starts_with("# Run ledger"), "{md}");
         assert!(md.contains("| verdict | rows |"), "{md}");
         assert!(md.contains("| --- |"), "{md}");
         // What a lenient read set aside is shown in the headline.
         ledger.skipped = 2;
         ledger.torn = Some(9);
-        let text = ledger.render_report(false);
+        let text = ledger.render_report(false).unwrap();
         assert!(
             text.contains(", 2 unparsable line(s) skipped (torn final line ignored)"),
             "{text}"

@@ -469,8 +469,8 @@ mod tests {
         // *implementation* measures (they change whenever the arithmetic
         // kernels change), not algorithmic work units. Keeping them out of
         // is_work() means trace-diff gates stay comparable across kernel
-        // generations; the dedicated kernel baseline in perf_gate.sh pins
-        // them exactly instead.
+        // generations; `kernel_counter_deltas_are_deterministic` in
+        // tests/field_kernels.rs pins them exactly instead.
         for c in [
             Counter::CoeffMuls,
             Counter::CoeffSquares,

@@ -225,6 +225,9 @@ impl HistData {
     }
 
     /// Merges another histogram into this one (bucket-wise addition).
+    /// Count, sum and buckets saturate at `u64::MAX` rather than wrap, so
+    /// merging histograms read from hostile files can never make a
+    /// distribution look smaller than either input.
     pub fn merge(&mut self, other: &HistData) {
         if other.count == 0 {
             return;
@@ -235,10 +238,10 @@ impl HistData {
             self.min.min(other.min)
         };
         self.max = self.max.max(other.max);
-        self.count += other.count;
+        self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
+            *b = b.saturating_add(*o);
         }
     }
 
@@ -271,7 +274,7 @@ impl HistData {
         let rank = (((self.count as f64) * p / 100.0).ceil() as u64).max(1);
         let mut cum = 0u64;
         for (i, &b) in self.buckets.iter().enumerate() {
-            if b > 0 && cum + b >= rank {
+            if b > 0 && cum.saturating_add(b) >= rank {
                 let lo = Self::bucket_lo(i).max(self.min);
                 let hi = Self::bucket_hi(i).min(self.max).max(lo);
                 // Interpolate at integer resolution within the bucket:
@@ -281,7 +284,7 @@ impl HistData {
                 let est = lo + ((hi - lo) as u128 * pos as u128 / b as u128) as u64;
                 return est.clamp(self.min, self.max);
             }
-            cum += b;
+            cum = cum.saturating_add(b);
         }
         self.max
     }
@@ -350,6 +353,18 @@ mod tests {
         assert_eq!(all.min, 0);
         assert_eq!(all.max, 70_000);
         assert!((all.mean() - (115 + 70_003) as f64 / 7.0).abs() < 1e-9);
+
+        // Two valid halves of 2^63 samples saturate instead of wrapping
+        // to an empty-looking histogram.
+        let mut half = HistData::new();
+        half.record(9);
+        half.count = 1 << 63;
+        half.buckets[HistData::bucket_of(9)] = 1 << 63;
+        let mut big = half;
+        big.merge(&half);
+        assert_eq!(big.count, u64::MAX);
+        assert_eq!(big.buckets[HistData::bucket_of(9)], u64::MAX);
+        assert_eq!(big.percentile(50.0), 9);
     }
 
     #[test]

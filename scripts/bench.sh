@@ -1,91 +1,31 @@
 #!/usr/bin/env bash
-# Machine-readable benchmark sweep: runs the four paper-table binaries in
-# --json mode and collects one JSONL file per table (BENCH_table1.json …
-# BENCH_table4.json, one JSON object per row) into $BENCH_DIR (default:
-# the repo root — the committed files there are the perf-gate baselines).
+# Writes the pinned benchmark span traces into $BENCH_DIR (default: the
+# repo root, where the committed copies are the perf-gate baselines —
+# running it there is how they are re-pinned):
 #
-# Modes:
-#   (default)   each binary's quick sweep (small k only)
-#   --full      adds the NIST-scale rows, exactly as with the binaries
-#   --pinned    the CI perf-gate workload: a fixed small k subset per
-#               table, single-threaded, chosen so every row's verdict and
-#               work counters are deterministic (no engine runs anywhere
-#               near its wall budget) and the whole sweep stays fast
-#   --batch     additionally runs the batch-engine cache sweep: a fixed
-#               manifest through `gfab batch --repeat 2`, collecting the
-#               cold and warm per-pass summaries (work units, cache
-#               hit/miss/eviction counters) into BENCH_batch.json
+#   BENCH_table1.jsonl … BENCH_table4.jsonl   the paper-table binaries'
+#       --trace-json output at fixed small k subsets, single-threaded
+#   BENCH_fuzz.jsonl                          a fixed seeded fuzz campaign
 #
-# Any other arguments are forwarded verbatim to every table binary.
+# Each subset keeps every row's verdict and work units deterministic: no
+# engine runs anywhere near its wall budget. A table binary that gets a
+# wrong answer, or a campaign with a finding, exits 1, and so does this
+# script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT_DIR="${BENCH_DIR:-.}"
-
-PINNED=0
-BATCH=0
-ARGS=()
-for a in "$@"; do
-    case "$a" in
-        --pinned) PINNED=1 ;;
-        --batch) BATCH=1 ;;
-        *) ARGS+=("$a") ;;
-    esac
-done
-
-echo "== build (release) =="
-cargo build --release --offline -p gfab-bench
-if [ "$BATCH" = 1 ]; then
-    cargo build --release --offline -p gfab
-fi
-
-# Per-table pinned k subsets. table3 runs four engines per k and the
-# SAT/full-GB baselines approach their wall budgets already at k=8, which
-# would make verdicts machine-dependent — k=4 keeps every engine orders
-# of magnitude inside its budget. table4's first two ablations pin their
-# own sweeps internally; the explicit k applies to the constant-blocks
-# ablation.
-pinned_ks() {
-    case "$1" in
-        table1) echo "16 32 64" ;;
-        table2) echo "16 32" ;;
-        table3) echo "4" ;;
-        table4) echo "16" ;;
-    esac
-}
-
+OUT="${BENCH_DIR:-.}"
 BIN=target/release
-for t in table1 table2 table3 table4; do
-    out="$OUT_DIR/BENCH_${t}.json"
-    extra=()
-    if [ "$PINNED" = 1 ]; then
-        read -ra extra <<<"--threads 1 $(pinned_ks $t)"
-    fi
-    echo "== $t → $out =="
-    "$BIN/$t" --json ${extra[@]+"${extra[@]}"} ${ARGS[@]+"${ARGS[@]}"} | tee "$out"
-done
 
-if [ "$BATCH" = 1 ]; then
-    out="$OUT_DIR/BENCH_batch.json"
-    echo "== batch cache sweep → $out =="
-    TMP_MANIFEST=$(mktemp)
-    trap 'rm -f "$TMP_MANIFEST"' EXIT
-    cat > "$TMP_MANIFEST" <<'MANIFEST'
-{
-  "field": {"k": 32},
-  "queries": [
-    {"name": "mont-eq",  "op": "equiv",
-     "spec": {"gen": "mastrovito"}, "impl": {"gen": "montgomery"}},
-    {"name": "mont-dup", "op": "equiv",
-     "spec": {"gen": "mastrovito"}, "impl": {"gen": "montgomery"}},
-    {"name": "squarer",  "op": "extract", "circuit": {"gen": "squarer"}},
-    {"name": "mont16",   "op": "extract", "circuit": {"gen": "montgomery"},
-     "field": {"k": 16}}
-  ]
-}
-MANIFEST
-    "$BIN/gfab" batch "$TMP_MANIFEST" --threads 1 --repeat 2 \
-        | grep '"batch-summary"' | tee "$out"
-fi
+cargo build --release --offline -p gfab -p gfab-bench
 
-echo "bench sweep done: BENCH_table{1,2,3,4}.json in $OUT_DIR"
+# table3 runs four engines per k, and the SAT and full-GB baselines near
+# their wall budgets already at k=8; k=4 keeps every engine orders of
+# magnitude inside its budget. table4's first two ablations pin their
+# own sweeps; its k applies to the constant-blocks ablation.
+"$BIN/table1" --threads 1 16 32 64 --trace-json "$OUT/BENCH_table1.jsonl"
+"$BIN/table2" --threads 1 16 32 --trace-json "$OUT/BENCH_table2.jsonl"
+"$BIN/table3" --threads 1 4 --trace-json "$OUT/BENCH_table3.jsonl"
+"$BIN/table4" --threads 1 16 --trace-json "$OUT/BENCH_table4.jsonl"
+"$BIN/gfab" fuzz --seed 2024 --cases 24 --k-min 6 --k-max 8 --fault-rate 50 \
+    --threads 2 --trace-json "$OUT/BENCH_fuzz.jsonl"

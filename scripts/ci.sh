@@ -13,8 +13,8 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== tier-1: build (release) =="
 cargo build --release --offline
 
-echo "== tier-1: test =="
-cargo test -q --offline
+echo "== tier-1: test (every workspace package) =="
+cargo test -q --offline --workspace
 
 echo "== kernel smoke: coefficient kernels vs reference oracle =="
 # Differential self-check of the zero-allocation GF(2^k) coefficient
@@ -24,6 +24,18 @@ echo "== kernel smoke: coefficient kernels vs reference oracle =="
 # mismatch. (The bench bins are not part of the root package's build.)
 cargo build --release --offline -p gfab-bench
 target/release/kernels --smoke
+
+echo "== bench binaries: k=1 is a usage error =="
+# No irreducible polynomial of degree 1 exists: every table binary and
+# kernels must exit 2 naming k before doing any work.
+for bin in table1 table2 table3 table4 kernels; do
+    rc=0
+    err=$(target/release/$bin 1 2>&1 >/dev/null) || rc=$?
+    if [ "$rc" -ne 2 ] || [[ "$err" != *"k = 1"* ]]; then
+        echo "$bin 1: exit $rc ($err), want 2 naming k = 1" >&2
+        exit 1
+    fi
+done
 
 echo "== telemetry smoke: --trace-json emits a schema-valid trace =="
 # Generate a small Mastrovito/Montgomery pair, run an equivalence check
@@ -124,7 +136,7 @@ first_case=$(ls "$TRACE_DIR"/fuzz_corpus/case-*.json | head -1)
 echo "== cross-run observability smoke: trace-agg, flame, ledger =="
 # A batch run and a small clean fuzz sweep, both writing merged traces
 # and appending to one shared ledger; then the three cross-run views
-# must all work: trace-agg emits a v3 agg document that trace-check
+# must all work: trace-agg emits a v4 agg document that trace-check
 # accepts, flame reports a critical path (and exports folded stacks),
 # and report renders the accumulated ledger dashboard.
 "$GFAB" batch "$TRACE_DIR/batch.json" --threads 2 \
@@ -148,11 +160,12 @@ grep -q 'row(s) across' "$TRACE_DIR/report.txt"
 grep -q 'equivalent' "$TRACE_DIR/report.txt"
 grep -q 'clean' "$TRACE_DIR/report.txt"
 
-echo "== live events smoke: --events stream, piped --progress, watch =="
+echo "== live events smoke: --events stream, piped --progress, report --follow =="
 # A batch run with both live sinks on, stdout/stderr piped (so the
 # binary sees no terminal): the event stream must validate as a strict
 # v4 NDJSON document, and nothing written anywhere may contain an ANSI
-# escape byte. Then the ledger follower renders one board and exits.
+# escape byte. Then `report --follow --iterations 1` renders the ledger
+# once and exits.
 "$GFAB" batch "$TRACE_DIR/batch.json" --threads 2 --progress \
     --events "$TRACE_DIR/events.jsonl" --ledger "$TRACE_DIR/watch_ledger.jsonl" \
     > "$TRACE_DIR/live_out.txt" 2> "$TRACE_DIR/live_err.txt"
@@ -165,9 +178,9 @@ grep -q '^progress:' "$TRACE_DIR/live_err.txt"
 "$GFAB" report "$TRACE_DIR/watch_ledger.jsonl" --follow --iterations 1 \
     | grep -q 'row(s) across'
 
-echo "== perf gate: pinned workload vs committed baselines =="
-# Work-unit thresholds only — bench-diff never gates on wall time or
-# memory, so this step is stable on any CI machine.
+echo "== perf gate: pinned span traces vs committed baselines =="
+# Exact work units via trace-diff in both directions; wall time and
+# memory never gate, so this step is stable on any CI machine.
 scripts/perf_gate.sh
 
 echo "CI OK"

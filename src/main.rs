@@ -1,7 +1,7 @@
 //! The `gfab` command-line tool: word-level abstraction and equivalence
 //! checking of Galois field circuits from netlist files.
 //!
-//! The [`COMMANDS`] table declares all fourteen subcommands with their
+//! The [`COMMANDS`] table declares all thirteen subcommands with their
 //! operands and flags; it drives dispatch, argv parsing (see [`cli`]),
 //! `gfab help` and every `gfab <cmd> --help`:
 //!
@@ -9,7 +9,7 @@
 //!   `batch`, `fuzz`;
 //! * netlists — `gen`, `info`;
 //! * traces and run history — `trace-check`, `trace-diff`, `trace-agg`,
-//!   `flame`, `report`, `bench-diff`.
+//!   `flame`, `report`.
 //!
 //! Netlists use the line-oriented text format of
 //! [`gfab::netlist::format`]; `gfab gen` produces them.
@@ -101,9 +101,6 @@ const COMMANDS: &[Command] = &[
     Command { name: "report", summary: "render a run-ledger dashboard, or follow it as it grows",
         positionals: &["<ledger.jsonl>"],
         flags: &[&["--md", "--follow", "--interval D", "--iterations N"]], run: cmd_report },
-    Command { name: "bench-diff", summary: "diff two benchmark --json result files",
-        positionals: &["<baseline.json>", "<current.json>"], flags: &[&["--threshold PCT"]],
-        run: cmd_bench_diff },
     Command { name: "fuzz", summary: "deterministic differential fuzzing campaign",
         positionals: &[],
         flags: &[&["--seed N", "--cases N"], THREADS,
@@ -196,8 +193,10 @@ deltas. With --threshold PCT it exits 1 when any phase's *work units*
 (deterministic effort counters, identical across thread counts and
 machines) grew more than PCT percent over baseline; wall time and
 memory are informational, never gated (--wall adds an informational
-Δwall column). bench-diff does the same for two `--json` result files
-from the paper-table benchmarks.
+Δwall column). A counter or work-unit sum that overflows u64 is an
+error (exit 2) naming the phase path and counter. The paper-table
+benchmark binaries write the same traces (--trace-json); the perf gate
+is `trace-diff BASE CUR --threshold 0` run in both directions.
 
 trace-agg streams any number of JSONL traces into per-group summaries
 (span counts, work units, wall-time p50/p90/p99/max from mergeable
@@ -205,7 +204,9 @@ histograms), grouped by phase path (default), field width k, or
 generator architecture. Aggregating shards separately and merging
 yields byte-identical output to aggregating their concatenation.
 --json FILE writes the summary as a strict v4 `agg` JSONL document
-that `gfab trace-check` validates.
+that `gfab trace-check` validates. A group's counter or work-unit sum
+that overflows u64 exits 2 naming the group and counter, as does a run
+whose work units overflow in `report`'s drift table.
 
 flame folds one trace into flamegraph input on stdout: --out folded
 (default) emits Brendan-Gregg collapsed stacks weighted by self time;
@@ -957,7 +958,7 @@ fn cmd_trace_diff(args: &Args) -> Result<ExitCode, String> {
     let threshold = args.value_with("--threshold", parse_threshold)?;
     let a = load_trace(args.positionals[0])?;
     let b = load_trace(args.positionals[1])?;
-    let diff = gfab::telemetry::TraceDiff::compute(&a, &b);
+    let diff = gfab::telemetry::TraceDiff::compute(&a, &b)?;
     print!("{}", diff.render_opts(args.has("--wall")));
     let Some(pct) = threshold else {
         return Ok(ExitCode::SUCCESS);
@@ -986,7 +987,8 @@ fn cmd_trace_agg(args: &Args) -> Result<ExitCode, String> {
         .unwrap_or(GroupBy::Phase);
     let mut agg = TraceAgg::new(group_by);
     for path in &args.positionals {
-        agg.add_trace(&load_trace(path)?);
+        agg.add_trace(&load_trace(path)?)
+            .map_err(|e| format!("{path}: {e}"))?;
     }
     print!("{}", agg.render());
     if let Some(out) = args.value("--json") {
@@ -1044,7 +1046,10 @@ fn cmd_report(args: &Args) -> Result<ExitCode, String> {
         let seen = Some((ledger.rows.len(), ledger.skipped));
         if last != seen {
             last = seen;
-            print!("{}", ledger.render_report(args.has("--md")));
+            let report = ledger
+                .render_report(args.has("--md"))
+                .map_err(|e| format!("{path}: {e}"))?;
+            print!("{report}");
         }
         if !follow || iterations.is_some_and(|n| round >= n) {
             break;
@@ -1052,34 +1057,6 @@ fn cmd_report(args: &Args) -> Result<ExitCode, String> {
         std::thread::sleep(interval.unwrap_or(std::time::Duration::from_millis(500)));
     }
     Ok(ExitCode::SUCCESS)
-}
-
-/// Aligns two benchmark `--json` result files by row identity and reports
-/// per-field deltas; gating mirrors `trace-diff` (deterministic fields
-/// only — wall time and memory never fail the gate).
-fn cmd_bench_diff(args: &Args) -> Result<ExitCode, String> {
-    let threshold = args.value_with("--threshold", parse_threshold)?;
-    let read_rows = |path: &str| -> Result<Vec<gfab::bench::diff::Row>, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        gfab::bench::diff::parse_rows(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let a = read_rows(args.positionals[0])?;
-    let b = read_rows(args.positionals[1])?;
-    let diff = gfab::bench::diff::BenchDiff::compute(a, b);
-    print!("{}", diff.render());
-    let Some(pct) = threshold else {
-        return Ok(ExitCode::SUCCESS);
-    };
-    let regs = diff.regressions(pct);
-    if regs.is_empty() {
-        println!("OK: no deterministic field exceeds the +{pct}% threshold");
-        Ok(ExitCode::SUCCESS)
-    } else {
-        for r in &regs {
-            println!("REGRESSION {r}");
-        }
-        Ok(ExitCode::FAILURE)
-    }
 }
 
 /// Parses the fuzz flags shared by campaigns and replays.

@@ -29,16 +29,26 @@ fn field(k: usize) -> Arc<GfContext> {
 }
 
 #[test]
-fn mastrovito_canonical_is_product_for_k2_to_k16() {
-    for k in [2usize, 3, 4, 5, 8, 12, 16] {
+fn mastrovito_canonical_is_product_for_k2_to_k64() {
+    for k in [2usize, 3, 4, 5, 8, 12, 16, 32, 64] {
         let ctx = field(k);
         let nl = mastrovito_multiplier(&ctx);
-        let f = extract_word_polynomial(&nl, &ctx)
-            .unwrap()
+        let result = extract_word_polynomial(&nl, &ctx).unwrap();
+        let f = result
             .canonical()
-            .cloned()
             .unwrap_or_else(|| panic!("k={k}: expected Case 1"));
         assert_eq!(format!("{}", f.display()), "A*B", "k={k}");
+        // Peak live terms of the pinned table1 rows (not a work unit, so
+        // the trace-diff perf gate does not see it).
+        let peak = match k {
+            16 => Some(497),
+            32 => Some(2017),
+            64 => Some(8129),
+            _ => None,
+        };
+        if let Some(peak) = peak {
+            assert_eq!(result.stats.peak_terms, peak, "k={k}");
+        }
     }
 }
 
@@ -178,6 +188,7 @@ fn adder_and_constant_multiplier_canonical_forms() {
 
 #[test]
 fn three_extraction_routes_agree_on_generators() {
+    use CircuitVarOrder::{Declaration as Decl, ReverseTopological as Rato};
     // Guided, full-GB and Lagrange must produce identical canonical forms.
     for k in [2usize, 3] {
         let ctx = field(k);
@@ -199,19 +210,29 @@ fn three_extraction_routes_agree_on_generators() {
                 guided.display(),
                 lagrange.display()
             );
-            match full_gb_abstraction(
-                &nl,
-                &ctx,
-                CircuitVarOrder::ReverseTopological,
-                &GbLimits::default(),
-            )
-            .unwrap()
-            {
-                FullGbOutcome::Canonical { function, .. } => {
-                    assert!(function.matches(&guided), "k={k} {}", nl.name());
-                }
-                FullGbOutcome::GaveUp { reason, .. } => {
-                    panic!("k={k} {} full GB gave up: {reason}", nl.name())
+            // Full GB under RATO; the Mastrovito circuit also under
+            // declaration order, pinning table4's ablation 1 as (pairs
+            // reduced, pairs pruned) per order. The trace gate sees only
+            // their summed S-polynomials.
+            let runs = match nl.name() {
+                "mastrovito_2" => vec![(Rato, Some((13, 338))), (Decl, Some((16, 419)))],
+                "mastrovito_3" => vec![(Rato, Some((25, 1250))), (Decl, Some((33, 1678)))],
+                _ => vec![(Rato, None)],
+            };
+            for (order, pinned) in runs {
+                match full_gb_abstraction(&nl, &ctx, order, &GbLimits::default()).unwrap() {
+                    FullGbOutcome::Canonical {
+                        function, stats, ..
+                    } => {
+                        assert!(function.matches(&guided), "k={k} {} {order:?}", nl.name());
+                        let pruned = stats.pairs_skipped_product + stats.pairs_skipped_chain;
+                        if let Some(pinned) = pinned {
+                            assert_eq!((stats.pairs_reduced, pruned), pinned, "k={k} {order:?}");
+                        }
+                    }
+                    FullGbOutcome::GaveUp { reason, .. } => {
+                        panic!("k={k} {} full GB gave up: {reason}", nl.name())
+                    }
                 }
             }
         }

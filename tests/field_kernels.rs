@@ -213,4 +213,67 @@ fn kernel_counter_deltas_are_deterministic() {
         kernel::snapshot().delta_since(&before)
     };
     assert_eq!(run(), run());
+
+    // A fixed seeded workload per NIST field pins the counters exactly,
+    // together with an FNV-1a checksum of every result: any drift means
+    // the kernels changed their results or their work profile.
+    assert_eq!(pinned_kernel_profile(), PINNED_KERNEL_PROFILE);
+}
+
+/// Expected [`pinned_kernel_profile`] lines: one per NIST field, then
+/// the totals (whose checksum chains through all five fields).
+const PINNED_KERNEL_PROFILE: [&str; 6] = [
+    "k=163 coeff-muls=221 coeff-squares=32 reduction-folds=976 inline=253 heap=0 checksum=bb9ee98ae26449b5",
+    "k=233 coeff-muls=221 coeff-squares=32 reduction-folds=1264 inline=253 heap=0 checksum=145e21e69f5c1e03",
+    "k=283 coeff-muls=221 coeff-squares=32 reduction-folds=1265 inline=253 heap=0 checksum=e101c29f539a3bfd",
+    "k=409 coeff-muls=221 coeff-squares=32 reduction-folds=1771 inline=253 heap=0 checksum=83120ee7367378d5",
+    "k=571 coeff-muls=221 coeff-squares=32 reduction-folds=2523 inline=253 heap=0 checksum=04b8025f7e28c335",
+    "total coeff-muls=1105 coeff-squares=160 reduction-folds=7799 inline=1265 heap=0 checksum=04b8025f7e28c335",
+];
+
+/// Per NIST field: 32 multiplies and 32 squarings of seeded random
+/// elements plus one batch inversion, reported as kernel counter deltas
+/// and a running FNV-1a checksum over every result's limb bytes.
+fn pinned_kernel_profile() -> Vec<String> {
+    let fnv1a = |mut h: u64, p: &Gf2Poly| {
+        for b in p.limbs().iter().flat_map(|limb| limb.to_le_bytes()) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        h
+    };
+    let line = |what: String, c: &kernel::KernelCounts, checksum: u64| {
+        format!(
+            "{what} coeff-muls={} coeff-squares={} reduction-folds={} inline={} heap={} \
+             checksum={checksum:016x}",
+            c.coeff_muls, c.coeff_squares, c.reduction_folds, c.inline_results, c.heap_results
+        )
+    };
+    let mut lines = Vec::new();
+    let mut total = kernel::KernelCounts::new();
+    let mut checksum = 0xCBF2_9CE4_8422_2325u64; // FNV-1a offset basis
+    for k in NIST_DEGREES {
+        let ctx = GfContext::new(irreducible_polynomial(k).unwrap()).unwrap();
+        let mut rng = Rng::seed_from_u64(0xC0FF_EE00 ^ k as u64);
+        let elems: Vec<Gf> = (0..64).map(|_| random_element(&ctx, &mut rng)).collect();
+        let before = kernel::snapshot();
+        for pair in elems.chunks(2) {
+            checksum = fnv1a(checksum, ctx.mul(&pair[0], &pair[1]).as_poly());
+            checksum = fnv1a(checksum, ctx.square(&pair[0]).as_poly());
+        }
+        let nonzero: Vec<Gf> = elems.iter().filter(|e| !e.is_zero()).cloned().collect();
+        for inv in ctx.batch_inv(&nonzero).unwrap() {
+            checksum = fnv1a(checksum, inv.as_poly());
+        }
+        let d = kernel::snapshot().delta_since(&before);
+        lines.push(line(format!("k={k}"), &d, checksum));
+        total = kernel::KernelCounts {
+            coeff_muls: total.coeff_muls + d.coeff_muls,
+            coeff_squares: total.coeff_squares + d.coeff_squares,
+            reduction_folds: total.reduction_folds + d.reduction_folds,
+            inline_results: total.inline_results + d.inline_results,
+            heap_results: total.heap_results + d.heap_results,
+        };
+    }
+    lines.push(line("total".to_string(), &total, checksum));
+    lines
 }

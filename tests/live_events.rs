@@ -323,6 +323,31 @@ fn report_follow_renders_and_skips_garbage_lines() {
         "stderr: {}",
         stderr(&out)
     );
+
+    // Drift sums never wrap: two rows of one run at 2^63 work units each,
+    // then a later run at 1, exit 2 naming the run and the counter.
+    let with_work = |row: &str, work: u64| {
+        let at = row.find("\"work_units\":").expect("row has work_units") + 13;
+        let end = at + row[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        format!("{}{work}{}", &row[..at], &row[end..])
+    };
+    let big = with_work(&rows[0], 1 << 63);
+    std::fs::write(
+        &ledger,
+        format!("{big}\n{big}\n{}\n", with_work(&rows[1], 1)),
+    )
+    .expect("rewrite ledger");
+    let out = run(&["report", ledger.to_str().unwrap()]);
+    assert_eq!(code(&out), 2, "stdout: {}", stdout(&out));
+    let run_id = {
+        let at = rows[0].find("\"run\":\"").unwrap() + 7;
+        &rows[0][at..at + rows[0][at..].find('"').unwrap()]
+    };
+    let err = stderr(&out);
+    assert!(
+        err.contains(&format!("run {run_id}")) && err.contains("work_units"),
+        "stderr: {err}"
+    );
 }
 
 #[test]

@@ -116,10 +116,10 @@ fn aggregating_shards_equals_aggregating_the_whole() {
     let whole = Trace::merged([(&s1, Duration::ZERO), (&s2, Duration::from_micros(1500))]);
     for group_by in [GroupBy::Phase, GroupBy::K, GroupBy::Arch] {
         let mut sharded = TraceAgg::new(group_by);
-        sharded.add_trace(&s1);
-        sharded.add_trace(&s2);
+        sharded.add_trace(&s1).unwrap();
+        sharded.add_trace(&s2).unwrap();
         let mut unsharded = TraceAgg::new(group_by);
-        unsharded.add_trace(&whole);
+        unsharded.add_trace(&whole).unwrap();
         assert_eq!(
             sharded.to_jsonl(),
             unsharded.to_jsonl(),
@@ -169,6 +169,29 @@ fn binary_trace_agg_is_shard_order_invariant_and_checkable() {
     std::fs::write(&out_a, tampered).unwrap();
     let o = run(&["trace-check", out_a.to_str().unwrap()]);
     assert_eq!(code(&o), 2, "stdout: {}", stdout(&o));
+
+    // Sums over records never wrap: two extraction spans of 2^63 gates
+    // each exit 2 naming the group and counter, and write no document.
+    let mut spans = sample_trace(0).spans().to_vec();
+    for s in &mut spans[1..3] {
+        s.counters = vec![(Counter::Gates, 1 << 63)];
+    }
+    let huge = dir.join("huge.jsonl");
+    std::fs::write(&huge, Trace::from_spans(spans).to_jsonl()).unwrap();
+    let out_h = dir.join("agg-huge.jsonl");
+    let o = run(&[
+        "trace-agg",
+        huge.to_str().unwrap(),
+        "--json",
+        out_h.to_str().unwrap(),
+    ]);
+    assert_eq!(code(&o), 2, "stdout: {}", stdout(&o));
+    let err = stderr(&o);
+    assert!(
+        err.contains("group check/extract") && err.contains("gates"),
+        "{err}"
+    );
+    assert!(!out_h.exists(), "no agg document for an overflowing sum");
 }
 
 #[test]

@@ -1,11 +1,11 @@
-//! Integration tests for the trace/bench comparison tooling:
+//! Integration tests for the trace comparison tooling:
 //!
 //! * `gfab trace-diff` — alignment by phase path, deterministic
 //!   work-unit gating across thread counts, rejection of pre-v4 files,
-//!   mutation-style regression detection;
+//!   mutation-style regression detection in both directions (the perf
+//!   gate's exact check), and overflow-proof sums;
 //! * `gfab trace-check` — line number *and* field path on corrupted
-//!   traces, ledgers and event streams, and torn final lines;
-//! * `gfab bench-diff` — gating on deterministic benchmark fields only.
+//!   traces, ledgers and event streams, and torn final lines.
 //!
 //! The binary is spawned for real (via `CARGO_BIN_EXE_gfab`), traces are
 //! produced by its own `equiv --trace-json`, and both the exit status and
@@ -170,6 +170,92 @@ fn inflated_counter_trips_the_gate_and_names_the_phase() {
         "200",
     ]);
     assert_eq!(code(&out), 0, "stdout: {}", stdout(&out));
+
+    // A counter lowered by one passes A -> B and fails B -> A: why the
+    // perf gate runs `--threshold 0` in both directions.
+    let lowered = temp_dir().join("mutation-lowered.jsonl");
+    let trace = std::fs::read_to_string(&base).expect("trace readable");
+    std::fs::write(
+        &lowered,
+        trace.replace(
+            &format!("\"reduction-steps\":{steps}"),
+            &format!("\"reduction-steps\":{}", steps - 1),
+        ),
+    )
+    .expect("write lowered trace");
+    let diff = |a: &PathBuf, b: &PathBuf| {
+        run(&[
+            "trace-diff",
+            a.to_str().unwrap(),
+            b.to_str().unwrap(),
+            "--threshold",
+            "0",
+        ])
+    };
+    let out = diff(&base, &lowered);
+    assert_eq!(code(&out), 0, "stdout: {}", stdout(&out));
+    let out = diff(&lowered, &base);
+    assert_eq!(code(&out), 1, "stdout: {}", stdout(&out));
+    assert!(
+        stdout(&out).contains("REGRESSION check/extract/guided-reduction"),
+        "stdout: {}",
+        stdout(&out)
+    );
+
+    // Sums over file records never wrap: two model-build spans of 2^63
+    // gates each would sum to 0 and hide the regression; instead the
+    // diff is an error naming the side, phase path and counter.
+    let huge = temp_dir().join("mutation-overflow.jsonl");
+    std::fs::write(&huge, twin_trace(1 << 63, 1)).expect("write overflow trace");
+    let out = run(&["trace-check", huge.to_str().unwrap()]);
+    assert_eq!(code(&out), 0, "each record is valid: {}", stderr(&out));
+    let out = diff(&base, &huge);
+    assert_eq!(code(&out), 2, "stdout: {}", stdout(&out));
+    let err = stderr(&out);
+    assert!(
+        err.contains("current trace")
+            && err.contains("extract/model-build")
+            && err.contains("gates"),
+        "{err}"
+    );
+    // Histograms saturate instead: 2^63 + 2^63 samples read as u64::MAX,
+    // not as an empty distribution.
+    let (small, big) = (
+        temp_dir().join("hist-small.jsonl"),
+        temp_dir().join("hist-big.jsonl"),
+    );
+    std::fs::write(&small, twin_trace(1, 1)).expect("write histogram trace");
+    std::fs::write(&big, twin_trace(1, 1 << 63)).expect("write histogram trace");
+    let out = diff(&small, &big);
+    assert_eq!(code(&out), 0, "stdout: {}", stdout(&out));
+    assert!(
+        stdout(&out).contains("n 2 -> 18446744073709551615"),
+        "stdout: {}",
+        stdout(&out)
+    );
+}
+
+/// A three-span trace: an `extract` root over two `model-build` spans,
+/// each carrying `gates` gates and a `division-chain-len` histogram of
+/// `samples` samples of 1.
+fn twin_trace(gates: u64, samples: u64) -> String {
+    let child = |id: u64| {
+        format!(
+            "{{\"type\":\"span\",\"id\":{id},\"parent\":1,\"phase\":\"model-build\",\
+             \"label\":null,\"thread\":0,\"start_us\":0,\"dur_us\":5,\
+             \"counters\":{{\"gates\":{gates}}},\"gauges\":{{}},\
+             \"hists\":{{\"division-chain-len\":{{\"count\":{samples},\"sum\":{samples},\
+             \"min\":1,\"max\":1,\"buckets\":[{samples},0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}}}}}}\n"
+        )
+    };
+    format!(
+        "{{\"type\":\"trace\",\"version\":4,\"spans\":3}}\n\
+         {{\"type\":\"span\",\"id\":1,\"parent\":null,\"phase\":\"extract\",\
+         \"label\":\"mastrovito_16\",\"thread\":0,\"start_us\":0,\"dur_us\":10,\
+         \"counters\":{{}},\"gauges\":{{}},\"hists\":{{}}}}\n{}{}",
+        child(2),
+        child(3)
+    )
 }
 
 /// A hand-written v4 trace: two spans shaped like an `extract` run.
@@ -318,56 +404,10 @@ fn trace_check_names_line_and_field_path() {
 }
 
 #[test]
-fn bench_diff_gates_deterministic_fields_only() {
-    let base = temp_dir().join("bench-base.json");
-    let cur = temp_dir().join("bench-cur.json");
-    let baseline = concat!(
-        "{\"table\":\"table1\",\"k\":16,\"gates\":1088,\"time_s\":0.5,",
-        "\"reduction_steps\":5000,\"peak_terms\":300,\"peak_mem_bytes\":1000000,",
-        "\"result\":\"Z=A*B\"}\n"
-    );
-    std::fs::write(&base, baseline).expect("write baseline");
-    // Slower wall clock and bigger peak memory, same algorithmic effort:
-    // not a regression.
-    let drifted = baseline
-        .replace("\"time_s\":0.5", "\"time_s\":9.9")
-        .replace("\"peak_mem_bytes\":1000000", "\"peak_mem_bytes\":9999999");
-    std::fs::write(&cur, drifted).expect("write current");
-    let out = run(&[
-        "bench-diff",
-        base.to_str().unwrap(),
-        cur.to_str().unwrap(),
-        "--threshold",
-        "0",
-    ]);
-    assert_eq!(code(&out), 0, "stdout: {}", stdout(&out));
-    assert!(stdout(&out).contains("OK"), "stdout: {}", stdout(&out));
-
-    // More reduction steps *is* a regression, and the verdict names the
-    // row and field.
-    let slower = baseline.replace("\"reduction_steps\":5000", "\"reduction_steps\":6000");
-    std::fs::write(&cur, slower).expect("write current");
-    let out = run(&[
-        "bench-diff",
-        base.to_str().unwrap(),
-        cur.to_str().unwrap(),
-        "--threshold",
-        "10",
-    ]);
-    assert_eq!(code(&out), 1, "stdout: {}", stdout(&out));
-    let text = stdout(&out);
-    assert!(
-        text.contains("REGRESSION") && text.contains("reduction_steps"),
-        "stdout: {text}"
-    );
-    assert!(text.contains("table1 k=16"), "stdout: {text}");
-}
-
-#[test]
 fn diff_usage_errors_exit_two() {
     let out = run(&["trace-diff", "only-one.jsonl"]);
     assert_eq!(code(&out), 2);
-    let out = run(&["bench-diff", "a.json", "b.json", "--threshold", "lots"]);
+    let out = run(&["trace-diff", "a.jsonl", "b.jsonl", "--threshold", "lots"]);
     assert_eq!(code(&out), 2);
     assert!(
         stderr(&out).contains("bad threshold"),
@@ -376,12 +416,10 @@ fn diff_usage_errors_exit_two() {
     );
     // A threshold that is not a finite percentage would let every
     // regression pass the gate.
-    for cmd in ["trace-diff", "bench-diff"] {
-        for value in ["nan", "inf", "NaN%"] {
-            let out = run(&[cmd, "a.jsonl", "b.jsonl", "--threshold", value]);
-            assert_eq!(code(&out), 2, "{cmd} --threshold {value}");
-            let err = stderr(&out);
-            assert!(err.contains("--threshold") && err.contains(value), "{err}");
-        }
+    for value in ["nan", "inf", "NaN%"] {
+        let out = run(&["trace-diff", "a.jsonl", "b.jsonl", "--threshold", value]);
+        assert_eq!(code(&out), 2, "trace-diff --threshold {value}");
+        let err = stderr(&out);
+        assert!(err.contains("--threshold") && err.contains(value), "{err}");
     }
 }
