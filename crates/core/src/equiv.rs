@@ -7,13 +7,14 @@
 //! produced.
 
 use crate::error::CoreError;
-use crate::extract::{ExtractOptions, ExtractionStats};
-use crate::hier::extract_hierarchical_budgeted_with;
+use crate::extract::{ExtractOptions, ExtractionResult, ExtractionStats};
+use crate::hier::{extract_hierarchical_budgeted_with, HierExtraction};
 use crate::provider::{DirectExtract, ExtractProvider};
 use crate::wordfn::WordFunction;
+use crate::Circuit;
 use gfab_field::budget::Budget;
 use gfab_field::{Gf, GfContext, Rng};
-use gfab_netlist::hierarchy::HierDesign;
+use gfab_netlist::hierarchy::Signal;
 use gfab_netlist::sim::{random_equivalence_check_traced, SimOutcome};
 use gfab_netlist::Netlist;
 use gfab_telemetry::{Phase, Trace};
@@ -78,6 +79,32 @@ impl Verdict {
             self,
             Verdict::Equivalent { .. } | Verdict::EquivalentBySat { .. }
         )
+    }
+
+    /// The one-word verdict shown on result lines, in ledger rows and in
+    /// live `query-done` events: `equivalent`, `inequivalent` or
+    /// `unknown`.
+    #[must_use]
+    pub fn word(&self) -> &'static str {
+        match self {
+            Verdict::Equivalent { .. } | Verdict::EquivalentBySat { .. } => "equivalent",
+            Verdict::Inequivalent { .. }
+            | Verdict::InequivalentBySimulation { .. }
+            | Verdict::InequivalentBySat { .. } => "inequivalent",
+            Verdict::Unknown { .. } => "unknown",
+        }
+    }
+
+    /// The engine that decided: `word` (coefficient matching),
+    /// `simulation`, `sat`, or `none` for `Unknown`.
+    #[must_use]
+    pub fn method(&self) -> &'static str {
+        match self {
+            Verdict::Equivalent { .. } | Verdict::Inequivalent { .. } => "word",
+            Verdict::InequivalentBySimulation { .. } => "simulation",
+            Verdict::EquivalentBySat { .. } | Verdict::InequivalentBySat { .. } => "sat",
+            Verdict::Unknown { .. } => "none",
+        }
     }
 
     /// The distinguishing input assignment, for any inequivalence
@@ -181,102 +208,83 @@ impl EquivReport {
     }
 }
 
-/// Checks functional equivalence of two flat netlists over `F_{2^k}`.
+/// Checks a flat spec against a flat or hierarchical implementation over
+/// `F_{2^k}`: the plain entry point of [`check_equivalence_budgeted_with`]
+/// (direct extraction, the options' own budget).
 ///
 /// # Errors
 ///
-/// Propagates extraction errors; a [`CoreError::SignatureMismatch`] is
-/// returned when the interfaces (input word counts/widths) differ.
-pub fn check_equivalence(
+/// As [`check_equivalence_budgeted_with`].
+pub fn check_equivalence<'a>(
     spec: &Netlist,
-    impl_: &Netlist,
+    impl_: impl Into<Circuit<'a>>,
     ctx: &Arc<GfContext>,
     options: &ExtractOptions,
 ) -> Result<EquivReport, CoreError> {
-    check_equivalence_budgeted(spec, impl_, ctx, options, &options.budget.start())
+    let budget = options.budget.start();
+    check_equivalence_budgeted_with(&DirectExtract, spec, impl_.into(), ctx, options, &budget)
 }
 
-/// [`check_equivalence`] under an already-running cooperative [`Budget`]
-/// shared by both abstractions (and, in the `Verifier` ladder, by the SAT
-/// fallback that may follow). Budget exhaustion mid-pipeline degrades to
+/// The equivalence ladder, for flat and hierarchical implementations
+/// alike: signature check, simulation pre-check, extraction of both
+/// sides, then coefficient matching — or, when a side has no canonical
+/// form, a refutation sweep before [`Verdict::Unknown`].
+///
+/// Runs under an already-running cooperative [`Budget`] shared by both
+/// abstractions (and, in the `Verifier` ladder, by the SAT fallback that
+/// may follow). Budget exhaustion mid-pipeline degrades to
 /// [`Verdict::Unknown`] with the exhausted resource named — never an
-/// error — so a caller can always act on the verdict.
+/// error — so a caller can always act on the verdict. Work units are
+/// charged only by the (deterministic) word-level algebra, so under a
+/// pure work cap the verdict is identical at any thread count; wall-clock
+/// deadlines only decide *whether* a run completes.
 ///
-/// Determinism: work units are charged only by the (deterministic)
-/// word-level algebra, so under a pure work cap the verdict is identical
-/// at any thread count. Wall-clock deadlines only decide *whether* a run
-/// completes, never what a completed run returns.
-///
-/// # Errors
-///
-/// As [`check_equivalence`]; additionally [`CoreError::BudgetExhausted`]
-/// when the budget is spent before any partial result exists.
-pub fn check_equivalence_budgeted(
-    spec: &Netlist,
-    impl_: &Netlist,
-    ctx: &Arc<GfContext>,
-    options: &ExtractOptions,
-    budget: &Budget,
-) -> Result<EquivReport, CoreError> {
-    check_equivalence_budgeted_with(&DirectExtract, spec, impl_, ctx, options, budget)
-}
-
-/// [`check_equivalence_budgeted`] with an explicit [`ExtractProvider`]
-/// supplying the per-side extractions — the hook the batch engine's
-/// artifact cache plugs into. With [`DirectExtract`] this *is*
-/// [`check_equivalence_budgeted`]; with any provider honouring the
-/// determinism contract (see [`crate::provider`]) the verdict is
-/// bit-identical.
-///
-/// Only the two flat extractions route through the provider. The
-/// simulation pre-check, the refutation sweep and the decision step are
-/// per-query (they depend on the *pair*, not one netlist) and always
-/// run.
+/// Every flat extraction — each side, each block of a hierarchical impl —
+/// goes through `provider`, the hook the batch engine's artifact cache
+/// plugs into; with any provider honouring the determinism contract (see
+/// [`ExtractProvider`]) the verdict is bit-identical to [`DirectExtract`]'s.
+/// The simulation sweeps and the decision depend on the *pair* and
+/// always run.
 ///
 /// # Errors
 ///
-/// As [`check_equivalence_budgeted`].
+/// * [`CoreError::SignatureMismatch`] when the interfaces (input word
+///   counts/widths, output width) differ;
+/// * any other extraction error, the spec's first. A hierarchical block
+///   that runs out of budget or stays in Case 2 is not an error: the
+///   impl then has no canonical form, like a flat residual.
 pub fn check_equivalence_budgeted_with(
     provider: &dyn ExtractProvider,
     spec: &Netlist,
-    impl_: &Netlist,
+    impl_: Circuit<'_>,
     ctx: &Arc<GfContext>,
     options: &ExtractOptions,
     budget: &Budget,
 ) -> Result<EquivReport, CoreError> {
     check_signatures(spec, impl_)?;
+    let (threads, tele) = (options.threads, &options.telemetry);
+    let sweep = |imp: &Netlist, n: usize, seed: u64, label: &str| {
+        let mut rng = Rng::seed_from_u64(seed);
+        random_equivalence_check_traced(spec, imp, ctx, n, &mut rng, threads, budget, tele, label)
+    };
     // Cheap pre-check on larger fields: 64 random co-simulations refute a
     // buggy pair in milliseconds, where the Case-2 completion a buggy
     // extraction would trigger grows with q = 2^k. Small fields (k <= 5)
     // skip this so the verdict carries both canonical polynomials (richer
-    // diagnostics, and the completion there is fast anyway).
-    if ctx.k() > 5 {
-        let mut rng = Rng::seed_from_u64(0xFA57);
-        match random_equivalence_check_traced(
-            spec,
-            impl_,
-            ctx,
-            64,
-            &mut rng,
-            options.threads,
-            budget,
-            &options.telemetry,
-            "pre-check",
-        ) {
-            SimOutcome::Differ(cex) => {
-                return Ok(EquivReport {
-                    verdict: Verdict::InequivalentBySimulation {
-                        counterexample: cex,
-                    },
-                    spec_stats: ExtractionStats::default(),
-                    impl_stats: ExtractionStats::default(),
-                    sat: None,
-                    trace: None,
-                });
-            }
-            // An interrupted sweep proves nothing; fall through and let
-            // the word-level phase (or its own entry poll) decide.
-            SimOutcome::Agree | SimOutcome::OutOfBudget(_) => {}
+    // diagnostics, and the completion there is fast anyway). A
+    // hierarchical impl skips it too: it would first need
+    // `design.flatten()`, and at k = 283 flattening (155 ms) plus the
+    // simulation (80 ms) cost about 9 % of a 2.7 s query that every
+    // correct design would pay. An interrupted sweep proves nothing.
+    if let (Circuit::Flat(nl), true) = (impl_, ctx.k() > 5) {
+        if let SimOutcome::Differ(counterexample) = sweep(nl, 64, 0xFA57, "pre-check") {
+            return Ok(EquivReport {
+                verdict: Verdict::InequivalentBySimulation { counterexample },
+                spec_stats: ExtractionStats::default(),
+                impl_stats: ExtractionStats::default(),
+                sat: None,
+                trace: None,
+            });
         }
     }
     // Spec and impl abstractions are independent; run them on two scoped
@@ -285,55 +293,63 @@ pub fn check_equivalence_budgeted_with(
     // sides tick the *same* budget: a work cap bounds the query total.
     // Each side runs under a labelled `Phase::Extract` span (opened on
     // whichever thread performs the work, so the span measures on-thread
-    // time); the extraction's own model/reduction spans nest beneath it.
-    let extract_side = |nl: &Netlist, label: &str| {
-        if options.telemetry.is_enabled() {
-            let span = options.telemetry.span_labeled(Phase::Extract, label);
-            let opts = options.clone().with_telemetry(span.telemetry());
-            let r = provider.extract(nl, ctx, &opts, budget);
-            let _ = span.finish();
-            r
-        } else {
-            provider.extract(nl, ctx, options, budget)
-        }
+    // time); the extraction's own spans nest beneath it. Both results,
+    // models included, live until the verdict is built.
+    let spec_side = || {
+        options.in_span(Phase::Extract, "spec", |opts| {
+            provider.extract(spec, ctx, opts, budget)
+        })
+    };
+    let impl_side = || {
+        options.in_span(Phase::Extract, "impl", |opts| match impl_ {
+            Circuit::Flat(nl) => provider.extract(nl, ctx, opts, budget).map(ImplSide::Flat),
+            Circuit::Hier(design) => {
+                match extract_hierarchical_budgeted_with(provider, design, ctx, opts, budget) {
+                    Ok(h) => Ok(ImplSide::Hier(Some(h))),
+                    Err(CoreError::BudgetExhausted { .. } | CoreError::CompletionLimit(_)) => {
+                        Ok(ImplSide::Hier(None))
+                    }
+                    Err(e) => Err(e),
+                }
+            }
+        })
     };
     let (spec_res, impl_res) = if options.effective_threads() > 1 {
         std::thread::scope(|scope| {
-            let spec_handle = scope.spawn(|| extract_side(spec, "spec"));
-            let impl_res = extract_side(impl_, "impl");
+            let spec_handle = scope.spawn(spec_side);
+            let impl_res = impl_side();
             (
                 spec_handle.join().expect("spec extraction thread panicked"),
                 impl_res,
             )
         })
     } else {
-        (extract_side(spec, "spec"), extract_side(impl_, "impl"))
+        (spec_side(), impl_side())
     };
     let (spec_res, impl_res) = (spec_res?, impl_res?);
-    let verdict = match (spec_res.canonical(), impl_res.canonical()) {
+    let impl_fn = match &impl_res {
+        ImplSide::Flat(r) => r.canonical(),
+        ImplSide::Hier(h) => h.as_ref().map(|h| &h.function),
+    };
+    let verdict = match (spec_res.canonical(), impl_fn) {
         (Some(f1), Some(f2)) => decide(f1.clone(), f2.clone()),
-        (a, _) => {
+        (f1, _) => {
             // One side stayed a Case-2 residual (large field, completion
             // unavailable) or timed out. Try to at least *refute*
             // equivalence by random simulation before reporting Unknown:
             // over a large field a functional difference is detected with
-            // overwhelming probability.
-            let mut rng = Rng::seed_from_u64(0xCEC);
-            let sim = random_equivalence_check_traced(
-                spec,
-                impl_,
-                ctx,
-                256,
-                &mut rng,
-                options.threads,
-                budget,
-                &options.telemetry,
-                "refute",
-            );
-            if let SimOutcome::Differ(cex) = sim {
-                Verdict::InequivalentBySimulation {
-                    counterexample: cex,
+            // overwhelming probability. A hierarchical impl is flattened
+            // for this, on this path only.
+            let flat;
+            let imp = match impl_ {
+                Circuit::Flat(nl) => nl,
+                Circuit::Hier(design) => {
+                    flat = design.flatten();
+                    &flat
                 }
+            };
+            if let SimOutcome::Differ(counterexample) = sweep(imp, 256, 0xCEC, "refute") {
+                Verdict::InequivalentBySimulation { counterexample }
             } else if let Some(reason) = budget.exhausted() {
                 // Deliberately side-agnostic: with a shared work cap and
                 // parallel extraction, *which* side trips first races —
@@ -345,7 +361,7 @@ pub fn check_equivalence_budgeted_with(
                     ),
                 }
             } else {
-                let side = if a.is_none() { "spec" } else { "impl" };
+                let side = if f1.is_none() { "spec" } else { "impl" };
                 Verdict::Unknown {
                     reason: format!(
                         "{side} abstraction did not reach a canonical form \
@@ -355,144 +371,10 @@ pub fn check_equivalence_budgeted_with(
             }
         }
     };
-    Ok(EquivReport {
-        verdict,
-        spec_stats: spec_res.stats,
-        impl_stats: impl_res.stats,
-        sat: None,
-        trace: None,
-    })
-}
-
-/// Checks a flat Spec against a hierarchical Impl (the paper's headline
-/// configuration: flattened Mastrovito vs. four-block Montgomery).
-///
-/// # Errors
-///
-/// As [`check_equivalence`].
-pub fn check_equivalence_hier(
-    spec: &Netlist,
-    impl_: &HierDesign,
-    ctx: &Arc<GfContext>,
-    options: &ExtractOptions,
-) -> Result<EquivReport, CoreError> {
-    check_equivalence_hier_budgeted(spec, impl_, ctx, options, &options.budget.start())
-}
-
-/// [`check_equivalence_hier`] under an already-running cooperative
-/// [`Budget`] shared by the spec extraction and every block of the
-/// hierarchical impl. Exhaustion degrades to [`Verdict::Unknown`] naming
-/// the resource.
-///
-/// # Errors
-///
-/// As [`check_equivalence_hier`].
-pub fn check_equivalence_hier_budgeted(
-    spec: &Netlist,
-    impl_: &HierDesign,
-    ctx: &Arc<GfContext>,
-    options: &ExtractOptions,
-    budget: &Budget,
-) -> Result<EquivReport, CoreError> {
-    check_equivalence_hier_budgeted_with(&DirectExtract, spec, impl_, ctx, options, budget)
-}
-
-/// [`check_equivalence_hier_budgeted`] with an explicit
-/// [`ExtractProvider`] supplying the spec extraction *and* every
-/// per-block extraction of the hierarchical impl — so identical
-/// sub-blocks across a batch extract once. Same determinism contract as
-/// [`check_equivalence_budgeted_with`].
-///
-/// # Errors
-///
-/// As [`check_equivalence_hier_budgeted`].
-pub fn check_equivalence_hier_budgeted_with(
-    provider: &dyn ExtractProvider,
-    spec: &Netlist,
-    impl_: &HierDesign,
-    ctx: &Arc<GfContext>,
-    options: &ExtractOptions,
-    budget: &Budget,
-) -> Result<EquivReport, CoreError> {
-    // As in the flat case, spec extraction and the hierarchical impl
-    // extraction run concurrently when the thread budget allows (the
-    // hierarchical side additionally shards its blocks internally).
-    let extract_spec = || {
-        if options.telemetry.is_enabled() {
-            let span = options.telemetry.span_labeled(Phase::Extract, "spec");
-            let opts = options.clone().with_telemetry(span.telemetry());
-            let r = provider.extract(spec, ctx, &opts, budget);
-            let _ = span.finish();
-            r
-        } else {
-            provider.extract(spec, ctx, options, budget)
-        }
+    let impl_stats = match impl_res {
+        ImplSide::Flat(r) => r.stats,
+        ImplSide::Hier(h) => h.map(|h| h.stats()).unwrap_or_default(),
     };
-    // The hierarchical side gets its own labelled `Phase::Extract` span;
-    // the per-block `Phase::Block` spans nest under it.
-    let extract_hier = || {
-        if options.telemetry.is_enabled() {
-            let span = options.telemetry.span_labeled(Phase::Extract, "impl");
-            let opts = options.clone().with_telemetry(span.telemetry());
-            let r = extract_hierarchical_budgeted_with(provider, impl_, ctx, &opts, budget);
-            let _ = span.finish();
-            r
-        } else {
-            extract_hierarchical_budgeted_with(provider, impl_, ctx, options, budget)
-        }
-    };
-    let (spec_res, hier) = if options.effective_threads() > 1 {
-        std::thread::scope(|scope| {
-            let spec_handle = scope.spawn(extract_spec);
-            let hier = extract_hier();
-            (
-                spec_handle.join().expect("spec extraction thread panicked"),
-                hier,
-            )
-        })
-    } else {
-        (extract_spec(), extract_hier())
-    };
-    // A budget trip inside a hierarchical block is not an error at this
-    // level: it degrades to an Unknown verdict so the caller's fallback
-    // ladder can still act. Other errors (and any spec error) propagate.
-    let hier = match hier {
-        Ok(h) => Some(h),
-        Err(CoreError::BudgetExhausted { .. }) => None,
-        Err(e) => {
-            spec_res?; // spec error precedence matches the flat path
-            return Err(e);
-        }
-    };
-    let spec_res = spec_res?;
-    let verdict = match (spec_res.canonical(), &hier) {
-        (Some(f1), Some(h)) => decide(f1.clone(), h.function.clone()),
-        _ => {
-            if let Some(reason) = budget.exhausted() {
-                Verdict::Unknown {
-                    reason: format!(
-                        "word-level abstraction ran out of budget ({reason}) \
-                         before reaching a canonical form"
-                    ),
-                }
-            } else {
-                Verdict::Unknown {
-                    reason: "spec abstraction did not reach a canonical form".into(),
-                }
-            }
-        }
-    };
-    // Aggregate block stats for reporting.
-    let mut impl_stats = ExtractionStats::default();
-    if let Some(h) = &hier {
-        for (_, _, s) in &h.blocks {
-            impl_stats.gates += s.gates;
-            impl_stats.reduction_steps += s.reduction_steps;
-            impl_stats.peak_terms = impl_stats.peak_terms.max(s.peak_terms);
-            impl_stats.duration += s.duration;
-        }
-        impl_stats.duration += h.compose_time;
-    }
     Ok(EquivReport {
         verdict,
         spec_stats: spec_res.stats,
@@ -500,6 +382,14 @@ pub fn check_equivalence_hier_budgeted_with(
         sat: None,
         trace: None,
     })
+}
+
+/// The impl side of the ladder: a flat extraction, or a hierarchical one
+/// that is `None` when a block ran out of budget or stayed in Case 2.
+#[allow(clippy::large_enum_variant)] // one short-lived local per query
+enum ImplSide {
+    Flat(ExtractionResult),
+    Hier(Option<HierExtraction>),
 }
 
 fn decide(f1: WordFunction, f2: WordFunction) -> Verdict {
@@ -516,39 +406,52 @@ fn decide(f1: WordFunction, f2: WordFunction) -> Verdict {
     }
 }
 
-fn check_signatures(a: &Netlist, b: &Netlist) -> Result<(), CoreError> {
-    if a.input_words().len() != b.input_words().len() {
-        return Err(CoreError::SignatureMismatch(format!(
+fn check_signatures(spec: &Netlist, impl_: Circuit<'_>) -> Result<(), CoreError> {
+    // The impl's input word widths and output width; a design whose
+    // output signal dangles has none, and its validation reports that.
+    let (inputs, output): (Vec<usize>, Option<usize>) = match impl_ {
+        Circuit::Flat(nl) => (
+            nl.input_words().iter().map(|w| w.width()).collect(),
+            Some(nl.output_word().width()),
+        ),
+        Circuit::Hier(d) => (
+            d.inputs.iter().map(|&(_, w)| w).collect(),
+            match d.output {
+                Signal::PrimaryInput(i) => d.inputs.get(i).map(|&(_, w)| w),
+                Signal::BlockOutput(i) => d.blocks.get(i).map(|b| b.netlist.output_word().width()),
+            },
+        ),
+    };
+    let mismatch = |msg: String| Err(CoreError::SignatureMismatch(msg));
+    if spec.input_words().len() != inputs.len() {
+        return mismatch(format!(
             "spec has {} input words, impl has {}",
-            a.input_words().len(),
-            b.input_words().len()
-        )));
+            spec.input_words().len(),
+            inputs.len()
+        ));
     }
-    for (wa, wb) in a.input_words().iter().zip(b.input_words()) {
-        if wa.width() != wb.width() {
-            return Err(CoreError::SignatureMismatch(format!(
-                "input {} widths differ: {} vs {}",
+    for (wa, &wb) in spec.input_words().iter().zip(&inputs) {
+        if wa.width() != wb {
+            return mismatch(format!(
+                "input {} widths differ: {} vs {wb}",
                 wa.name,
-                wa.width(),
-                wb.width()
-            )));
+                wa.width()
+            ));
         }
     }
-    if a.output_word().width() != b.output_word().width() {
-        return Err(CoreError::SignatureMismatch(format!(
-            "output widths differ: {} vs {}",
-            a.output_word().width(),
-            b.output_word().width()
-        )));
+    let width = spec.output_word().width();
+    match output {
+        Some(w) if w != width => mismatch(format!("output widths differ: {width} vs {w}")),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gfab_circuits::{mastrovito_multiplier, montgomery_multiplier_hier};
+    use gfab_circuits::{mastrovito_multiplier, montgomery_multiplier_hier, squarer};
     use gfab_field::nist::irreducible_polynomial;
+    use gfab_netlist::hierarchy::{BlockInst, HierDesign};
     use gfab_netlist::mutate::inject_random_bug;
     use gfab_netlist::sim::simulate_word;
 
@@ -569,8 +472,7 @@ mod tests {
         let ctx = GfContext::shared(irreducible_polynomial(8).unwrap()).unwrap();
         let spec = mastrovito_multiplier(&ctx);
         let impl_ = montgomery_multiplier_hier(&ctx);
-        let report =
-            check_equivalence_hier(&spec, &impl_, &ctx, &ExtractOptions::default()).unwrap();
+        let report = check_equivalence(&spec, &impl_, &ctx, &ExtractOptions::default()).unwrap();
         match &report.verdict {
             Verdict::Equivalent { function } => {
                 assert_eq!(format!("{}", function.display()), "A*B");
@@ -643,6 +545,34 @@ mod tests {
             found_residual_refutation,
             "at least one mutation must land in the simulation-fallback path"
         );
+        // The same fallback covers a hierarchical impl whose middle block
+        // stays a Case-2 residual: a verdict, never an error, and any
+        // counterexample separates spec and the flattened design.
+        let design = montgomery_multiplier_hier(&ctx);
+        let mid = design
+            .blocks
+            .iter()
+            .position(|b| b.name == "blk_mid")
+            .unwrap();
+        for seed in 0..3u64 {
+            let (buggy_mid, what) = inject_random_bug(&design.blocks[mid].netlist, seed);
+            let mut bad = design.clone();
+            bad.blocks[mid].netlist = buggy_mid;
+            let report = check_equivalence(&spec, &bad, &ctx, &ExtractOptions::default())
+                .unwrap_or_else(|e| panic!("blk_mid seed {seed} ({what}): error {e}"));
+            if let Some(cex) = report.verdict.counterexample() {
+                assert_ne!(
+                    simulate_word(&spec, &ctx, cex),
+                    simulate_word(&bad.flatten(), &ctx, cex),
+                    "blk_mid seed {seed} ({what})"
+                );
+            }
+            assert!(
+                !matches!(report.verdict, Verdict::Unknown { .. }),
+                "blk_mid seed {seed} ({what}): {:?}",
+                report.verdict
+            );
+        }
     }
 
     #[test]
@@ -653,6 +583,25 @@ mod tests {
         let other = mastrovito_multiplier(&ctx4);
         assert!(matches!(
             check_equivalence(&spec, &other, &ctx, &ExtractOptions::default()),
+            Err(CoreError::SignatureMismatch(_))
+        ));
+        // A 1-input hierarchical design (one squarer block) against the
+        // 2-input spec.
+        let ctx8 = GfContext::shared(irreducible_polynomial(8).unwrap()).unwrap();
+        let square = HierDesign {
+            name: "square".into(),
+            inputs: vec![("A".into(), 8)],
+            blocks: vec![BlockInst {
+                name: "sq".into(),
+                netlist: squarer(&ctx8),
+                connections: vec![Signal::PrimaryInput(0)],
+            }],
+            output: Signal::BlockOutput(0),
+            output_name: "Z".into(),
+        };
+        let spec8 = mastrovito_multiplier(&ctx8);
+        assert!(matches!(
+            check_equivalence(&spec8, &square, &ctx8, &ExtractOptions::default()),
             Err(CoreError::SignatureMismatch(_))
         ));
     }

@@ -107,6 +107,21 @@ impl ExtractOptions {
     pub fn effective_threads(&self) -> usize {
         gfab_netlist::sim::resolve_threads(self.threads)
     }
+
+    /// Runs `f` under a labelled `phase` span, with options whose spans
+    /// nest beneath it. The span opens whether or not a collector is
+    /// attached, so the live event stream sees it either way.
+    pub(crate) fn in_span<T>(
+        &self,
+        phase: Phase,
+        label: &str,
+        f: impl FnOnce(&ExtractOptions) -> T,
+    ) -> T {
+        let span = self.telemetry.span_labeled(phase, label);
+        let out = f(&self.clone().with_telemetry(span.telemetry()));
+        let _ = span.finish();
+        out
+    }
 }
 
 /// Effort statistics of one extraction.
@@ -164,6 +179,19 @@ pub enum Extraction {
         /// Which resource ran out.
         reason: ExhaustedReason,
     },
+}
+
+impl Extraction {
+    /// The one-word outcome shown on result lines, in ledger rows and in
+    /// live `query-done` events: `extracted`, `residual` or `timeout`.
+    #[must_use]
+    pub fn word(&self) -> &'static str {
+        match self {
+            Extraction::Canonical(_) => "extracted",
+            Extraction::Residual { .. } => "residual",
+            Extraction::TimedOut { .. } => "timeout",
+        }
+    }
 }
 
 /// An extraction outcome plus the model it was computed in.

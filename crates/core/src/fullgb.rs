@@ -53,7 +53,30 @@ pub enum FullGbOutcome {
     },
 }
 
-/// Runs the unguided full Gröbner-basis abstraction on `nl`.
+/// Runs the unguided full Gröbner-basis abstraction on `nl`: the plain
+/// entry point of [`full_gb_abstraction_traced`] (no budget, telemetry
+/// off).
+///
+/// # Errors
+///
+/// As [`full_gb_abstraction_traced`].
+pub fn full_gb_abstraction(
+    nl: &Netlist,
+    ctx: &Arc<GfContext>,
+    order: CircuitVarOrder,
+    limits: &GbLimits,
+) -> Result<FullGbOutcome, CoreError> {
+    let (budget, tele) = (Budget::unlimited(), Telemetry::disabled());
+    full_gb_abstraction_traced(nl, ctx, order, limits, &budget, &tele)
+}
+
+/// The unguided full Gröbner-basis abstraction under a cooperative
+/// [`Budget`], polled in the Buchberger pair loop and the inner
+/// reductions. Exhaustion degrades to [`FullGbOutcome::GaveUp`] — exactly
+/// like the paper-facing resource limits, since for this deliberately
+/// explosive baseline giving up *is* the expected result. The Buchberger
+/// completion and basis reduction record spans and effort counters under
+/// `tele`'s current span.
 ///
 /// Requires `k ≤ 63` (the vanishing polynomials `X^q − X` for the word
 /// variables must be explicit generators).
@@ -63,41 +86,6 @@ pub enum FullGbOutcome {
 /// Netlist/model errors, [`CoreError::Poly`] for `k > 63`, and
 /// [`CoreError::MissingAbstractionPolynomial`] if a *completed* basis
 /// lacks the `Z + G(A)` element (contradicting Theorem 4.2).
-pub fn full_gb_abstraction(
-    nl: &Netlist,
-    ctx: &Arc<GfContext>,
-    order: CircuitVarOrder,
-    limits: &GbLimits,
-) -> Result<FullGbOutcome, CoreError> {
-    full_gb_abstraction_budgeted(nl, ctx, order, limits, &Budget::unlimited())
-}
-
-/// [`full_gb_abstraction`] under a cooperative [`Budget`], polled in the
-/// Buchberger pair loop and the inner reductions. Exhaustion degrades to
-/// [`FullGbOutcome::GaveUp`] — exactly like the paper-facing resource
-/// limits, since for this deliberately explosive baseline giving up *is*
-/// the expected result.
-///
-/// # Errors
-///
-/// As [`full_gb_abstraction`].
-pub fn full_gb_abstraction_budgeted(
-    nl: &Netlist,
-    ctx: &Arc<GfContext>,
-    order: CircuitVarOrder,
-    limits: &GbLimits,
-    budget: &Budget,
-) -> Result<FullGbOutcome, CoreError> {
-    full_gb_abstraction_traced(nl, ctx, order, limits, budget, &Telemetry::disabled())
-}
-
-/// [`full_gb_abstraction_budgeted`] with a [`Telemetry`] handle: the
-/// Buchberger completion and basis reduction record spans and effort
-/// counters under the caller's current span.
-///
-/// # Errors
-///
-/// As [`full_gb_abstraction`].
 pub fn full_gb_abstraction_traced(
     nl: &Netlist,
     ctx: &Arc<GfContext>,

@@ -8,6 +8,7 @@
 
 use crate::error::CoreError;
 use crate::extract::{ExtractOptions, Extraction, ExtractionStats};
+use crate::pool::run_indexed;
 use crate::provider::{DirectExtract, ExtractProvider};
 use crate::wordfn::WordFunction;
 use gfab_field::budget::Budget;
@@ -15,7 +16,6 @@ use gfab_field::GfContext;
 use gfab_netlist::hierarchy::{HierDesign, Signal};
 use gfab_poly::{ExponentMode, Monomial, Poly, RingBuilder, VarId, VarKind};
 use gfab_telemetry::Phase;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,49 +30,60 @@ pub struct HierExtraction {
     pub compose_time: Duration,
 }
 
+impl HierExtraction {
+    /// Statistics of the whole design: block counts and times summed,
+    /// peak terms of the largest block, and the composition time added
+    /// to `duration`.
+    #[must_use]
+    pub fn stats(&self) -> ExtractionStats {
+        let mut agg = ExtractionStats::default();
+        for (_, _, s) in &self.blocks {
+            agg.gates += s.gates;
+            agg.reduction_steps += s.reduction_steps;
+            agg.cancellations += s.cancellations;
+            agg.peak_terms = agg.peak_terms.max(s.peak_terms);
+            agg.duration += s.duration;
+            agg.model_time += s.model_time;
+            agg.reduce_time += s.reduce_time;
+            agg.case2_time += s.case2_time;
+        }
+        agg.duration += self.compose_time;
+        agg
+    }
+}
+
 /// Extracts every block's word-level polynomial and composes them along
-/// the design's word-level connections.
+/// the design's word-level connections: the plain entry point of
+/// [`extract_hierarchical_budgeted_with`] (direct extraction, the
+/// options' own budget).
 ///
 /// # Errors
 ///
-/// Any block-level extraction error; `CoreError::CompletionLimit` if a
-/// block lands in Case 2 and cannot be completed (composition requires
-/// canonical block polynomials).
+/// As [`extract_hierarchical_budgeted_with`].
 pub fn extract_hierarchical(
     design: &HierDesign,
     ctx: &Arc<GfContext>,
     options: &ExtractOptions,
 ) -> Result<HierExtraction, CoreError> {
-    extract_hierarchical_budgeted(design, ctx, options, &options.budget.start())
+    let budget = options.budget.start();
+    extract_hierarchical_budgeted_with(&DirectExtract, design, ctx, options, &budget)
 }
 
-/// [`extract_hierarchical`] under an already-running cooperative
-/// [`Budget`] shared by every block (and by whatever else the caller is
-/// running in parallel). A budget trip inside any block surfaces as
-/// [`CoreError::BudgetExhausted`]: composition needs *all* block
-/// polynomials, so there is no useful partial result at this level.
+/// Hierarchical extraction under an already-running cooperative
+/// [`Budget`] shared by every block, with an explicit [`ExtractProvider`]
+/// supplying every per-block flat extraction — the hook through which
+/// the batch engine's artifact cache makes identical sub-blocks (within
+/// one design or across a whole batch) extract once. Composition always
+/// runs per design.
 ///
 /// # Errors
 ///
-/// As [`extract_hierarchical`], plus [`CoreError::BudgetExhausted`].
-pub fn extract_hierarchical_budgeted(
-    design: &HierDesign,
-    ctx: &Arc<GfContext>,
-    options: &ExtractOptions,
-    budget: &Budget,
-) -> Result<HierExtraction, CoreError> {
-    extract_hierarchical_budgeted_with(&DirectExtract, design, ctx, options, budget)
-}
-
-/// [`extract_hierarchical_budgeted`] with an explicit
-/// [`ExtractProvider`] supplying every per-block flat extraction — the
-/// hook through which the batch engine's artifact cache makes identical
-/// sub-blocks (within one design or across a whole batch) extract once.
-/// Composition always runs per design.
-///
-/// # Errors
-///
-/// As [`extract_hierarchical_budgeted`].
+/// Any block-level extraction error, plus:
+/// * [`CoreError::BudgetExhausted`] naming the block when the budget
+///   runs out inside one (composition needs *all* block polynomials, so
+///   there is no useful partial result at this level);
+/// * [`CoreError::CompletionLimit`] when a block lands in Case 2 and
+///   cannot be completed (composition requires canonical polynomials).
 pub fn extract_hierarchical_budgeted_with(
     provider: &dyn ExtractProvider,
     design: &HierDesign,
@@ -85,10 +96,16 @@ pub fn extract_hierarchical_budgeted_with(
     // 1. Per-block gate-level → word-level abstraction. Blocks are
     // independent at this stage (composition happens afterwards at word
     // level), so they run concurrently on the configured worker threads;
-    // results are collected by block index, which makes the output — and
-    // the error reported when several blocks fail — identical to the
-    // serial path.
-    let per_block = extract_blocks(provider, design, ctx, options, budget);
+    // results come back in block order, which makes the output — and the
+    // error reported when several blocks fail — identical to the serial
+    // path. Each block runs under a labelled `Phase::Block` span, and the
+    // provider receives the block's own netlist.
+    let per_block = run_indexed(options.effective_threads(), design.blocks.len(), |_, i| {
+        let inst = &design.blocks[i];
+        options.in_span(Phase::Block, &inst.name, |opts| {
+            provider.extract(&inst.netlist, ctx, opts, budget)
+        })
+    });
     let mut blocks: Vec<(String, WordFunction, ExtractionStats)> = Vec::new();
     for (inst, result) in design.blocks.iter().zip(per_block) {
         let result = result?;
@@ -169,69 +186,6 @@ pub fn extract_hierarchical_budgeted_with(
         blocks,
         compose_time,
     })
-}
-
-/// Runs the gate-level → word-level abstraction of every block, sharded
-/// over the configured worker threads (serial when one thread suffices).
-/// The result vector is indexed by block position regardless of which
-/// thread computed each entry.
-fn extract_blocks(
-    provider: &dyn ExtractProvider,
-    design: &HierDesign,
-    ctx: &Arc<GfContext>,
-    options: &ExtractOptions,
-    budget: &Budget,
-) -> Vec<Result<crate::extract::ExtractionResult, CoreError>> {
-    let n = design.blocks.len();
-    let threads = options.effective_threads().min(n.max(1));
-    // One labelled `Phase::Block` span per block, nesting the block's own
-    // model/reduction spans beneath it via a re-parented telemetry clone
-    // (works unchanged across worker threads). With telemetry disabled
-    // this is a single branch straight into the plain extraction.
-    let extract_one = |i: usize| {
-        let inst = &design.blocks[i];
-        if options.telemetry.is_enabled() {
-            let span = options.telemetry.span_labeled(Phase::Block, &inst.name);
-            let opts = options.clone().with_telemetry(span.telemetry());
-            let r = provider.extract(&inst.netlist, ctx, &opts, budget);
-            let _ = span.finish();
-            r
-        } else {
-            provider.extract(&inst.netlist, ctx, options, budget)
-        }
-    };
-    if threads <= 1 {
-        return (0..n).map(extract_one).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<Result<crate::extract::ExtractionResult, CoreError>>> =
-        (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        mine.push((i, extract_one(i)));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        for w in workers {
-            for (i, r) in w.join().expect("block extraction worker panicked") {
-                results[i] = Some(r);
-            }
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every block index was assigned to a worker"))
-        .collect()
 }
 
 #[cfg(test)]

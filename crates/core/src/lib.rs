@@ -25,7 +25,14 @@
 //!    the block polynomials at the word level (the paper's Table 2 flow).
 //! 4. [`equiv`] proves or disproves `Spec ≡ Impl` by coefficient matching
 //!    of the two canonical polynomials, with counterexample search on
-//!    mismatch.
+//!    mismatch. One ladder serves flat and hierarchical implementations
+//!    (a [`Circuit`]); when either side stays without a canonical form it
+//!    refutes by random simulation or reports why it cannot decide.
+//!
+//! Each layer has one plain entry point (no budget, telemetry off) and
+//! one full one taking a running [`Budget`](gfab_field::budget::Budget)
+//! and a [`Telemetry`](gfab_telemetry::Telemetry) handle (through
+//! [`ExtractOptions::telemetry`] where the layer takes options).
 //!
 //! Baselines for the paper's comparisons live here too:
 //! [`ideal_membership`] (the Lv–Kalla–Enescu TCAD'13 method \[5\] that needs
@@ -74,3 +81,28 @@ pub use extract::{
 pub use gfab_telemetry as telemetry;
 pub use provider::{DirectExtract, ExtractProvider};
 pub use wordfn::WordFunction;
+
+use gfab_netlist::hierarchy::HierDesign;
+use gfab_netlist::Netlist;
+
+/// A circuit to abstract, or to check as the implementation side of an
+/// equivalence query: a flat gate-level netlist or a hierarchical design.
+#[derive(Debug, Clone, Copy)]
+pub enum Circuit<'a> {
+    /// A flat gate-level netlist.
+    Flat(&'a Netlist),
+    /// A hierarchical design (per-block extraction + word-level composition).
+    Hier(&'a HierDesign),
+}
+
+impl<'a> From<&'a Netlist> for Circuit<'a> {
+    fn from(nl: &'a Netlist) -> Self {
+        Circuit::Flat(nl)
+    }
+}
+
+impl<'a> From<&'a HierDesign> for Circuit<'a> {
+    fn from(design: &'a HierDesign) -> Self {
+        Circuit::Hier(design)
+    }
+}

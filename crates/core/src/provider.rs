@@ -1,8 +1,8 @@
 //! Pluggable flat-netlist extraction: the seam the batch engine's
 //! artifact cache injects through.
 //!
-//! Every equivalence path in this crate — per-side extraction in the
-//! flat check, per-block extraction in the hierarchical flow — funnels
+//! Every flat extraction in this crate — each side of an equivalence
+//! query, each block of a hierarchical design — funnels
 //! its gate-level → word-level abstraction through one
 //! [`ExtractProvider`] call. The default provider ([`DirectExtract`])
 //! simply runs [`extract_word_polynomial_budgeted`]; the batch engine

@@ -121,7 +121,7 @@ thread_local! {
 /// The field `F_{2^k} = F_2[x] / (P(x))` for an irreducible `P` of degree `k`.
 ///
 /// The context owns the modulus, plus a reduction plan precomputed at
-/// construction ([`ModReducer`]): sparse moduli (all NIST polynomials) fold
+/// construction (`ModReducer`): sparse moduli (all NIST polynomials) fold
 /// overflow limbs with shifted XORs, dense moduli use a `x^{64j} mod P`
 /// table — either way [`GfContext::mul`]/[`GfContext::square`] never run
 /// the generic Euclidean division. It is cheap to share via

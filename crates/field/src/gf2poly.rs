@@ -319,7 +319,7 @@ impl Gf2Poly {
     ///
     /// Squaring is linear in characteristic 2: each bit of the operand is
     /// spread to an even bit position via an 8→16-bit table
-    /// ([`SPREAD8`]-driven), no multiplication needed.
+    /// (`SPREAD8`-driven), no multiplication needed.
     #[must_use]
     pub fn square(&self) -> Gf2Poly {
         let a = self.limbs.as_slice();

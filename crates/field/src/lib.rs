@@ -17,7 +17,7 @@
 //! * [`nist`] — the five NIST-recommended ECC field polynomials
 //!   (k = 163, 233, 283, 409, 571) plus a search routine for small-degree
 //!   irreducible trinomials/pentanomials used in tests and examples.
-//! * [`reference`] — the original (pre-kernel) bit-serial arithmetic,
+//! * [`reference`](mod@reference) — the original (pre-kernel) bit-serial arithmetic,
 //!   retained as a differential oracle for the optimized kernels.
 //! * [`kernel`] — thread-local counters (coefficient multiplies, reduction
 //!   folds, inline-vs-heap residency) published by the arithmetic kernels.

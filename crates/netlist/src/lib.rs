@@ -23,7 +23,7 @@
 //!   Montgomery multiplier of Fig. 1) with flattening.
 //! * [`canon`] — canonical content encoding + FNV-1a hashing, the
 //!   artifact-cache key for batch verification.
-//! * [`format`] — a small text netlist format (parse/emit) so circuits can
+//! * [`format`](mod@format) — a small text netlist format (parse/emit) so circuits can
 //!   be stored on disk and exchanged.
 //!
 //! # Example

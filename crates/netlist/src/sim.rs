@@ -139,11 +139,13 @@ pub fn exhaustive_check(
 }
 
 /// Compares two netlists with identical input signatures on `n` random
-/// word assignments; returns the first mismatching assignment found.
+/// word assignments; returns the first mismatching assignment found. The
+/// plain entry point of [`random_equivalence_check_traced`] (one thread,
+/// no budget, telemetry off).
 ///
-/// Runs single-threaded; see [`random_equivalence_check_sharded`] for the
-/// multi-threaded variant. Both run the same 64-way bit-parallel sweep
-/// and return identical results for the same `rng` stream.
+/// # Panics
+///
+/// As [`random_equivalence_check_traced`].
 pub fn random_equivalence_check(
     a: &Netlist,
     b: &Netlist,
@@ -151,7 +153,12 @@ pub fn random_equivalence_check(
     n: usize,
     rng: &mut Rng,
 ) -> Result<(), Vec<Gf>> {
-    random_equivalence_check_sharded(a, b, ctx, n, rng, 1)
+    let (budget, tele) = (Budget::unlimited(), Telemetry::disabled());
+    match random_equivalence_check_traced(a, b, ctx, n, rng, 1, &budget, &tele, "") {
+        SimOutcome::Agree => Ok(()),
+        SimOutcome::Differ(cex) => Err(cex),
+        SimOutcome::OutOfBudget(_) => unreachable!("unlimited budget cannot run out"),
+    }
 }
 
 /// Packs word assignments `lo..hi` of `assignments` into one 64-lane wide
@@ -188,39 +195,22 @@ fn lane_diff_mask(a: &Netlist, avals: &[u64], b: &Netlist, bvals: &[u64], lanes:
 
 /// Compares two netlists on `n` random word assignments using the 64-way
 /// bit-parallel simulator, sharding 64-assignment chunks across `threads`
-/// worker threads (`0` = available parallelism).
+/// worker threads (`0` = available parallelism), under a cooperative
+/// [`Budget`] polled once per chunk and a labelled [`Phase::Simulation`]
+/// span carrying a `sim-vectors` counter.
 ///
-/// The assignments are drawn from `rng` up front, so the verdict — and the
-/// specific counterexample returned (the mismatching assignment with the
-/// lowest index) — is **identical for every thread count**.
+/// The assignments are drawn from `rng` up front, so the verdict — and
+/// the specific counterexample returned (the mismatching assignment with
+/// the lowest index) — is **identical for every thread count**.
+/// Simulation charges no work units (work caps are an algebra knob); it
+/// honours the wall-clock deadline and cancellation only. A
+/// [`SimOutcome::Differ`] counterexample is always genuine, even when the
+/// budget cut the sweep short.
 ///
 /// # Panics
 ///
 /// Panics if the two netlists disagree on input/output word widths, or if
 /// either is cyclic.
-pub fn random_equivalence_check_sharded(
-    a: &Netlist,
-    b: &Netlist,
-    ctx: &GfContext,
-    n: usize,
-    rng: &mut Rng,
-    threads: usize,
-) -> Result<(), Vec<Gf>> {
-    match random_equivalence_check_budgeted(a, b, ctx, n, rng, threads, &Budget::unlimited()) {
-        SimOutcome::Agree => Ok(()),
-        SimOutcome::Differ(cex) => Err(cex),
-        SimOutcome::OutOfBudget(_) => unreachable!("unlimited budget cannot run out"),
-    }
-}
-
-/// [`random_equivalence_check_budgeted`] under a telemetry span: the
-/// sweep is recorded as a labelled [`Phase::Simulation`] span carrying a
-/// `sim-vectors` counter. A disabled [`Telemetry`] handle makes this
-/// identical to the untraced entry point.
-///
-/// # Panics
-///
-/// As [`random_equivalence_check_budgeted`].
 #[allow(clippy::too_many_arguments)]
 pub fn random_equivalence_check_traced(
     a: &Netlist,
@@ -235,38 +225,6 @@ pub fn random_equivalence_check_traced(
 ) -> SimOutcome {
     let mut span = tele.span_labeled(Phase::Simulation, label);
     let start = std::time::Instant::now();
-    let outcome = random_equivalence_check_budgeted(a, b, ctx, n, rng, threads, budget);
-    span.counter(Counter::SimVectors, n as u64);
-    if span.is_enabled() {
-        // Wall-clock sample; Hist::SimBatchUs is flagged non-deterministic
-        // so trace-diff never gates on it.
-        span.observe(Hist::SimBatchUs, start.elapsed().as_micros() as u64);
-    }
-    let _ = span.finish();
-    outcome
-}
-
-/// [`random_equivalence_check_sharded`] polled against a cooperative
-/// [`Budget`] once per 64-assignment chunk. Simulation charges no work
-/// units (work caps are an algebra knob); it honours the wall-clock
-/// deadline and cancellation only. A [`SimOutcome::Differ`] counterexample
-/// is always genuine; when the sweep completes within budget it is also
-/// the lowest-index mismatch, identical for every thread count.
-///
-/// # Panics
-///
-/// Panics if the two netlists disagree on input/output word widths, or if
-/// either is cyclic.
-#[allow(clippy::too_many_arguments)]
-pub fn random_equivalence_check_budgeted(
-    a: &Netlist,
-    b: &Netlist,
-    ctx: &GfContext,
-    n: usize,
-    rng: &mut Rng,
-    threads: usize,
-    budget: &Budget,
-) -> SimOutcome {
     assert_eq!(
         a.input_words().len(),
         b.input_words().len(),
@@ -347,14 +305,22 @@ pub fn random_equivalence_check_budgeted(
         });
         found
     };
-    match first_mismatch {
+    let outcome = match first_mismatch {
         // Any mismatch is a real counterexample, budget or not.
         Some(idx) => SimOutcome::Differ(assignments[idx].clone()),
         None => match budget.exhausted() {
             Some(reason) => SimOutcome::OutOfBudget(reason),
             None => SimOutcome::Agree,
         },
+    };
+    span.counter(Counter::SimVectors, n as u64);
+    if span.is_enabled() {
+        // Wall-clock sample; Hist::SimBatchUs is flagged non-deterministic
+        // so trace-diff never gates on it.
+        span.observe(Hist::SimBatchUs, start.elapsed().as_micros() as u64);
     }
+    let _ = span.finish();
+    outcome
 }
 
 /// The per-net value trace for one input assignment, for debugging:

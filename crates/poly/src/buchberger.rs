@@ -387,7 +387,8 @@ pub fn reduce_basis_budgeted(
     Ok(out)
 }
 
-/// Convenience: Buchberger followed by [`reduce_basis`].
+/// Buchberger followed by [`reduce_basis`]: the plain entry point of
+/// [`reduced_groebner_basis_traced`] (no budget, telemetry off).
 ///
 /// # Errors
 ///
@@ -397,40 +398,15 @@ pub fn reduced_groebner_basis(
     generators: &[Poly],
     limits: &GbLimits,
 ) -> Result<GbOutcome, PolyError> {
-    reduced_groebner_basis_budgeted(ring, generators, limits, &Budget::unlimited())
+    let (budget, tele) = (Budget::unlimited(), Telemetry::disabled());
+    reduced_groebner_basis_traced(ring, generators, limits, &budget, &tele)
 }
 
-/// [`reduced_groebner_basis`] under a cooperative [`Budget`]. Budget
-/// exhaustion in either phase surfaces as a graceful
-/// [`GbOutcome::LimitExceeded`].
-///
-/// # Errors
-///
-/// Propagates [`PolyError::ExponentOverflow`].
-pub fn reduced_groebner_basis_budgeted(
-    ring: &Ring,
-    generators: &[Poly],
-    limits: &GbLimits,
-    budget: &Budget,
-) -> Result<GbOutcome, PolyError> {
-    match buchberger_budgeted(ring, generators, limits, budget)? {
-        GbOutcome::Complete { basis, stats } => match reduce_basis_budgeted(ring, &basis, budget) {
-            Ok(basis) => Ok(GbOutcome::Complete { basis, stats }),
-            Err(PolyError::BudgetExceeded(e)) => Ok(GbOutcome::LimitExceeded {
-                reason: format!("budget exhausted during basis reduction: {}", e.reason),
-                stats,
-            }),
-            Err(e) => Err(e),
-        },
-        out => Ok(out),
-    }
-}
-
-/// [`reduced_groebner_basis_budgeted`] with telemetry: the Buchberger
-/// pair loop and the basis inter-reduction each get a phase span, with
-/// the S-polynomial / pruning / division-effort counters attached. The
-/// default (disabled) [`Telemetry`] handle makes this identical to the
-/// untraced entry point.
+/// Buchberger followed by [`reduce_basis`] under a cooperative
+/// [`Budget`]; exhaustion in either phase surfaces as a graceful
+/// [`GbOutcome::LimitExceeded`]. The pair loop and the basis
+/// inter-reduction each get a phase span under `tele`, with the
+/// S-polynomial / pruning / division-effort counters attached.
 ///
 /// # Errors
 ///

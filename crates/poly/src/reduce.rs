@@ -47,7 +47,7 @@ pub struct ReductionStats {
     /// as the `budget-polls` telemetry counter.
     pub polls: u64,
     /// Distribution of the live working-store size, sampled every
-    /// [`SIZE_SAMPLE_STRIDE`] iterations (the `reduction-poly-size`
+    /// `SIZE_SAMPLE_STRIDE` iterations (the `reduction-poly-size`
     /// telemetry histogram). Deterministic: sample points depend only on
     /// the iteration count, never on wall time or thread interleaving.
     pub size_hist: HistData,
@@ -221,7 +221,7 @@ impl<'a> Reducer<'a> {
     }
 
     /// [`Reducer::normal_form_with_stats`] polled against a cooperative
-    /// [`Budget`] every [`BUDGET_STRIDE`] division-loop iterations. Each
+    /// [`Budget`] every `BUDGET_STRIDE` division-loop iterations. Each
     /// poll charges the stride as work units, so work-cap exhaustion
     /// depends only on the total division effort — deterministic across
     /// thread counts.

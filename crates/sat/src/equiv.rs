@@ -36,55 +36,25 @@ pub struct SatReport {
 }
 
 /// Builds the Spec/Impl miter, encodes it, asserts the output and solves
-/// within `conflict_budget` conflicts.
+/// within `conflict_budget` conflicts: the plain entry point of
+/// [`check_equivalence_sat_traced`] (no budget, telemetry off).
 ///
 /// # Panics
 ///
 /// Panics if the two netlists have incompatible interfaces (see
 /// [`build_miter`]).
 pub fn check_equivalence_sat(spec: &Netlist, impl_: &Netlist, conflict_budget: u64) -> SatReport {
-    check_equivalence_sat_with(spec, impl_, conflict_budget, None)
+    let (budget, tele) = (Budget::unlimited(), Telemetry::disabled());
+    check_equivalence_sat_traced(spec, impl_, conflict_budget, &budget, &tele)
 }
 
-/// [`check_equivalence_sat`] with an additional wall-clock budget.
-///
-/// # Panics
-///
-/// Panics if the two netlists have incompatible interfaces.
-pub fn check_equivalence_sat_with(
-    spec: &Netlist,
-    impl_: &Netlist,
-    conflict_budget: u64,
-    wall_budget: Option<std::time::Duration>,
-) -> SatReport {
-    let budget = match wall_budget {
-        Some(w) => Budget::with_deadline(w),
-        None => Budget::unlimited(),
-    };
-    check_equivalence_sat_budgeted(spec, impl_, conflict_budget, &budget)
-}
-
-/// [`check_equivalence_sat`] under a shared cooperative [`Budget`]
-/// (deadline / cancellation token), polled in the solver's conflict and
-/// propagate loops. This is the fallback rung of the `Verifier` ladder:
-/// it inherits whatever wall clock the word-level phase left over.
-///
-/// # Panics
-///
-/// Panics if the two netlists have incompatible interfaces.
-pub fn check_equivalence_sat_budgeted(
-    spec: &Netlist,
-    impl_: &Netlist,
-    conflict_budget: u64,
-    budget: &Budget,
-) -> SatReport {
-    check_equivalence_sat_traced(spec, impl_, conflict_budget, budget, &Telemetry::disabled())
-}
-
-/// [`check_equivalence_sat_budgeted`] with a [`Telemetry`] handle: miter
+/// The miter check under a shared cooperative [`Budget`] (deadline /
+/// cancellation token), polled in the solver's conflict and propagate
+/// loops — the fallback rung of the `Verifier` ladder, which inherits
+/// whatever wall clock the word-level phase left over. Miter
 /// construction, Tseitin encoding, solver construction and the CDCL
 /// search each record a span (with CNF-size and search-effort counters)
-/// under the caller's current span.
+/// under `tele`'s current span.
 ///
 /// # Panics
 ///
@@ -256,7 +226,8 @@ mod tests {
         // entry poll and name the deadline, not the conflict budget.
         let budget = Budget::with_deadline(std::time::Duration::ZERO);
         std::thread::sleep(std::time::Duration::from_millis(1));
-        let report = check_equivalence_sat_budgeted(&spec, &impl_, u64::MAX, &budget);
+        let report =
+            check_equivalence_sat_traced(&spec, &impl_, u64::MAX, &budget, &Telemetry::disabled());
         assert_eq!(
             report.verdict,
             SatVerdict::Unknown(Interrupt::Budget(ExhaustedReason::Deadline))

@@ -66,7 +66,7 @@ pub struct Solver {
     clauses: Vec<Clause>,
     /// watches[lit.code()] = indices of clauses watching `lit`.
     watches: Vec<Vec<u32>>,
-    /// Assignment: 0 = unassigned, 1 = true, 2 = false… use Option<bool>.
+    /// Assignment: `None` = unassigned, else the variable's value.
     assign: Vec<Option<bool>>,
     level: Vec<u32>,
     reason: Vec<u32>, // clause index or INVALID

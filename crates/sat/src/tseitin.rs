@@ -25,7 +25,7 @@ pub fn encode(nl: &Netlist) -> Encoding {
 }
 
 /// [`encode`] under a cooperative [`Budget`], polled every
-/// [`BUDGET_STRIDE`] gates — million-gate miters take long enough to
+/// `BUDGET_STRIDE` gates — million-gate miters take long enough to
 /// encode that a deadline must be able to interrupt the encoding itself.
 ///
 /// Clauses come from the shared gate-shape template table

@@ -51,21 +51,13 @@ use crate::jsonl::{
     err_at, expect_keys, field_err, get_opt_str, get_opt_u64, get_slug, get_str, get_u64,
     header_line, read, FieldError, Frame, Kind, ParseError,
 };
-use crate::{Counter, Phase};
+use crate::Phase;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Work-unit cadence of in-flight [`EventKind::Progress`] snapshots: a
-/// span publishes one snapshot each time its cumulative work-unit
-/// total crosses a multiple of this stride. The cadence is defined in
-/// *work units* — deterministic effort — so which totals get announced
-/// depends only on the computation, never on wall clock or thread
-/// count (only the announcements' timestamps are wall-clock).
-pub const PROGRESS_STRIDE: u64 = 4096;
 
 /// What happened, with the kind-specific payload. The `event` field of
 /// the NDJSON line is the kind's slug.
@@ -87,14 +79,6 @@ pub enum EventKind {
         /// Wall-clock duration of the span, microseconds.
         dur_us: u64,
         /// Work units attributed to the span while it was open.
-        work_units: u64,
-    },
-    /// Periodic in-flight work snapshot of one open span, published at
-    /// the deterministic [`PROGRESS_STRIDE`] cadence (`"progress"`).
-    Progress {
-        /// The phase doing the work.
-        phase: Phase,
-        /// Cumulative work units attributed to the span so far.
         work_units: u64,
     },
     /// A budget-poller tick (`"budget"`): how much work the query has
@@ -134,7 +118,6 @@ impl EventKind {
         match self {
             EventKind::PhaseEnter { .. } => "phase-enter",
             EventKind::PhaseExit { .. } => "phase-exit",
-            EventKind::Progress { .. } => "progress",
             EventKind::BudgetTick { .. } => "budget",
             EventKind::QueryStart { .. } => "query-start",
             EventKind::QueryDone { .. } => "query-done",
@@ -145,9 +128,7 @@ impl EventKind {
     #[must_use]
     pub fn work_units(&self) -> Option<u64> {
         match self {
-            EventKind::PhaseExit { work_units, .. } | EventKind::Progress { work_units, .. } => {
-                Some(*work_units)
-            }
+            EventKind::PhaseExit { work_units, .. } => Some(*work_units),
             EventKind::BudgetTick { work_done, .. } => Some(*work_done),
             _ => None,
         }
@@ -327,13 +308,6 @@ impl Event {
                 label_field(&mut out, label);
                 let _ = write!(out, ",\"dur_us\":{dur_us},\"work_units\":{work_units}");
             }
-            EventKind::Progress { phase, work_units } => {
-                let _ = write!(
-                    out,
-                    ",\"phase\":\"{}\",\"work_units\":{work_units}",
-                    phase.slug()
-                );
-            }
             EventKind::BudgetTick {
                 work_done,
                 remaining_us,
@@ -440,7 +414,6 @@ pub(crate) fn parse_event(obj: &Obj) -> Result<Event, FieldError> {
     let kind_keys: &[&str] = match slug.as_str() {
         "phase-enter" => &["phase", "label"],
         "phase-exit" => &["phase", "label", "dur_us", "work_units"],
-        "progress" => &["phase", "work_units"],
         "budget" => &["work_done", "remaining_us"],
         "query-start" => &["query", "worker"],
         "query-done" => &["query", "verdict", "exit", "wall_us", "worker"],
@@ -458,10 +431,6 @@ pub(crate) fn parse_event(obj: &Obj) -> Result<Event, FieldError> {
             phase: phase()?,
             label: get_opt_str(obj, "label")?,
             dur_us: num("dur_us")?,
-            work_units: num("work_units")?,
-        },
-        "progress" => EventKind::Progress {
-            phase: phase()?,
             work_units: num("work_units")?,
         },
         "budget" => EventKind::BudgetTick {
@@ -489,45 +458,6 @@ pub(crate) fn parse_event(obj: &Obj) -> Result<Event, FieldError> {
     })
 }
 
-/// The per-span progress tracker behind [`PROGRESS_STRIDE`]: spans feed
-/// their work-unit counter increments through it and it publishes one
-/// [`EventKind::Progress`] snapshot per stride crossing.
-#[derive(Debug)]
-pub(crate) struct ProgressMeter {
-    work: u64,
-    next_mark: u64,
-}
-
-impl ProgressMeter {
-    pub(crate) fn new() -> ProgressMeter {
-        ProgressMeter {
-            work: 0,
-            next_mark: PROGRESS_STRIDE,
-        }
-    }
-
-    /// Total work units fed through so far.
-    pub(crate) fn work(&self) -> u64 {
-        self.work
-    }
-
-    /// Accumulates `value` units of work counter `counter`; publishes a
-    /// progress snapshot on `bus` when the total crosses a stride mark.
-    pub(crate) fn note(&mut self, bus: &EventBus, phase: Phase, counter: Counter, value: u64) {
-        if !counter.is_work() {
-            return;
-        }
-        self.work += value;
-        if self.work >= self.next_mark {
-            self.next_mark = (self.work / PROGRESS_STRIDE + 1) * PROGRESS_STRIDE;
-            bus.publish(EventKind::Progress {
-                phase,
-                work_units: self.work,
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,8 +478,10 @@ mod tests {
                 seq: 1,
                 ts_us: 20,
                 thread: 1,
-                kind: EventKind::Progress {
+                kind: EventKind::PhaseExit {
                     phase: Phase::GuidedReduction,
+                    label: None,
+                    dur_us: 10,
                     work_units: 4096,
                 },
             },
@@ -657,7 +589,7 @@ mod tests {
         assert_eq!(e.path, "version");
 
         let e =
-            EventStream::from_jsonl(&good.replace("\"event\":\"progress\"", "\"event\":\"warp\""))
+            EventStream::from_jsonl(&good.replace("\"event\":\"budget\"", "\"event\":\"warp\""))
                 .unwrap_err();
         assert_eq!(e.path, "event");
         assert!(e.message.contains("unknown event kind"));
@@ -688,9 +620,9 @@ mod tests {
     fn disabled_bus_is_inert() {
         let bus = EventBus::disabled();
         assert!(!bus.is_enabled());
-        bus.publish(EventKind::Progress {
-            phase: Phase::Extract,
-            work_units: 1,
+        bus.publish(EventKind::BudgetTick {
+            work_done: 1,
+            remaining_us: None,
         });
         assert_eq!(bus.dropped(), 0);
     }
@@ -699,9 +631,9 @@ mod tests {
     fn full_channel_drops_with_counter_without_blocking() {
         let (bus, rx) = EventBus::bounded(2);
         for i in 0..10 {
-            bus.publish(EventKind::Progress {
-                phase: Phase::Extract,
-                work_units: i,
+            bus.publish(EventKind::BudgetTick {
+                work_done: i,
+                remaining_us: None,
             });
         }
         // Capacity 2: exactly 2 queued, 8 dropped — and no publish blocked.
@@ -718,9 +650,9 @@ mod tests {
     fn receiver_sees_closed_after_all_buses_drop() {
         let (bus, rx) = EventBus::bounded(4);
         let clone = bus.clone();
-        clone.publish(EventKind::Progress {
-            phase: Phase::Extract,
-            work_units: 7,
+        clone.publish(EventKind::BudgetTick {
+            work_done: 7,
+            remaining_us: None,
         });
         drop(bus);
         drop(clone);
@@ -732,35 +664,5 @@ mod tests {
             rx.recv_timeout(Duration::from_millis(10)),
             Recv::Closed
         ));
-    }
-
-    #[test]
-    fn progress_meter_publishes_on_stride_crossings_only() {
-        let (bus, rx) = EventBus::bounded(64);
-        let mut meter = ProgressMeter::new();
-        // Non-work counters never count.
-        meter.note(&bus, Phase::GuidedReduction, Counter::PeakTerms, 1 << 20);
-        assert_eq!(meter.work(), 0);
-        // Work accumulates; one snapshot per stride crossing, even when a
-        // single increment jumps several strides.
-        meter.note(
-            &bus,
-            Phase::GuidedReduction,
-            Counter::ReductionSteps,
-            PROGRESS_STRIDE - 1,
-        );
-        meter.note(&bus, Phase::GuidedReduction, Counter::ReductionSteps, 1);
-        meter.note(
-            &bus,
-            Phase::GuidedReduction,
-            Counter::ReductionSteps,
-            3 * PROGRESS_STRIDE,
-        );
-        drop(bus);
-        let mut marks = Vec::new();
-        while let Recv::Event(ev) = rx.recv_timeout(Duration::from_millis(10)) {
-            marks.push(ev.kind.work_units().unwrap());
-        }
-        assert_eq!(marks, vec![PROGRESS_STRIDE, 4 * PROGRESS_STRIDE]);
     }
 }

@@ -61,7 +61,7 @@ mod trace;
 
 pub use agg::{AggGroup, GroupBy, TraceAgg};
 pub use diff::{DiffRow, Regression, TraceDiff};
-pub use events::{Event, EventBus, EventKind, EventReceiver, EventStream, Recv, PROGRESS_STRIDE};
+pub use events::{Event, EventBus, EventKind, EventReceiver, EventStream, Recv};
 pub use flame::{critical_path, folded, parse_folded, speedscope, CriticalPath};
 pub use jsonl::{check_jsonl, ParseError, JSONL_VERSION};
 pub use ledger::{fingerprint, Ledger, LedgerRow};

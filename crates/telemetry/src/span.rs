@@ -1,7 +1,7 @@
 //! The recording side: [`Telemetry`] handles, [`Span`] guards and the
 //! in-memory [`Collector`].
 
-use crate::events::{EventBus, EventKind, ProgressMeter};
+use crate::events::{EventBus, EventKind};
 use crate::mem::{self, MemSnapshot};
 use crate::{Counter, Gauge, Hist, HistData, Phase};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -116,7 +116,7 @@ impl Telemetry {
     }
 
     /// The same handle, additionally publishing live span events
-    /// (phase enter/exit, periodic work-unit progress) into `bus`.
+    /// (phase enter and exit, with the span's work units) into `bus`.
     /// Publishing is display-only and never blocks — see
     /// [`crate::events`].
     #[must_use]
@@ -175,7 +175,7 @@ impl Telemetry {
             Box::new(SpanEvents {
                 bus: self.events.clone(),
                 label,
-                meter: ProgressMeter::new(),
+                work: 0,
             })
         });
         Span {
@@ -200,13 +200,13 @@ struct EnabledSpan {
 }
 
 /// Live-event state of an open span: the bus to publish into and the
-/// stride meter that turns work-counter increments into periodic
-/// progress snapshots. Boxed so an events-off [`Span`] stays small.
+/// work units recorded so far, reported by `phase-exit`. Boxed so an
+/// events-off [`Span`] stays small.
 #[derive(Debug)]
 struct SpanEvents {
     bus: EventBus,
     label: Option<String>,
-    meter: ProgressMeter,
+    work: u64,
 }
 
 /// An open span; finishing (or dropping) it records one [`SpanRecord`].
@@ -239,8 +239,8 @@ impl Span {
     /// Values for the same counter accumulate. No-op (a single branch)
     /// when tracing is disabled.
     pub fn counter(&mut self, counter: Counter, value: u64) {
-        if let Some(ev) = &mut self.events {
-            ev.meter.note(&ev.bus, self.phase, counter, value);
+        if let Some(ev) = self.events.as_mut().filter(|_| counter.is_work()) {
+            ev.work += value;
         }
         if self.state.is_none() {
             return;
@@ -326,7 +326,7 @@ impl Span {
                 phase: self.phase,
                 label: ev.label,
                 dur_us: duration.as_micros().min(u128::from(u64::MAX)) as u64,
-                work_units: ev.meter.work(),
+                work_units: ev.work,
             });
         }
         if let Some(s) = self.state.take() {
@@ -442,29 +442,31 @@ mod tests {
 
     #[test]
     fn spans_publish_live_events_even_without_a_collector() {
-        use crate::events::{EventBus, Recv, PROGRESS_STRIDE};
+        use crate::events::{EventBus, Recv};
         let (bus, rx) = EventBus::bounded(32);
         let tele = Telemetry::disabled().with_events(&bus);
         let mut root = tele.span_labeled(Phase::Extract, "spec");
-        root.counter(Counter::ReductionSteps, PROGRESS_STRIDE);
+        root.counter(Counter::ReductionSteps, 4096);
+        root.counter(Counter::PeakTerms, 7);
+        root.counter(Counter::ReductionSteps, 3);
         let child = root.telemetry().span(Phase::ModelBuild);
         let _ = child.finish();
         let _ = root.finish();
         drop(tele);
         drop(bus);
 
-        let mut kinds = Vec::new();
+        let mut events = Vec::new();
         while let Recv::Event(ev) = rx.recv_timeout(std::time::Duration::from_millis(50)) {
-            kinds.push(ev.kind.slug());
+            events.push((ev.kind.slug(), ev.kind.work_units()));
         }
+        // The root's exit reports its work counters only: 4096 + 3 steps.
         assert_eq!(
-            kinds,
+            events,
             [
-                "phase-enter",
-                "progress",
-                "phase-enter",
-                "phase-exit",
-                "phase-exit"
+                ("phase-enter", None),
+                ("phase-enter", None),
+                ("phase-exit", Some(0)),
+                ("phase-exit", Some(4099)),
             ]
         );
     }

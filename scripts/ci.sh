@@ -10,6 +10,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== rustdoc (deny warnings) =="
+# Broken or private intra-doc links fail here, so a deleted function
+# cannot linger in the documentation that names it.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "== tier-1: build (release) =="
 cargo build --release --offline
 

@@ -15,9 +15,8 @@
 //!
 //! Every query runs through the exact same [`Verifier`] ladder as a
 //! standalone `Verifier::check`/`extract` call; the only batch-level
-//! sharing is through providers bound by the
-//! [`ExtractProvider`](crate::core::ExtractProvider) determinism
-//! contract. Batch results are therefore bit-identical to running the
+//! sharing is through providers bound by the [`ExtractProvider`]
+//! determinism contract. Batch results are therefore bit-identical to running the
 //! queries sequentially, at any worker count — the scheduler decides
 //! *when* a query runs, never *what* it computes. (A shared wall-clock
 //! deadline is the one intentional exception, exactly as it is for
@@ -34,8 +33,8 @@
 //! their slack to later queries instead of stranding it.
 
 use crate::cache::{CacheStats, CachingExtract};
-use crate::core::equiv::{EquivReport, Verdict};
-use crate::core::{pool, CoreError, ExtractProvider, Extraction};
+use crate::core::equiv::EquivReport;
+use crate::core::{pool, CoreError, ExtractProvider};
 use crate::field::{ContextCache, Gf2Poly};
 use crate::netlist::hierarchy::HierDesign;
 use crate::netlist::Netlist;
@@ -63,7 +62,7 @@ pub struct EngineConfig {
     pub trace: bool,
     /// Live event bus the batch publishes into: per-query lifecycle
     /// (which worker picked up which query, how each ended) plus every
-    /// in-flight phase/progress/budget event of the queries themselves.
+    /// in-flight phase/budget event of the queries themselves.
     /// Disabled by default; publishing never blocks workers.
     pub events: EventBus,
 }
@@ -146,39 +145,39 @@ pub enum QueryOutcome {
 
 impl QueryOutcome {
     /// The one-word verdict used on result lines, in ledger rows and in
-    /// live `query-done` events: `extracted`, `residual`, `equivalent`,
-    /// `inequivalent`, `unknown`, `timeout` or `failed`.
+    /// live `query-done` events: `failed`, `timeout`, an extraction's
+    /// [`word`](crate::core::Extraction::word) (`extracted` for a
+    /// hierarchical design) or a verdict's [`word`](crate::core::equiv::Verdict::word).
     #[must_use]
     pub fn verdict_word(&self) -> &'static str {
         match self {
             QueryOutcome::Failed(_) => "failed",
             QueryOutcome::TimedOut(_) => "timeout",
-            QueryOutcome::Extracted(report) => match report.as_flat().map(|r| &r.outcome) {
-                None | Some(Extraction::Canonical(_)) => "extracted",
-                Some(Extraction::Residual { .. }) => "residual",
-                Some(Extraction::TimedOut { .. }) => "timeout",
-            },
-            QueryOutcome::Checked(report) => match report.verdict() {
-                Verdict::Equivalent { .. } | Verdict::EquivalentBySat { .. } => "equivalent",
-                Verdict::Inequivalent { .. }
-                | Verdict::InequivalentBySimulation { .. }
-                | Verdict::InequivalentBySat { .. } => "inequivalent",
-                Verdict::Unknown { .. } => "unknown",
-            },
+            QueryOutcome::Extracted(report) => {
+                report.as_flat().map_or("extracted", |r| r.outcome.word())
+            }
+            QueryOutcome::Checked(report) => report.verdict().word(),
         }
     }
 
-    /// The process-exit severity the outcome maps to under the CLI's
-    /// batch aggregation contract (0 ok / 1 inequivalent / 2 failure /
-    /// 3 resource-exhausted).
+    /// The process-exit severity of the outcome: [`exit_code`] of its
+    /// [`verdict_word`](QueryOutcome::verdict_word).
     #[must_use]
     pub fn exit_severity(&self) -> u8 {
-        match self.verdict_word() {
-            "failed" => 2,
-            "timeout" | "unknown" => 3,
-            "inequivalent" => 1,
-            _ => 0,
-        }
+        exit_code(self.verdict_word())
+    }
+}
+
+/// The exit code of a verdict word, the one mapping behind every
+/// `gfab` subcommand and the batch aggregation: 0 ok, 1 inequivalent,
+/// 2 failure, 3 resource exhausted (`timeout`, `unknown`).
+#[must_use]
+pub fn exit_code(verdict_word: &str) -> u8 {
+    match verdict_word {
+        "failed" => 2,
+        "timeout" | "unknown" => 3,
+        "inequivalent" => 1,
+        _ => 0,
     }
 }
 

@@ -16,7 +16,7 @@
 //! * [`telemetry`] — phase spans, counters, gauges, histograms,
 //!   per-phase memory accounting, JSONL traces and trace diffing
 //!   ([`gfab_telemetry`])
-//! * [`bench`] — paper-table harness utilities ([`gfab_bench`])
+//! * [`bench`](mod@bench) — paper-table harness utilities ([`gfab_bench`])
 //! * [`fuzz`] — deterministic fuzzing, fault injection, the
 //!   cross-engine differential oracle and counterexample shrinking
 //!   ([`gfab_fuzz`])

@@ -218,8 +218,6 @@ struct Board {
     stack: BTreeMap<u64, Vec<String>>,
     /// Work units banked by closed spans.
     done_work: u64,
-    /// Last in-flight progress snapshot per (thread, phase slug).
-    live_work: BTreeMap<(u64, &'static str), u64>,
     budget_remaining_us: Option<u64>,
     /// Current query per worker, and finished-query tally.
     running: BTreeMap<u64, String>,
@@ -238,7 +236,6 @@ impl Board {
             dirty: false,
             stack: BTreeMap::new(),
             done_work: 0,
-            live_work: BTreeMap::new(),
             budget_remaining_us: None,
             running: BTreeMap::new(),
             queries_done: 0,
@@ -260,18 +257,11 @@ impl Board {
                 self.stack.entry(t).or_default().push(name);
                 self.last_thread = t;
             }
-            EventKind::PhaseExit {
-                phase, work_units, ..
-            } => {
+            EventKind::PhaseExit { work_units, .. } => {
                 if let Some(stack) = self.stack.get_mut(&t) {
                     stack.pop();
                 }
-                self.live_work.remove(&(t, phase.slug()));
                 self.done_work += work_units;
-            }
-            EventKind::Progress { phase, work_units } => {
-                self.live_work.insert((t, phase.slug()), *work_units);
-                self.last_thread = t;
             }
             EventKind::BudgetTick { remaining_us, .. } => {
                 self.budget_remaining_us = *remaining_us;
@@ -313,7 +303,7 @@ impl Board {
 
     /// The current status, without any cursor control.
     fn status_line(&self) -> String {
-        let work: u64 = self.done_work + self.live_work.values().sum::<u64>();
+        let work = self.done_work;
         let secs = self.started.elapsed().as_secs_f64();
         let rate = if secs > 0.0 { work as f64 / secs } else { 0.0 };
         let phase = self

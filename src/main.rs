@@ -24,10 +24,13 @@ use gfab::circuits::{gf_adder, mastrovito_multiplier, montgomery_multiplier_hier
 use gfab::core::equiv::Verdict;
 use gfab::core::ideal_membership::{spec_ring, verify_against_spec};
 use gfab::core::Extraction;
+use gfab::engine::exit_code;
+use gfab::field::budget::Budget;
 use gfab::field::nist::irreducible_polynomial;
 use gfab::field::{Gf2Poly, GfContext};
 use gfab::netlist::{format as nlformat, Netlist};
-use gfab::sat::equiv::{check_equivalence_sat_with, SatVerdict};
+use gfab::sat::equiv::{check_equivalence_sat_traced, SatVerdict};
+use gfab::telemetry::Telemetry;
 use gfab::Verifier;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -461,16 +464,17 @@ fn cmd_extract(args: &Args) -> Result<ExitCode, String> {
                 Some(b) => println!("TIMED OUT during {phase} (block {b}): {reason}"),
                 None => println!("TIMED OUT during {phase}: {reason}"),
             }
+            let exit = exit_code("timeout");
             ledger.append(&QueryRecord {
                 query: stem(path),
                 k: ctx.k() as u64,
                 verdict: "timeout",
-                exit: 3,
+                exit,
                 work_units: 0,
                 wall: t.elapsed(),
                 mem_peak_bytes: None,
             })?;
-            return Ok(ExitCode::from(3));
+            return Ok(ExitCode::from(exit));
         }
         Err(e) => return Err(e.to_string()),
     };
@@ -479,20 +483,15 @@ fn cmd_extract(args: &Args) -> Result<ExitCode, String> {
     let result = report.as_flat().expect("flat netlist gives flat report");
     println!("circuit : {} ({} gates)", nl.name(), nl.num_gates());
     println!("field   : F_2^{}, P(x) = {}", ctx.k(), ctx.modulus());
-    let (exit, verdict) = match &result.outcome {
-        Extraction::Canonical(f) => {
-            println!("function: Z = {}", f.display());
-            (0u8, "extracted")
-        }
+    match &result.outcome {
+        Extraction::Canonical(f) => println!("function: Z = {}", f.display()),
         Extraction::Residual { remainder, note } => {
             println!("residual: {} terms ({note})", remainder.num_terms());
-            (0, "residual")
         }
-        Extraction::TimedOut { phase, reason } => {
-            println!("TIMED OUT during {phase}: {reason}");
-            (3, "timeout")
-        }
-    };
+        Extraction::TimedOut { phase, reason } => println!("TIMED OUT during {phase}: {reason}"),
+    }
+    let verdict = result.outcome.word();
+    let exit = exit_code(verdict);
     println!(
         "effort  : {} reduction steps ({} cancellations), peak {} terms, {elapsed:?}",
         result.stats.reduction_steps, result.stats.cancellations, result.stats.peak_terms
@@ -582,58 +581,34 @@ fn cmd_equiv(args: &Args) -> Result<ExitCode, String> {
         );
     }
     tracing.emit(report.trace.as_ref())?;
-    let (exit, verdict) = match &report.verdict {
+    match &report.verdict {
         Verdict::Equivalent { function } => {
             println!(
                 "EQUIVALENT: both circuits implement Z = {}",
                 function.display()
             );
-            println!("({elapsed:?})");
-            (0u8, "equivalent")
         }
-        Verdict::Inequivalent {
-            spec,
-            impl_,
-            counterexample,
-        } => {
+        Verdict::Inequivalent { spec, impl_, .. } => {
             println!("INEQUIVALENT");
             println!("  spec: Z = {}", spec.display());
             println!("  impl: Z = {}", impl_.display());
-            if let Some(cex) = counterexample {
-                let pretty: Vec<String> = cex.iter().map(|g| g.to_string()).collect();
-                println!("  counterexample: ({})", pretty.join(", "));
-            }
-            println!("({elapsed:?})");
-            (1, "inequivalent")
         }
-        Verdict::InequivalentBySimulation { counterexample } => {
-            println!("INEQUIVALENT (simulation witness)");
-            let pretty: Vec<String> = counterexample.iter().map(|g| g.to_string()).collect();
-            println!("  counterexample: ({})", pretty.join(", "));
-            println!("({elapsed:?})");
-            (1, "inequivalent")
-        }
+        Verdict::InequivalentBySimulation { .. } => println!("INEQUIVALENT (simulation witness)"),
         Verdict::EquivalentBySat { conflicts } => {
             println!("EQUIVALENT (SAT fallback: miter UNSAT after {conflicts} conflicts)");
-            println!("({elapsed:?})");
-            (0, "equivalent")
         }
-        Verdict::InequivalentBySat {
-            counterexample,
-            conflicts,
-        } => {
+        Verdict::InequivalentBySat { conflicts, .. } => {
             println!("INEQUIVALENT (SAT fallback witness, {conflicts} conflicts)");
-            let pretty: Vec<String> = counterexample.iter().map(|g| g.to_string()).collect();
-            println!("  counterexample: ({})", pretty.join(", "));
-            println!("({elapsed:?})");
-            (1, "inequivalent")
         }
-        Verdict::Unknown { reason } => {
-            println!("UNKNOWN: {reason}");
-            println!("({elapsed:?})");
-            (3, "unknown")
-        }
-    };
+        Verdict::Unknown { reason } => println!("UNKNOWN: {reason}"),
+    }
+    if let Some(cex) = report.verdict.counterexample() {
+        let pretty: Vec<String> = cex.iter().map(|g| g.to_string()).collect();
+        println!("  counterexample: ({})", pretty.join(", "));
+    }
+    println!("({elapsed:?})");
+    let verdict = report.verdict.word();
+    let exit = exit_code(verdict);
     ledger.append(&QueryRecord {
         query: &format!("{}~{}", stem(spec_path), stem(impl_path)),
         k: ctx.k() as u64,
@@ -651,12 +626,14 @@ fn cmd_equiv(args: &Args) -> Result<ExitCode, String> {
 
 fn cmd_sat_equiv(args: &Args) -> Result<ExitCode, String> {
     let (spec_path, impl_path) = (args.positionals[0], args.positionals[1]);
-    let budget = args.get("--conflicts")?.unwrap_or(1_000_000u64);
+    let conflicts = args.get("--conflicts")?.unwrap_or(1_000_000u64);
     let timeout = args.duration("--timeout")?;
     let spec = load(spec_path)?;
     let impl_ = load(impl_path)?;
+    let budget = timeout.map_or_else(Budget::unlimited, Budget::with_deadline);
     let t = Instant::now();
-    let report = check_equivalence_sat_with(&spec, &impl_, budget, timeout);
+    let report =
+        check_equivalence_sat_traced(&spec, &impl_, conflicts, &budget, &Telemetry::disabled());
     let elapsed = t.elapsed();
     println!(
         "miter: {} vars, {} clauses; {} conflicts, {} decisions",
@@ -720,7 +697,8 @@ fn cmd_batch(args: &Args) -> Result<ExitCode, String> {
     for pass in 0..repeat {
         let report = engine.run_batch(&queries);
         for r in &report.results {
-            let (exit, fields) = render_query_result(&r.outcome);
+            let exit = r.outcome.exit_severity();
+            let fields = render_query_result(&r.outcome);
             seen[exit as usize] = true;
             let mut line = String::from("{\"query\":");
             write_json_string(&mut line, &r.name);
@@ -815,8 +793,8 @@ fn outcome_trace(outcome: &gfab::engine::QueryOutcome) -> Option<&gfab::telemetr
     }
 }
 
-/// One query outcome → (exit severity, the JSON fields after `"query"`).
-fn render_query_result(outcome: &gfab::engine::QueryOutcome) -> (u8, String) {
+/// One query outcome → the JSON fields after `"query"`.
+fn render_query_result(outcome: &gfab::engine::QueryOutcome) -> String {
     use gfab::engine::QueryOutcome;
     use gfab::telemetry::json::write_json_string;
     let mut s = String::new();
@@ -824,21 +802,18 @@ fn render_query_result(outcome: &gfab::engine::QueryOutcome) -> (u8, String) {
         QueryOutcome::Failed(msg) => {
             s.push_str("\"op\":\"failed\",\"error\":");
             write_json_string(&mut s, msg);
-            (2, s)
         }
         QueryOutcome::TimedOut(reason) => {
             s.push_str("\"op\":\"timeout\",\"reason\":");
             write_json_string(&mut s, reason);
-            (3, s)
         }
         QueryOutcome::Extracted(report) => {
             s.push_str("\"op\":\"extract\",");
-            let exit = match report.as_flat().map(|r| &r.outcome) {
+            match report.as_flat().map(|r| &r.outcome) {
                 None | Some(Extraction::Canonical(_)) => {
                     let f = report.function().expect("canonical outcome has a function");
                     s.push_str("\"outcome\":\"canonical\",\"function\":");
                     write_json_string(&mut s, &format!("{}", f.display()));
-                    0
                 }
                 Some(Extraction::Residual { remainder, note }) => {
                     s.push_str(&format!(
@@ -846,41 +821,32 @@ fn render_query_result(outcome: &gfab::engine::QueryOutcome) -> (u8, String) {
                         remainder.num_terms()
                     ));
                     write_json_string(&mut s, note);
-                    0
                 }
                 Some(Extraction::TimedOut { phase, reason }) => {
                     s.push_str("\"outcome\":\"timeout\",\"reason\":");
                     write_json_string(&mut s, &format!("{phase}: {reason}"));
-                    3
                 }
-            };
-            (exit, s)
+            }
         }
         QueryOutcome::Checked(report) => {
-            s.push_str("\"op\":\"equiv\",");
-            let (verdict, method, exit) = match report.verdict() {
-                Verdict::Equivalent { .. } => ("equivalent", "word", 0),
-                Verdict::Inequivalent { .. } => ("inequivalent", "word", 1),
-                Verdict::InequivalentBySimulation { .. } => ("inequivalent", "simulation", 1),
-                Verdict::EquivalentBySat { .. } => ("equivalent", "sat", 0),
-                Verdict::InequivalentBySat { .. } => ("inequivalent", "sat", 1),
-                Verdict::Unknown { .. } => ("unknown", "none", 3),
-            };
+            let v = report.verdict();
             s.push_str(&format!(
-                "\"verdict\":\"{verdict}\",\"method\":\"{method}\""
+                "\"op\":\"equiv\",\"verdict\":\"{}\",\"method\":\"{}\"",
+                v.word(),
+                v.method()
             ));
-            if let Verdict::Unknown { reason } = report.verdict() {
+            if let Verdict::Unknown { reason } = v {
                 s.push_str(",\"reason\":");
                 write_json_string(&mut s, reason);
             }
-            if let Some(cex) = report.verdict().counterexample() {
+            if let Some(cex) = v.counterexample() {
                 let pretty: Vec<String> = cex.iter().map(|g| g.to_string()).collect();
                 s.push_str(",\"counterexample\":");
                 write_json_string(&mut s, &pretty.join(", "));
             }
-            (exit, s)
         }
     }
+    s
 }
 
 fn cmd_gen(args: &Args) -> Result<ExitCode, String> {

@@ -3,13 +3,14 @@
 //! [`Verifier`] is a small builder that bundles a field context with an
 //! [`ExtractOptions`] configuration (thread budget, Case-2 completion
 //! limits, …) and exposes the whole abstraction/equivalence surface behind
-//! two methods:
+//! two methods, each taking a flat netlist or a hierarchical design as a
+//! [`Circuit`]:
 //!
-//! * [`Verifier::extract`] — gate-level → word-level abstraction of a flat
-//!   netlist or a hierarchical design (hierarchy is dispatched on the
-//!   argument type, no separate entry point needed);
+//! * [`Verifier::extract`] — gate-level → word-level abstraction;
 //! * [`Verifier::check`] — equivalence of a flat spec against a flat or
-//!   hierarchical implementation, again dispatched on the argument type.
+//!   hierarchical implementation through the one ladder of
+//!   [`check_equivalence_budgeted_with`], with a SAT fallback rung when
+//!   the word level cannot decide.
 //!
 //! ```
 //! use gfab::field::{GfContext, Gf2Poly};
@@ -33,18 +34,15 @@
 //! assert!(report.verdict.is_equivalent());
 //! ```
 
-use crate::core::equiv::SatStats;
-use crate::core::equiv::{
-    check_equivalence_budgeted_with, check_equivalence_hier_budgeted_with, EquivReport, Verdict,
-};
+use crate::core::equiv::{check_equivalence_budgeted_with, EquivReport, SatStats, Verdict};
 use crate::core::hier::{extract_hierarchical_budgeted_with, HierExtraction};
+pub use crate::core::Circuit;
 use crate::core::{
     CoreError, DirectExtract, ExtractOptions, ExtractProvider, ExtractionResult, ExtractionStats,
     WordFunction,
 };
 use crate::field::budget::{Budget, BudgetObserver, BudgetSpec};
 use crate::field::{Gf, GfContext};
-use crate::netlist::hierarchy::HierDesign;
 use crate::netlist::Netlist;
 use crate::sat::equiv::{check_equivalence_sat_traced, SatVerdict};
 use crate::telemetry::{Collector, EventBus, EventKind, Phase, Telemetry, Trace};
@@ -68,29 +66,6 @@ impl BudgetObserver for BudgetEvents {
             work_done,
             remaining_us: remaining.map(|r| r.as_micros().min(u128::from(u64::MAX)) as u64),
         });
-    }
-}
-
-/// A circuit that can be handed to [`Verifier::extract`] or appear as the
-/// implementation side of [`Verifier::check`]: either a flat gate-level
-/// netlist or a hierarchical block design.
-#[derive(Debug, Clone, Copy)]
-pub enum Circuit<'a> {
-    /// A flat gate-level netlist.
-    Flat(&'a Netlist),
-    /// A hierarchical design (per-block extraction + word-level composition).
-    Hier(&'a HierDesign),
-}
-
-impl<'a> From<&'a Netlist> for Circuit<'a> {
-    fn from(nl: &'a Netlist) -> Self {
-        Circuit::Flat(nl)
-    }
-}
-
-impl<'a> From<&'a HierDesign> for Circuit<'a> {
-    fn from(design: &'a HierDesign) -> Self {
-        Circuit::Hier(design)
     }
 }
 
@@ -129,28 +104,11 @@ impl ExtractReport {
     }
 
     /// Extraction statistics: the flat stats, or the aggregate over all
-    /// blocks of a hierarchical design.
+    /// blocks of a hierarchical design ([`HierExtraction::stats`]).
     pub fn stats(&self) -> ExtractionStats {
         match &self.outcome {
             ExtractOutcome::Flat(r) => r.stats.clone(),
-            ExtractOutcome::Hier(h) => {
-                let mut agg = ExtractionStats::default();
-                for (_, _, s) in &h.blocks {
-                    agg.gates += s.gates;
-                    agg.reduction_steps += s.reduction_steps;
-                    agg.cancellations += s.cancellations;
-                    agg.peak_terms = agg.peak_terms.max(s.peak_terms);
-                    agg.duration += s.duration;
-                    agg.model_time += s.model_time;
-                    agg.reduce_time += s.reduce_time;
-                    agg.case2_time += s.case2_time;
-                    if agg.budget_exhausted.is_none() {
-                        agg.budget_exhausted = s.budget_exhausted.clone();
-                    }
-                }
-                agg.duration += h.compose_time;
-                agg
-            }
+            ExtractOutcome::Hier(h) => h.stats(),
         }
     }
 
@@ -222,8 +180,8 @@ impl Verifier {
         }
     }
 
-    /// Publishes live events (phase enter/exit, periodic work-unit
-    /// progress, budget-drain ticks) into `bus` while queries run — the
+    /// Publishes live events (phase enter/exit with work units,
+    /// budget-drain ticks) into `bus` while queries run — the
     /// channel behind `--progress` and `--events`. Publishing is
     /// non-blocking and display-only: it never perturbs deterministic
     /// work-unit counters or verdicts. Off by default.
@@ -250,8 +208,8 @@ impl Verifier {
     /// serialized into the JSONL trace).
     ///
     /// Accounting needs the process's global allocator to be instrumented
-    /// (the `gfab` binary installs [`telemetry::mem`]-aware hooks; see
-    /// `gfab::telemetry::mem`). Without such hooks this knob records
+    /// (the `gfab` binary installs [`mem`](crate::telemetry::mem)-aware
+    /// hooks). Without such hooks this knob records
     /// all-zero gauges. It has no effect unless [`trace`](Verifier::trace)
     /// is also enabled, and untracked runs pay a single relaxed atomic
     /// load per allocation — nothing else.
@@ -352,8 +310,8 @@ impl Verifier {
             let mem = self.mem_stats.then(crate::telemetry::mem::track);
             (Some(collector), options, mem)
         } else if self.events.is_enabled() {
-            // Events without tracing: spans still open (for live
-            // phase/progress publishing) but record nothing.
+            // Events without tracing: spans still open (for live phase
+            // publishing) but record nothing.
             let options = self
                 .options
                 .clone()
@@ -378,7 +336,8 @@ impl Verifier {
     }
 
     /// Abstracts a circuit to its word-level polynomial. Accepts a flat
-    /// [`Netlist`] or a hierarchical [`HierDesign`] (blocks extracted
+    /// [`Netlist`] or a hierarchical
+    /// [`HierDesign`](crate::netlist::hierarchy::HierDesign) (blocks extracted
     /// concurrently, then composed at word level).
     ///
     /// # Errors
@@ -465,24 +424,14 @@ impl Verifier {
             None => spec_budget.start(),
         });
         let provider = self.provider.as_deref().unwrap_or(&DirectExtract);
-        let word = match impl_ {
-            Circuit::Flat(nl) => check_equivalence_budgeted_with(
-                provider,
-                spec,
-                nl,
-                &self.ctx,
-                &options,
-                &word_budget,
-            ),
-            Circuit::Hier(design) => check_equivalence_hier_budgeted_with(
-                provider,
-                spec,
-                design,
-                &self.ctx,
-                &options,
-                &word_budget,
-            ),
-        };
+        let word = check_equivalence_budgeted_with(
+            provider,
+            spec,
+            impl_,
+            &self.ctx,
+            &options,
+            &word_budget,
+        );
         let (word_report, reason) = match word {
             Ok(mut r) => match &r.verdict {
                 Verdict::Unknown { reason } => {
@@ -597,12 +546,23 @@ mod tests {
 
     #[test]
     fn hier_stats_aggregate_blocks() {
-        let ctx = f16();
-        let report = Verifier::new(&ctx)
-            .extract(&montgomery_multiplier_hier(&ctx))
-            .unwrap();
-        let stats = report.stats();
+        let ctx = GfContext::shared(irreducible_polynomial(8).unwrap()).unwrap();
+        let design = montgomery_multiplier_hier(&ctx);
+        let v = Verifier::new(&ctx);
+        let stats = v.extract(&design).unwrap().stats();
         assert!(stats.gates > 0);
         assert!(stats.reduction_steps > 0);
+        assert!(stats.cancellations > 0);
+        // An equivalence check reports the same aggregate for its impl.
+        let report = v.check(&mastrovito_multiplier(&ctx), &design).unwrap();
+        let checked = report.impl_stats();
+        assert_eq!(
+            (checked.gates, checked.reduction_steps),
+            (stats.gates, stats.reduction_steps)
+        );
+        assert_eq!(
+            (checked.cancellations, checked.peak_terms),
+            (stats.cancellations, stats.peak_terms)
+        );
     }
 }

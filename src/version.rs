@@ -2,8 +2,9 @@
 //!
 //! Combines the Cargo package version with the git-describe revision
 //! embedded at compile time (see `build.rs`). The resulting string is
-//! what `gfab --version` prints, what [`Trace::to_jsonl_tagged`]
-//! (`crate::telemetry::Trace`) stamps into trace JSONL headers, and what
+//! what `gfab --version` prints, what
+//! [`Trace::to_jsonl_tagged`](crate::telemetry::Trace::to_jsonl_tagged)
+//! stamps into trace JSONL headers, and what
 //! the fuzz corpus records as each case file's `producer` — so every
 //! persisted artifact names the exact build that wrote it.
 

@@ -191,6 +191,48 @@ fn events_file_validates_under_trace_check_even_without_footer() {
         "stdout: {}",
         stdout(&out)
     );
+
+    // An events-only stream opens the same spans as a traced run: the
+    // `(phase, label)` sequence of `phase-enter` events is identical with
+    // and without a trace collector attached.
+    let spec = fixture(&dir, "mastrovito", 8);
+    let impl_ = fixture(&dir, "montgomery", 8);
+    let enters = |traced: bool| {
+        let events = dir.join(format!("equiv-events-{traced}.jsonl"));
+        let trace = dir.join("equiv-trace.jsonl");
+        let mut args = vec![
+            "equiv",
+            spec.to_str().unwrap(),
+            impl_.to_str().unwrap(),
+            "--k",
+            "8",
+            "--threads",
+            "1",
+            "--events",
+            events.to_str().unwrap(),
+        ];
+        if traced {
+            args.extend(["--trace-json", trace.to_str().unwrap()]);
+        }
+        let out = run(&args);
+        assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
+        let text = std::fs::read_to_string(&events).expect("events file");
+        let stream = gfab::telemetry::EventStream::from_jsonl(&text).expect("valid stream");
+        stream
+            .events
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                gfab::telemetry::EventKind::PhaseEnter { phase, label } => Some((phase, label)),
+                _ => None,
+            })
+            .collect::<Vec<_>>()
+    };
+    let (plain, traced) = (enters(false), enters(true));
+    assert!(
+        plain.contains(&(gfab::telemetry::Phase::Extract, Some("impl".into()))),
+        "{plain:?}"
+    );
+    assert_eq!(plain, traced);
 }
 
 #[test]

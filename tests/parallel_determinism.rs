@@ -10,11 +10,13 @@ use gfab::circuits::{
     sqrt_circuit, squarer, trace_circuit, MonproOperand,
 };
 use gfab::core::Extraction;
+use gfab::field::budget::Budget;
 use gfab::field::nist::irreducible_polynomial;
 use gfab::field::{GfContext, Rng};
 use gfab::netlist::mutate::inject_random_bug;
-use gfab::netlist::sim::random_equivalence_check_sharded;
+use gfab::netlist::sim::random_equivalence_check_traced;
 use gfab::netlist::Netlist;
+use gfab::telemetry::Telemetry;
 use gfab::Verifier;
 use std::sync::Arc;
 
@@ -236,7 +238,10 @@ fn sharded_counterexample_search_is_thread_deterministic() {
         let (bad, what) = inject_random_bug(&golden, seed);
         let run = |threads: usize| {
             let mut rng = Rng::seed_from_u64(0xD15C);
-            random_equivalence_check_sharded(&golden, &bad, &ctx, 256, &mut rng, threads)
+            let (budget, tele) = (Budget::unlimited(), Telemetry::disabled());
+            random_equivalence_check_traced(
+                &golden, &bad, &ctx, 256, &mut rng, threads, &budget, &tele, "",
+            )
         };
         assert_eq!(
             run(1),
