@@ -10,13 +10,14 @@
 //! small circuits and to measure how quickly the unguided route explodes.
 
 use crate::error::CoreError;
+use crate::model;
 use crate::wordfn::WordFunction;
 use gfab_field::budget::Budget;
 use gfab_field::GfContext;
 use gfab_netlist::{NetId, Netlist};
 use gfab_poly::buchberger::{reduced_groebner_basis_traced, GbLimits, GbOutcome, GbStats};
 use gfab_poly::vanishing::vanishing_ideal_all;
-use gfab_poly::{ExponentMode, Monomial, Poly, RingBuilder, VarId, VarKind};
+use gfab_poly::{ExponentMode, Monomial, Poly, VarId, VarKind};
 use gfab_telemetry::Telemetry;
 use std::sync::Arc;
 
@@ -108,19 +109,8 @@ pub fn full_gb_abstraction_traced(
     if order == CircuitVarOrder::ReverseTopological {
         internal.sort_by_key(|&n| (levels[n.index()], n.0));
     }
-    let mut rb = RingBuilder::new(ctx.clone(), ExponentMode::Plain);
-    let mut net_var: Vec<Option<VarId>> = vec![None; nl.num_nets()];
-    let mut used = std::collections::HashMap::new();
-    for &n in &internal {
-        let name = crate::model::unique_var_name(&mut used, nl.net_name(n));
-        net_var[n.index()] = Some(rb.add_var(name, VarKind::Bit));
-    }
-    for w in nl.input_words() {
-        for &b in &w.bits {
-            let name = crate::model::unique_var_name(&mut used, nl.net_name(b));
-            net_var[b.index()] = Some(rb.add_var(name, VarKind::Bit));
-        }
-    }
+    let mut rb = model::ring_builder(nl, ctx, ExponentMode::Plain);
+    let net_var = model::add_net_vars(&mut rb, nl, &internal);
     let z_var = rb.add_var(nl.output_word().name.clone(), VarKind::Word);
     let input_vars: Vec<VarId> = nl
         .input_words()
@@ -135,20 +125,16 @@ pub fn full_gb_abstraction_traced(
     let mut generators: Vec<Poly> = nl
         .gates()
         .iter()
-        .map(|g| crate::model::gate_polynomial(&ring, ctx, g, &nv))
+        .map(|g| model::gate_polynomial(&ring, ctx, g, &nv))
         .collect();
-    let word_poly = |bits: &[NetId], w: VarId| -> Poly {
-        let mut terms: Vec<(Monomial, gfab_field::Gf)> = bits
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| (Monomial::var(nv(b)), ctx.alpha_pow(i as u64)))
-            .collect();
-        terms.push((Monomial::var(w), one.clone()));
-        Poly::from_terms(terms)
-    };
-    generators.push(word_poly(&nl.output_word().bits, z_var));
+    generators.push(model::word_polynomial(
+        ctx,
+        &nl.output_word().bits,
+        z_var,
+        &nv,
+    ));
     for (w, &v) in nl.input_words().iter().zip(&input_vars) {
-        generators.push(word_poly(&w.bits, v));
+        generators.push(model::word_polynomial(ctx, &w.bits, v, &nv));
     }
     generators.extend(vanishing_ideal_all(&ring)?);
 

@@ -17,6 +17,7 @@
 //! paper's RATO refinement; the benches reproduce the comparison.
 
 use crate::error::CoreError;
+use crate::model;
 use gfab_field::GfContext;
 use gfab_netlist::Netlist;
 use gfab_poly::reduce::{Reducer, ReductionStats};
@@ -92,7 +93,7 @@ pub fn verify_against_spec(
     // Ring: Z > input words > internal nets (reverse topological) > PI bits.
     let levels =
         gfab_netlist::topo::reverse_topological_levels(nl).expect("validated netlist is acyclic");
-    let mut rb = RingBuilder::new(ctx.clone(), ExponentMode::Quotient);
+    let mut rb = model::ring_builder(nl, ctx, ExponentMode::Quotient);
     let z = rb.add_var(nl.output_word().name.clone(), VarKind::Word);
     let input_vars: Vec<VarId> = nl
         .input_words()
@@ -106,42 +107,22 @@ pub fn verify_against_spec(
         .filter(|&n| !nl.is_primary_input(n))
         .collect();
     internal.sort_by_key(|&n| (levels[n.index()], n.0));
-    let mut net_var: Vec<Option<VarId>> = vec![None; nl.num_nets()];
-    let mut used = std::collections::HashMap::new();
-    for &n in &internal {
-        let name = crate::model::unique_var_name(&mut used, nl.net_name(n));
-        net_var[n.index()] = Some(rb.add_var(name, VarKind::Bit));
-    }
-    for w in nl.input_words() {
-        for &b in &w.bits {
-            let name = crate::model::unique_var_name(&mut used, nl.net_name(b));
-            net_var[b.index()] = Some(rb.add_var(name, VarKind::Bit));
-        }
-    }
+    let net_var = model::add_net_vars(&mut rb, nl, &internal);
     let ring = rb.build();
     let nv = |n: gfab_netlist::NetId| net_var[n.index()].expect("net has a variable");
 
     // Divisors: word definitions now lead with their WORD variable
     // (Z > z_0 …, A > a_0 …), plus the gate polynomials as usual.
     let one = ctx.one();
-    let word_poly = |bits: &[gfab_netlist::NetId], w: VarId| -> Poly {
-        let mut terms: Vec<(Monomial, gfab_field::Gf)> = bits
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| (Monomial::var(nv(b)), ctx.alpha_pow(i as u64)))
-            .collect();
-        terms.push((Monomial::var(w), one.clone()));
-        Poly::from_terms(terms)
-    };
     let mut divisors: Vec<Poly> = Vec::with_capacity(nl.num_gates() + 1 + input_vars.len());
-    divisors.push(word_poly(&nl.output_word().bits, z));
+    divisors.push(model::word_polynomial(ctx, &nl.output_word().bits, z, &nv));
     for (w, &v) in nl.input_words().iter().zip(&input_vars) {
-        divisors.push(word_poly(&w.bits, v));
+        divisors.push(model::word_polynomial(ctx, &w.bits, v, &nv));
     }
     // Gate polynomials: reuse the gate modeling from CircuitModel by
     // constructing them directly here in this ring's variables.
     for g in nl.gates() {
-        divisors.push(crate::model::gate_polynomial(&ring, ctx, g, &|n| nv(n)));
+        divisors.push(model::gate_polynomial(&ring, ctx, g, &nv));
     }
 
     // f = Z + F(A, …): relabel the spec body into this ring.

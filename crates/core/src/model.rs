@@ -99,19 +99,8 @@ impl CircuitModel {
 
         // 2. Primary input bits, word by word, LSB (a_0) first.
         // 3. Z, then the input words.
-        let mut rb = RingBuilder::new(ctx.clone(), ExponentMode::Quotient);
-        let mut net_var: Vec<Option<VarId>> = vec![None; nl.num_nets()];
-        let mut used = std::collections::HashMap::new();
-        for &n in &internal {
-            let name = unique_var_name(&mut used, nl.net_name(n));
-            net_var[n.index()] = Some(rb.add_var(name, VarKind::Bit));
-        }
-        for w in nl.input_words() {
-            for &b in &w.bits {
-                let name = unique_var_name(&mut used, nl.net_name(b));
-                net_var[b.index()] = Some(rb.add_var(name, VarKind::Bit));
-            }
-        }
+        let mut rb = ring_builder(nl, ctx, ExponentMode::Quotient);
+        let net_var = add_net_vars(&mut rb, nl, &internal);
         let z_var = rb.add_var(nl.output_word().name.clone(), VarKind::Word);
         let input_vars: Vec<VarId> = nl
             .input_words()
@@ -137,7 +126,7 @@ impl CircuitModel {
             .collect();
 
         // --- Gate polynomials ------------------------------------------
-        let one = ctx.one();
+        let nv = |n: NetId| net_var[n.index()];
         let mut gate_polys: Vec<Poly> = Vec::with_capacity(nl.num_gates());
         for (i, g) in nl.gates().iter().enumerate() {
             if i % 4096 == 0 {
@@ -147,27 +136,16 @@ impl CircuitModel {
                     reason: e.reason,
                 })?;
             }
-            gate_polys.push(gate_polynomial(&ring, ctx, g, &|n: NetId| {
-                net_var[n.index()]
-            }));
+            gate_polys.push(gate_polynomial(&ring, ctx, g, &nv));
         }
 
         // --- Word-definition polynomials (Eqn. 1) ----------------------
-        let word_poly = |bits: &[NetId], word: VarId| -> Poly {
-            let mut terms: Vec<(Monomial, gfab_field::Gf)> = bits
-                .iter()
-                .enumerate()
-                .map(|(i, &b)| (Monomial::var(net_var[b.index()]), ctx.alpha_pow(i as u64)))
-                .collect();
-            terms.push((Monomial::var(word), one.clone()));
-            Poly::from_terms(terms)
-        };
-        let output_word_poly = word_poly(&nl.output_word().bits, z_var);
+        let output_word_poly = word_polynomial(ctx, &nl.output_word().bits, z_var, &nv);
         let input_word_polys: Vec<Poly> = nl
             .input_words()
             .iter()
             .zip(&input_vars)
-            .map(|(w, &v)| word_poly(&w.bits, v))
+            .map(|(w, &v)| word_polynomial(ctx, &w.bits, v, &nv))
             .collect();
 
         Ok(CircuitModel {
@@ -202,94 +180,81 @@ impl CircuitModel {
     }
 }
 
-/// Produces a ring-unique variable name from a net name: net names are
-/// not guaranteed unique (e.g. after netlist rebuilding passes), but ring
-/// variable names must be.
-pub(crate) fn unique_var_name(
-    used: &mut std::collections::HashMap<String, u32>,
-    base: &str,
-) -> String {
-    match used.entry(base.to_string()) {
-        std::collections::hash_map::Entry::Vacant(e) => {
-            e.insert(0);
-            base.to_string()
-        }
-        std::collections::hash_map::Entry::Occupied(mut e) => {
-            let c = e.get_mut();
-            *c += 1;
-            format!("{base}@{c}")
-        }
-    }
+/// A ring builder sized for `nl`'s model: at most one variable per net,
+/// plus the output word and the input words.
+pub(crate) fn ring_builder(nl: &Netlist, ctx: &Arc<GfContext>, mode: ExponentMode) -> RingBuilder {
+    let num_vars = nl.num_nets() + 1 + nl.input_words().len();
+    RingBuilder::with_capacity(ctx.clone(), mode, num_vars)
 }
 
-/// Multiplies single-variable monomials (gate inputs). In Quotient mode a
-/// gate fed twice from the same net yields `x·x = x` automatically.
-fn product(ring: &Ring, ms: &[Monomial]) -> Monomial {
-    let mut acc = Monomial::one();
-    for m in ms {
-        acc = acc.mul(m, ring).expect("bit exponents cannot overflow");
+/// Adds one bit variable per net of `internal`, then one per primary-input
+/// bit (word by word, LSB first), each named after its net (the ring
+/// suffixes repeated net names). Returns the variable of every net, `None`
+/// for nets that are neither.
+pub(crate) fn add_net_vars(
+    rb: &mut RingBuilder,
+    nl: &Netlist,
+    internal: &[NetId],
+) -> Vec<Option<VarId>> {
+    let mut net_var = vec![None; nl.num_nets()];
+    let input_bits = nl.input_words().iter().flat_map(|w| &w.bits);
+    for &n in internal.iter().chain(input_bits) {
+        net_var[n.index()] = Some(rb.add_var(nl.net_name(n), VarKind::Bit));
     }
-    acc
+    net_var
+}
+
+/// The word-definition polynomial of Eqn. (1),
+/// `bits[0] + bits[1]·α + … + bits[w-1]·α^{w-1} + W`.
+pub(crate) fn word_polynomial(
+    ctx: &GfContext,
+    bits: &[NetId],
+    word: VarId,
+    net_var: &dyn Fn(NetId) -> VarId,
+) -> Poly {
+    let mut terms = Vec::with_capacity(bits.len() + 1);
+    for (i, &b) in bits.iter().enumerate() {
+        terms.push((Monomial::var(net_var(b)), ctx.alpha_pow(i as u64)));
+    }
+    terms.push((Monomial::var(word), ctx.one()));
+    Poly::from_terms(terms)
 }
 
 /// The polynomial model of one gate (Section 4 of the paper): output
 /// variable plus the tail implementing the Boolean operator over
 /// `F_2 ⊂ F_{2^k}`. Shared between the abstraction model and the
 /// ideal-membership baseline (which uses a different variable order).
+/// The term vector is allocated at its final length. In Quotient mode a
+/// gate fed twice from the same net yields `x·x = x` automatically.
 pub(crate) fn gate_polynomial(
     ring: &Ring,
     ctx: &GfContext,
     g: &gfab_netlist::Gate,
     net_var: &dyn Fn(NetId) -> VarId,
 ) -> Poly {
-    let one = ctx.one();
-    let out = Monomial::var(net_var(g.output));
-    let ins: Vec<Monomial> = g
-        .inputs
-        .iter()
-        .map(|&i| Monomial::var(net_var(i)))
-        .collect();
-    let mut terms = vec![(out, one.clone())];
-    match g.kind {
-        GateKind::And => {
-            terms.push((product(ring, &ins), one.clone()));
-        }
-        GateKind::Xor => {
-            terms.push((ins[0].clone(), one.clone()));
-            terms.push((ins[1].clone(), one.clone()));
-        }
-        GateKind::Or => {
-            terms.push((ins[0].clone(), one.clone()));
-            terms.push((ins[1].clone(), one.clone()));
-            terms.push((product(ring, &ins), one.clone()));
-        }
-        GateKind::Xnor => {
-            terms.push((ins[0].clone(), one.clone()));
-            terms.push((ins[1].clone(), one.clone()));
-            terms.push((Monomial::one(), one.clone()));
-        }
-        GateKind::Nand => {
-            terms.push((product(ring, &ins), one.clone()));
-            terms.push((Monomial::one(), one.clone()));
-        }
-        GateKind::Nor => {
-            terms.push((ins[0].clone(), one.clone()));
-            terms.push((ins[1].clone(), one.clone()));
-            terms.push((product(ring, &ins), one.clone()));
-            terms.push((Monomial::one(), one.clone()));
-        }
-        GateKind::Not => {
-            terms.push((ins[0].clone(), one.clone()));
-            terms.push((Monomial::one(), one.clone()));
-        }
-        GateKind::Buf => {
-            terms.push((ins[0].clone(), one.clone()));
-        }
-        GateKind::Const0 => {}
-        GateKind::Const1 => {
-            terms.push((Monomial::one(), one.clone()));
-        }
-    }
+    let term = |m: Monomial| (m, ctx.one());
+    let out = || term(Monomial::var(net_var(g.output)));
+    let input = |i: usize| term(Monomial::var(net_var(g.inputs[i])));
+    let product = || {
+        let (a, b) = (
+            Monomial::var(net_var(g.inputs[0])),
+            Monomial::var(net_var(g.inputs[1])),
+        );
+        term(a.mul(&b, ring).expect("bit exponents cannot overflow"))
+    };
+    let one = || term(Monomial::one());
+    let terms = match g.kind {
+        GateKind::And => vec![out(), product()],
+        GateKind::Xor => vec![out(), input(0), input(1)],
+        GateKind::Or => vec![out(), input(0), input(1), product()],
+        GateKind::Xnor => vec![out(), input(0), input(1), one()],
+        GateKind::Nand => vec![out(), product(), one()],
+        GateKind::Nor => vec![out(), input(0), input(1), product(), one()],
+        GateKind::Not => vec![out(), input(0), one()],
+        GateKind::Buf => vec![out(), input(0)],
+        GateKind::Const0 => vec![out()],
+        GateKind::Const1 => vec![out(), one()],
+    };
     Poly::from_terms(terms)
 }
 
@@ -326,6 +291,54 @@ mod tests {
         assert_eq!(m.ring.var_info(VarId(0)).name, "z0");
         assert!(m.z_var < m.input_vars[0]);
         assert!(m.input_vars[0] < m.input_vars[1]);
+    }
+
+    #[test]
+    fn shared_net_names_get_counted_suffixes() {
+        use crate::fullgb::{full_gb_abstraction, CircuitVarOrder, FullGbOutcome};
+        use crate::ideal_membership::{multiplier_spec, spec_ring, verify_against_spec};
+        let ctx = GfContext::shared(Gf2Poly::from_exponents(&[2, 1, 0])).unwrap();
+        // Fig. 2 with the AND outputs s1, s2, s3 all named `x`.
+        let mut nl = fig2();
+        let [s1, s2, s3] = [1, 2, 3].map(|g| nl.gates()[g].output);
+        for n in [s1, s2, s3] {
+            nl.set_net_name(n, "x");
+        }
+        // RATO adds s3 (level 1) before s1 and s2 (level 2).
+        let m = CircuitModel::build(&nl, &ctx).unwrap();
+        let name = |n: NetId| m.ring.var_info(m.net_var[n.index()]).name.as_str();
+        assert_eq!([name(s3), name(s1), name(s2)], ["x", "x@1", "x@2"]);
+        let named_x: Vec<&str> = m
+            .ring
+            .vars()
+            .map(|(_, info)| info.name.as_str())
+            .filter(|n| n.starts_with('x'))
+            .collect();
+        assert_eq!(named_x, ["x", "x@1", "x@2"]);
+
+        // The other two ring builders name their variables the same way
+        // and still decide the circuit.
+        let mut rb = ring_builder(&nl, &ctx, ExponentMode::Plain);
+        rb.add_var("Z", VarKind::Word);
+        let nv = add_net_vars(&mut rb, &nl, &[s1, s2, s3]);
+        let ring = rb.build();
+        let name = |n: NetId| ring.var_info(nv[n.index()].unwrap()).name.as_str();
+        assert_eq!([name(s1), name(s2), name(s3)], ["x", "x@1", "x@2"]);
+        for order in [
+            CircuitVarOrder::Declaration,
+            CircuitVarOrder::ReverseTopological,
+        ] {
+            let limits = gfab_poly::buchberger::GbLimits::default();
+            match full_gb_abstraction(&nl, &ctx, order, &limits).unwrap() {
+                FullGbOutcome::Canonical { function, .. } => {
+                    assert_eq!(format!("{}", function.display()), "A*B", "{order:?}");
+                }
+                FullGbOutcome::GaveUp { reason, .. } => panic!("{order:?}: {reason}"),
+            }
+        }
+        let sr = spec_ring(&nl, &ctx);
+        let spec = multiplier_spec(&sr, &ctx);
+        assert!(verify_against_spec(&nl, &ctx, &sr, &spec).unwrap().verified);
     }
 
     #[test]

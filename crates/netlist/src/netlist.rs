@@ -107,6 +107,8 @@ pub struct Netlist {
     gates: Vec<Gate>,
     /// Driver gate per net (`None` for primary inputs / undriven).
     driver: Vec<Option<GateId>>,
+    /// Per net: whether it is a bit of some input word.
+    is_input: Vec<bool>,
     input_words: Vec<Word>,
     output_word: Option<Word>,
 }
@@ -119,6 +121,7 @@ impl Netlist {
             net_names: Vec::new(),
             gates: Vec::new(),
             driver: Vec::new(),
+            is_input: Vec::new(),
             input_words: Vec::new(),
             output_word: None,
         }
@@ -197,23 +200,24 @@ impl Netlist {
             .collect()
     }
 
-    /// Whether `net` is a primary input bit.
+    /// Whether `net` is a primary input bit (`false` for a net that does
+    /// not exist). Constant time: a per-net flag kept by the word
+    /// declarations.
     pub fn is_primary_input(&self, net: NetId) -> bool {
-        self.input_words.iter().any(|w| w.bits.contains(&net))
+        self.is_input.get(net.index()).copied().unwrap_or(false)
     }
 
     /// Creates a fresh unnamed net.
     pub fn add_net(&mut self) -> NetId {
-        let id = NetId(self.net_names.len() as u32);
-        self.net_names.push(format!("n{}", id.0));
-        self.driver.push(None);
-        id
+        self.add_named_net(format!("n{}", self.net_names.len()))
     }
 
     /// Creates a fresh named net.
     pub fn add_named_net(&mut self, name: impl Into<String>) -> NetId {
-        let id = self.add_net();
-        self.net_names[id.index()] = name.into();
+        let id = NetId(self.net_names.len() as u32);
+        self.net_names.push(name.into());
+        self.driver.push(None);
+        self.is_input.push(false);
         id
     }
 
@@ -224,16 +228,18 @@ impl Netlist {
         let bits: Vec<NetId> = (0..width)
             .map(|i| self.add_named_net(format!("{prefix}{i}")))
             .collect();
-        self.input_words.push(Word {
-            name,
-            bits: bits.clone(),
-        });
+        self.add_input_word_from_nets(name, bits.clone());
         bits
     }
 
     /// Declares an input word over existing nets (used by parsing and
     /// flattening).
     pub fn add_input_word_from_nets(&mut self, name: impl Into<String>, bits: Vec<NetId>) {
+        for b in &bits {
+            if let Some(flag) = self.is_input.get_mut(b.index()) {
+                *flag = true;
+            }
+        }
         self.input_words.push(Word {
             name: name.into(),
             bits,
@@ -418,6 +424,7 @@ impl Netlist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hierarchy::{BlockInst, HierDesign, Signal};
 
     fn tiny() -> Netlist {
         let mut nl = Netlist::new("tiny");
@@ -506,6 +513,51 @@ mod tests {
         let g = &nl3.gates()[0];
         assert_eq!(g.kind, GateKind::Const0);
         assert_eq!(g.output, c0);
+    }
+
+    /// `is_primary_input` against a scan of the declared input words, for
+    /// every net and one id past the end.
+    fn assert_input_flags_match_words(nl: &Netlist) {
+        for i in 0..nl.num_nets() {
+            let net = NetId(i as u32);
+            let scanned = nl.input_words().iter().any(|w| w.bits.contains(&net));
+            assert_eq!(nl.is_primary_input(net), scanned, "{}", nl.net_name(net));
+        }
+        assert!(!nl.is_primary_input(NetId(nl.num_nets() as u32)));
+        assert!(!nl.is_primary_input(NetId(u32::MAX)));
+    }
+
+    #[test]
+    fn input_flags_match_the_input_words() {
+        let parsed = crate::format::parse(&crate::format::emit(&tiny())).unwrap();
+        assert_input_flags_match_words(&parsed);
+
+        let block = |name: &str| BlockInst {
+            name: name.into(),
+            netlist: tiny(),
+            connections: vec![Signal::PrimaryInput(0), Signal::PrimaryInput(1)],
+        };
+        let design = HierDesign {
+            name: "two".into(),
+            inputs: vec![("A".into(), 2), ("B".into(), 2)],
+            blocks: vec![block("u0"), block("u1")],
+            output: Signal::BlockOutput(1),
+            output_name: "Z".into(),
+        };
+        assert_input_flags_match_words(&design.flatten());
+
+        // Words over existing nets, declared after some gates: an internal
+        // net between them stays a non-input.
+        let mut nl = Netlist::new("from-nets");
+        let a: Vec<NetId> = (0..3).map(|_| nl.add_net()).collect();
+        let t = nl.and(a[0], a[1]);
+        let b = vec![nl.add_net(), nl.add_net()];
+        nl.add_input_word_from_nets("A", a);
+        nl.add_input_word_from_nets("B", b.clone());
+        let z = nl.xor(t, b[1]);
+        nl.set_output_word("Z", vec![z]);
+        assert!(!nl.is_primary_input(t));
+        assert_input_flags_match_words(&nl);
     }
 
     #[test]

@@ -2,32 +2,58 @@
 //! net ordering that underlies RATO (Definition 5.1 of the paper).
 
 use crate::netlist::{GateId, NetId, Netlist};
-use std::collections::VecDeque;
 
 /// Gates in a topological (evaluation) order: every gate appears after the
 /// drivers of all its inputs. Returns `None` if the gate graph is cyclic.
+///
+/// Kahn's algorithm over one flat (CSR) consumer table, so the allocation
+/// count does not grow with the gate count. Ready gates leave in
+/// first-in, first-out order and each gate's consumers are visited in gate
+/// order, so the result is a pure function of the netlist.
 pub fn topological_gates(nl: &Netlist) -> Option<Vec<GateId>> {
     let n = nl.num_gates();
     // indegree[g] = number of inputs of g that are driven by another gate.
-    let mut indegree = vec![0usize; n];
-    // consumers[g] = gates that read g's output net.
-    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut indegree = vec![0u32; n];
+    // The gates reading gate g's output are
+    // consumers[start[g]..start[g + 1]], one entry per reading input.
+    let mut start = vec![0u32; n + 1];
+    for gate in nl.gates() {
+        for &inp in &gate.inputs {
+            if let Some(drv) = nl.driver_of(inp) {
+                start[drv.index() + 1] += 1;
+            }
+        }
+    }
+    for g in 0..n {
+        start[g + 1] += start[g];
+    }
+    let mut next = start.clone();
+    let mut consumers = vec![0u32; start[n] as usize];
     for (gi, gate) in nl.gates().iter().enumerate() {
         for &inp in &gate.inputs {
             if let Some(drv) = nl.driver_of(inp) {
                 indegree[gi] += 1;
-                consumers[drv.index()].push(gi);
+                let slot = &mut next[drv.index()];
+                consumers[*slot as usize] = gi as u32;
+                *slot += 1;
             }
         }
     }
-    let mut queue: VecDeque<usize> = (0..n).filter(|&g| indegree[g] == 0).collect();
+    // `order` doubles as the FIFO queue: gates before `head` are done.
     let mut order = Vec::with_capacity(n);
-    while let Some(g) = queue.pop_front() {
-        order.push(GateId(g as u32));
-        for &c in &consumers[g] {
-            indegree[c] -= 1;
-            if indegree[c] == 0 {
-                queue.push_back(c);
+    order.extend(
+        (0..n as u32)
+            .filter(|&g| indegree[g as usize] == 0)
+            .map(GateId),
+    );
+    let mut head = 0;
+    while let Some(&g) = order.get(head) {
+        head += 1;
+        let (lo, hi) = (start[g.index()] as usize, start[g.index() + 1] as usize);
+        for &c in &consumers[lo..hi] {
+            indegree[c as usize] -= 1;
+            if indegree[c as usize] == 0 {
+                order.push(GateId(c));
             }
         }
     }

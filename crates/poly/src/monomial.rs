@@ -3,19 +3,125 @@
 use crate::ring::{PolyError, Ring, VarId};
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+
+/// One `(variable, exponent)` factor of a power product.
+type Factor = (VarId, u64);
+
+/// Number of factors stored inline (no heap allocation). Gate polynomials
+/// have at most two factors per monomial, and on the Mastrovito and
+/// Montgomery multipliers so does every term of the RATO division chain;
+/// longer products spill to a heap `Vec`.
+const INLINE_FACTORS: usize = 2;
+
+/// Filler for unused inline slots; never read (every access goes through
+/// [`Factors::as_slice`]).
+const NO_FACTOR: Factor = (VarId(0), 0);
+
+/// Small-vector factor storage, as `LimbBuf` is for field limbs: inline up
+/// to [`INLINE_FACTORS`], heap beyond. Heap storage always holds more than
+/// `INLINE_FACTORS` factors.
+#[derive(Clone)]
+enum Factors {
+    Inline {
+        len: u8,
+        buf: [Factor; INLINE_FACTORS],
+    },
+    Heap(Vec<Factor>),
+}
+
+impl Factors {
+    const EMPTY: Factors = Factors::Inline {
+        len: 0,
+        buf: [NO_FACTOR; INLINE_FACTORS],
+    };
+
+    fn single(f: Factor) -> Self {
+        let mut buf = [NO_FACTOR; INLINE_FACTORS];
+        buf[0] = f;
+        Factors::Inline { len: 1, buf }
+    }
+
+    /// Takes ownership of `v`, moving it inline when it fits.
+    fn from_vec(v: Vec<Factor>) -> Self {
+        if v.len() > INLINE_FACTORS {
+            return Factors::Heap(v);
+        }
+        let mut buf = [NO_FACTOR; INLINE_FACTORS];
+        buf[..v.len()].copy_from_slice(&v);
+        Factors::Inline {
+            len: v.len() as u8,
+            buf,
+        }
+    }
+
+    fn as_slice(&self) -> &[Factor] {
+        match self {
+            Factors::Inline { len, buf } => &buf[..*len as usize],
+            Factors::Heap(v) => v,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Factor] {
+        match self {
+            Factors::Inline { len, buf } => &mut buf[..*len as usize],
+            Factors::Heap(v) => v,
+        }
+    }
+
+    /// Appends one factor. Overflowing the inline buffer spills to a heap
+    /// vector with room for `cap` factors, the caller's bound on the
+    /// final length, so building a result allocates at most once.
+    fn push(&mut self, f: Factor, cap: usize) {
+        match self {
+            Factors::Inline { len, buf } if (*len as usize) < INLINE_FACTORS => {
+                buf[*len as usize] = f;
+                *len += 1;
+            }
+            Factors::Inline { buf, .. } => {
+                let mut v = Vec::with_capacity(cap.max(INLINE_FACTORS + 1));
+                v.extend_from_slice(buf);
+                v.push(f);
+                *self = Factors::Heap(v);
+            }
+            Factors::Heap(v) => v.push(f),
+        }
+    }
+
+    fn extend(&mut self, fs: &[Factor], cap: usize) {
+        for &f in fs {
+            self.push(f, cap);
+        }
+    }
+
+    /// Keeps the first `n` factors, moving inline when they fit.
+    fn truncate(&mut self, n: usize) {
+        match self {
+            Factors::Inline { len, .. } => *len = n.min(*len as usize) as u8,
+            Factors::Heap(v) if n <= INLINE_FACTORS => {
+                v.truncate(n);
+                *self = Factors::from_vec(std::mem::take(v));
+            }
+            Factors::Heap(v) => v.truncate(n),
+        }
+    }
+}
 
 /// A power product `x_{v1}^{e1} · x_{v2}^{e2} · …` stored sparsely as
 /// `(variable, exponent)` factors sorted by ascending variable rank (i.e.
 /// most significant variable first, since rank 0 is the greatest variable).
+/// Up to two factors live inline; longer products spill to the heap.
 ///
 /// `Ord` implements the **pure lexicographic order** induced by the variable
 /// ranking: monomials compare on the exponent of the greatest variable where
 /// they differ. This is the order underlying both the abstraction term order
-/// and RATO in the paper.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
+/// and RATO in the paper. `Eq`, `Ord` and `Hash` all go through
+/// [`Monomial::factors`], so inline and heap storage of the same factors
+/// are indistinguishable.
+#[derive(Clone)]
 pub struct Monomial {
     /// Factors sorted by ascending `VarId` rank; exponents are non-zero.
-    factors: Vec<(VarId, u64)>,
+    factors: Factors,
 }
 
 impl Monomial {
@@ -23,7 +129,7 @@ impl Monomial {
     #[must_use]
     pub fn one() -> Self {
         Monomial {
-            factors: Vec::new(),
+            factors: Factors::EMPTY,
         }
     }
 
@@ -31,7 +137,7 @@ impl Monomial {
     #[must_use]
     pub fn var(v: VarId) -> Self {
         Monomial {
-            factors: vec![(v, 1)],
+            factors: Factors::single((v, 1)),
         }
     }
 
@@ -42,7 +148,7 @@ impl Monomial {
             Monomial::one()
         } else {
             Monomial {
-                factors: vec![(v, e)],
+                factors: Factors::single((v, e)),
             }
         }
     }
@@ -50,39 +156,53 @@ impl Monomial {
     /// Builds a monomial from arbitrary `(var, exp)` pairs; zero exponents
     /// are dropped, duplicates are summed, factors are sorted.
     #[must_use]
-    pub fn from_factors(mut factors: Vec<(VarId, u64)>) -> Self {
-        factors.sort_by_key(|&(v, _)| v);
-        let mut out: Vec<(VarId, u64)> = Vec::with_capacity(factors.len());
-        for (v, e) in factors {
+    pub fn from_factors(factors: Vec<(VarId, u64)>) -> Self {
+        Monomial {
+            factors: Factors::from_vec(factors),
+        }
+        .normalized()
+    }
+
+    /// Sorts the factors by variable, drops zero exponents and sums the
+    /// exponents of repeated variables, in place.
+    fn normalized(mut self) -> Self {
+        let fs = self.factors.as_mut_slice();
+        fs.sort_unstable_by_key(|&(v, _)| v);
+        let mut n = 0;
+        for r in 0..fs.len() {
+            let (v, e) = fs[r];
             if e == 0 {
                 continue;
             }
-            match out.last_mut() {
-                Some((lv, le)) if *lv == v => *le += e,
-                _ => out.push((v, e)),
+            if n > 0 && fs[n - 1].0 == v {
+                fs[n - 1].1 += e;
+            } else {
+                fs[n] = (v, e);
+                n += 1;
             }
         }
-        Monomial { factors: out }
+        self.factors.truncate(n);
+        self
     }
 
     /// Whether this is the constant monomial `1`.
     #[must_use]
     pub fn is_one(&self) -> bool {
-        self.factors.is_empty()
+        self.factors().is_empty()
     }
 
     /// The factors, sorted by ascending variable rank.
     #[must_use]
     pub fn factors(&self) -> &[(VarId, u64)] {
-        &self.factors
+        self.factors.as_slice()
     }
 
     /// The exponent of `v` (0 if absent).
     #[must_use]
     pub fn exponent(&self, v: VarId) -> u64 {
-        self.factors
-            .binary_search_by_key(&v, |&(w, _)| w)
-            .map(|i| self.factors[i].1)
+        let fs = self.factors();
+        fs.binary_search_by_key(&v, |&(w, _)| w)
+            .map(|i| fs[i].1)
             .unwrap_or(0)
     }
 
@@ -95,18 +215,18 @@ impl Monomial {
     /// The greatest (lex-most-significant) variable, or `None` for `1`.
     #[must_use]
     pub fn leading_var(&self) -> Option<VarId> {
-        self.factors.first().map(|&(v, _)| v)
+        self.factors().first().map(|&(v, _)| v)
     }
 
     /// The total degree (sum of exponents).
     #[must_use]
     pub fn total_degree(&self) -> u64 {
-        self.factors.iter().map(|&(_, e)| e).sum()
+        self.factors().iter().map(|&(_, e)| e).sum()
     }
 
     /// Iterates over the variables occurring in this monomial.
     pub fn vars(&self) -> impl Iterator<Item = VarId> + '_ {
-        self.factors.iter().map(|&(v, _)| v)
+        self.factors().iter().map(|&(v, _)| v)
     }
 
     /// Multiplies two monomials under the ring's exponent mode.
@@ -115,43 +235,46 @@ impl Monomial {
     ///
     /// Propagates [`PolyError::ExponentOverflow`].
     pub fn mul(&self, other: &Monomial, ring: &Ring) -> Result<Monomial, PolyError> {
-        let mut out = Vec::with_capacity(self.factors.len() + other.factors.len());
+        let (a, b) = (self.factors(), other.factors());
+        let cap = a.len() + b.len();
+        let mut out = Factors::EMPTY;
         let (mut i, mut j) = (0, 0);
-        while i < self.factors.len() && j < other.factors.len() {
-            let (va, ea) = self.factors[i];
-            let (vb, eb) = other.factors[j];
+        while i < a.len() && j < b.len() {
+            let (va, ea) = a[i];
+            let (vb, eb) = b[j];
             match va.cmp(&vb) {
                 Ordering::Less => {
-                    out.push((va, ea));
+                    out.push((va, ea), cap);
                     i += 1;
                 }
                 Ordering::Greater => {
-                    out.push((vb, eb));
+                    out.push((vb, eb), cap);
                     j += 1;
                 }
                 Ordering::Equal => {
                     let e = ring.combine_exponents(va, ea, eb)?;
                     if e > 0 {
-                        out.push((va, e));
+                        out.push((va, e), cap);
                     }
                     i += 1;
                     j += 1;
                 }
             }
         }
-        out.extend_from_slice(&self.factors[i..]);
-        out.extend_from_slice(&other.factors[j..]);
+        out.extend(&a[i..], cap);
+        out.extend(&b[j..], cap);
         Ok(Monomial { factors: out })
     }
 
     /// Whether `self` divides `other` (exponent-wise `≤`).
     #[must_use]
     pub fn divides(&self, other: &Monomial) -> bool {
+        let theirs = other.factors();
         let mut j = 0;
-        for &(v, e) in &self.factors {
+        for &(v, e) in self.factors() {
             // Advance in other's sorted factor list.
             loop {
-                match other.factors.get(j) {
+                match theirs.get(j) {
                     Some(&(w, _)) if w < v => j += 1,
                     Some(&(w, f)) if w == v => {
                         if f < e {
@@ -175,11 +298,12 @@ impl Monomial {
     #[must_use]
     pub fn quotient_of(&self, other: &Monomial) -> Monomial {
         debug_assert!(self.divides(other), "quotient_of requires divisibility");
-        let mut out = Vec::with_capacity(other.factors.len());
+        let (mine, theirs) = (self.factors(), other.factors());
+        let mut out = Factors::EMPTY;
         let mut i = 0;
-        for &(v, e) in &other.factors {
+        for &(v, e) in theirs {
             let mut sub = 0;
-            if let Some(&(w, f)) = self.factors.get(i) {
+            if let Some(&(w, f)) = mine.get(i) {
                 if w == v {
                     sub = f;
                     i += 1;
@@ -187,7 +311,7 @@ impl Monomial {
             }
             let r = e - sub;
             if r > 0 {
-                out.push((v, r));
+                out.push((v, r), theirs.len());
             }
         }
         Monomial { factors: out }
@@ -196,29 +320,31 @@ impl Monomial {
     /// The least common multiple (exponent-wise max).
     #[must_use]
     pub fn lcm(&self, other: &Monomial) -> Monomial {
-        let mut out = Vec::with_capacity(self.factors.len() + other.factors.len());
+        let (a, b) = (self.factors(), other.factors());
+        let cap = a.len() + b.len();
+        let mut out = Factors::EMPTY;
         let (mut i, mut j) = (0, 0);
-        while i < self.factors.len() && j < other.factors.len() {
-            let (va, ea) = self.factors[i];
-            let (vb, eb) = other.factors[j];
+        while i < a.len() && j < b.len() {
+            let (va, ea) = a[i];
+            let (vb, eb) = b[j];
             match va.cmp(&vb) {
                 Ordering::Less => {
-                    out.push((va, ea));
+                    out.push((va, ea), cap);
                     i += 1;
                 }
                 Ordering::Greater => {
-                    out.push((vb, eb));
+                    out.push((vb, eb), cap);
                     j += 1;
                 }
                 Ordering::Equal => {
-                    out.push((va, ea.max(eb)));
+                    out.push((va, ea.max(eb)), cap);
                     i += 1;
                     j += 1;
                 }
             }
         }
-        out.extend_from_slice(&self.factors[i..]);
-        out.extend_from_slice(&other.factors[j..]);
+        out.extend(&a[i..], cap);
+        out.extend(&b[j..], cap);
         Monomial { factors: out }
     }
 
@@ -226,9 +352,10 @@ impl Monomial {
     /// the hypothesis of Buchberger's product criterion (Lemma 5.1).
     #[must_use]
     pub fn relatively_prime(&self, other: &Monomial) -> bool {
+        let (a, b) = (self.factors(), other.factors());
         let (mut i, mut j) = (0, 0);
-        while i < self.factors.len() && j < other.factors.len() {
-            match self.factors[i].0.cmp(&other.factors[j].0) {
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
                 Ordering::Less => i += 1,
                 Ordering::Greater => j += 1,
                 Ordering::Equal => return false,
@@ -241,12 +368,50 @@ impl Monomial {
     /// polynomials between rings (e.g. hierarchical composition).
     #[must_use]
     pub fn relabel(&self, f: impl Fn(VarId) -> VarId) -> Monomial {
-        Monomial::from_factors(self.factors.iter().map(|&(v, e)| (f(v), e)).collect())
+        let mut out = self.clone();
+        for factor in out.factors.as_mut_slice() {
+            factor.0 = f(factor.0);
+        }
+        out.normalized()
     }
 
     /// Formats the monomial with the ring's variable names.
     pub fn display<'a>(&'a self, ring: &'a Ring) -> impl fmt::Display + 'a {
         MonomialDisplay { m: self, ring }
+    }
+
+    /// Whether the factors spilled to the heap.
+    #[cfg(test)]
+    fn spilled(&self) -> bool {
+        matches!(self.factors, Factors::Heap(_))
+    }
+}
+
+impl Default for Monomial {
+    fn default() -> Self {
+        Monomial::one()
+    }
+}
+
+impl PartialEq for Monomial {
+    fn eq(&self, other: &Self) -> bool {
+        self.factors() == other.factors()
+    }
+}
+
+impl Eq for Monomial {}
+
+impl Hash for Monomial {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.factors().hash(state);
+    }
+}
+
+impl fmt::Debug for Monomial {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Monomial")
+            .field("factors", &self.factors())
+            .finish()
     }
 }
 
@@ -259,9 +424,10 @@ impl PartialOrd for Monomial {
 impl Ord for Monomial {
     /// Pure lex: compare on the greatest variable where exponents differ.
     fn cmp(&self, other: &Self) -> Ordering {
+        let (a, b) = (self.factors(), other.factors());
         let (mut i, mut j) = (0, 0);
         loop {
-            match (self.factors.get(i), other.factors.get(j)) {
+            match (a.get(i), b.get(j)) {
                 (None, None) => return Ordering::Equal,
                 // `self` still has a factor in a more significant position:
                 // it has a positive exponent where `other` has zero.
@@ -318,7 +484,7 @@ impl fmt::Display for MonomialDisplay<'_> {
 mod tests {
     use super::*;
     use crate::ring::{ExponentMode, RingBuilder, VarKind};
-    use gfab_field::{Gf2Poly, GfContext};
+    use gfab_field::{Gf2Poly, GfContext, Rng};
 
     fn setup() -> (Ring, VarId, VarId, VarId) {
         let ctx = GfContext::shared(Gf2Poly::from_exponents(&[2, 1, 0])).unwrap();
@@ -391,6 +557,135 @@ mod tests {
         let m = Monomial::from_factors(vec![(y, 1), (x, 0), (y, 2)]);
         assert_eq!(m, Monomial::var_pow(y, 3));
         assert_eq!(m.leading_var(), Some(y));
+    }
+
+    /// Random monomial over the first `n_vars` ranks with 0–4 factors, so
+    /// samples fall on both sides of the inline/spill boundary.
+    fn random_factors(rng: &mut Rng, n_vars: usize) -> Vec<(VarId, u64)> {
+        (0..rng.random_range(0..5))
+            .map(|_| {
+                let v = VarId(rng.random_range(0..n_vars) as u32);
+                (v, 1 + rng.random_below(3))
+            })
+            .collect()
+    }
+
+    /// The same factors forced into heap storage, whatever their count.
+    fn spilled_copy(m: &Monomial) -> Monomial {
+        Monomial {
+            factors: Factors::Heap(m.factors().to_vec()),
+        }
+    }
+
+    fn hash_of(x: &impl Hash) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        x.hash(&mut h);
+        h.finish()
+    }
+
+    /// Reference operations on plain `Vec<(VarId, u64)>` factor lists, the
+    /// storage `Monomial` used before short products moved inline: each
+    /// variable's exponent pair goes through `combine` (repeated factors of
+    /// one operand sum first), zeros drop out.
+    fn reference(
+        a: &[(VarId, u64)],
+        b: &[(VarId, u64)],
+        combine: impl Fn(VarId, u64, u64) -> u64,
+    ) -> Vec<(VarId, u64)> {
+        let mut vars: Vec<VarId> = a.iter().chain(b).map(|&(v, _)| v).collect();
+        vars.sort();
+        vars.dedup();
+        let exp = |fs: &[(VarId, u64)], v| fs.iter().filter(|f| f.0 == v).map(|f| f.1).sum();
+        vars.into_iter()
+            .map(|v| (v, combine(v, exp(a, v), exp(b, v))))
+            .filter(|&(_, e)| e > 0)
+            .collect()
+    }
+
+    fn ring_of(mode: ExponentMode, n_vars: usize) -> Ring {
+        let ctx = GfContext::shared(Gf2Poly::from_exponents(&[2, 1, 0])).unwrap();
+        let mut rb = RingBuilder::new(ctx, mode);
+        for i in 0..n_vars {
+            let kind = if i % 2 == 0 {
+                VarKind::Bit
+            } else {
+                VarKind::Word
+            };
+            rb.add_var(format!("v{i}"), kind);
+        }
+        rb.build()
+    }
+
+    #[test]
+    fn inline_and_spilled_storage_are_indistinguishable() {
+        let mut rng = Rng::seed_from_u64(0x5EED);
+        for _ in 0..500 {
+            let a = Monomial::from_factors(random_factors(&mut rng, 6));
+            let b = Monomial::from_factors(random_factors(&mut rng, 6));
+            let (sa, sb) = (spilled_copy(&a), spilled_copy(&b));
+            assert_eq!(sa, a);
+            assert_eq!(sa.cmp(&b), a.cmp(&b));
+            assert_eq!(a.cmp(&sb), a.cmp(&b));
+            assert_eq!(sa.cmp(&sb), a.cmp(&b));
+            assert_eq!(sa == sb, a == b);
+            assert_eq!(hash_of(&sa), hash_of(&a));
+            // Bit-identical to hashing the old `Vec`-backed field.
+            assert_eq!(hash_of(&a), hash_of(&a.factors().to_vec()));
+            assert_eq!(a.spilled(), a.factors().len() > INLINE_FACTORS);
+        }
+    }
+
+    #[test]
+    fn three_factor_products_spill() {
+        let (ring, x, y, z) = setup();
+        let xy = Monomial::var(x).mul(&Monomial::var(y), &ring).unwrap();
+        assert!(!xy.spilled());
+        let xyz = xy.mul(&Monomial::var(z), &ring).unwrap();
+        assert!(xyz.spilled());
+        assert_eq!(xyz.factors(), [(x, 1), (y, 1), (z, 1)]);
+        // Merging back down to two factors moves inline again.
+        assert!(!Monomial::from_factors(vec![(x, 1), (y, 1), (x, 2)]).spilled());
+        assert!(std::mem::size_of::<Monomial>() <= 40);
+    }
+
+    #[test]
+    fn operations_match_vec_reference_across_the_spill_boundary() {
+        let n_vars = 6;
+        for mode in [ExponentMode::Plain, ExponentMode::Quotient] {
+            let ring = ring_of(mode, n_vars);
+            let mut rng = Rng::seed_from_u64(0xFAC7 + mode as u64);
+            for _ in 0..1000 {
+                let a = Monomial::from_factors(random_factors(&mut rng, n_vars));
+                let b = Monomial::from_factors(random_factors(&mut rng, n_vars));
+                let (fa, fb) = (a.factors(), b.factors());
+                let combine = |v, x, y| match (x, y) {
+                    (0, e) | (e, 0) => e,
+                    _ => ring.combine_exponents(v, x, y).unwrap(),
+                };
+                let product = reference(fa, fb, combine);
+                let lcm = reference(fa, fb, |_, x, y| x.max(y));
+                let quotient = reference(&lcm, fa, |_, x, y| x - y);
+                // A non-injective renaming, so relabelled factors can merge.
+                let rename = |v: VarId| VarId((v.0 * 5 + 1) % 4);
+                let mapped: Vec<(VarId, u64)> = fa.iter().map(|&(v, e)| (rename(v), e)).collect();
+                let renamed = reference(&mapped, &[], |_, x, _| x);
+                for (x, y) in [
+                    (a.clone(), b.clone()),
+                    (spilled_copy(&a), b.clone()),
+                    (a.clone(), spilled_copy(&b)),
+                ] {
+                    let got = x.mul(&y, &ring).unwrap();
+                    assert_eq!(got.factors(), product, "{x:?} * {y:?}");
+                    let l = x.lcm(&y);
+                    assert_eq!(l.factors(), lcm, "lcm({x:?}, {y:?})");
+                    assert_eq!(x.quotient_of(&l).factors(), quotient, "{l:?} / {x:?}");
+                    assert_eq!(x.relabel(rename).factors(), renamed, "relabel {x:?}");
+                    for m in [got, l, x.relabel(rename)] {
+                        assert_eq!(m.spilled(), m.factors().len() > INLINE_FACTORS);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

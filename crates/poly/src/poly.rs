@@ -3,7 +3,6 @@
 use crate::monomial::Monomial;
 use crate::ring::{PolyError, Ring, VarId};
 use gfab_field::Gf;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// One `coefficient · monomial` term.
@@ -45,27 +44,21 @@ impl Poly {
     }
 
     /// Builds a polynomial from arbitrary terms: sorts, merges duplicate
-    /// monomials (coefficients add in `F_{2^k}`), drops zeros.
+    /// monomials (coefficients add in `F_{2^k}`), drops zeros. Sorts and
+    /// merges in place; addition in characteristic 2 is order-free, so the
+    /// result does not depend on the input order.
     #[must_use]
-    pub fn from_terms(terms: Vec<Term>) -> Self {
-        let mut map: BTreeMap<Monomial, Gf> = BTreeMap::new();
-        for (m, c) in terms {
-            upsert(&mut map, m, c);
-        }
-        Poly::from_map(map)
-    }
-
-    /// Builds from a map already keyed by monomial (zero coefficients are
-    /// dropped).
-    #[must_use]
-    pub fn from_map(map: BTreeMap<Monomial, Gf>) -> Self {
-        Poly {
-            terms: map
-                .into_iter()
-                .rev()
-                .filter(|(_, c)| !c.is_zero())
-                .collect(),
-        }
+    pub fn from_terms(mut terms: Vec<Term>) -> Self {
+        terms.sort_unstable_by(|(a, _), (b, _)| b.cmp(a));
+        terms.dedup_by(|(m, c), (kept_m, kept_c)| {
+            let same = m == kept_m;
+            if same {
+                *kept_c = kept_c.add(c);
+            }
+            same
+        });
+        terms.retain(|(_, c)| !c.is_zero());
+        Poly { terms }
     }
 
     /// Whether this is the zero polynomial.
@@ -212,15 +205,13 @@ impl Poly {
     /// Propagates [`PolyError::ExponentOverflow`].
     pub fn mul(&self, other: &Poly, ring: &Ring) -> Result<Poly, PolyError> {
         let ctx = ring.ctx();
-        let mut map: BTreeMap<Monomial, Gf> = BTreeMap::new();
+        let mut terms = Vec::with_capacity(self.terms.len() * other.terms.len());
         for (ma, ca) in &self.terms {
             for (mb, cb) in &other.terms {
-                let m = ma.mul(mb, ring)?;
-                let c = ctx.mul(ca, cb);
-                upsert(&mut map, m, c);
+                terms.push((ma.mul(mb, ring)?, ctx.mul(ca, cb)));
             }
         }
-        Ok(Poly::from_map(map))
+        Ok(Poly::from_terms(terms))
     }
 
     /// Scales all coefficients by `c`.
@@ -325,25 +316,6 @@ impl Poly {
     }
 }
 
-fn upsert(map: &mut BTreeMap<Monomial, Gf>, m: Monomial, c: Gf) {
-    if c.is_zero() {
-        return;
-    }
-    match map.entry(m) {
-        std::collections::btree_map::Entry::Vacant(e) => {
-            e.insert(c);
-        }
-        std::collections::btree_map::Entry::Occupied(mut e) => {
-            let merged = e.get().add(&c);
-            if merged.is_zero() {
-                e.remove();
-            } else {
-                *e.get_mut() = merged;
-            }
-        }
-    }
-}
-
 struct PolyDisplay<'a> {
     p: &'a Poly,
     ring: &'a Ring,
@@ -379,7 +351,7 @@ impl fmt::Display for PolyDisplay<'_> {
 mod tests {
     use super::*;
     use crate::ring::{ExponentMode, RingBuilder, VarKind};
-    use gfab_field::{Gf2Poly, GfContext};
+    use gfab_field::{Gf2Poly, GfContext, Rng};
 
     fn setup(mode: ExponentMode) -> (Ring, VarId, VarId, VarId) {
         let ctx = GfContext::shared(Gf2Poly::from_exponents(&[2, 1, 0])).unwrap();
@@ -524,6 +496,88 @@ mod tests {
             (Monomial::one(), ctx.one()),
         ]);
         assert_eq!(format!("{}", p.display(&ring)), "x + α*A + 1");
+    }
+
+    /// Checks the representation invariant: strictly descending
+    /// monomials, no zero coefficients.
+    fn assert_normalized(p: &Poly) {
+        assert!(p.terms.windows(2).all(|w| w[0].0 > w[1].0), "{p:?}");
+        assert!(p.terms.iter().all(|(_, c)| !c.is_zero()), "{p:?}");
+    }
+
+    /// A seeded random term list over a small monomial pool: repeated
+    /// monomials, zero coefficients, and (every third list) a monomial
+    /// that cancels and then reappears.
+    fn random_terms(ring: &Ring, pool: &[Monomial], rng: &mut Rng, round: usize) -> Vec<Term> {
+        let ctx = ring.ctx();
+        let pick = |rng: &mut Rng| pool[rng.random_range(0..pool.len())].clone();
+        let mut terms: Vec<Term> = (0..rng.random_range(0..12))
+            .map(|_| (pick(rng), ctx.from_u64(rng.random_below(4))))
+            .collect();
+        if round.is_multiple_of(3) {
+            let m = pick(rng);
+            let at = rng.random_range(0..terms.len() + 1);
+            let alpha = ctx.alpha();
+            terms.insert(at, (m.clone(), alpha.clone()));
+            terms.insert(at, (m.clone(), alpha));
+            terms.push((m, ctx.one()));
+        }
+        terms
+    }
+
+    fn monomial_pool(x: VarId, y: VarId, a: VarId) -> Vec<Monomial> {
+        vec![
+            Monomial::one(),
+            Monomial::var(x),
+            Monomial::var(y),
+            Monomial::var(a),
+            Monomial::var_pow(a, 2),
+            Monomial::from_factors(vec![(x, 1), (y, 1)]),
+            Monomial::from_factors(vec![(x, 1), (a, 3)]),
+            Monomial::from_factors(vec![(x, 1), (y, 1), (a, 1)]),
+        ]
+    }
+
+    #[test]
+    fn from_terms_equals_sum_of_single_terms() {
+        let (ring, x, y, a) = setup(ExponentMode::Plain);
+        let pool = monomial_pool(x, y, a);
+        let mut rng = Rng::seed_from_u64(0x7E2);
+        for round in 0..300 {
+            let terms = random_terms(&ring, &pool, &mut rng, round);
+            let sum = terms.iter().fold(Poly::zero(), |acc, (m, c)| {
+                let single = if c.is_zero() {
+                    Poly::zero()
+                } else {
+                    Poly {
+                        terms: vec![(m.clone(), c.clone())],
+                    }
+                };
+                acc.add(&single)
+            });
+            let p = Poly::from_terms(terms);
+            assert_normalized(&p);
+            assert_eq!(p, sum, "round {round}");
+        }
+    }
+
+    #[test]
+    fn mul_equals_sum_of_term_products() {
+        for mode in [ExponentMode::Plain, ExponentMode::Quotient] {
+            let (ring, x, y, a) = setup(mode);
+            let pool = monomial_pool(x, y, a);
+            let mut rng = Rng::seed_from_u64(0x3A1);
+            for round in 0..200 {
+                let p = Poly::from_terms(random_terms(&ring, &pool, &mut rng, round));
+                let q = Poly::from_terms(random_terms(&ring, &pool, &mut rng, round + 1));
+                let want = q.terms().iter().fold(Poly::zero(), |acc, (m, c)| {
+                    acc.add(&p.mul_term(m, c, &ring).unwrap())
+                });
+                let got = p.mul(&q, &ring).unwrap();
+                assert_normalized(&got);
+                assert_eq!(got, want, "{mode:?} round {round}");
+            }
+        }
     }
 
     #[test]

@@ -82,14 +82,19 @@ impl Ord for HeapTerm {
     }
 }
 
-/// One prepared divisor: the polynomial plus its precomputed inverse
-/// leading coefficient (`None` for monic divisors, the common case — gate
-/// polynomials under RATO all have unit leading coefficients).
-#[derive(Debug, Clone)]
+/// One prepared divisor: the polynomial plus the slot of its precomputed
+/// inverse leading coefficient in [`Reducer::inverses`] (`None` for monic
+/// divisors, the common case — gate polynomials under RATO all have unit
+/// leading coefficients, so the table stays tiny and an entry stays at 16
+/// bytes instead of embedding a field element).
+#[derive(Debug, Clone, Copy)]
 struct DivEntry<'a> {
     poly: &'a Poly,
-    inv_lc: Option<Gf>,
+    inv_lc: Option<u32>,
 }
+
+/// [`Reducer::by_lead_var`] slot of a variable that leads no divisor.
+const NO_DIVISOR: u32 = u32::MAX;
 
 /// A set of divisors prepared for repeated normal-form computations.
 ///
@@ -104,10 +109,13 @@ pub struct Reducer<'a> {
     ring: &'a Ring,
     /// All prepared divisors; the index tables below point in here.
     entries: Vec<DivEntry<'a>>,
-    /// Divisors with leading monomial `x` (a bare variable), indexed by the
-    /// RATO rank of `x` (`VarId::index`). Dense: the ring orders are small
-    /// and the lookup sits on the innermost division loop.
-    by_lead_var: Vec<Option<usize>>,
+    /// Inverse leading coefficients of the non-monic divisors.
+    inverses: Vec<Gf>,
+    /// Index into `entries` of the divisor with leading monomial `x` (a
+    /// bare variable), by the RATO rank of `x` (`VarId::index`), or
+    /// [`NO_DIVISOR`]. Dense: the ring orders are small and the lookup
+    /// sits on the innermost division loop.
+    by_lead_var: Vec<u32>,
     /// All other divisors.
     general: Vec<usize>,
 }
@@ -119,23 +127,27 @@ impl<'a> Reducer<'a> {
     /// leading variable the first one wins the index and the rest go to the
     /// general list (division remains correct, just slower).
     pub fn new(ring: &'a Ring, divisors: impl IntoIterator<Item = &'a Poly>) -> Self {
-        let mut by_lead_var: Vec<Option<usize>> = vec![None; ring.num_vars()];
+        let divisors = divisors.into_iter();
+        let mut by_lead_var = vec![NO_DIVISOR; ring.num_vars()];
         let mut general = Vec::new();
-        let mut entries: Vec<DivEntry<'a>> = Vec::new();
+        let mut entries: Vec<DivEntry<'a>> = Vec::with_capacity(divisors.size_hint().0);
+        // Leading coefficients of the non-monic divisors, in slot order.
+        let mut lcs: Vec<Gf> = Vec::new();
         for d in divisors {
-            let Some(lm) = d.leading_monomial() else {
+            let Some((lm, lc)) = d.leading_term() else {
                 continue;
             };
             let idx = entries.len();
-            entries.push(DivEntry {
-                poly: d,
-                inv_lc: None,
+            let inv_lc = (!lc.is_one()).then(|| {
+                lcs.push(lc.clone());
+                (lcs.len() - 1) as u32
             });
+            entries.push(DivEntry { poly: d, inv_lc });
             let factors = lm.factors();
             if factors.len() == 1 && factors[0].1 == 1 {
                 let slot = &mut by_lead_var[factors[0].0.index()];
-                if slot.is_none() {
-                    *slot = Some(idx);
+                if *slot == NO_DIVISOR {
+                    *slot = idx as u32;
                     continue;
                 }
             }
@@ -143,39 +155,14 @@ impl<'a> Reducer<'a> {
         }
         // Invert every non-unit leading coefficient in one batch
         // (Montgomery's trick: a single extended GCD for the whole set).
-        let needs_inv: Vec<usize> = entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| {
-                !e.poly
-                    .leading_coeff()
-                    .expect("divisor is non-zero")
-                    .is_one()
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if !needs_inv.is_empty() {
-            let lcs: Vec<Gf> = needs_inv
-                .iter()
-                .map(|&i| {
-                    entries[i]
-                        .poly
-                        .leading_coeff()
-                        .expect("divisor is non-zero")
-                        .clone()
-                })
-                .collect();
-            let invs = ring
-                .ctx()
-                .batch_inv(&lcs)
-                .expect("leading coefficients are non-zero");
-            for (&i, inv) in needs_inv.iter().zip(invs) {
-                entries[i].inv_lc = Some(inv);
-            }
-        }
+        let inverses = ring
+            .ctx()
+            .batch_inv(&lcs)
+            .expect("leading coefficients are non-zero");
         Reducer {
             ring,
             entries,
+            inverses,
             by_lead_var,
             general,
         }
@@ -189,8 +176,9 @@ impl<'a> Reducer<'a> {
     /// Finds a divisor whose leading monomial divides `m`.
     fn find_divisor(&self, m: &Monomial) -> Option<&DivEntry<'a>> {
         for &(v, _) in m.factors() {
-            if let Some(i) = self.by_lead_var[v.index()] {
-                return Some(&self.entries[i]);
+            let i = self.by_lead_var[v.index()];
+            if i != NO_DIVISOR {
+                return Some(&self.entries[i as usize]);
             }
         }
         self.general
@@ -292,9 +280,9 @@ impl<'a> Reducer<'a> {
                     // one batch) when the reducer was built.
                     let lm = d.leading_monomial().expect("divisor is non-zero");
                     let q = lm.quotient_of(&m);
-                    let scale = match &entry.inv_lc {
+                    let scale = match entry.inv_lc {
                         None => c,
-                        Some(inv) => ctx.mul(&c, inv),
+                        Some(i) => ctx.mul(&c, &self.inverses[i as usize]),
                     };
                     // Subtract scale * q * tail(d) (char 2: subtract = add).
                     // Gate polynomials have unit coefficients, so skip the

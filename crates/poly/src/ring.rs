@@ -3,7 +3,7 @@
 use crate::monomial::Monomial;
 use crate::poly::Poly;
 use gfab_field::{Gf, GfContext};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -105,7 +105,7 @@ impl From<gfab_field::budget::BudgetExceeded> for PolyError {
 pub struct Ring {
     ctx: Arc<GfContext>,
     vars: Vec<VarInfo>,
-    by_name: HashMap<String, VarId>,
+    by_name: HashMap<String, NameSlot>,
     mode: ExponentMode,
     /// `q = 2^k` when it fits in `u64`, used for word-exponent reduction.
     order_u64: Option<u64>,
@@ -138,7 +138,7 @@ impl Ring {
 
     /// Looks a variable up by name.
     pub fn var_by_name(&self, name: &str) -> Option<VarId> {
-        self.by_name.get(name).copied()
+        self.by_name.get(name).map(|slot| slot.var)
     }
 
     /// Iterates over `(VarId, &VarInfo)` from greatest to smallest.
@@ -190,6 +190,16 @@ impl Ring {
     }
 }
 
+/// The name map's entry for one variable name.
+#[derive(Debug, Clone, Copy)]
+struct NameSlot {
+    /// The variable carrying this name.
+    var: VarId,
+    /// The last suffix `n` handed out or skipped for repeats of this
+    /// name (`name@n`).
+    repeats: u32,
+}
+
 /// Incremental construction of a [`Ring`], adding variables from greatest to
 /// smallest in the lex order.
 ///
@@ -211,33 +221,67 @@ impl Ring {
 pub struct RingBuilder {
     ctx: Arc<GfContext>,
     vars: Vec<VarInfo>,
-    by_name: HashMap<String, VarId>,
+    /// The one name map of the ring: uniqueness check while building,
+    /// [`Ring::var_by_name`] afterwards.
+    by_name: HashMap<String, NameSlot>,
     mode: ExponentMode,
 }
 
 impl RingBuilder {
     /// Starts a builder over the given coefficient field.
     pub fn new(ctx: Arc<GfContext>, mode: ExponentMode) -> Self {
+        Self::with_capacity(ctx, mode, 0)
+    }
+
+    /// Starts a builder with room for `num_vars` variables, so building a
+    /// ring of that size never regrows its tables.
+    pub fn with_capacity(ctx: Arc<GfContext>, mode: ExponentMode, num_vars: usize) -> Self {
         RingBuilder {
             ctx,
-            vars: Vec::new(),
-            by_name: HashMap::new(),
+            vars: Vec::with_capacity(num_vars),
+            by_name: HashMap::with_capacity(num_vars),
             mode,
         }
     }
 
     /// Appends the next-smaller variable and returns its id.
     ///
-    /// # Panics
-    ///
-    /// Panics if the name is already taken (variable names must be unique).
+    /// Variable names are unique within a ring. A name that is already
+    /// taken is suffixed by how often it was asked for before: the
+    /// variables asked to be `x`, `x`, `x` are named `x`, `x@1`, `x@2`
+    /// (net names need not be unique, e.g. after netlist rebuilding
+    /// passes). A suffixed name that is itself taken moves on to the next
+    /// suffix.
     pub fn add_var(&mut self, name: impl Into<String>, kind: VarKind) -> VarId {
-        let name = name.into();
-        let id = VarId(self.vars.len() as u32);
-        let prev = self.by_name.insert(name.clone(), id);
-        assert!(prev.is_none(), "duplicate ring variable name: {name}");
+        let var = VarId(self.vars.len() as u32);
+        let name = match self.by_name.entry(name.into()) {
+            Entry::Vacant(e) => {
+                let name = e.key().clone();
+                e.insert(NameSlot { var, repeats: 0 });
+                name
+            }
+            Entry::Occupied(e) => {
+                let base = e.key().clone();
+                self.suffixed(&base, var)
+            }
+        };
         self.vars.push(VarInfo { name, kind });
-        id
+        var
+    }
+
+    /// Registers `var` under the first free `base@n`, counting `n` on from
+    /// `base`'s repeat count.
+    fn suffixed(&mut self, base: &str, var: VarId) -> String {
+        loop {
+            let slot = self.by_name.get_mut(base).expect("base name is taken");
+            slot.repeats += 1;
+            let n = slot.repeats;
+            if let Entry::Vacant(e) = self.by_name.entry(format!("{base}@{n}")) {
+                let name = e.key().clone();
+                e.insert(NameSlot { var, repeats: 0 });
+                return name;
+            }
+        }
     }
 
     /// Finalizes the ring.
@@ -308,11 +352,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate ring variable name")]
-    fn duplicate_names_panic() {
+    fn repeated_names_get_counted_suffixes() {
         let ctx = GfContext::shared(Gf2Poly::from_exponents(&[2, 1, 0])).unwrap();
         let mut rb = RingBuilder::new(ctx, ExponentMode::Plain);
-        rb.add_var("x", VarKind::Bit);
-        rb.add_var("x", VarKind::Bit);
+        let ids: Vec<VarId> = ["x", "y", "x", "x", "x@3", "x"]
+            .iter()
+            .map(|&n| rb.add_var(n, VarKind::Bit))
+            .collect();
+        let r = rb.build();
+        let names: Vec<&str> = ids.iter().map(|&v| r.var_info(v).name.as_str()).collect();
+        // The fourth `x` would be `x@3`, which is taken, so it becomes `x@4`.
+        assert_eq!(names, ["x", "y", "x@1", "x@2", "x@3", "x@4"]);
+        for (&v, name) in ids.iter().zip(names) {
+            assert_eq!(r.var_by_name(name), Some(v));
+        }
     }
 }

@@ -21,6 +21,12 @@ cargo build --release --offline
 echo "== tier-1: test (every workspace package) =="
 cargo test -q --offline --workspace
 
+echo "== perfbench: builds against the library and passes its self-tests =="
+# The benchmark is its own workspace and drives the public library API;
+# an internal API change that stops it compiling, or breaks its
+# self-tests, fails here rather than at the next benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== kernel smoke: coefficient kernels vs reference oracle =="
 # Differential self-check of the zero-allocation GF(2^k) coefficient
 # kernels (windowed comb multiply, spread-table squaring, precomputed
