@@ -320,6 +320,7 @@ pub fn extract_word_polynomial_budgeted(
     reduce_span.counter(Counter::ReductionFolds, rstats.kernel.reduction_folds);
     reduce_span.counter(Counter::CoeffsInline, rstats.kernel.inline_results);
     reduce_span.counter(Counter::CoeffsHeap, rstats.kernel.heap_results);
+    reduce_span.counter(Counter::SpilledTerms, rstats.spilled_terms);
     reduce_span.observe(Hist::DivisionChainLen, rstats.steps);
     reduce_span.observe_hist(Hist::ReductionPolySize, &rstats.size_hist);
     stats.reduce_time = reduce_span.finish();

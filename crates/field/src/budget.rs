@@ -123,6 +123,9 @@ struct Inner {
     work: AtomicU64,
     stopped: AtomicU8,
     observer: Option<ObserverHook>,
+    /// The budget every unit is also charged to, and whose limits also
+    /// apply ([`Budget::child_with_deadline`]).
+    parent: Option<Budget>,
 }
 
 /// A shared wall-clock / work-unit budget with cooperative cancellation.
@@ -149,6 +152,26 @@ impl Budget {
                 work: AtomicU64::new(0),
                 stopped: AtomicU8::new(RUNNING),
                 observer: None,
+                parent: None,
+            }),
+        }
+    }
+
+    /// A budget for one bounded part of this budget's computation: each
+    /// unit it charges is charged here too, every limit of this budget
+    /// still applies, and it adds its own deadline `wall` from now.
+    /// Passing that deadline stops only the child — this budget and its
+    /// clones keep running, so the caller can go on to something else.
+    #[must_use]
+    pub fn child_with_deadline(&self, wall: Duration) -> Budget {
+        Budget {
+            inner: Arc::new(Inner {
+                deadline: Some(Instant::now() + wall),
+                work_cap: None,
+                work: AtomicU64::new(0),
+                stopped: AtomicU8::new(RUNNING),
+                observer: None,
+                parent: Some(self.clone()),
             }),
         }
     }
@@ -173,6 +196,7 @@ impl Budget {
                     stride,
                     next: AtomicU64::new(stride),
                 }),
+                parent: self.inner.parent.clone(),
             }),
         }
     }
@@ -235,8 +259,17 @@ impl Budget {
 
     /// Polls the budget: fails if it was already stopped, or if the
     /// wall-clock deadline has passed (tripping the sticky stop flag so
-    /// sibling threads fail on their next cheap poll).
+    /// sibling threads fail on their next cheap poll). A child polls its
+    /// parent first.
     pub fn check(&self) -> Result<(), BudgetExceeded> {
+        if let Some(parent) = &self.inner.parent {
+            parent.check()?;
+        }
+        self.check_own()
+    }
+
+    /// [`Budget::check`] of this budget's own limits only.
+    fn check_own(&self) -> Result<(), BudgetExceeded> {
         if let Some(reason) = code_reason(self.inner.stopped.load(Ordering::Relaxed)) {
             return Err(BudgetExceeded { reason });
         }
@@ -252,8 +285,12 @@ impl Budget {
 
     /// Charges `units` of work, then polls. Work-cap exhaustion depends
     /// only on the cumulative total, so it is deterministic across thread
-    /// counts and interleavings.
+    /// counts and interleavings. A child charges and polls its parent
+    /// first.
     pub fn tick(&self, units: u64) -> Result<(), BudgetExceeded> {
+        if let Some(parent) = &self.inner.parent {
+            parent.tick(units)?;
+        }
         let done = self.inner.work.fetch_add(units, Ordering::Relaxed) + units;
         if let Some(hook) = &self.inner.observer {
             // The crossing check races between threads; at worst a
@@ -278,10 +315,11 @@ impl Budget {
                 });
             }
         }
-        self.check()
+        self.check_own()
     }
 
-    /// Cumulative work units charged so far.
+    /// Cumulative work units charged so far (through this budget and its
+    /// clones, and for a parent through its children too).
     pub fn work_done(&self) -> u64 {
         self.inner.work.load(Ordering::Relaxed)
     }
@@ -289,14 +327,21 @@ impl Budget {
     /// Time left until the deadline (`None` when no deadline is set;
     /// `Some(ZERO)` once it has passed).
     pub fn remaining(&self) -> Option<Duration> {
-        self.inner
+        let own = self
+            .inner
             .deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
+            .map(|d| d.saturating_duration_since(Instant::now()));
+        match self.inner.parent.as_ref().and_then(Budget::remaining) {
+            Some(p) => Some(own.map_or(p, |o| o.min(p))),
+            None => own,
+        }
     }
 
-    /// The reason this budget stopped, if it has.
+    /// The reason this budget stopped, if it has (a child also reports
+    /// its parent's stop).
     pub fn exhausted(&self) -> Option<ExhaustedReason> {
-        code_reason(self.inner.stopped.load(Ordering::Relaxed))
+        let parent = self.inner.parent.as_ref().and_then(Budget::exhausted);
+        parent.or_else(|| code_reason(self.inner.stopped.load(Ordering::Relaxed)))
     }
 }
 
@@ -429,6 +474,39 @@ mod tests {
         assert_eq!(b.work_done(), 60);
         // The cap carried over: 60 + 50 > 100 still trips.
         assert_eq!(b.tick(50).unwrap_err().reason, ExhaustedReason::WorkCap);
+    }
+
+    #[test]
+    fn a_child_deadline_stops_only_the_child() {
+        let parent = Budget::with_work_cap(10_000);
+        let child = parent.child_with_deadline(Duration::ZERO);
+        std::thread::sleep(Duration::from_millis(1));
+        assert_eq!(child.tick(5).unwrap_err().reason, ExhaustedReason::Deadline);
+        assert_eq!(child.exhausted(), Some(ExhaustedReason::Deadline));
+        // The work reached the parent, which keeps running.
+        assert_eq!(parent.work_done(), 5);
+        assert_eq!(parent.exhausted(), None);
+        assert!(parent.tick(5).is_ok());
+        assert!(child.is_limited());
+    }
+
+    #[test]
+    fn a_child_obeys_its_parents_limits() {
+        let parent = Budget::with_work_cap(10);
+        let child = parent.child_with_deadline(Duration::from_secs(3600));
+        assert!(child.tick(10).is_ok());
+        assert_eq!(child.tick(1).unwrap_err().reason, ExhaustedReason::WorkCap);
+        assert_eq!(parent.exhausted(), Some(ExhaustedReason::WorkCap));
+        assert_eq!(child.exhausted(), Some(ExhaustedReason::WorkCap));
+
+        let parent = Budget::with_deadline(Duration::from_secs(60));
+        let child = parent.child_with_deadline(Duration::from_secs(3600));
+        assert!(child.remaining().unwrap() <= Duration::from_secs(60));
+        parent.cancel();
+        assert_eq!(
+            child.check().unwrap_err().reason,
+            ExhaustedReason::Cancelled
+        );
     }
 
     #[test]

@@ -246,6 +246,22 @@ impl GfContext {
         self.element(Gf2Poly::from_u64(bits))
     }
 
+    /// Builds an element from little-endian limbs that are already reduced
+    /// (degree < k; checked in debug builds), skipping the modular fold of
+    /// [`GfContext::element`]. Trailing zero limbs are allowed, so a
+    /// fixed-width copy of [`Gf2Poly::limbs`] round-trips.
+    #[must_use]
+    pub fn from_reduced_limbs(&self, limbs: &[u64]) -> Gf {
+        let p = Gf2Poly::from_limb_slice(limbs);
+        debug_assert!(
+            p.degree().is_none_or(|d| d < self.k),
+            "limbs of degree {:?} are not reduced into F_2^{}",
+            p.degree(),
+            self.k
+        );
+        Gf(p)
+    }
+
     /// Builds an element from a bit slice (`bits[i]` is the coefficient of
     /// `α^i`). Slices longer than `k` are reduced modulo `P`.
     #[must_use]

@@ -12,8 +12,9 @@ use crate::monomial::Monomial;
 use crate::poly::Poly;
 use crate::reduce::Reducer;
 use crate::ring::{PolyError, Ring};
-use gfab_field::budget::Budget;
+use gfab_field::budget::{Budget, BudgetExceeded};
 use gfab_telemetry::{Counter, Hist, HistData, Phase, Telemetry};
+use std::time::Duration;
 
 /// Statistics of one Gröbner basis computation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -51,7 +52,10 @@ pub struct GbLimits {
     /// Maximum number of terms in any single basis polynomial.
     pub max_poly_terms: usize,
     /// Wall-clock budget in milliseconds (`0` = unlimited). The paper's
-    /// baselines ran under a 24-hour timeout; this is the same knob.
+    /// baselines ran under a 24-hour timeout; this is the same knob. It
+    /// binds at every budget poll of the pair loop and of the basis
+    /// inter-reduction, inside each normal form too, without stopping the
+    /// caller's budget.
     pub max_wall_ms: u64,
 }
 
@@ -62,6 +66,43 @@ impl Default for GbLimits {
             max_basis: 100_000,
             max_poly_terms: 10_000_000,
             max_wall_ms: 0,
+        }
+    }
+}
+
+/// The budget one Gröbner computation runs under: the caller's, narrowed
+/// to [`GbLimits::max_wall_ms`] by a child budget when that is set. The
+/// child charges all work to the caller's budget, and its own deadline
+/// stops only the Gröbner computation.
+struct GbBudget<'a> {
+    caller: &'a Budget,
+    scoped: Budget,
+    wall_ms: u64,
+}
+
+impl<'a> GbBudget<'a> {
+    fn new(caller: &'a Budget, limits: &GbLimits) -> Self {
+        let wall_ms = limits.max_wall_ms;
+        let scoped = if wall_ms > 0 {
+            caller.child_with_deadline(Duration::from_millis(wall_ms))
+        } else {
+            caller.clone()
+        };
+        GbBudget {
+            caller,
+            scoped,
+            wall_ms,
+        }
+    }
+
+    /// The [`GbOutcome::LimitExceeded`] reason for a stop of the scoped
+    /// budget, `during` a phase (empty for the pair loop): the wall limit
+    /// when only the child ran out, else the caller's exhausted resource.
+    fn reason(&self, e: BudgetExceeded, during: &str) -> String {
+        if self.caller.exhausted().is_none() {
+            format!("exceeded {} ms wall-clock budget{during}", self.wall_ms)
+        } else {
+            format!("budget exhausted{during}: {}", e.reason)
         }
     }
 }
@@ -138,7 +179,8 @@ pub fn buchberger(
 
 /// [`buchberger`] under a cooperative [`Budget`]: the budget is polled once
 /// per S-polynomial reduction (charging one work unit) and threaded into
-/// every inner normal-form computation. Exhaustion is reported as a
+/// every inner normal-form computation, as is the
+/// [`GbLimits::max_wall_ms`] deadline. Exhaustion is reported as a
 /// graceful [`GbOutcome::LimitExceeded`], never an error — the paper's
 /// full-GB baseline is *expected* to blow up.
 ///
@@ -151,13 +193,22 @@ pub fn buchberger_budgeted(
     limits: &GbLimits,
     budget: &Budget,
 ) -> Result<GbOutcome, PolyError> {
+    buchberger_scoped(ring, generators, limits, &GbBudget::new(budget, limits))
+}
+
+fn buchberger_scoped(
+    ring: &Ring,
+    generators: &[Poly],
+    limits: &GbLimits,
+    gb: &GbBudget,
+) -> Result<GbOutcome, PolyError> {
+    let budget = &gb.scoped;
     let mut basis: Vec<Poly> = generators
         .iter()
         .filter(|p| !p.is_zero())
         .cloned()
         .collect();
     let mut stats = GbStats::default();
-    let start = std::time::Instant::now();
 
     // Pending pairs as index pairs (i < j), processed in order of smallest
     // lcm first (the "normal selection" strategy).
@@ -223,14 +274,7 @@ pub fn buchberger_budgeted(
         if let Err(e) = budget.tick(1) {
             stats.basis_size = basis.len();
             return Ok(GbOutcome::LimitExceeded {
-                reason: format!("budget exhausted: {}", e.reason),
-                stats,
-            });
-        }
-        if limits.max_wall_ms > 0 && start.elapsed().as_millis() as u64 > limits.max_wall_ms {
-            stats.basis_size = basis.len();
-            return Ok(GbOutcome::LimitExceeded {
-                reason: format!("exceeded {} ms wall-clock budget", limits.max_wall_ms),
+                reason: gb.reason(e, ""),
                 stats,
             });
         }
@@ -258,7 +302,7 @@ pub fn buchberger_budgeted(
             Err(PolyError::BudgetExceeded(e)) => {
                 stats.basis_size = basis.len();
                 return Ok(GbOutcome::LimitExceeded {
-                    reason: format!("budget exhausted: {}", e.reason),
+                    reason: gb.reason(e, ""),
                     stats,
                 });
             }
@@ -308,8 +352,8 @@ pub fn reduce_basis(ring: &Ring, basis: &[Poly]) -> Result<Vec<Poly>, PolyError>
     reduce_basis_budgeted(ring, basis, &Budget::unlimited())
 }
 
-/// [`reduce_basis`] under a cooperative [`Budget`] (threaded into every
-/// inner normal-form computation).
+/// [`reduce_basis`] under a cooperative [`Budget`] (polled before and
+/// threaded into every inner normal-form computation).
 ///
 /// # Errors
 ///
@@ -343,6 +387,9 @@ pub fn reduce_basis_budgeted(
     while changed {
         changed = false;
         for i in 0..kept.len() {
+            // One poll per normal form, so a deadline binds here even when
+            // every reduction is shorter than the reducer's poll stride.
+            budget.check()?;
             let others: Vec<Poly> = kept
                 .iter()
                 .enumerate()
@@ -403,7 +450,8 @@ pub fn reduced_groebner_basis(
 }
 
 /// Buchberger followed by [`reduce_basis`] under a cooperative
-/// [`Budget`]; exhaustion in either phase surfaces as a graceful
+/// [`Budget`], with one [`GbLimits::max_wall_ms`] deadline across both
+/// phases; exhaustion in either phase surfaces as a graceful
 /// [`GbOutcome::LimitExceeded`]. The pair loop and the basis
 /// inter-reduction each get a phase span under `tele`, with the
 /// S-polynomial / pruning / division-effort counters attached.
@@ -418,8 +466,9 @@ pub fn reduced_groebner_basis_traced(
     budget: &Budget,
     tele: &Telemetry,
 ) -> Result<GbOutcome, PolyError> {
+    let gb = GbBudget::new(budget, limits);
     let mut span = tele.span(Phase::Buchberger);
-    let out = buchberger_budgeted(ring, generators, limits, budget)?;
+    let out = buchberger_scoped(ring, generators, limits, &gb)?;
     let stats = match &out {
         GbOutcome::Complete { stats, .. } | GbOutcome::LimitExceeded { stats, .. } => stats,
     };
@@ -437,12 +486,12 @@ pub fn reduced_groebner_basis_traced(
     match out {
         GbOutcome::Complete { basis, stats } => {
             let rspan = tele.span(Phase::BasisReduction);
-            let result = reduce_basis_budgeted(ring, &basis, budget);
+            let result = reduce_basis_budgeted(ring, &basis, &gb.scoped);
             let _ = rspan.finish();
             match result {
                 Ok(basis) => Ok(GbOutcome::Complete { basis, stats }),
                 Err(PolyError::BudgetExceeded(e)) => Ok(GbOutcome::LimitExceeded {
-                    reason: format!("budget exhausted during basis reduction: {}", e.reason),
+                    reason: gb.reason(e, " during basis reduction"),
                     stats,
                 }),
                 Err(e) => Err(e),

@@ -163,6 +163,23 @@ impl Monomial {
         .normalized()
     }
 
+    /// The monomial of at most [`INLINE_FACTORS`] factors that are already
+    /// canonical: ascending distinct ranks, non-zero exponents (checked in
+    /// debug builds). The decode side of the reducer's packed term keys.
+    pub(crate) fn from_canonical_inline(factors: &[Factor]) -> Self {
+        debug_assert!(factors.len() <= INLINE_FACTORS);
+        debug_assert!(factors.iter().all(|&(_, e)| e > 0));
+        debug_assert!(factors.windows(2).all(|w| w[0].0 < w[1].0));
+        let mut buf = [NO_FACTOR; INLINE_FACTORS];
+        buf[..factors.len()].copy_from_slice(factors);
+        Monomial {
+            factors: Factors::Inline {
+                len: factors.len() as u8,
+                buf,
+            },
+        }
+    }
+
     /// Sorts the factors by variable, drops zero exponents and sums the
     /// exponents of repeated variables, in place.
     fn normalized(mut self) -> Self {

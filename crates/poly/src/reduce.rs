@@ -7,15 +7,48 @@
 //! so the reducer indexes those divisors by leading variable for O(1)
 //! lookup; arbitrary divisors (e.g. explicit vanishing polynomials in
 //! `Plain` mode) go through a linear scan.
+//!
+//! # The working store
+//!
+//! The working polynomial of one normal form is a 4-ary max-heap of
+//! 16-byte entries, each a packed key and a tag, over two side tables:
+//!
+//! * **The key** packs the monomial's first two factors in pure-lex
+//!   order, 32 bits each: the inverted rank (24 bits) above the exponent
+//!   (8 bits), with an absent factor packing as 0. Comparing keys as
+//!   integers compares those two factors exactly as [`Monomial::cmp`]
+//!   does.
+//! * **Exact terms** are those the key describes whole: at most two
+//!   factors, exponents below 255, ranks below 2²⁴ − 1 (every term of
+//!   the Mastrovito and Montgomery division chains). They keep no
+//!   monomial: it is decoded from the key when the term is popped, and the
+//!   tag names the coefficient's slot in a limb arena at the field's
+//!   width, ⌈k/64⌉ words.
+//! * **Spilled terms** are all others. Monomial and coefficient go whole
+//!   into a spill table that the tag points at. An exponent of 255 or
+//!   more saturates its field and blanks the rest of the key (else
+//!   `x^300·y` against `x^400·z` would be decided on `y`/`z`); a rank the
+//!   field cannot hold does the same; a third factor is simply not in
+//!   the key.
+//!
+//! The key is therefore always a faithful prefix of the order: two
+//! different keys order like their monomials. Equal keys are decided —
+//! for the heap order and for the merge test alike — by the full
+//! monomials whenever a spilled term is involved, while two exact terms
+//! with equal keys have equal monomials. So the store pops the same
+//! sequence of distinct monomials, with the same summed coefficients and
+//! the same live sizes, as a max-heap of whole `(Monomial, Gf)` terms:
+//! steps, peak terms, cancellations and every sampled size are those of
+//! that simpler store, which the tests keep as the oracle.
 
 use crate::monomial::Monomial;
 use crate::poly::Poly;
-use crate::ring::{PolyError, Ring};
+use crate::ring::{PolyError, Ring, VarId};
 use gfab_field::budget::Budget;
-use gfab_field::{kernel, Gf, KernelCounts};
+use gfab_field::{kernel, Gf, GfContext, KernelCounts};
 use gfab_telemetry::HistData;
+use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// How many division-loop iterations run between two budget polls. Strided
 /// so the atomic loads and `Instant::now()` calls are amortised away from
@@ -57,28 +90,287 @@ pub struct ReductionStats {
     /// the division loop (each normal form runs on a single thread), so
     /// the values are deterministic across machines and thread counts.
     pub kernel: KernelCounts,
+    /// Terms the working store could not describe by their packed key
+    /// (three or more factors, an exponent of 255 or more), which it kept
+    /// whole in its spill table (the `spilled-terms` telemetry counter).
+    /// Zero on the multiplier division chains.
+    pub spilled_terms: u64,
 }
 
-/// One entry of the division working store: ordered by monomial only, so a
-/// max-heap pops terms in descending monomial order and equal monomials
-/// surface consecutively for merging.
-#[derive(Debug, Clone)]
-struct HeapTerm(Monomial, Gf);
+/// Bits of a key factor field holding the exponent.
+const EXP_BITS: u32 = 8;
 
-impl PartialEq for HeapTerm {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0
+/// The exponent field's largest value, standing for "255 or more": the
+/// key cannot describe the exponent.
+const EXP_SAT: u64 = (1 << EXP_BITS) - 1;
+
+/// Ranks `0 .. PACKED_RANKS` pack, as the inverted rank
+/// `PACKED_RANKS - rank` (1 and up, so a present factor never packs as
+/// an absent one) in the 24 bits above the exponent.
+const PACKED_RANKS: u64 = (1 << (32 - EXP_BITS)) - 1;
+
+/// Packs one factor into its 32-bit key field. The flag says whether the
+/// field describes the factor exactly; when it does not, the fields after
+/// it must stay blank.
+fn pack_factor(v: VarId, e: u64) -> (u64, bool) {
+    let rank = u64::from(v.0);
+    if rank >= PACKED_RANKS {
+        // Below every packable rank, above an absent factor.
+        return (EXP_SAT, false);
+    }
+    let inv = (PACKED_RANKS - rank) << EXP_BITS;
+    if e >= EXP_SAT {
+        (inv | EXP_SAT, false)
+    } else {
+        (inv | e, true)
     }
 }
-impl Eq for HeapTerm {}
-impl PartialOrd for HeapTerm {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+/// The heap key of `m`, and whether it describes `m` exactly (so that
+/// [`unpack`] recovers it).
+fn pack(m: &Monomial) -> (u64, bool) {
+    let factors = m.factors();
+    let mut key = 0;
+    for (&(v, e), shift) in factors.iter().zip([32, 0]) {
+        let (field, exact) = pack_factor(v, e);
+        key |= field << shift;
+        if !exact {
+            return (key, false);
+        }
+    }
+    (key, factors.len() <= 2)
+}
+
+/// The monomial an exact key describes.
+fn unpack(key: u64) -> Monomial {
+    let factor = |field: u64| {
+        let rank = PACKED_RANKS - (field >> EXP_BITS);
+        (VarId(rank as u32), field & EXP_SAT)
+    };
+    let (hi, lo) = (key >> 32, key & 0xFFFF_FFFF);
+    match (hi, lo) {
+        (0, _) => Monomial::one(),
+        (hi, 0) => Monomial::from_canonical_inline(&[factor(hi)]),
+        (hi, lo) => Monomial::from_canonical_inline(&[factor(hi), factor(lo)]),
     }
 }
-impl Ord for HeapTerm {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.cmp(&other.0)
+
+/// Children per heap node. Four halves the depth of a binary heap, and
+/// the four 16-byte siblings compared at each level share about one
+/// cache line.
+const ARITY: usize = 4;
+
+/// Tag bit of an entry whose term lives in the spill table.
+const SPILLED: u32 = 1 << 31;
+
+/// One heap entry of the working store: 16 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// The packed monomial key.
+    key: u64,
+    /// An exact term's coefficient slot, or `SPILLED | i` for entry `i` of
+    /// the spill table.
+    tag: u32,
+}
+
+impl Entry {
+    fn spilled(self) -> bool {
+        self.tag & SPILLED != 0
+    }
+}
+
+/// The working polynomial of one normal form (see the module docs).
+struct WorkStore {
+    /// Max-heap of [`ARITY`] children per node, in [`WorkStore::above`]
+    /// order.
+    heap: Vec<Entry>,
+    /// Limbs per coefficient slot: ⌈k/64⌉.
+    width: usize,
+    /// Coefficient arena; slot `i` is `coeffs[i * width ..][.. width]`.
+    coeffs: Vec<u64>,
+    /// Arena slots free for reuse.
+    free_coeffs: Vec<u32>,
+    /// Whole terms of the spilled entries.
+    spill: Vec<(Monomial, Gf)>,
+    /// Spill entries free for reuse.
+    free_spill: Vec<u32>,
+    /// Coefficient sum of the term being merged, at slot width.
+    acc: Vec<u64>,
+    /// Terms that went to the spill table.
+    spilled: u64,
+}
+
+impl WorkStore {
+    fn new(ctx: &GfContext, terms: usize) -> Self {
+        let width = ctx.k().div_ceil(64);
+        WorkStore {
+            heap: Vec::with_capacity(terms),
+            width,
+            coeffs: Vec::with_capacity(terms * width),
+            free_coeffs: Vec::new(),
+            spill: Vec::new(),
+            free_spill: Vec::new(),
+            acc: vec![0; width],
+            spilled: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// The monomial of `e`, decoded from an exact key or borrowed from the
+    /// spill table.
+    fn monomial(&self, e: Entry) -> Cow<'_, Monomial> {
+        if e.spilled() {
+            Cow::Borrowed(&self.spill[(e.tag & !SPILLED) as usize].0)
+        } else {
+            Cow::Owned(unpack(e.key))
+        }
+    }
+
+    /// Whether `a` sorts strictly above `b`: by key, and on a key tie
+    /// involving a spilled term by the full monomials.
+    fn above(&self, a: Entry, b: Entry) -> bool {
+        match a.key.cmp(&b.key) {
+            Ordering::Equal => (a.spilled() || b.spilled()) && self.monomial(a) > self.monomial(b),
+            ord => ord == Ordering::Greater,
+        }
+    }
+
+    /// Adds the term `c·m`.
+    fn push(&mut self, m: Monomial, c: &Gf) {
+        let (key, exact) = pack(&m);
+        let tag = if exact {
+            self.store_coeff(c)
+        } else {
+            self.spilled += 1;
+            let i = match self.free_spill.pop() {
+                Some(i) => {
+                    self.spill[i as usize] = (m, c.clone());
+                    i
+                }
+                None => {
+                    self.spill.push((m, c.clone()));
+                    Self::tag_of(self.spill.len() - 1)
+                }
+            };
+            i | SPILLED
+        };
+        self.heap.push(Entry { key, tag });
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    /// An arena slot or spill index as a tag, which leaves the top bit
+    /// for [`SPILLED`].
+    fn tag_of(index: usize) -> u32 {
+        assert!(index < SPILLED as usize, "working store exceeds 2^31 terms");
+        index as u32
+    }
+
+    /// Copies `c`'s limbs into a free arena slot and returns the slot.
+    fn store_coeff(&mut self, c: &Gf) -> u32 {
+        let limbs = c.as_poly().limbs();
+        let w = self.width;
+        debug_assert!(limbs.len() <= w, "coefficient wider than the field");
+        let slot = match self.free_coeffs.pop() {
+            Some(slot) => slot,
+            None => {
+                let slot = Self::tag_of(self.coeffs.len() / w);
+                self.coeffs.resize(self.coeffs.len() + w, 0);
+                slot
+            }
+        };
+        let dst = &mut self.coeffs[slot as usize * w..][..w];
+        dst[..limbs.len()].copy_from_slice(limbs);
+        dst[limbs.len()..].fill(0);
+        slot
+    }
+
+    /// Removes and returns the greatest entry.
+    fn pop(&mut self) -> Option<Entry> {
+        let last = self.heap.pop()?;
+        if self.heap.is_empty() {
+            return Some(last);
+        }
+        let top = std::mem::replace(&mut self.heap[0], last);
+        self.sift_down_to_bottom(0);
+        Some(top)
+    }
+
+    fn sift_up(&mut self, mut pos: usize) {
+        let e = self.heap[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / ARITY;
+            if !self.above(e, self.heap[parent]) {
+                break;
+            }
+            self.heap[pos] = self.heap[parent];
+            pos = parent;
+        }
+        self.heap[pos] = e;
+    }
+
+    /// Moves the entry at `pos` down to a leaf along the path of greatest
+    /// children, then back up: fewer comparisons than a plain sift-down
+    /// when, as after a pop, the entry came from the bottom.
+    fn sift_down_to_bottom(&mut self, mut pos: usize) {
+        let end = self.heap.len();
+        let e = self.heap[pos];
+        loop {
+            let first = ARITY * pos + 1;
+            if first >= end {
+                break;
+            }
+            let mut best = first;
+            for child in first + 1..(first + ARITY).min(end) {
+                if self.above(self.heap[child], self.heap[best]) {
+                    best = child;
+                }
+            }
+            self.heap[pos] = self.heap[best];
+            pos = best;
+        }
+        self.heap[pos] = e;
+        self.sift_up(pos);
+    }
+
+    /// XORs the coefficient of the popped entry `e` into the accumulator
+    /// and frees its storage; a spilled term also hands back its monomial.
+    fn absorb(&mut self, e: Entry) -> Option<Monomial> {
+        if !e.spilled() {
+            let w = self.width;
+            let slot = &self.coeffs[e.tag as usize * w..][..w];
+            for (a, x) in self.acc.iter_mut().zip(slot) {
+                *a ^= x;
+            }
+            self.free_coeffs.push(e.tag);
+            return None;
+        }
+        let i = e.tag & !SPILLED;
+        self.free_spill.push(i);
+        let (m, c) = std::mem::take(&mut self.spill[i as usize]);
+        for (a, x) in self.acc.iter_mut().zip(c.as_poly().limbs()) {
+            *a ^= x;
+        }
+        Some(m)
+    }
+
+    /// Takes the popped entry `top` and every queued entry with the same
+    /// monomial out of the store: the monomial and the summed coefficient.
+    fn take_merged(&mut self, top: Entry, ctx: &GfContext) -> (Monomial, Gf) {
+        self.acc.fill(0);
+        let m = self.absorb(top).unwrap_or_else(|| unpack(top.key));
+        while let Some(&next) = self.heap.first() {
+            if next.key != top.key
+                || ((next.spilled() || top.spilled()) && *self.monomial(next) != m)
+            {
+                break;
+            }
+            self.pop();
+            self.absorb(next);
+        }
+        (m, ctx.from_reduced_limbs(&self.acc))
     }
 }
 
@@ -235,20 +527,18 @@ impl<'a> Reducer<'a> {
         let mut iterations: u64 = 0;
         let mut stats = ReductionStats::default();
         let kernel_before = kernel::snapshot();
-        // Lazy-merge working store: a max-heap ordered by monomial. Terms
-        // are pushed without merging; merging happens when equal monomials
-        // surface together at the top. This keeps the per-step cost at
-        // O(log n) pushes with no rebalancing of merged entries, and the
-        // heap's backing buffer is reused across all cancellations of one
-        // normal-form computation.
-        let mut work: BinaryHeap<HeapTerm> = BinaryHeap::with_capacity(f.num_terms() * 2);
+        // Lazy-merge working store: terms are pushed without merging, and
+        // equal monomials merge when they surface together at the top.
+        // This keeps the per-step cost at O(log n) pushes, and the store's
+        // buffers are reused across all cancellations of one normal form.
+        let mut work = WorkStore::new(ctx, f.num_terms() * 2);
         for (m, c) in f.terms() {
-            work.push(HeapTerm(m.clone(), c.clone()));
+            work.push(m.clone(), c);
         }
         // Remainder terms accumulate in strictly descending order because we
         // always move the current maximum.
         let mut remainder: Vec<(Monomial, Gf)> = Vec::new();
-        while let Some(HeapTerm(m, mut c)) = work.pop() {
+        while let Some(top) = work.pop() {
             iterations += 1;
             if iterations.is_multiple_of(SIZE_SAMPLE_STRIDE) {
                 stats.size_hist.record(work.len() as u64 + 1);
@@ -260,12 +550,7 @@ impl<'a> Reducer<'a> {
             }
             stats.peak_terms = stats.peak_terms.max(work.len() + 1);
             // Merge every queued term with the same monomial.
-            while let Some(top) = work.peek() {
-                if top.0 != m {
-                    break;
-                }
-                c = c.add(&work.pop().expect("peeked").1);
-            }
+            let (m, c) = work.take_merged(top, ctx);
             if c.is_zero() {
                 stats.cancellations += 1;
                 continue;
@@ -296,15 +581,17 @@ impl<'a> Reducer<'a> {
                         } else {
                             tm.mul(&q, self.ring)?
                         };
+                        let product;
                         let nc = if tc.is_one() {
-                            scale.clone()
+                            &scale
                         } else if scale.is_one() {
-                            tc.clone()
+                            tc
                         } else {
-                            ctx.mul(tc, &scale)
+                            product = ctx.mul(tc, &scale);
+                            &product
                         };
                         if !nc.is_zero() {
-                            work.push(HeapTerm(nm, nc));
+                            work.push(nm, nc);
                         }
                     }
                 }
@@ -315,6 +602,7 @@ impl<'a> Reducer<'a> {
         } else {
             0
         };
+        stats.spilled_terms = work.spilled;
         stats.kernel = kernel::snapshot().delta_since(&kernel_before);
         Ok((Poly::from_terms(remainder), stats))
     }
@@ -487,6 +775,361 @@ mod tests {
                     assert_eq!(f.eval(&ring, &vals), nf.eval(&ring, &vals));
                 }
             }
+        }
+    }
+    // ---- The packed-key working store against the whole-term heap ----
+
+    use gfab_field::nist::irreducible_polynomial;
+    use gfab_field::Rng;
+    use std::collections::BinaryHeap;
+
+    /// Whether a packed key can describe `m`, stated from the monomial's
+    /// shape alone: at most two factors, exponents below 255, ranks below
+    /// 2^24 - 1.
+    fn describable(m: &Monomial) -> bool {
+        let fs = m.factors();
+        fs.len() <= 2
+            && fs
+                .iter()
+                .all(|&(v, e)| u64::from(v.0) < (1 << 24) - 1 && e < 255)
+    }
+
+    /// The division loop over a max-heap of whole `(Monomial, Gf)` terms,
+    /// as it ran before the packed-key store: the oracle that store must
+    /// match field for field. A tuple breaks monomial ties by coefficient,
+    /// which only permutes the pops within one merge group.
+    fn reference_normal_form(
+        red: &Reducer,
+        f: &Poly,
+        budget: Option<&Budget>,
+    ) -> Result<(Poly, ReductionStats), PolyError> {
+        let ctx = red.ring.ctx();
+        let mut iterations: u64 = 0;
+        let mut stats = ReductionStats::default();
+        let kernel_before = kernel::snapshot();
+        let mut work: BinaryHeap<(Monomial, Gf)> = BinaryHeap::new();
+        let push = |work: &mut BinaryHeap<_>, stats: &mut ReductionStats, m, c| {
+            stats.spilled_terms += u64::from(!describable(&m));
+            work.push((m, c));
+        };
+        for (m, c) in f.terms() {
+            push(&mut work, &mut stats, m.clone(), c.clone());
+        }
+        let mut remainder = Vec::new();
+        while let Some((m, mut c)) = work.pop() {
+            iterations += 1;
+            if iterations.is_multiple_of(SIZE_SAMPLE_STRIDE) {
+                stats.size_hist.record(work.len() as u64 + 1);
+                if let Some(b) = budget {
+                    if iterations.is_multiple_of(BUDGET_STRIDE) {
+                        b.tick(BUDGET_STRIDE)?;
+                    }
+                }
+            }
+            stats.peak_terms = stats.peak_terms.max(work.len() + 1);
+            while work.peek().is_some_and(|top| top.0 == m) {
+                c = c.add(&work.pop().expect("peeked").1);
+            }
+            if c.is_zero() {
+                stats.cancellations += 1;
+                continue;
+            }
+            let Some(entry) = red.find_divisor(&m) else {
+                remainder.push((m, c));
+                continue;
+            };
+            stats.steps += 1;
+            let d = entry.poly;
+            let q = d.leading_monomial().expect("non-zero").quotient_of(&m);
+            let scale = match entry.inv_lc {
+                None => c,
+                Some(i) => ctx.mul(&c, &red.inverses[i as usize]),
+            };
+            for (tm, tc) in d.terms().iter().skip(1) {
+                let nm = if q.is_one() {
+                    tm.clone()
+                } else {
+                    tm.mul(&q, red.ring)?
+                };
+                let nc = if tc.is_one() {
+                    scale.clone()
+                } else if scale.is_one() {
+                    tc.clone()
+                } else {
+                    ctx.mul(tc, &scale)
+                };
+                if !nc.is_zero() {
+                    push(&mut work, &mut stats, nm, nc);
+                }
+            }
+        }
+        stats.polls = if budget.is_some() {
+            iterations / BUDGET_STRIDE
+        } else {
+            0
+        };
+        stats.kernel = kernel::snapshot().delta_since(&kernel_before);
+        Ok((Poly::from_terms(remainder), stats))
+    }
+
+    /// Variables at the bottom of a random ring that lead no divisor. They
+    /// alone carry exponents on both sides of the key's saturation point
+    /// and past `u32`: dividing such a power by a divisor led by its
+    /// variable would take about that many steps.
+    const FREE_VARS: usize = 3;
+
+    const SMALL_EXPONENTS: [u64; 5] = [1, 1, 1, 2, 3];
+    const EDGE_EXPONENTS: [u64; 10] = [1, 1, 2, 3, 254, 255, 256, 300, (1 << 32) + 3, 1 << 40];
+
+    /// A random monomial over the variables `vars` of an `n`-variable ring
+    /// with up to `max_factors` factors.
+    fn random_monomial(
+        rng: &mut Rng,
+        vars: std::ops::Range<usize>,
+        n: usize,
+        max_factors: usize,
+    ) -> Monomial {
+        let mut factors: Vec<(VarId, u64)> = Vec::new();
+        for _ in 0..rng.random_range(0..max_factors + 1) {
+            let v = rng.random_range(vars.clone());
+            let exps: &[u64] = if v + FREE_VARS >= n {
+                &EDGE_EXPONENTS
+            } else {
+                &SMALL_EXPONENTS
+            };
+            if factors.iter().all(|&(w, _)| w.index() != v) {
+                factors.push((VarId(v as u32), exps[rng.random_range(0..exps.len())]));
+            }
+        }
+        Monomial::from_factors(factors)
+    }
+
+    fn random_coeff(rng: &mut Rng, ctx: &GfContext) -> Gf {
+        if rng.random_bool(0.5) {
+            ctx.one()
+        } else {
+            loop {
+                let c = ctx.random(rng);
+                if !c.is_zero() {
+                    return c;
+                }
+            }
+        }
+    }
+
+    fn random_poly(
+        rng: &mut Rng,
+        ring: &Ring,
+        vars: std::ops::Range<usize>,
+        terms: usize,
+        max_factors: usize,
+    ) -> Poly {
+        let n = ring.num_vars();
+        Poly::from_terms(
+            (0..terms)
+                .map(|_| {
+                    let m = random_monomial(rng, vars.clone(), n, max_factors);
+                    (m, random_coeff(rng, ring.ctx()))
+                })
+                .collect(),
+        )
+    }
+
+    /// A random divisor set: gate-like `c·x + tail` polynomials over
+    /// smaller variables (some non-monic), plus a few divisors whose
+    /// leading monomial is a power or a product.
+    fn random_divisors(rng: &mut Rng, ring: &Ring) -> Vec<Poly> {
+        let n = ring.num_vars();
+        let led = n - FREE_VARS;
+        let ctx = ring.ctx();
+        let mut out = Vec::new();
+        for x in 0..led {
+            if rng.random_bool(0.3) {
+                continue;
+            }
+            let terms = rng.random_range(1..3);
+            let tail = random_poly(rng, ring, x + 1..n, terms, 3);
+            let lead = Poly::from_terms(vec![(
+                Monomial::var(VarId(x as u32)),
+                random_coeff(rng, ctx),
+            )]);
+            out.push(lead.add(&tail));
+        }
+        for _ in 0..rng.random_range(0..3) {
+            let terms = rng.random_range(1..4);
+            out.push(random_poly(rng, ring, 0..led, terms, 3));
+        }
+        out.retain(|d| !d.is_zero());
+        out
+    }
+
+    fn random_ring(rng: &mut Rng, mode: ExponentMode) -> Ring {
+        // k = 8 and 9 put Quotient-mode word exponents on both sides of
+        // 255; k = 40 lets them pass 2^32; k = 100 has two-limb slots.
+        let k = [2, 8, 9, 40, 100][rng.random_range(0..5)];
+        let ctx = GfContext::shared(irreducible_polynomial(k).unwrap()).unwrap();
+        let mut rb = RingBuilder::new(ctx, mode);
+        for i in 0..rng.random_range(FREE_VARS + 2..FREE_VARS + 7) {
+            let kind = if rng.random_bool(0.5) {
+                VarKind::Bit
+            } else {
+                VarKind::Word
+            };
+            rb.add_var(format!("v{i}"), kind);
+        }
+        rb.build()
+    }
+
+    /// Runs both stores on `f` unbudgeted and under equal fresh work caps
+    /// (none left, and room for four polls), demanding the same outcome
+    /// each time: remainder and every statistic, or the same error.
+    /// Returns the store's outcomes under the two caps.
+    fn assert_matches_reference(
+        red: &Reducer,
+        f: &Poly,
+        what: &str,
+    ) -> [Result<ReductionStats, PolyError>; 2] {
+        let unbudgeted = red.normal_form_with_stats(f);
+        assert_eq!(unbudgeted, reference_normal_form(red, f, None), "{what}");
+        [0, 4 * BUDGET_STRIDE].map(|cap| {
+            let got = red.normal_form_budgeted(f, &Budget::with_work_cap(cap));
+            let want = reference_normal_form(red, f, Some(&Budget::with_work_cap(cap)));
+            assert_eq!(got, want, "{what} (work cap {cap})");
+            got.map(|(_, stats)| stats)
+        })
+    }
+
+    #[test]
+    fn working_store_matches_the_whole_term_heap() {
+        let mut rng = Rng::seed_from_u64(0x5702E);
+        let (mut spilled, mut cut) = (0, 0);
+        for mode in [ExponentMode::Plain, ExponentMode::Quotient] {
+            for case in 0..150 {
+                let ring = random_ring(&mut rng, mode);
+                let divisors = random_divisors(&mut rng, &ring);
+                let red = Reducer::new(&ring, divisors.iter());
+                let terms = rng.random_range(1..7);
+                let f = random_poly(&mut rng, &ring, 0..ring.num_vars(), terms, 4);
+                let what = format!("{mode:?} case {case}: f = {}", f.display(&ring));
+                let [no_room, room] = assert_matches_reference(&red, &f, &what);
+                cut += u64::from(no_room.is_err());
+                spilled += room.expect("four polls are room enough").spilled_terms;
+            }
+        }
+        // The sample must reach the spill table and the budget's cut.
+        assert!(spilled > 0, "no term spilled");
+        assert!(cut > 0, "no run polled its budget");
+    }
+
+    #[test]
+    fn exact_and_spilled_ties_order_by_the_full_monomial() {
+        // x·y and x·y·w share a key; x·y·w is the greater monomial and
+        // must surface, and merge, on its own.
+        let ctx = GfContext::shared(irreducible_polynomial(8).unwrap()).unwrap();
+        let mut rb = RingBuilder::new(ctx.clone(), ExponentMode::Plain);
+        let [x, y, w] = ["x", "y", "w"].map(|n| rb.add_var(n, VarKind::Word));
+        let ring = rb.build();
+        let xy = Monomial::from_factors(vec![(x, 1), (y, 1)]);
+        let xyw = Monomial::from_factors(vec![(x, 1), (y, 1), (w, 1)]);
+        let x300y = Monomial::from_factors(vec![(x, 300), (y, 1)]);
+        let x400w = Monomial::from_factors(vec![(x, 400), (w, 1)]);
+        assert_eq!(pack(&xy).0, pack(&xyw).0);
+        assert_eq!(pack(&x300y).0, pack(&x400w).0);
+        let (a, b, c) = (ctx.alpha(), ctx.from_u64(5), ctx.from_u64(6));
+        let mut store = WorkStore::new(&ctx, 2);
+        for (m, coeff) in [
+            (&xy, &a),
+            (&xyw, &b),
+            (&x300y, &c),
+            (&xy, &b),
+            (&x400w, &a),
+            (&xyw, &c),
+            (&xy, &c),
+        ] {
+            store.push(m.clone(), coeff);
+        }
+        assert_eq!(store.spilled, 4);
+        let mut popped = Vec::new();
+        while let Some(top) = store.pop() {
+            popped.push(store.take_merged(top, &ctx));
+        }
+        let sum = |cs: &[&Gf]| cs.iter().fold(ctx.zero(), |s, c| s.add(c));
+        assert_eq!(
+            popped,
+            vec![
+                (x400w, a.clone()),
+                (x300y, c.clone()),
+                (xyw, sum(&[&b, &c])),
+                (xy, sum(&[&a, &b, &c])),
+            ]
+        );
+        // The same terms through a reducer with nothing to divide by.
+        let f = Poly::from_terms(popped.clone());
+        let red = Reducer::new(&ring, std::iter::empty());
+        let [_, stats] = assert_matches_reference(&red, &f, "ties");
+        let stats = stats.unwrap();
+        assert_eq!(stats.spilled_terms, 3);
+    }
+
+    #[test]
+    fn different_keys_order_like_monomials() {
+        // Ranks and exponents at every packing boundary, up to u32::MAX:
+        // no ring that large is built, only the key functions are called.
+        let edge = PACKED_RANKS as u32;
+        let ranks = [
+            0,
+            1,
+            2,
+            edge - 2,
+            edge - 1,
+            edge,
+            edge + 1,
+            u32::MAX - 1,
+            u32::MAX,
+        ];
+        let exps = [1, 2, 253, 254, 255, 256, 300, (1 << 32) + 1, u64::MAX];
+        let mut rng = Rng::seed_from_u64(0xC0FFEE);
+        let monomials: Vec<Monomial> = (0..400)
+            .map(|_| {
+                let mut factors: Vec<(VarId, u64)> = Vec::new();
+                for _ in 0..rng.random_range(0..4) {
+                    let v = VarId(ranks[rng.random_range(0..ranks.len())]);
+                    if factors.iter().all(|&(w, _)| w != v) {
+                        factors.push((v, exps[rng.random_range(0..exps.len())]));
+                    }
+                }
+                Monomial::from_factors(factors)
+            })
+            .collect();
+        for a in &monomials {
+            let (ka, exact_a) = pack(a);
+            assert_eq!(exact_a, describable(a), "{a:?}");
+            if exact_a {
+                assert_eq!(&unpack(ka), a);
+            }
+            for b in &monomials {
+                let (kb, exact_b) = pack(b);
+                if ka != kb {
+                    assert_eq!(ka.cmp(&kb), a.cmp(b), "{a:?} vs {b:?}");
+                } else if exact_a && exact_b {
+                    assert_eq!(a, b);
+                }
+                if a == b {
+                    assert_eq!(ka, kb);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_live_term_is_smaller_than_a_whole_term_heap_entry() {
+        assert_eq!(std::mem::size_of::<Entry>(), 16);
+        // Heap entry, coefficient slot and (at worst) a free-list index,
+        // against the 40-byte monomial plus 80-byte `Gf` of a whole term.
+        let whole = std::mem::size_of::<(Monomial, Gf)>();
+        assert_eq!(whole, 120);
+        for k in 2..=576usize {
+            assert!(16 + 8 * k.div_ceil(64) + 4 < whole, "k = {k}");
         }
     }
 }

@@ -270,6 +270,10 @@ pub enum Counter {
     /// Coefficient-kernel results that spilled to heap limb storage
     /// (only possible for k > 576).
     CoeffsHeap,
+    /// Reduction terms kept whole in the working store's spill table
+    /// because their packed key could not describe the monomial (three or
+    /// more factors, an exponent of 255 or more).
+    SpilledTerms,
 }
 
 impl Counter {
@@ -308,6 +312,7 @@ impl Counter {
             Counter::ReductionFolds => "reduction-folds",
             Counter::CoeffsInline => "coeff-inline",
             Counter::CoeffsHeap => "coeff-heap",
+            Counter::SpilledTerms => "spilled-terms",
         }
     }
 
@@ -364,6 +369,7 @@ impl Counter {
             "reduction-folds" => Counter::ReductionFolds,
             "coeff-inline" => Counter::CoeffsInline,
             "coeff-heap" => Counter::CoeffsHeap,
+            "spilled-terms" => Counter::SpilledTerms,
             _ => return None,
         })
     }
@@ -411,7 +417,7 @@ mod tests {
 
     #[test]
     fn counter_slugs_round_trip() {
-        const ALL: [Counter; 31] = [
+        const ALL: [Counter; 32] = [
             Counter::Gates,
             Counter::ReductionSteps,
             Counter::PeakTerms,
@@ -443,6 +449,7 @@ mod tests {
             Counter::ReductionFolds,
             Counter::CoeffsInline,
             Counter::CoeffsHeap,
+            Counter::SpilledTerms,
         ];
         for c in ALL {
             assert_eq!(Counter::from_slug(c.slug()), Some(c));
@@ -480,5 +487,13 @@ mod tests {
         ] {
             assert!(!c.is_work());
         }
+    }
+
+    #[test]
+    fn spilled_terms_are_informational() {
+        // Whether a term spills depends on the working store's key
+        // layout, not on the algebra: the same division chain must gate
+        // identically whatever the store does with its terms.
+        assert!(!Counter::SpilledTerms.is_work());
     }
 }

@@ -13,9 +13,11 @@
 
 use gfab::circuits::{mastrovito_multiplier, montgomery_multiplier_hier};
 use gfab::core::equiv::Verdict;
-use gfab::core::Extraction;
+use gfab::core::{ExtractOptions, Extraction};
 use gfab::field::nist::irreducible_polynomial;
 use gfab::field::GfContext;
+use gfab::netlist::mutate::inject_random_bug;
+use gfab::netlist::sim::simulate_word;
 use gfab::Verifier;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -145,4 +147,45 @@ fn roomy_deadline_still_decides_small_fields() {
         matches!(budgeted.verdict, Verdict::Equivalent { .. }),
         "word level (not the fallback) must decide within a roomy deadline"
     );
+}
+
+#[test]
+fn case2_wall_limit_binds_inside_each_reduction() {
+    // A bug in the middle block of the k = 8 hierarchical Montgomery
+    // leaves that block in Case 2, whose completion runs single normal
+    // forms of many seconds. Polled only between S-pairs, the wall limit
+    // let this query overrun a 1 s limit to 6.7–9.5 s in a debug build and
+    // an 8 s limit to 71 s in release. Polled at the reducer's stride, the
+    // limit ends the completion on time — without stopping the query, so
+    // the simulation fallback still refutes the design.
+    let ctx = field(8);
+    let spec = mastrovito_multiplier(&ctx);
+    let mut design = montgomery_multiplier_hier(&ctx);
+    let mid = design
+        .blocks
+        .iter()
+        .position(|b| b.name == "blk_mid")
+        .unwrap();
+    let (buggy, what) = inject_random_bug(&design.blocks[mid].netlist, 0);
+    design.blocks[mid].netlist = buggy;
+    let mut options = ExtractOptions::default();
+    options.gb_limits.max_wall_ms = 1_000;
+    let started = Instant::now();
+    let report = Verifier::new(&ctx)
+        .options(options)
+        .threads(1)
+        .check(&spec, &design)
+        .unwrap();
+    let elapsed = started.elapsed();
+    let cex = report
+        .verdict
+        .counterexample()
+        .unwrap_or_else(|| panic!("{what}: expected a refutation, got {:?}", report.verdict));
+    assert_ne!(
+        simulate_word(&spec, &ctx, cex),
+        simulate_word(&design.flatten(), &ctx, cex),
+        "{what}"
+    );
+    let bound = Duration::from_secs(3);
+    assert!(elapsed < bound, "took {elapsed:?} (bound {bound:?})");
 }

@@ -19,6 +19,7 @@ use gfab::core::interpolate::interpolate;
 use gfab::core::{extract_word_polynomial, ExtractOptions};
 use gfab::field::nist::irreducible_polynomial;
 use gfab::field::GfContext;
+use gfab::netlist::format;
 use gfab::poly::buchberger::GbLimits;
 use gfab::poly::{Monomial, Poly, VarId};
 use gfab::sat::equiv::{check_equivalence_sat, SatVerdict};
@@ -314,6 +315,55 @@ fn extraction_at_nist_163_produces_product() {
     let f = result.canonical().expect("Case 1");
     assert_eq!(format!("{}", f.display()), "A*B");
     assert!(result.stats.reduction_steps as usize >= nl.num_gates());
+}
+
+/// `(steps, peak_terms, cancellations)` of one flat extraction, run on the
+/// netlist as `gfab gen` writes it and the benchmark reads it back: the
+/// text round trip renumbers nets, which moves the counts.
+fn reduction_effort(nl: &gfab::netlist::Netlist, ctx: &Arc<GfContext>) -> (u64, usize, u64) {
+    let nl = format::parse(&format::emit(nl)).unwrap();
+    let result = extract_word_polynomial(&nl, ctx).unwrap();
+    assert_eq!(
+        format!("{}", result.canonical().expect("Case 1").display()),
+        "A*B"
+    );
+    let s = &result.stats;
+    (s.reduction_steps, s.peak_terms, s.cancellations)
+}
+
+#[test]
+fn flattened_montgomery_reduction_effort_is_pinned() {
+    // The long division chain: a flattened Montgomery design takes about
+    // 7.5x the steps of Mastrovito at the same k. `peak_terms` and
+    // `cancellations` are not work units, so only these known answers
+    // notice a working-store change that reorders pops but keeps the
+    // step count.
+    for (k, effort) in [
+        (16, (5_102, 2_043, 255)),
+        (32, (18_933, 6_744, 1_023)),
+        (64, (63_537, 22_034, 4_095)),
+    ] {
+        let ctx = field(k);
+        let nl = montgomery_multiplier_hier(&ctx).flatten();
+        assert_eq!(reduction_effort(&nl, &ctx), effort, "k={k}");
+    }
+}
+
+#[test]
+#[ignore = "k = 163 extractions: about a second in release, minutes in debug; ci.sh runs it"]
+fn k163_extraction_effort_matches_the_benchmark() {
+    // The two extractions of perfbench's `equiv-flat` workload.
+    let ctx = field(163);
+    let mastrovito = mastrovito_multiplier(&ctx);
+    assert_eq!(
+        reduction_effort(&mastrovito, &ctx),
+        (53_642, 52_976, 26_568)
+    );
+    let montgomery = montgomery_multiplier_hier(&ctx).flatten();
+    assert_eq!(
+        reduction_effort(&montgomery, &ctx),
+        (399_106, 141_433, 26_568)
+    );
 }
 
 #[test]

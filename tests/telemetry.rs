@@ -79,6 +79,11 @@ fn equiv_trace_round_trips_through_jsonl() {
     assert!(trace.counter_total(Counter::Gates) > 0);
     assert!(trace.counter_total(Counter::ReductionSteps) > 0);
     assert_eq!(trace.counter_total(Counter::SimVectors), 64);
+    // Every term of both multipliers' division chains fits the working
+    // store's packed key: each guided reduction reports zero spills.
+    for span in trace.phase_spans(Phase::GuidedReduction) {
+        assert!(span.counters.contains(&(Counter::SpilledTerms, 0)));
+    }
 
     // Round-trip: every span, parent link, label, thread id and counter
     // survives the JSONL encoding exactly; timestamps survive at the
