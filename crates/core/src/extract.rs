@@ -22,7 +22,7 @@
 //!   the unique `Z + G(A, B, …)`.
 
 use crate::error::CoreError;
-use crate::model::CircuitModel;
+use crate::model::{word_function, CircuitModel};
 use crate::wordfn::WordFunction;
 use gfab_field::budget::{Budget, BudgetSpec, ExhaustedReason};
 use gfab_field::GfContext;
@@ -336,7 +336,8 @@ pub fn extract_word_polynomial_budgeted(
 
     let outcome = if !has_bits {
         // Case 1: r = Z + G(A, B, …).
-        Extraction::Canonical(canonical_from_remainder(&model, ctx, &r)?)
+        let (ring, z, inputs) = (&model.ring, model.z_var, &model.input_vars);
+        Extraction::Canonical(word_function(ring, z, inputs, std::slice::from_ref(&r))?)
     } else if !options.complete_case2 {
         Extraction::Residual {
             remainder: r,
@@ -381,38 +382,6 @@ pub fn extract_word_polynomial_budgeted(
     })
 }
 
-/// Turns a Case-1 remainder `r = Z + G(A, B, …)` into a [`WordFunction`].
-fn canonical_from_remainder(
-    model: &CircuitModel,
-    ctx: &Arc<GfContext>,
-    r: &Poly,
-) -> Result<WordFunction, CoreError> {
-    // G = r + Z (characteristic 2).
-    let z_poly = Poly::from_terms(vec![(Monomial::var(model.z_var), ctx.one())]);
-    let g = r.add(&z_poly);
-    if g.contains_var(model.z_var) {
-        // Z had a non-unit coefficient or appeared non-linearly — cannot
-        // happen for a well-formed model.
-        return Err(CoreError::MissingAbstractionPolynomial);
-    }
-    // Relabel input word variables to 0..n (order preserving: input_vars is
-    // ascending by construction).
-    let relabeled = g.relabel(|v| {
-        let pos = model
-            .input_vars
-            .iter()
-            .position(|&w| w == v)
-            .expect("case-1 remainder contains only input word variables");
-        VarId(pos as u32)
-    });
-    let names = model
-        .input_vars
-        .iter()
-        .map(|&v| model.ring.var_info(v).name.clone())
-        .collect();
-    Ok(WordFunction::new(ctx.clone(), names, relabeled))
-}
-
 enum Case2Outcome {
     Canonical(WordFunction),
     GaveUp(String),
@@ -438,62 +407,26 @@ fn complete_case2(
         .filter_map(|p| p.leading_monomial().and_then(|m| m.leading_var()))
         .min()
         .expect("at least one input word");
-    let offset = first_pi.index() as u32;
+    let offset = first_pi.0;
     let mut rb = RingBuilder::new(ctx.clone(), ExponentMode::Plain);
-    for (v, info) in model.ring.vars() {
-        if v.0 >= offset {
-            rb.add_var(info.name.clone(), info.kind);
-        }
+    for (_, info) in model.ring.vars().skip(offset as usize) {
+        rb.add_var(info.name.clone(), info.kind);
     }
     let cring = rb.build();
     let down = |v: VarId| VarId(v.0 - offset);
 
-    let mut generators: Vec<Poly> = Vec::new();
-    generators.push(r.relabel(down));
-    for p in &model.input_word_polys {
-        generators.push(p.relabel(down));
-    }
+    let mut generators = vec![r.relabel(down)];
+    generators.extend(model.input_word_polys.iter().map(|p| p.relabel(down)));
     generators.extend(vanishing_ideal_all(&cring)?);
 
     match reduced_groebner_basis_traced(&cring, &generators, limits, budget, tele)? {
         GbOutcome::LimitExceeded { reason, .. } => Ok(Case2Outcome::GaveUp(reason)),
         GbOutcome::Complete { basis, .. } => {
-            let z = down(model.z_var);
-            let hit = basis
-                .iter()
-                .find(|p| p.leading_monomial() == Some(&Monomial::var(z)));
-            let Some(p) = hit else {
-                return Err(CoreError::MissingAbstractionPolynomial);
-            };
-            // G = p + Z; must contain only input word variables.
-            let g = p.add(&Poly::from_terms(vec![(Monomial::var(z), ctx.one())]));
-            let word_ok = g
-                .variables()
-                .iter()
-                .all(|&v| cring.var_info(v).kind == VarKind::Word && v != z);
-            if !word_ok {
-                return Err(CoreError::MissingAbstractionPolynomial);
-            }
-            // Move into a Quotient-mode word ring (exponents are already
-            // reduced: the GB ran with explicit vanishing polynomials).
-            let input_vars_c: Vec<VarId> = model.input_vars.iter().map(|&v| down(v)).collect();
-            let relabeled = g.relabel(|v| {
-                let pos = input_vars_c
-                    .iter()
-                    .position(|&w| w == v)
-                    .expect("only input word variables remain");
-                VarId(pos as u32)
-            });
-            let names = model
-                .input_vars
-                .iter()
-                .map(|&v| model.ring.var_info(v).name.clone())
-                .collect();
-            Ok(Case2Outcome::Canonical(WordFunction::new(
-                ctx.clone(),
-                names,
-                relabeled,
-            )))
+            // The basis ran with explicit vanishing polynomials, so its
+            // word exponents are already reduced.
+            let inputs: Vec<VarId> = model.input_vars.iter().map(|&v| down(v)).collect();
+            let f = word_function(&cring, down(model.z_var), &inputs, &basis)?;
+            Ok(Case2Outcome::Canonical(f))
         }
     }
 }

@@ -10,14 +10,14 @@
 //! small circuits and to measure how quickly the unguided route explodes.
 
 use crate::error::CoreError;
-use crate::model;
+use crate::model::{word_function, CircuitModel};
 use crate::wordfn::WordFunction;
 use gfab_field::budget::Budget;
 use gfab_field::GfContext;
-use gfab_netlist::{NetId, Netlist};
+use gfab_netlist::Netlist;
 use gfab_poly::buchberger::{reduced_groebner_basis_traced, GbLimits, GbOutcome, GbStats};
 use gfab_poly::vanishing::vanishing_ideal_all;
-use gfab_poly::{ExponentMode, Monomial, Poly, VarId, VarKind};
+use gfab_poly::{ExponentMode, Poly};
 use gfab_telemetry::Telemetry;
 use std::sync::Arc;
 
@@ -26,9 +26,10 @@ use std::sync::Arc;
 /// topological). Exposed to support the RATO-vs-arbitrary ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CircuitVarOrder {
-    /// Net creation order (an "arbitrary" order in the sense of Def. 4.2).
+    /// Gate order (an "arbitrary" order in the sense of Def. 4.2).
     Declaration,
-    /// Reverse topological order (RATO, Def. 5.1).
+    /// Reverse topological order (RATO, Def. 5.1), ranked by
+    /// [`gfab_netlist::topo::rato_order`].
     ReverseTopological,
 }
 
@@ -84,9 +85,11 @@ pub fn full_gb_abstraction(
 ///
 /// # Errors
 ///
-/// Netlist/model errors, [`CoreError::Poly`] for `k > 63`, and
-/// [`CoreError::MissingAbstractionPolynomial`] if a *completed* basis
-/// lacks the `Z + G(A)` element (contradicting Theorem 4.2).
+/// * [`CoreError::Netlist`] if validation fails;
+/// * [`CoreError::WidthMismatch`] if any word is wider than `k`;
+/// * [`CoreError::Poly`] for `k > 63`;
+/// * [`CoreError::MissingAbstractionPolynomial`] if a *completed* basis
+///   lacks the `Z + G(A)` element (contradicting Theorem 4.2).
 pub fn full_gb_abstraction_traced(
     nl: &Netlist,
     ctx: &Arc<GfContext>,
@@ -95,73 +98,25 @@ pub fn full_gb_abstraction_traced(
     budget: &Budget,
     tele: &Telemetry,
 ) -> Result<FullGbOutcome, CoreError> {
-    nl.validate()?;
-    // Build a Plain-mode ring: circuit bits (per `order`) > PI bits > Z >
-    // input words.
-    let levels =
-        gfab_netlist::topo::reverse_topological_levels(nl).expect("validated netlist is acyclic");
-    let mut internal: Vec<NetId> = nl
-        .gates()
-        .iter()
-        .map(|g| g.output)
-        .filter(|&n| !nl.is_primary_input(n))
-        .collect();
-    if order == CircuitVarOrder::ReverseTopological {
-        internal.sort_by_key(|&n| (levels[n.index()], n.0));
-    }
-    let mut rb = model::ring_builder(nl, ctx, ExponentMode::Plain);
-    let net_var = model::add_net_vars(&mut rb, nl, &internal);
-    let z_var = rb.add_var(nl.output_word().name.clone(), VarKind::Word);
-    let input_vars: Vec<VarId> = nl
-        .input_words()
-        .iter()
-        .map(|w| rb.add_var(w.name.clone(), VarKind::Word))
-        .collect();
-    let ring = rb.build();
-    let nv = |n: NetId| net_var[n.index()].expect("net has a variable");
+    // Circuit bits (per `order`) > PI bits > Z > input words, in Plain
+    // mode: J_0 must be explicit generators.
+    let unlimited = Budget::unlimited();
+    let m = CircuitModel::build_in(nl, ctx, ExponentMode::Plain, order, false, &unlimited)?;
+    // Gates in topological order: Buchberger's pair order follows the
+    // generator list, which must not depend on how the netlist was built.
+    let gates = gfab_netlist::topo::topological_gates(nl).expect("validated netlist is acyclic");
+    let gate_polys = gates.iter().map(|g| &m.gate_polys[g.index()]);
+    let words = [&m.output_word_poly].into_iter().chain(&m.input_word_polys);
+    let mut generators: Vec<Poly> = gate_polys.chain(words).cloned().collect();
+    generators.extend(vanishing_ideal_all(&m.ring)?);
 
-    // Generators: gate polynomials + word definitions + J_0 (explicit).
-    let one = ctx.one();
-    let mut generators: Vec<Poly> = nl
-        .gates()
-        .iter()
-        .map(|g| model::gate_polynomial(&ring, ctx, g, &nv))
-        .collect();
-    generators.push(model::word_polynomial(
-        ctx,
-        &nl.output_word().bits,
-        z_var,
-        &nv,
-    ));
-    for (w, &v) in nl.input_words().iter().zip(&input_vars) {
-        generators.push(model::word_polynomial(ctx, &w.bits, v, &nv));
-    }
-    generators.extend(vanishing_ideal_all(&ring)?);
-
-    match reduced_groebner_basis_traced(&ring, &generators, limits, budget, tele)? {
+    match reduced_groebner_basis_traced(&m.ring, &generators, limits, budget, tele)? {
         GbOutcome::LimitExceeded { reason, stats } => Ok(FullGbOutcome::GaveUp { reason, stats }),
-        GbOutcome::Complete { basis, stats } => {
-            let hit = basis
-                .iter()
-                .find(|p| p.leading_monomial() == Some(&Monomial::var(z_var)));
-            let Some(p) = hit else {
-                return Err(CoreError::MissingAbstractionPolynomial);
-            };
-            let g = p.add(&Poly::from_terms(vec![(Monomial::var(z_var), one.clone())]));
-            let ok = g.variables().iter().all(|&v| input_vars.contains(&v));
-            if !ok {
-                return Err(CoreError::MissingAbstractionPolynomial);
-            }
-            let relabeled = g.relabel(|v| {
-                VarId(input_vars.iter().position(|&w| w == v).expect("input var") as u32)
-            });
-            let names = nl.input_words().iter().map(|w| w.name.clone()).collect();
-            Ok(FullGbOutcome::Canonical {
-                function: WordFunction::new(ctx.clone(), names, relabeled),
-                basis_size: basis.len(),
-                stats,
-            })
-        }
+        GbOutcome::Complete { basis, stats } => Ok(FullGbOutcome::Canonical {
+            function: word_function(&m.ring, m.z_var, &m.input_vars, &basis)?,
+            basis_size: basis.len(),
+            stats,
+        }),
     }
 }
 

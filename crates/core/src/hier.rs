@@ -127,20 +127,14 @@ pub fn extract_hierarchical_budgeted_with(
 
     // 2. Word-level composition over the design's primary input words.
     let compose_span = options.telemetry.span(Phase::Compose);
-    let mut rb = RingBuilder::new(ctx.clone(), ExponentMode::Quotient);
-    let design_vars: Vec<VarId> = design
-        .inputs
-        .iter()
-        .map(|(name, _)| rb.add_var(name.clone(), VarKind::Word))
-        .collect();
-    let dring = rb.build();
 
-    // Polynomial of every signal, over the design ring.
+    // Polynomial of every signal, over the design's input words: input
+    // word `i` is `VarId(i)`.
     let mut signal_poly: Vec<Poly> = Vec::with_capacity(design.blocks.len());
     let poly_of = |sig: Signal, signal_poly: &[Poly]| -> Poly {
         match sig {
             Signal::PrimaryInput(i) => {
-                Poly::from_terms(vec![(Monomial::var(design_vars[i]), ctx.one())])
+                Poly::from_terms(vec![(Monomial::var(VarId(i as u32)), ctx.one())])
             }
             Signal::BlockOutput(i) => signal_poly[i].clone(),
         }
@@ -176,7 +170,6 @@ pub fn extract_hierarchical_budgeted_with(
     }
 
     let final_poly = poly_of(design.output, &signal_poly);
-    let _ = &dring;
     let names = design.inputs.iter().map(|(n, _)| n.clone()).collect();
     let function = WordFunction::new(ctx.clone(), names, final_poly);
     let compose_time = compose_span.finish();

@@ -17,7 +17,9 @@
 //! paper's RATO refinement; the benches reproduce the comparison.
 
 use crate::error::CoreError;
-use crate::model;
+use crate::fullgb::CircuitVarOrder;
+use crate::model::CircuitModel;
+use gfab_field::budget::Budget;
 use gfab_field::GfContext;
 use gfab_netlist::Netlist;
 use gfab_poly::reduce::{Reducer, ReductionStats};
@@ -78,52 +80,11 @@ pub fn verify_against_spec(
     spec: &SpecRing,
     spec_f: &Poly,
 ) -> Result<MembershipOutcome, CoreError> {
-    nl.validate()?;
-    let k = ctx.k();
-    for w in nl.input_words().iter().chain([nl.output_word()]) {
-        if w.width() > k {
-            return Err(CoreError::WidthMismatch {
-                k,
-                word: w.name.clone(),
-                width: w.width(),
-            });
-        }
-    }
-
-    // Ring: Z > input words > internal nets (reverse topological) > PI bits.
-    let levels =
-        gfab_netlist::topo::reverse_topological_levels(nl).expect("validated netlist is acyclic");
-    let mut rb = model::ring_builder(nl, ctx, ExponentMode::Quotient);
-    let z = rb.add_var(nl.output_word().name.clone(), VarKind::Word);
-    let input_vars: Vec<VarId> = nl
-        .input_words()
-        .iter()
-        .map(|w| rb.add_var(w.name.clone(), VarKind::Word))
-        .collect();
-    let mut internal: Vec<gfab_netlist::NetId> = nl
-        .gates()
-        .iter()
-        .map(|g| g.output)
-        .filter(|&n| !nl.is_primary_input(n))
-        .collect();
-    internal.sort_by_key(|&n| (levels[n.index()], n.0));
-    let net_var = model::add_net_vars(&mut rb, nl, &internal);
-    let ring = rb.build();
-    let nv = |n: gfab_netlist::NetId| net_var[n.index()].expect("net has a variable");
-
-    // Divisors: word definitions now lead with their WORD variable
-    // (Z > z_0 …, A > a_0 …), plus the gate polynomials as usual.
-    let one = ctx.one();
-    let mut divisors: Vec<Poly> = Vec::with_capacity(nl.num_gates() + 1 + input_vars.len());
-    divisors.push(model::word_polynomial(ctx, &nl.output_word().bits, z, &nv));
-    for (w, &v) in nl.input_words().iter().zip(&input_vars) {
-        divisors.push(model::word_polynomial(ctx, &w.bits, v, &nv));
-    }
-    // Gate polynomials: reuse the gate modeling from CircuitModel by
-    // constructing them directly here in this ring's variables.
-    for g in nl.gates() {
-        divisors.push(model::gate_polynomial(&ring, ctx, g, &nv));
-    }
+    // Ring: Z > input words > internal nets (RATO) > PI bits. The word
+    // definitions now lead with their WORD variable (Z > z_0 …, A > a_0 …).
+    let rato = CircuitVarOrder::ReverseTopological;
+    let unlimited = Budget::unlimited();
+    let m = CircuitModel::build_in(nl, ctx, ExponentMode::Quotient, rato, true, &unlimited)?;
 
     // f = Z + F(A, …): relabel the spec body into this ring.
     let spec_body = spec_f.relabel(|v| {
@@ -132,11 +93,11 @@ pub fn verify_against_spec(
             .iter()
             .position(|&w| w == v)
             .expect("spec body uses input word variables only");
-        input_vars[pos]
+        m.input_vars[pos]
     });
-    let f = spec_body.add(&Poly::from_terms(vec![(Monomial::var(z), one.clone())]));
+    let f = spec_body.add(&m.ring.var_poly(m.z_var));
 
-    let reducer = Reducer::new(&ring, divisors.iter());
+    let reducer = Reducer::new(&m.ring, m.all_polys());
     let (nf, stats) = reducer.normal_form_with_stats(&f)?;
     Ok(MembershipOutcome {
         verified: nf.is_zero(),

@@ -11,18 +11,24 @@
 //! ```
 
 use crate::error::CoreError;
+use crate::fullgb::CircuitVarOrder;
+use crate::wordfn::WordFunction;
+use gfab_field::budget::Budget;
 use gfab_field::GfContext;
-use gfab_netlist::{GateKind, NetId, Netlist};
+use gfab_netlist::{Gate, GateKind, NetId, Netlist};
 use gfab_poly::{ExponentMode, Monomial, Poly, Ring, RingBuilder, VarId, VarKind};
 use std::sync::Arc;
 
-/// The polynomial model of a circuit: the RATO ring, the per-gate
-/// polynomials, the word-definition polynomials, and the variable maps.
+/// The polynomial model of a circuit: its ring, the per-gate polynomials,
+/// the word-definition polynomials, and the variable maps.
 #[derive(Debug, Clone)]
 pub struct CircuitModel {
-    /// The polynomial ring under RATO (Quotient exponent mode).
+    /// The polynomial ring: RATO in Quotient exponent mode, as
+    /// [`build`](CircuitModel::build) makes it.
     pub ring: Ring,
-    /// Ring variable of each net.
+    /// Ring variable of each net. Nets that are neither gate outputs nor
+    /// primary inputs occur in no polynomial (validation guarantees it)
+    /// and are parked on `z_var`.
     pub net_var: Vec<VarId>,
     /// The output word variable `Z`.
     pub z_var: VarId,
@@ -47,7 +53,7 @@ impl CircuitModel {
     /// * [`CoreError::WidthMismatch`] if any word is wider than `k`
     ///   (narrower output words are allowed and zero-extend).
     pub fn build(nl: &Netlist, ctx: &Arc<GfContext>) -> Result<Self, CoreError> {
-        Self::build_budgeted(nl, ctx, &gfab_field::budget::Budget::unlimited())
+        Self::build_budgeted(nl, ctx, &Budget::unlimited())
     }
 
     /// [`build`](CircuitModel::build) under a cooperative budget, polled
@@ -62,7 +68,38 @@ impl CircuitModel {
     pub fn build_budgeted(
         nl: &Netlist,
         ctx: &Arc<GfContext>,
-        budget: &gfab_field::budget::Budget,
+        budget: &Budget,
+    ) -> Result<Self, CoreError> {
+        let rato = CircuitVarOrder::ReverseTopological;
+        Self::build_in(nl, ctx, ExponentMode::Quotient, rato, false, budget)
+    }
+
+    /// The one builder of a circuit's ring and polynomials, which decides
+    /// the variable order of every Gröbner engine. The ring has one
+    /// variable per gate-output net, one per primary-input bit, `Z` and
+    /// one per input word:
+    ///
+    /// ```text
+    /// words last:  nets (per `order`) > PI bits (word by word, LSB first) > Z > A > B > …
+    /// words first: Z > A > B > … > nets (per `order`) > PI bits
+    /// ```
+    ///
+    /// The guided extraction uses Quotient mode with the words last (RATO,
+    /// Definition 5.1), the full-GB baseline Plain mode with the words
+    /// last, and the ideal-membership baseline Quotient mode with the
+    /// words first. Variables are named after their nets and words; the
+    /// ring suffixes a repeated name (`x`, `x@1`, …).
+    ///
+    /// # Errors
+    ///
+    /// As [`build_budgeted`](CircuitModel::build_budgeted).
+    pub(crate) fn build_in(
+        nl: &Netlist,
+        ctx: &Arc<GfContext>,
+        mode: ExponentMode,
+        order: CircuitVarOrder,
+        words_first: bool,
+        budget: &Budget,
     ) -> Result<Self, CoreError> {
         nl.validate()?;
         let k = ctx.k();
@@ -75,58 +112,36 @@ impl CircuitModel {
                 });
             }
         }
+        let internal = match order {
+            CircuitVarOrder::ReverseTopological => {
+                gfab_netlist::topo::rato_order(nl).expect("validated netlist is acyclic")
+            }
+            CircuitVarOrder::Declaration => nl.gates().iter().map(|g| g.output).collect(),
+        };
 
-        // --- Variable ordering (RATO) ---------------------------------
-        // 1. Gate-output nets by ascending reverse-topological level, with
-        //    output-word bits pulled to the front of their level in bit
-        //    order ({z0 > z1} in Example 5.1).
-        let levels = gfab_netlist::topo::reverse_topological_levels(nl)
-            .expect("validated netlist is acyclic");
-        // Precomputed per-net output-bit position: the sort below compares
-        // O(n log n) keys, and scanning the k-bit output word per
-        // comparison is a measurable fixed cost at k = 571.
-        let mut out_bit_pos = vec![u32::MAX; nl.num_nets()];
-        for (p, &b) in nl.output_word().bits.iter().enumerate() {
-            out_bit_pos[b.index()] = p as u32;
+        // --- The ring ---------------------------------------------------
+        let num_vars = nl.num_nets() + 1 + nl.input_words().len();
+        let mut rb = RingBuilder::with_capacity(ctx.clone(), mode, num_vars);
+        let add_words = |rb: &mut RingBuilder| {
+            let z = rb.add_var(nl.output_word().name.clone(), VarKind::Word);
+            let inputs: Vec<VarId> = nl
+                .input_words()
+                .iter()
+                .map(|w| rb.add_var(w.name.clone(), VarKind::Word))
+                .collect();
+            (z, inputs)
+        };
+        let words = words_first.then(|| add_words(&mut rb));
+        let mut net_var = vec![None; nl.num_nets()];
+        let input_bits = nl.input_words().iter().flat_map(|w| &w.bits);
+        for &n in internal.iter().chain(input_bits) {
+            net_var[n.index()] = Some(rb.add_var(nl.net_name(n), VarKind::Bit));
         }
-        let mut internal: Vec<NetId> = nl
-            .gates()
-            .iter()
-            .map(|g| g.output)
-            .filter(|&n| !nl.is_primary_input(n))
-            .collect();
-        internal.sort_by_key(|&n| (levels[n.index()], out_bit_pos[n.index()], n.0));
-
-        // 2. Primary input bits, word by word, LSB (a_0) first.
-        // 3. Z, then the input words.
-        let mut rb = ring_builder(nl, ctx, ExponentMode::Quotient);
-        let net_var = add_net_vars(&mut rb, nl, &internal);
-        let z_var = rb.add_var(nl.output_word().name.clone(), VarKind::Word);
-        let input_vars: Vec<VarId> = nl
-            .input_words()
-            .iter()
-            .map(|w| rb.add_var(w.name.clone(), VarKind::Word))
-            .collect();
+        let (z_var, input_vars) = words.unwrap_or_else(|| add_words(&mut rb));
         let ring = rb.build();
-        let net_var: Vec<VarId> = net_var
-            .into_iter()
-            .enumerate()
-            .map(|(i, v)| {
-                v.unwrap_or_else(|| {
-                    // Nets that are neither gate outputs nor primary inputs
-                    // are unused (validation guarantees this); park them on
-                    // Z's id — they never occur in any polynomial.
-                    debug_assert!(
-                        nl.driver_of(NetId(i as u32)).is_none(),
-                        "driven net must have a variable"
-                    );
-                    z_var
-                })
-            })
-            .collect();
+        let net_var: Vec<VarId> = net_var.into_iter().map(|v| v.unwrap_or(z_var)).collect();
 
-        // --- Gate polynomials ------------------------------------------
-        let nv = |n: NetId| net_var[n.index()];
+        // --- Gate polynomials --------------------------------------------
         let mut gate_polys: Vec<Poly> = Vec::with_capacity(nl.num_gates());
         for (i, g) in nl.gates().iter().enumerate() {
             if i % 4096 == 0 {
@@ -136,16 +151,25 @@ impl CircuitModel {
                     reason: e.reason,
                 })?;
             }
-            gate_polys.push(gate_polynomial(&ring, ctx, g, &nv));
+            gate_polys.push(gate_polynomial(&ring, &net_var, g));
         }
 
-        // --- Word-definition polynomials (Eqn. 1) ----------------------
-        let output_word_poly = word_polynomial(ctx, &nl.output_word().bits, z_var, &nv);
+        // --- Word-definition polynomials (Eqn. 1) -------------------------
+        // `bits[0] + bits[1]·α + … + bits[w-1]·α^{w-1} + W`.
+        let word_poly = |bits: &[NetId], word: VarId| {
+            let mut terms = Vec::with_capacity(bits.len() + 1);
+            for (i, &b) in bits.iter().enumerate() {
+                terms.push((Monomial::var(net_var[b.index()]), ctx.alpha_pow(i as u64)));
+            }
+            terms.push((Monomial::var(word), ctx.one()));
+            Poly::from_terms(terms)
+        };
+        let output_word_poly = word_poly(&nl.output_word().bits, z_var);
         let input_word_polys: Vec<Poly> = nl
             .input_words()
             .iter()
             .zip(&input_vars)
-            .map(|(w, &v)| word_polynomial(ctx, &w.bits, v, &nv))
+            .map(|(w, &v)| word_poly(&w.bits, v))
             .collect();
 
         Ok(CircuitModel {
@@ -180,66 +204,53 @@ impl CircuitModel {
     }
 }
 
-/// A ring builder sized for `nl`'s model: at most one variable per net,
-/// plus the output word and the input words.
-pub(crate) fn ring_builder(nl: &Netlist, ctx: &Arc<GfContext>, mode: ExponentMode) -> RingBuilder {
-    let num_vars = nl.num_nets() + 1 + nl.input_words().len();
-    RingBuilder::with_capacity(ctx.clone(), mode, num_vars)
-}
-
-/// Adds one bit variable per net of `internal`, then one per primary-input
-/// bit (word by word, LSB first), each named after its net (the ring
-/// suffixes repeated net names). Returns the variable of every net, `None`
-/// for nets that are neither.
-pub(crate) fn add_net_vars(
-    rb: &mut RingBuilder,
-    nl: &Netlist,
-    internal: &[NetId],
-) -> Vec<Option<VarId>> {
-    let mut net_var = vec![None; nl.num_nets()];
-    let input_bits = nl.input_words().iter().flat_map(|w| &w.bits);
-    for &n in internal.iter().chain(input_bits) {
-        net_var[n.index()] = Some(rb.add_var(nl.net_name(n), VarKind::Bit));
-    }
-    net_var
-}
-
-/// The word-definition polynomial of Eqn. (1),
-/// `bits[0] + bits[1]·α + … + bits[w-1]·α^{w-1} + W`.
-pub(crate) fn word_polynomial(
-    ctx: &GfContext,
-    bits: &[NetId],
-    word: VarId,
-    net_var: &dyn Fn(NetId) -> VarId,
-) -> Poly {
-    let mut terms = Vec::with_capacity(bits.len() + 1);
-    for (i, &b) in bits.iter().enumerate() {
-        terms.push((Monomial::var(net_var(b)), ctx.alpha_pow(i as u64)));
-    }
-    terms.push((Monomial::var(word), ctx.one()));
-    Poly::from_terms(terms)
-}
-
-/// The polynomial model of one gate (Section 4 of the paper): output
-/// variable plus the tail implementing the Boolean operator over
-/// `F_2 ⊂ F_{2^k}`. Shared between the abstraction model and the
-/// ideal-membership baseline (which uses a different variable order).
-/// The term vector is allocated at its final length. In Quotient mode a
-/// gate fed twice from the same net yields `x·x = x` automatically.
-pub(crate) fn gate_polynomial(
+/// Reads the word function `G` off `Z + G(A, B, …)`, the element of
+/// `polys` led by `z_var`: a Case-1 remainder, or the element of a reduced
+/// Gröbner basis that Theorem 4.2 guarantees. Input word `i` becomes
+/// `VarId(i)`, named after its ring variable.
+///
+/// # Errors
+///
+/// [`CoreError::MissingAbstractionPolynomial`] if no element is led by
+/// `Z`, or if `G` mentions any variable other than the input words.
+pub(crate) fn word_function(
     ring: &Ring,
-    ctx: &GfContext,
-    g: &gfab_netlist::Gate,
-    net_var: &dyn Fn(NetId) -> VarId,
-) -> Poly {
+    z_var: VarId,
+    input_vars: &[VarId],
+    polys: &[Poly],
+) -> Result<WordFunction, CoreError> {
+    let z = Monomial::var(z_var);
+    let zg = polys
+        .iter()
+        .find(|p| p.leading_monomial() == Some(&z))
+        .ok_or(CoreError::MissingAbstractionPolynomial)?;
+    // G = (Z + G) + Z in characteristic 2.
+    let g = zg.add(&ring.var_poly(z_var));
+    let position = |v: &VarId| input_vars.binary_search(v).ok();
+    if !g.variables().iter().all(|v| position(v).is_some()) {
+        return Err(CoreError::MissingAbstractionPolynomial);
+    }
+    let relabeled = g.relabel(|v| VarId(position(&v).expect("checked above") as u32));
+    let names = input_vars
+        .iter()
+        .map(|&v| ring.var_info(v).name.clone())
+        .collect();
+    Ok(WordFunction::new(ring.ctx().clone(), names, relabeled))
+}
+
+/// The polynomial model of gate `g` (Section 4 of the paper): output
+/// variable plus the tail implementing the Boolean operator over
+/// `F_2 ⊂ F_{2^k}`, in the variables `net_var` gives each net. The term
+/// vector is allocated at its final length. In Quotient mode a gate fed
+/// twice from the same net yields `x·x = x` automatically.
+fn gate_polynomial(ring: &Ring, net_var: &[VarId], g: &Gate) -> Poly {
+    let ctx = ring.ctx();
+    let var = |n: NetId| Monomial::var(net_var[n.index()]);
     let term = |m: Monomial| (m, ctx.one());
-    let out = || term(Monomial::var(net_var(g.output)));
-    let input = |i: usize| term(Monomial::var(net_var(g.inputs[i])));
+    let out = || term(var(g.output));
+    let input = |i: usize| term(var(g.inputs[i]));
     let product = || {
-        let (a, b) = (
-            Monomial::var(net_var(g.inputs[0])),
-            Monomial::var(net_var(g.inputs[1])),
-        );
+        let (a, b) = (var(g.inputs[0]), var(g.inputs[1]));
         term(a.mul(&b, ring).expect("bit exponents cannot overflow"))
     };
     let one = || term(Monomial::one());
@@ -316,13 +327,13 @@ mod tests {
             .collect();
         assert_eq!(named_x, ["x", "x@1", "x@2"]);
 
-        // The other two ring builders name their variables the same way
-        // and still decide the circuit.
-        let mut rb = ring_builder(&nl, &ctx, ExponentMode::Plain);
-        rb.add_var("Z", VarKind::Word);
-        let nv = add_net_vars(&mut rb, &nl, &[s1, s2, s3]);
-        let ring = rb.build();
-        let name = |n: NetId| ring.var_info(nv[n.index()].unwrap()).name.as_str();
+        // The full-GB baseline's declaration-order ring names them the
+        // same way, and every engine still decides the circuit.
+        let decl = CircuitVarOrder::Declaration;
+        let unlimited = Budget::unlimited();
+        let m = CircuitModel::build_in(&nl, &ctx, ExponentMode::Plain, decl, false, &unlimited)
+            .unwrap();
+        let name = |n: NetId| m.ring.var_info(m.net_var[n.index()]).name.as_str();
         assert_eq!([name(s1), name(s2), name(s3)], ["x", "x@1", "x@2"]);
         for order in [
             CircuitVarOrder::Declaration,
@@ -407,15 +418,53 @@ mod tests {
     }
 
     #[test]
+    fn words_first_layout_puts_z_and_the_inputs_on_top() {
+        let ctx = GfContext::shared(Gf2Poly::from_exponents(&[2, 1, 0])).unwrap();
+        let nl = fig2();
+        let order = CircuitVarOrder::ReverseTopological;
+        let build = |words_first| {
+            let (mode, unlimited) = (ExponentMode::Quotient, Budget::unlimited());
+            CircuitModel::build_in(&nl, &ctx, mode, order, words_first, &unlimited).unwrap()
+        };
+        let (last, first) = (build(false), build(true));
+        assert_eq!(first.z_var, VarId(0));
+        assert_eq!(first.input_vars, [VarId(1), VarId(2)]);
+        // Both layouts rank the nets alike: shifted by the three words.
+        for (a, b) in last.net_var.iter().zip(&first.net_var) {
+            assert_eq!(a.0 + 3, b.0);
+        }
+        assert_eq!(last.z_var, VarId(11));
+    }
+
+    #[test]
     fn oversized_word_rejected() {
+        use crate::fullgb::full_gb_abstraction;
+        use crate::ideal_membership::{multiplier_spec, spec_ring, verify_against_spec};
         let ctx = GfContext::shared(Gf2Poly::from_exponents(&[2, 1, 0])).unwrap();
         let mut nl = Netlist::new("wide");
         let a = nl.add_input_word("A", 3); // wider than k = 2
-        let z = nl.not(a[0]);
+        let b = nl.add_input_word("B", 2);
+        let z = nl.and(a[0], b[0]);
         nl.set_output_word("Z", vec![z]);
-        assert!(matches!(
-            CircuitModel::build(&nl, &ctx),
-            Err(CoreError::WidthMismatch { .. })
-        ));
+        let wide = |r: Result<(), CoreError>| match r {
+            Err(CoreError::WidthMismatch { k, word, width }) => {
+                (k, width, word) == (2, 3, "A".into())
+            }
+            _ => false,
+        };
+        assert!(wide(CircuitModel::build(&nl, &ctx).map(drop)));
+        assert!(wide(crate::extract_word_polynomial(&nl, &ctx).map(drop)));
+        let limits = gfab_poly::buchberger::GbLimits::default();
+        for order in [
+            CircuitVarOrder::Declaration,
+            CircuitVarOrder::ReverseTopological,
+        ] {
+            assert!(wide(
+                full_gb_abstraction(&nl, &ctx, order, &limits).map(drop)
+            ));
+        }
+        let sr = spec_ring(&nl, &ctx);
+        let spec = multiplier_spec(&sr, &ctx);
+        assert!(wide(verify_against_spec(&nl, &ctx, &sr, &spec).map(drop)));
     }
 }

@@ -60,17 +60,14 @@ pub fn topological_gates(nl: &Netlist) -> Option<Vec<GateId>> {
     (order.len() == n).then_some(order)
 }
 
-/// Reverse-topological level of every net: output-word bits have level 0
-/// and each gate's inputs sit at least one level above (farther from) its
-/// output. Nets not reaching any output get the maximum observed level + 1.
+/// Reverse-topological level of every net, given a topological gate
+/// `order` of `nl`: a net no gate reads has level 0, and every other net
+/// sits one level above the highest output among the gates that read it.
 ///
 /// This is the "reverse topological traversal toward the primary inputs"
 /// of Definition 5.1: a *smaller* level means the net comes *earlier* in the
 /// reverse topological order and is therefore *greater* in RATO.
-///
-/// Returns `None` on a cyclic netlist.
-pub fn reverse_topological_levels(nl: &Netlist) -> Option<Vec<u32>> {
-    let order = topological_gates(nl)?;
+fn reverse_topological_levels(nl: &Netlist, order: &[GateId]) -> Vec<u32> {
     let mut level = vec![0u32; nl.num_nets()];
     // Walk gates in reverse topological order: when we see a gate, its
     // output level is final, and its inputs must be strictly above it.
@@ -82,28 +79,69 @@ pub fn reverse_topological_levels(nl: &Netlist) -> Option<Vec<u32>> {
             *li = (*li).max(out_level + 1);
         }
     }
-    Some(level)
+    level
 }
 
-/// The RATO net ordering: all gate-output nets sorted by ascending reverse
-/// topological level (greatest variables first), with ties broken by net
-/// id for determinism. Primary-input bits are **excluded** — the caller
-/// appends them after the internal nets (word by word, LSB first), then the
-/// word variables, exactly as in Example 5.1 of the paper:
+/// The RATO rank of the gate-output nets (Definition 5.1), greatest
+/// variable first: by ascending reverse-topological level, and inside a
+/// level the output-word bits first, in bit order, then the other nets by
+/// the position of their gate in [`topological_gates`]. Primary-input bits
+/// are **excluded** — the caller appends them after the internal nets
+/// (word by word, LSB first), then `Z` and the input words.
 ///
-/// `{z0 > z1} > {r0 > s0 > s3} > {s1 > s2} > {a0 > a1 > b0 > b1} > Z > A, B`
+/// The rank depends only on the gate list and its wiring, never on net ids
+/// or names: renumbering or renaming nets leaves it unchanged, and so does
+/// a [`crate::format::emit`] / [`crate::format::parse`] round trip, whose
+/// gates come back in the order [`topological_gates`] gave them.
 ///
+/// Definition 5.1 fixes only the blocks; the order inside a level is free.
+/// For Fig. 2 this gives `{z0 > z1} > {s0 > s3 > r0} > {s1 > s2}`, where
+/// Example 5.1 lists the middle level as `r0 > s0 > s3`. Levels count
+/// gates toward the nets that no gate reads, so a dead gate's output
+/// shares level 0 with the output bits (after them), its inputs sit at
+/// level 1, and so on up its cone.
+///
+/// One Kahn pass and a stable counting sort by level; no comparison sort.
 /// Returns `None` on a cyclic netlist.
-pub fn rato_gate_output_order(nl: &Netlist) -> Option<Vec<NetId>> {
-    let levels = reverse_topological_levels(nl)?;
-    let mut nets: Vec<NetId> = nl
-        .gates()
+pub fn rato_order(nl: &Netlist) -> Option<Vec<NetId>> {
+    let order = topological_gates(nl)?;
+    let level = reverse_topological_levels(nl, &order);
+    let bits = nl.try_output_word().map_or(&[][..], |w| &w.bits[..]);
+    // Bit position of each output-word net (its last, if repeated), or
+    // u32::MAX for nets outside the output word.
+    let mut out_pos = vec![u32::MAX; nl.num_nets()];
+    for (p, &b) in bits.iter().enumerate() {
+        out_pos[b.index()] = p as u32;
+    }
+    let out_bits = bits
         .iter()
-        .map(|g| g.output)
-        .filter(|&n| !nl.is_primary_input(n))
+        .enumerate()
+        .filter(|&(p, &b)| out_pos[b.index()] == p as u32)
+        .map(|(_, &b)| b);
+    let others = order
+        .iter()
+        .map(|&g| nl.gate(g).output)
+        .filter(|&n| out_pos[n.index()] == u32::MAX);
+    let ranked: Vec<NetId> = out_bits
+        .chain(others)
+        .filter(|&n| nl.driver_of(n).is_some() && !nl.is_primary_input(n))
         .collect();
-    nets.sort_by_key(|n| (levels[n.index()], n.0));
-    Some(nets)
+    // A stable counting sort by level keeps that order inside each level.
+    let max_level = ranked.iter().map(|n| level[n.index()]).max().unwrap_or(0) as usize;
+    let mut start = vec![0usize; max_level + 2];
+    for n in &ranked {
+        start[level[n.index()] as usize + 1] += 1;
+    }
+    for l in 0..=max_level {
+        start[l + 1] += start[l];
+    }
+    let mut rank = vec![NetId(0); ranked.len()];
+    for n in ranked {
+        let slot = &mut start[level[n.index()] as usize];
+        rank[*slot] = n;
+        *slot += 1;
+    }
+    Some(rank)
 }
 
 /// Longest path length (in gates) from any primary input to any output —
@@ -164,10 +202,14 @@ mod tests {
         }
     }
 
+    fn levels(nl: &Netlist) -> Vec<u32> {
+        reverse_topological_levels(nl, &topological_gates(nl).unwrap())
+    }
+
     #[test]
     fn reverse_levels_zero_at_outputs() {
         let nl = fig2();
-        let levels = reverse_topological_levels(&nl).unwrap();
+        let levels = levels(&nl);
         for &z in &nl.output_word().bits {
             assert_eq!(levels[z.index()], 0);
         }
@@ -180,21 +222,41 @@ mod tests {
     }
 
     #[test]
-    fn rato_order_matches_paper_example_5_1() {
-        // Example 5.1: {z0 > z1} > {r0 > s0 > s3} > {s1 > s2} > PIs.
-        // Levels here: z0=z1=0; r0=s0=s3=1; s1=s2=2.
+    fn rato_order_of_fig2() {
+        // Example 5.1 lists {z0 > z1} > {r0 > s0 > s3} > {s1 > s2}; the
+        // order inside a level is free, and topological position puts r0
+        // last in its level.
         let nl = fig2();
-        let order = rato_gate_output_order(&nl).unwrap();
-        // The two output bits come first, z0 before z1.
-        assert_eq!(nl.net_name(order[0]), "z0");
-        assert_eq!(nl.net_name(order[1]), "z1");
-        // Check the level structure (internal nets carry automatic names).
-        let levels = reverse_topological_levels(&nl).unwrap();
-        let ls: Vec<u32> = order.iter().map(|&n| levels[n.index()]).collect();
-        assert!(ls.windows(2).all(|w| w[0] <= w[1]), "levels ascend: {ls:?}");
-        assert_eq!(ls.iter().filter(|&&l| l == 0).count(), 2); // z0, z1
-        assert_eq!(ls.iter().filter(|&&l| l == 1).count(), 3); // r0, s0, s3
-        assert_eq!(ls.iter().filter(|&&l| l == 2).count(), 2); // s1, s2
+        let net = |g: usize| nl.gates()[g].output;
+        let [s0, s1, s2, s3, r0, z0, z1] = [0, 1, 2, 3, 4, 5, 6].map(net);
+        assert_eq!(rato_order(&nl).unwrap(), [z0, z1, s0, s3, r0, s1, s2]);
+    }
+
+    #[test]
+    fn dead_logic_ranks_by_its_own_levels() {
+        // Fig. 2 plus a dead cone: d = t XOR s3 with t = a0 AND b0, and
+        // neither d nor t reaches the output word.
+        let mut nl = fig2();
+        let (a0, b0) = (nl.input_words()[0].bits[0], nl.input_words()[1].bits[0]);
+        let s3 = nl.gates()[3].output;
+        let t = nl.and(a0, b0);
+        let d = nl.xor(t, s3);
+        let levels = levels(&nl);
+        assert_eq!((levels[d.index()], levels[t.index()]), (0, 1));
+        let net = |g: usize| nl.gates()[g].output;
+        let [s0, s1, s2, _, r0, z0, z1] = [0, 1, 2, 3, 4, 5, 6].map(net);
+        assert_eq!(rato_order(&nl).unwrap(), [z0, z1, d, s0, s3, t, r0, s1, s2]);
+    }
+
+    #[test]
+    fn output_bits_lead_their_level_in_bit_order() {
+        // The same circuit with its output bits wired in the other order:
+        // z1 (now bit 0) ranks first.
+        let mut nl = fig2();
+        let bits = nl.output_word().bits.clone();
+        nl.set_output_word("Z", vec![bits[1], bits[0]]);
+        let order = rato_order(&nl).unwrap();
+        assert_eq!(order[..2], [bits[1], bits[0]]);
     }
 
     #[test]

@@ -117,10 +117,6 @@ echo "== differential + mutation-kill battery (release, wall-budgeted) =="
 # wedging it.
 timeout 600 cargo test -q --offline --release \
     --test differential_engines --test mutation_kill --test budgeted_verification
-# Known answers at the benchmark's size: the k = 163 extractions of
-# perfbench's equiv-flat workload (steps, peak terms, cancellations).
-# Minutes in a debug build, so tier-1 skips them as #[ignore].
-timeout 600 cargo test -q --offline --release --test cross_method -- --ignored
 
 echo "== fuzz smoke: seeded differential campaign, ~30s =="
 # Two seeded campaigns through the real binary. The clean sweep

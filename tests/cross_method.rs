@@ -317,18 +317,22 @@ fn extraction_at_nist_163_produces_product() {
     assert!(result.stats.reduction_steps as usize >= nl.num_gates());
 }
 
-/// `(steps, peak_terms, cancellations)` of one flat extraction, run on the
-/// netlist as `gfab gen` writes it and the benchmark reads it back: the
-/// text round trip renumbers nets, which moves the counts.
+/// `(steps, peak_terms, cancellations)` of one flat extraction, asserted
+/// equal in memory and on the netlist as `gfab gen` writes it and the
+/// benchmark reads it back.
 fn reduction_effort(nl: &gfab::netlist::Netlist, ctx: &Arc<GfContext>) -> (u64, usize, u64) {
-    let nl = format::parse(&format::emit(nl)).unwrap();
-    let result = extract_word_polynomial(&nl, ctx).unwrap();
-    assert_eq!(
-        format!("{}", result.canonical().expect("Case 1").display()),
-        "A*B"
-    );
-    let s = &result.stats;
-    (s.reduction_steps, s.peak_terms, s.cancellations)
+    let text = format::parse(&format::emit(nl)).unwrap();
+    let [in_memory, as_text] = [nl, &text].map(|nl| {
+        let result = extract_word_polynomial(nl, ctx).unwrap();
+        assert_eq!(
+            format!("{}", result.canonical().expect("Case 1").display()),
+            "A*B"
+        );
+        let s = &result.stats;
+        (s.reduction_steps, s.peak_terms, s.cancellations)
+    });
+    assert_eq!(in_memory, as_text, "{}: in memory vs as text", nl.name());
+    in_memory
 }
 
 #[test]
@@ -350,9 +354,9 @@ fn flattened_montgomery_reduction_effort_is_pinned() {
 }
 
 #[test]
-#[ignore = "k = 163 extractions: about a second in release, minutes in debug; ci.sh runs it"]
 fn k163_extraction_effort_matches_the_benchmark() {
-    // The two extractions of perfbench's `equiv-flat` workload.
+    // The two extractions of perfbench's `equiv-flat` workload: about two
+    // seconds in a debug build, whose profile optimizes the kernels.
     let ctx = field(163);
     let mastrovito = mastrovito_multiplier(&ctx);
     assert_eq!(
