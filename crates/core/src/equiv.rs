@@ -269,7 +269,8 @@ pub fn check_equivalence_budgeted_with(
     };
     // Cheap pre-check on larger fields: 64 random co-simulations refute a
     // buggy pair in milliseconds, where the Case-2 completion a buggy
-    // extraction would trigger grows with q = 2^k. Small fields (k <= 5)
+    // extraction would trigger expands up to k^d products per residual
+    // term with d bits of one word, and cannot run at all past k = 63. Small fields (k <= 5)
     // skip this so the verdict carries both canonical polynomials (richer
     // diagnostics, and the completion there is fast anyway). A
     // hierarchical impl skips it too: it would first need

@@ -23,12 +23,14 @@ pub enum CoreError {
         /// Its actual width.
         width: usize,
     },
-    /// Case-2 canonical completion was requested but the Gröbner basis
-    /// computation hit its resource limits.
+    /// A canonical polynomial was required (hierarchical composition), but
+    /// a Case-2 residual stayed one: its completion was disabled, ran out
+    /// of budget, or k > 63.
     CompletionLimit(String),
-    /// The Gröbner basis unexpectedly lacked a `Z + G(A)` polynomial —
-    /// this contradicts the Abstraction Theorem and indicates an internal
-    /// bug, so it is surfaced loudly rather than silently.
+    /// No `Z + G(A)` polynomial where the Abstraction Theorem guarantees
+    /// one (a Case-1 remainder, a Case-2 completion, a full Gröbner
+    /// basis) — this indicates an internal bug, so it is surfaced loudly
+    /// rather than silently.
     MissingAbstractionPolynomial,
     /// Two designs cannot be compared (different input signatures).
     SignatureMismatch(String),
@@ -62,7 +64,7 @@ impl fmt::Display for CoreError {
             }
             CoreError::MissingAbstractionPolynomial => write!(
                 f,
-                "no Z + G(A) polynomial in the Groebner basis (internal error)"
+                "no Z + G(A) polynomial where the abstraction theorem guarantees one (internal error)"
             ),
             CoreError::SignatureMismatch(msg) => write!(f, "signature mismatch: {msg}"),
             CoreError::BudgetExhausted {

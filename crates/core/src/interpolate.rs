@@ -106,7 +106,10 @@ pub fn interpolate(nl: &Netlist, ctx: &Arc<GfContext>) -> Result<WordFunction, C
 mod tests {
     use super::*;
     use crate::extract_word_polynomial;
+    use gfab_circuits::registry::{build_pair, ALL_ARCHES};
+    use gfab_field::nist::irreducible_polynomial;
     use gfab_field::Gf2Poly;
+    use gfab_netlist::mutate::inject_random_bug;
     use gfab_netlist::random::{random_circuit, RandomCircuitSpec};
 
     fn f4() -> Arc<GfContext> {
@@ -139,7 +142,8 @@ mod tests {
     fn interpolation_matches_extraction_on_random_circuits() {
         // The decisive cross-check: two completely independent derivations
         // of the canonical polynomial must agree exactly (uniqueness).
-        let ctx = f4();
+        // Random logic and faulted registry circuits mostly land in Case 2.
+        let mut circuits = Vec::new();
         for seed in 0..15 {
             let nl = random_circuit(&RandomCircuitSpec {
                 num_input_words: 2,
@@ -147,19 +151,40 @@ mod tests {
                 num_gates: 20,
                 seed,
             });
-            let via_gb = extract_word_polynomial(&nl, &ctx)
-                .unwrap()
+            circuits.push((format!("random seed {seed}"), f4(), nl));
+        }
+        for k in [2usize, 3] {
+            let ctx = GfContext::shared(irreducible_polynomial(k).unwrap()).unwrap();
+            for arch in ALL_ARCHES.into_iter().filter(|a| a.supports_k(k)) {
+                for seed in 0..4 {
+                    let (_, impl_) = build_pair(arch, &ctx, seed);
+                    // A squarer or constant multiplier can be all XORs and
+                    // buffers at this size, with no 2-input gate to fault.
+                    if impl_.gates().iter().all(|g| g.kind.arity() != 2) {
+                        continue;
+                    }
+                    let (bad, what) = inject_random_bug(&impl_, seed);
+                    circuits.push((format!("k={k} {arch} {what}"), ctx.clone(), bad));
+                }
+            }
+        }
+        let mut case2 = 0;
+        for (label, ctx, nl) in circuits {
+            let result = extract_word_polynomial(&nl, &ctx).unwrap();
+            case2 += usize::from(result.stats.case2_completion);
+            let via_extraction = result
                 .canonical()
                 .cloned()
-                .unwrap_or_else(|| panic!("seed {seed}: completion failed"));
+                .unwrap_or_else(|| panic!("{label}: completion failed"));
             let via_lagrange = interpolate(&nl, &ctx).unwrap();
             assert!(
-                via_gb.matches(&via_lagrange),
-                "seed {seed}: GB {} != Lagrange {}",
-                via_gb.display(),
+                via_extraction.matches(&via_lagrange),
+                "{label}: extraction {} != Lagrange {}",
+                via_extraction.display(),
                 via_lagrange.display()
             );
         }
+        assert!(case2 >= 40, "only {case2} circuits reached Case 2");
     }
 
     #[test]

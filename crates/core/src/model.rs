@@ -15,7 +15,7 @@ use crate::fullgb::CircuitVarOrder;
 use crate::wordfn::WordFunction;
 use gfab_field::budget::Budget;
 use gfab_field::GfContext;
-use gfab_netlist::{Gate, GateKind, NetId, Netlist};
+use gfab_netlist::{topo, Gate, GateKind, NetId, Netlist, NetlistError};
 use gfab_poly::{ExponentMode, Monomial, Poly, Ring, RingBuilder, VarId, VarKind};
 use std::sync::Arc;
 
@@ -101,7 +101,16 @@ impl CircuitModel {
         words_first: bool,
         budget: &Budget,
     ) -> Result<Self, CoreError> {
-        nl.validate()?;
+        // The structural checks, then the build's one Kahn pass: it ranks
+        // the nets and finds a cycle.
+        nl.validate_structure()?;
+        let internal = match order {
+            CircuitVarOrder::ReverseTopological => topo::rato_order(nl),
+            CircuitVarOrder::Declaration => {
+                topo::topological_gates(nl).map(|_| nl.gates().iter().map(|g| g.output).collect())
+            }
+        }
+        .ok_or(NetlistError::CombinationalCycle)?;
         let k = ctx.k();
         for w in nl.input_words().iter().chain([nl.output_word()]) {
             if w.width() > k {
@@ -112,12 +121,6 @@ impl CircuitModel {
                 });
             }
         }
-        let internal = match order {
-            CircuitVarOrder::ReverseTopological => {
-                gfab_netlist::topo::rato_order(nl).expect("validated netlist is acyclic")
-            }
-            CircuitVarOrder::Declaration => nl.gates().iter().map(|g| g.output).collect(),
-        };
 
         // --- The ring ---------------------------------------------------
         let num_vars = nl.num_nets() + 1 + nl.input_words().len();
@@ -434,6 +437,81 @@ mod tests {
             assert_eq!(a.0 + 3, b.0);
         }
         assert_eq!(last.z_var, VarId(11));
+    }
+
+    #[test]
+    fn validation_errors_reach_the_caller_through_every_engine() {
+        use crate::fullgb::full_gb_abstraction;
+        use crate::ideal_membership::{multiplier_spec, spec_ring, verify_against_spec};
+        let ctx = GfContext::shared(Gf2Poly::from_exponents(&[2, 1, 0])).unwrap();
+        // Two drivers on one net and a wrong arity cannot be built:
+        // `push_gate` and `replace_gate` panic on them (the netlist
+        // crate's tests reach them through its fields).
+        let cyclic = {
+            let mut nl = Netlist::new("cyclic");
+            let (a, b) = (nl.add_input_word("A", 2), nl.add_input_word("B", 2));
+            let fb = nl.add_net();
+            let t = nl.xor(a[0], fb);
+            nl.push_gate(GateKind::Buf, vec![t], fb);
+            let u = nl.and(a[1], b[1]);
+            nl.set_output_word("Z", vec![t, u]);
+            (nl, NetlistError::CombinationalCycle)
+        };
+        let undriven = {
+            let mut nl = Netlist::new("undriven");
+            let (a, b) = (nl.add_input_word("A", 2), nl.add_input_word("B", 2));
+            let dangling = nl.add_net();
+            let t = nl.and(a[0], dangling);
+            let u = nl.and(a[1], b[1]);
+            nl.set_output_word("Z", vec![t, u]);
+            (nl, NetlistError::Undriven(dangling))
+        };
+        let driven_input = {
+            let mut nl = Netlist::new("driven-input");
+            let (a, b) = (nl.add_input_word("A", 2), nl.add_input_word("B", 2));
+            nl.push_gate(GateKind::Not, vec![b[0]], a[1]);
+            let t = nl.and(a[0], b[0]);
+            let u = nl.and(a[1], b[1]);
+            nl.set_output_word("Z", vec![t, u]);
+            (nl, NetlistError::DrivenInput(a[1]))
+        };
+        let no_output = {
+            let mut nl = Netlist::new("no-output");
+            let (a, b) = (nl.add_input_word("A", 2), nl.add_input_word("B", 2));
+            nl.and(a[0], b[0]);
+            (nl, NetlistError::MissingOutputWord)
+        };
+        let limits = gfab_poly::buchberger::GbLimits::default();
+        for (nl, want) in [cyclic, undriven, driven_input, no_output] {
+            let is_want =
+                |r: Result<(), CoreError>| matches!(r, Err(CoreError::Netlist(e)) if e == want);
+            assert!(
+                is_want(CircuitModel::build(&nl, &ctx).map(drop)),
+                "{want:?}: build"
+            );
+            assert!(
+                is_want(crate::extract_word_polynomial(&nl, &ctx).map(drop)),
+                "{want:?}: extraction"
+            );
+            for order in [
+                CircuitVarOrder::Declaration,
+                CircuitVarOrder::ReverseTopological,
+            ] {
+                assert!(
+                    is_want(full_gb_abstraction(&nl, &ctx, order, &limits).map(drop)),
+                    "{want:?}: full GB, {order:?}"
+                );
+            }
+            if nl.try_output_word().is_some() {
+                // The spec ring is named after the output word.
+                let sr = spec_ring(&nl, &ctx);
+                let spec = multiplier_spec(&sr, &ctx);
+                assert!(
+                    is_want(verify_against_spec(&nl, &ctx, &sr, &spec).map(drop)),
+                    "{want:?}: membership"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::reduce_mod::ModReducer;
 use crate::rng::Rng;
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Errors produced when constructing or operating on a field.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,12 +138,24 @@ thread_local! {
 /// // α² = α + 1 in F_4
 /// assert_eq!(ctx.mul(&a, &a), ctx.add(&a, &ctx.one()));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct GfContext {
     k: usize,
     modulus: Gf2Poly,
     reducer: ModReducer,
+    /// [`GfContext::dual_basis`], computed on first use.
+    dual: OnceLock<Vec<Gf>>,
 }
+
+/// Two contexts are equal when they build the same field: everything
+/// else, the lazily computed dual basis included, follows from the modulus.
+impl PartialEq for GfContext {
+    fn eq(&self, other: &Self) -> bool {
+        self.modulus == other.modulus
+    }
+}
+
+impl Eq for GfContext {}
 
 impl GfContext {
     /// Constructs the field from an irreducible polynomial of degree ≥ 2.
@@ -165,6 +177,7 @@ impl GfContext {
             k,
             modulus,
             reducer,
+            dual: OnceLock::new(),
         })
     }
 
@@ -513,6 +526,59 @@ impl GfContext {
         acc
     }
 
+    /// The dual basis `β_0, …, β_{k−1}` of the polynomial basis
+    /// `1, α, …, α^{k−1}` under the trace form, `Tr(α^i·β_j) = δ_ij`, so
+    /// bit `j` of every element `a` is `Tr(β_j·a)`. Computed on first use
+    /// by one k × k solve over `F_2` of `T[i][m] = Tr(α^(i+m))`, then kept
+    /// with the context.
+    #[must_use]
+    pub fn dual_basis(&self) -> &[Gf] {
+        self.dual.get_or_init(|| {
+            let k = self.k;
+            // tr[j] = Tr(α^j) for j < 2k − 1: every entry of T.
+            let mut tr = Vec::with_capacity(2 * k - 1);
+            let mut power = self.one();
+            for _ in 0..2 * k - 1 {
+                tr.push(self.trace(&power).is_one());
+                power = self.mul(&power, &self.alpha());
+            }
+            // Gauss–Jordan on [T | I], row i holding T's row in bits
+            // 0..k and the identity in bits k..2k: the right half ends as
+            // T⁻¹.
+            let mut rows: Vec<Gf2Poly> = (0..k)
+                .map(|i| {
+                    let mut row = Gf2Poly::monomial(k + i);
+                    for m in (0..k).filter(|&m| tr[i + m]) {
+                        row.set_coeff(m, true);
+                    }
+                    row
+                })
+                .collect();
+            for col in 0..k {
+                let pivot = (col..k)
+                    .find(|&r| rows[r].coeff(col))
+                    .expect("the trace form of a separable extension is non-degenerate");
+                rows.swap(col, pivot);
+                let pivot_row = rows[col].clone();
+                for (r, row) in rows.iter_mut().enumerate() {
+                    if r != col && row.coeff(col) {
+                        row.add_assign(&pivot_row);
+                    }
+                }
+            }
+            // T is symmetric, so β_j = Σ_m T⁻¹[j][m]·α^m is row j.
+            rows.iter()
+                .map(|row| {
+                    let mut beta = Gf2Poly::zero();
+                    for m in (0..k).filter(|&m| row.coeff(k + m)) {
+                        beta.set_coeff(m, true);
+                    }
+                    Gf(beta)
+                })
+                .collect()
+        })
+    }
+
     /// Montgomery radix `R = x^k mod P` (as a field element this is `α^k`).
     #[must_use]
     pub fn montgomery_r(&self) -> Gf {
@@ -727,6 +793,34 @@ mod tests {
         for a in ctx.iter_elements() {
             assert_eq!(ctx.trace(&ctx.square(&a)), ctx.trace(&a));
         }
+    }
+
+    #[test]
+    fn dual_basis_reads_every_bit_through_the_trace() {
+        // Small fields, k = 63 (the largest Case 2 substitutes in) and
+        // the NIST field at k = 163.
+        for k in [2usize, 3, 4, 8, 63, 163] {
+            let ctx = GfContext::new(crate::nist::irreducible_polynomial(k).unwrap()).unwrap();
+            let dual = ctx.dual_basis();
+            assert_eq!(dual.len(), k);
+            for (i, j) in (0..k).flat_map(|i| (0..k).map(move |j| (i, j))) {
+                let t = ctx.trace(&ctx.mul(&ctx.alpha_pow(i as u64), &dual[j]));
+                assert_eq!(t.is_one(), i == j, "k = {k}: Tr(α^{i}·β_{j})");
+            }
+            let mut rng = Rng::seed_from_u64(k as u64);
+            for _ in 0..8 {
+                let a = ctx.random(&mut rng);
+                let bits: Vec<bool> = dual
+                    .iter()
+                    .map(|b| ctx.trace(&ctx.mul(b, &a)).is_one())
+                    .collect();
+                assert_eq!(bits, ctx.to_bits(&a), "k = {k}");
+            }
+        }
+        // The basis is cached, and equality still compares fields only.
+        let (warm, cold) = (f16(), f16());
+        assert!(std::ptr::eq(warm.dual_basis(), warm.dual_basis()));
+        assert_eq!(warm, cold);
     }
 
     #[test]

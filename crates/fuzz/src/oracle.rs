@@ -357,7 +357,6 @@ pub fn run_oracle(
         threads: 1,
         ..ExtractOptions::default()
     };
-    options.gb_limits.max_wall_ms = 0;
     if let Some(cap) = cfg.word_work_cap {
         options.budget = BudgetSpec::work(cap);
     }

@@ -366,6 +366,23 @@ impl Netlist {
     ///
     /// Returns the first [`NetlistError`] found.
     pub fn validate(&self) -> Result<(), NetlistError> {
+        self.validate_structure()?;
+        // Acyclicity via Kahn's algorithm on the gate graph.
+        match crate::topo::topological_gates(self) {
+            Some(_) => Ok(()),
+            None => Err(NetlistError::CombinationalCycle),
+        }
+    }
+
+    /// Every check of [`validate`](Netlist::validate) but acyclicity, for a
+    /// caller that runs Kahn's algorithm anyway and maps its `None` to
+    /// [`NetlistError::CombinationalCycle`] ([`crate::topo::topological_gates`],
+    /// [`crate::topo::rato_order`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`NetlistError`] found.
+    pub fn validate_structure(&self) -> Result<(), NetlistError> {
         if self.output_word.is_none() {
             return Err(NetlistError::MissingOutputWord);
         }
@@ -402,10 +419,6 @@ impl Netlist {
             if u && seen_driver[idx].is_none() && !self.is_primary_input(net) {
                 return Err(NetlistError::Undriven(net));
             }
-        }
-        // Acyclicity via Kahn's algorithm on the gate graph.
-        if crate::topo::topological_gates(self).is_none() {
-            return Err(NetlistError::CombinationalCycle);
         }
         Ok(())
     }
@@ -454,6 +467,39 @@ mod tests {
         assert_eq!(nl.net_name(a.bits[1]), "a1");
         let z = nl.output_word();
         assert_eq!(nl.net_name(z.bits[0]), "z0");
+    }
+
+    #[test]
+    fn structure_checks_leave_only_the_cycle_to_kahn() {
+        // Two drivers and a wrong arity cannot be built through
+        // `push_gate` or `replace_gate`, so write the gate list directly.
+        let mut nl = tiny();
+        let t = nl.gates[0].output;
+        let a0 = nl.input_words[0].bits[0];
+        nl.gates.push(Gate {
+            kind: GateKind::Not,
+            inputs: vec![a0],
+            output: t,
+        });
+        assert_eq!(
+            nl.validate_structure(),
+            Err(NetlistError::MultipleDrivers(t))
+        );
+        assert_eq!(nl.validate(), Err(NetlistError::MultipleDrivers(t)));
+        let mut nl = tiny();
+        nl.gates[1].inputs.pop();
+        let arity = Err(NetlistError::ArityMismatch(GateId(1)));
+        assert_eq!(nl.validate_structure(), arity);
+        assert_eq!(nl.validate(), arity);
+        // A cycle is structurally sound; only `validate` finds it.
+        let mut nl = Netlist::new("cyclic");
+        let a = nl.add_input_word("A", 1);
+        let fb = nl.add_net();
+        let t = nl.xor(a[0], fb);
+        nl.push_gate(GateKind::Buf, vec![t], fb);
+        nl.set_output_word("Z", vec![t]);
+        assert_eq!(nl.validate_structure(), Ok(()));
+        assert_eq!(nl.validate(), Err(NetlistError::CombinationalCycle));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Bug hunting with word-level abstraction: inject random gate-level bugs
 //! into a multiplier and show what the verifier reports — the buggy
-//! circuit's *own* canonical polynomial (via the Case-2 Gröbner-basis
-//! completion) plus a concrete counterexample.
+//! circuit's *own* canonical polynomial (via the Case-2 completion, here
+//! by dual-basis trace substitution) plus a concrete counterexample.
 //!
 //! This demonstrates the diagnostic advantage the paper's method has over
 //! plain SAT: the verdict is not just "inequivalent" but the exact

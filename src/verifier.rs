@@ -1,8 +1,8 @@
 //! The unified verification session API.
 //!
 //! [`Verifier`] is a small builder that bundles a field context with an
-//! [`ExtractOptions`] configuration (thread budget, Case-2 completion
-//! limits, …) and exposes the whole abstraction/equivalence surface behind
+//! [`ExtractOptions`] configuration (thread count, resource budget,
+//! Case-2 completion, …) and exposes the whole abstraction/equivalence surface behind
 //! two methods, each taking a flat netlist or a hierarchical design as a
 //! [`Circuit`]:
 //!
@@ -261,8 +261,8 @@ impl Verifier {
         self
     }
 
-    /// Replaces the whole [`ExtractOptions`] block (Case-2 completion
-    /// limits, simulation fallbacks, …) for full control.
+    /// Replaces the whole [`ExtractOptions`] block (Case-2 completion,
+    /// budget, telemetry, …) for full control.
     #[must_use]
     pub fn options(mut self, options: ExtractOptions) -> Self {
         self.options = options;

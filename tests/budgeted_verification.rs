@@ -13,7 +13,7 @@
 
 use gfab::circuits::{mastrovito_multiplier, montgomery_multiplier_hier};
 use gfab::core::equiv::Verdict;
-use gfab::core::{ExtractOptions, Extraction};
+use gfab::core::Extraction;
 use gfab::field::nist::irreducible_polynomial;
 use gfab::field::GfContext;
 use gfab::netlist::mutate::inject_random_bug;
@@ -150,42 +150,55 @@ fn roomy_deadline_still_decides_small_fields() {
 }
 
 #[test]
-fn case2_wall_limit_binds_inside_each_reduction() {
+fn case2_fault_in_the_middle_block_is_decided_at_word_level() {
     // A bug in the middle block of the k = 8 hierarchical Montgomery
-    // leaves that block in Case 2, whose completion runs single normal
-    // forms of many seconds. Polled only between S-pairs, the wall limit
-    // let this query overrun a 1 s limit to 6.7–9.5 s in a debug build and
-    // an 8 s limit to 71 s in release. Polled at the reducer's stride, the
-    // limit ends the completion on time — without stopping the query, so
-    // the simulation fallback still refutes the design.
+    // leaves that block in Case 2, where the Gröbner completion of
+    // Section 5 runs single normal forms of many seconds. The trace
+    // substitution yields the block's canonical polynomial in
+    // milliseconds, so the word level decides the query, with both
+    // canonical polynomials and a counterexample.
     let ctx = field(8);
     let spec = mastrovito_multiplier(&ctx);
-    let mut design = montgomery_multiplier_hier(&ctx);
-    let mid = design
-        .blocks
-        .iter()
-        .position(|b| b.name == "blk_mid")
-        .unwrap();
-    let (buggy, what) = inject_random_bug(&design.blocks[mid].netlist, 0);
-    design.blocks[mid].netlist = buggy;
-    let mut options = ExtractOptions::default();
-    options.gb_limits.max_wall_ms = 1_000;
-    let started = Instant::now();
-    let report = Verifier::new(&ctx)
-        .options(options)
-        .threads(1)
-        .check(&spec, &design)
-        .unwrap();
-    let elapsed = started.elapsed();
-    let cex = report
-        .verdict
-        .counterexample()
-        .unwrap_or_else(|| panic!("{what}: expected a refutation, got {:?}", report.verdict));
-    assert_ne!(
-        simulate_word(&spec, &ctx, cex),
-        simulate_word(&design.flatten(), &ctx, cex),
-        "{what}"
-    );
-    let bound = Duration::from_secs(3);
-    assert!(elapsed < bound, "took {elapsed:?} (bound {bound:?})");
+    for seed in 0..4 {
+        let mut design = montgomery_multiplier_hier(&ctx);
+        let mid = design
+            .blocks
+            .iter()
+            .position(|b| b.name == "blk_mid")
+            .unwrap();
+        let (buggy, what) = inject_random_bug(&design.blocks[mid].netlist, seed);
+        design.blocks[mid].netlist = buggy;
+        let started = Instant::now();
+        let report = Verifier::new(&ctx)
+            .threads(1)
+            .check(&spec, &design)
+            .unwrap();
+        let elapsed = started.elapsed();
+        let Verdict::Inequivalent {
+            spec: spec_fn,
+            impl_: impl_fn,
+            counterexample,
+        } = &report.verdict
+        else {
+            panic!(
+                "seed {seed} ({what}): expected a word-level refutation, got {:?}",
+                report.verdict
+            );
+        };
+        assert_eq!(format!("{}", spec_fn.display()), "A*B", "seed {seed}");
+        assert!(!impl_fn.matches(spec_fn), "seed {seed} ({what})");
+        let cex = counterexample
+            .as_deref()
+            .unwrap_or_else(|| panic!("seed {seed} ({what}): no counterexample"));
+        assert_ne!(
+            simulate_word(&spec, &ctx, cex),
+            simulate_word(&design.flatten(), &ctx, cex),
+            "seed {seed} ({what})"
+        );
+        let bound = Duration::from_secs(3);
+        assert!(
+            elapsed < bound,
+            "seed {seed}: took {elapsed:?} (bound {bound:?})"
+        );
+    }
 }
