@@ -428,8 +428,9 @@ pub fn case2_by_groebner(
         return Ok(Case2Outcome::GaveUp(beyond_k63(ctx)));
     }
     // The completion ring is the tail of the model ring: every variable
-    // from the first primary-input bit onward, in the same order, but in
-    // Plain mode (the vanishing polynomials must be explicit generators).
+    // from the first primary-input bit onward, in the same order and with
+    // the same names (the words') or none (the bits), but in Plain mode
+    // (the vanishing polynomials must be explicit generators).
     let first_pi = model
         .input_word_polys
         .iter()
@@ -439,7 +440,11 @@ pub fn case2_by_groebner(
     let offset = first_pi.0;
     let mut rb = RingBuilder::new(ctx.clone(), ExponentMode::Plain);
     for (_, info) in model.ring.vars().skip(offset as usize) {
-        rb.add_var(info.name.clone(), info.kind);
+        if info.name.is_empty() {
+            rb.add_unnamed(info.kind);
+        } else {
+            rb.add_var(info.name.clone(), info.kind);
+        }
     }
     let cring = rb.build();
     let down = |v: VarId| VarId(v.0 - offset);

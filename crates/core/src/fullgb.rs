@@ -104,10 +104,13 @@ pub fn full_gb_abstraction_traced(
     let m = CircuitModel::build_in(nl, ctx, ExponentMode::Plain, order, false, &unlimited)?;
     // Gates in topological order: Buchberger's pair order follows the
     // generator list, which must not depend on how the netlist was built.
+    // The explicit gate polynomials are built here, from the records.
     let gates = gfab_netlist::topo::topological_gates(nl).expect("validated netlist is acyclic");
-    let gate_polys = gates.iter().map(|g| &m.gate_polys[g.index()]);
+    let gate_polys = gates
+        .iter()
+        .map(|&g| m.gate_poly(m.net_var[nl.gate(g).output.index()]));
     let words = [&m.output_word_poly].into_iter().chain(&m.input_word_polys);
-    let mut generators: Vec<Poly> = gate_polys.chain(words).cloned().collect();
+    let mut generators: Vec<Poly> = gate_polys.chain(words.cloned()).collect();
     generators.extend(vanishing_ideal_all(&m.ring)?);
 
     match reduced_groebner_basis_traced(&m.ring, &generators, limits, budget, tele)? {

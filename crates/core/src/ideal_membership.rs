@@ -97,7 +97,7 @@ pub fn verify_against_spec(
     });
     let f = spec_body.add(&m.ring.var_poly(m.z_var));
 
-    let reducer = Reducer::new(&m.ring, m.all_polys());
+    let reducer = Reducer::new(&m.ring, m.all_divisors());
     let (nf, stats) = reducer.normal_form_with_stats(&f)?;
     Ok(MembershipOutcome {
         verified: nf.is_zero(),

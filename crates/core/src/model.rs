@@ -16,15 +16,17 @@ use crate::wordfn::WordFunction;
 use gfab_field::budget::Budget;
 use gfab_field::GfContext;
 use gfab_netlist::{topo, Gate, GateKind, NetId, Netlist, NetlistError};
+use gfab_poly::reduce::{Divisors, TailRecord, TailShape};
 use gfab_poly::{ExponentMode, Monomial, Poly, Ring, RingBuilder, VarId, VarKind};
 use std::sync::Arc;
 
-/// The polynomial model of a circuit: its ring, the per-gate polynomials,
+/// The polynomial model of a circuit: its ring, one tail record per gate,
 /// the word-definition polynomials, and the variable maps.
 #[derive(Debug, Clone)]
 pub struct CircuitModel {
     /// The polynomial ring: RATO in Quotient exponent mode, as
-    /// [`build`](CircuitModel::build) makes it.
+    /// [`build`](CircuitModel::build) makes it. Only the words are named;
+    /// a net's name is the netlist's ([`Netlist::net_name`]).
     pub ring: Ring,
     /// Ring variable of each net. Nets that are neither gate outputs nor
     /// primary inputs occur in no polynomial (validation guarantees it)
@@ -34,8 +36,11 @@ pub struct CircuitModel {
     pub z_var: VarId,
     /// The input word variables, in input-word declaration order.
     pub input_vars: Vec<VarId>,
-    /// One polynomial `x + tail(x)` per gate, in gate order.
-    pub gate_polys: Vec<Poly>,
+    /// The gate polynomial `x + tail(x)` led by variable `first_gate + i`
+    /// is `gate_records[i]`, 12 bytes per gate.
+    gate_records: Vec<TailRecord>,
+    /// The variable of the first gate record.
+    first_gate: VarId,
     /// The output word-definition polynomial
     /// `f_w : z_0 + z_1·α + … + z_{k-1}·α^{k-1} + Z`.
     pub output_word_poly: Poly,
@@ -57,9 +62,8 @@ impl CircuitModel {
     }
 
     /// [`build`](CircuitModel::build) under a cooperative budget, polled
-    /// every few thousand gates while the gate polynomials are
-    /// constructed — million-gate netlists spend whole seconds here, long
-    /// enough that a deadline must be able to interrupt the build.
+    /// every 4096 gates while the gate records are written — million-gate
+    /// netlists must stay interruptible by a deadline.
     ///
     /// # Errors
     ///
@@ -87,13 +91,15 @@ impl CircuitModel {
     /// The guided extraction uses Quotient mode with the words last (RATO,
     /// Definition 5.1), the full-GB baseline Plain mode with the words
     /// last, and the ideal-membership baseline Quotient mode with the
-    /// words first. Variables are named after their nets and words; the
-    /// ring suffixes a repeated name (`x`, `x@1`, …).
+    /// words first. Only the word variables are named, after their words;
+    /// net and primary-input-bit variables are unnamed. The allocations
+    /// of a build do not grow with the gate count: a gate costs its
+    /// record, its variable's kind and its net's entry in `net_var`.
     ///
     /// # Errors
     ///
     /// As [`build_budgeted`](CircuitModel::build_budgeted).
-    pub(crate) fn build_in(
+    pub fn build_in(
         nl: &Netlist,
         ctx: &Arc<GfContext>,
         mode: ExponentMode,
@@ -135,18 +141,23 @@ impl CircuitModel {
             (z, inputs)
         };
         let words = words_first.then(|| add_words(&mut rb));
-        let mut net_var = vec![None; nl.num_nets()];
+        // Every net that gets no variable is parked on `Z`, patched below.
+        let unset = VarId(u32::MAX);
+        let mut net_var = vec![unset; nl.num_nets()];
         let input_bits = nl.input_words().iter().flat_map(|w| &w.bits);
         for &n in internal.iter().chain(input_bits) {
-            net_var[n.index()] = Some(rb.add_var(nl.net_name(n), VarKind::Bit));
+            net_var[n.index()] = rb.add_unnamed(VarKind::Bit);
         }
         let (z_var, input_vars) = words.unwrap_or_else(|| add_words(&mut rb));
         let ring = rb.build();
-        let net_var: Vec<VarId> = net_var.into_iter().map(|v| v.unwrap_or(z_var)).collect();
+        for v in net_var.iter_mut().filter(|v| **v == unset) {
+            *v = z_var;
+        }
 
-        // --- Gate polynomials --------------------------------------------
-        let mut gate_polys: Vec<Poly> = Vec::with_capacity(nl.num_gates());
-        for (i, g) in nl.gates().iter().enumerate() {
+        // --- Gate records, in rank order -----------------------------------
+        let first_gate = internal.first().map_or(VarId(0), |&n| net_var[n.index()]);
+        let mut gate_records = Vec::with_capacity(internal.len());
+        for (i, &n) in internal.iter().enumerate() {
             if i % 4096 == 0 {
                 budget.check().map_err(|e| CoreError::BudgetExhausted {
                     phase: gfab_telemetry::Phase::ModelBuild,
@@ -154,7 +165,8 @@ impl CircuitModel {
                     reason: e.reason,
                 })?;
             }
-            gate_polys.push(gate_polynomial(&ring, &net_var, g));
+            let g = nl.driver_of(n).expect("every ranked net is a gate output");
+            gate_records.push(gate_record(&ring, &net_var, nl.gate(g)));
         }
 
         // --- Word-definition polynomials (Eqn. 1) -------------------------
@@ -180,30 +192,42 @@ impl CircuitModel {
             net_var,
             z_var,
             input_vars,
-            gate_polys,
+            gate_records,
+            first_gate,
             output_word_poly,
             input_word_polys,
         })
     }
 
-    /// All circuit polynomials `F = {f_1, …, f_s}`: gates plus word
-    /// definitions (the generators of the circuit ideal `J`).
-    pub fn all_polys(&self) -> Vec<&Poly> {
-        self.gate_polys
-            .iter()
-            .chain([&self.output_word_poly])
-            .chain(self.input_word_polys.iter())
-            .collect()
+    /// The gate polynomial led by `var` (Section 4 of the paper: the
+    /// output variable plus the tail implementing the gate's Boolean
+    /// operator over `F_2 ⊂ F_{2^k}`), built from its record. The reducer
+    /// divides by the records themselves; explicit gate polynomials serve
+    /// the full-GB baseline's generators, listings and tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var` is not the output variable of a gate.
+    #[must_use]
+    pub fn gate_poly(&self, var: VarId) -> Poly {
+        let i = var.index().wrapping_sub(self.first_gate.index());
+        self.gate_records[i].poly(&self.ring, var)
     }
 
-    /// The divisor set used by the guided extraction: every polynomial
-    /// **except** the output word definition (which is the dividend side of
-    /// the single surviving critical pair).
-    pub fn divisors(&self) -> Vec<&Poly> {
-        self.gate_polys
-            .iter()
-            .chain(self.input_word_polys.iter())
-            .collect()
+    /// The divisor set of the guided extraction: the gate records and the
+    /// input word definitions — every circuit polynomial **except** the
+    /// output word definition, which is the dividend side of the single
+    /// surviving critical pair.
+    pub fn divisors(&self) -> Divisors<'_> {
+        Divisors::new(&self.gate_records, self.first_gate, &self.input_word_polys)
+    }
+
+    /// All circuit polynomials `F = {f_1, …, f_s}` as divisors: the gate
+    /// records plus every word definition (the generators of the circuit
+    /// ideal `J`).
+    pub fn all_divisors(&self) -> Divisors<'_> {
+        let words = std::iter::once(&self.output_word_poly).chain(&self.input_word_polys);
+        Divisors::new(&self.gate_records, self.first_gate, words)
     }
 }
 
@@ -241,35 +265,26 @@ pub(crate) fn word_function(
     Ok(WordFunction::new(ring.ctx().clone(), names, relabeled))
 }
 
-/// The polynomial model of gate `g` (Section 4 of the paper): output
-/// variable plus the tail implementing the Boolean operator over
-/// `F_2 ⊂ F_{2^k}`, in the variables `net_var` gives each net. The term
-/// vector is allocated at its final length. In Quotient mode a gate fed
-/// twice from the same net yields `x·x = x` automatically.
-fn gate_polynomial(ring: &Ring, net_var: &[VarId], g: &Gate) -> Poly {
-    let ctx = ring.ctx();
-    let var = |n: NetId| Monomial::var(net_var[n.index()]);
-    let term = |m: Monomial| (m, ctx.one());
-    let out = || term(var(g.output));
-    let input = |i: usize| term(var(g.inputs[i]));
-    let product = || {
-        let (a, b) = (var(g.inputs[0]), var(g.inputs[1]));
-        term(a.mul(&b, ring).expect("bit exponents cannot overflow"))
+/// The tail record of gate `g` (Section 4 of the paper), over the
+/// variables `net_var` gives its inputs. In Quotient mode a gate fed twice
+/// from the same net has `x·x = x`, which the record merges.
+fn gate_record(ring: &Ring, net_var: &[VarId], g: &Gate) -> TailRecord {
+    let shape = |ab, a, b, one| TailShape { ab, a, b, one };
+    let shape = match g.kind {
+        GateKind::And => shape(true, false, false, false),
+        GateKind::Xor => shape(false, true, true, false),
+        GateKind::Or => shape(true, true, true, false),
+        GateKind::Xnor => shape(false, true, true, true),
+        GateKind::Nand => shape(true, false, false, true),
+        GateKind::Nor => shape(true, true, true, true),
+        GateKind::Not => shape(false, true, false, true),
+        GateKind::Buf => shape(false, true, false, false),
+        GateKind::Const0 => shape(false, false, false, false),
+        GateKind::Const1 => shape(false, false, false, true),
     };
-    let one = || term(Monomial::one());
-    let terms = match g.kind {
-        GateKind::And => vec![out(), product()],
-        GateKind::Xor => vec![out(), input(0), input(1)],
-        GateKind::Or => vec![out(), input(0), input(1), product()],
-        GateKind::Xnor => vec![out(), input(0), input(1), one()],
-        GateKind::Nand => vec![out(), product(), one()],
-        GateKind::Nor => vec![out(), input(0), input(1), product(), one()],
-        GateKind::Not => vec![out(), input(0), one()],
-        GateKind::Buf => vec![out(), input(0)],
-        GateKind::Const0 => vec![out()],
-        GateKind::Const1 => vec![out(), one()],
-    };
-    Poly::from_terms(terms)
+    let var = |i: usize| g.inputs.get(i).map(|n| net_var[n.index()]);
+    let a = var(0).unwrap_or(VarId(0));
+    TailRecord::new(ring, a, var(1).unwrap_or(a), shape)
 }
 
 #[cfg(test)]
@@ -292,6 +307,17 @@ mod tests {
         nl
     }
 
+    /// The net a bit variable of `m` stands for.
+    fn net_of(m: &CircuitModel, v: VarId) -> NetId {
+        assert_eq!(m.ring.var_info(v).kind, VarKind::Bit);
+        let i = m
+            .net_var
+            .iter()
+            .position(|&w| w == v)
+            .expect("a net's variable");
+        NetId(i as u32)
+    }
+
     #[test]
     fn fig2_model_has_expected_shape() {
         let ctx = GfContext::shared(Gf2Poly::from_exponents(&[2, 1, 0])).unwrap();
@@ -299,16 +325,20 @@ mod tests {
         let m = CircuitModel::build(&nl, &ctx).unwrap();
         // 7 internal nets + 4 PI bits + Z + A + B = 14 variables.
         assert_eq!(m.ring.num_vars(), 14);
-        assert_eq!(m.gate_polys.len(), 7);
+        assert_eq!(m.gate_records.len(), 7);
         assert_eq!(m.input_word_polys.len(), 2);
         // z0 is the greatest variable; Z ranks above A and B.
-        assert_eq!(m.ring.var_info(VarId(0)).name, "z0");
+        assert_eq!(nl.net_name(net_of(&m, VarId(0))), "z0");
         assert!(m.z_var < m.input_vars[0]);
         assert!(m.input_vars[0] < m.input_vars[1]);
+        // Only the words carry names in the ring.
+        let named: Vec<&str> = m.ring.vars().map(|(_, i)| i.name.as_str()).collect();
+        assert_eq!(named[11..], ["Z", "A", "B"]);
+        assert!(named[..11].iter().all(|n| n.is_empty()));
     }
 
     #[test]
-    fn shared_net_names_get_counted_suffixes() {
+    fn shared_net_names_get_distinct_variables() {
         use crate::fullgb::{full_gb_abstraction, CircuitVarOrder, FullGbOutcome};
         use crate::ideal_membership::{multiplier_spec, spec_ring, verify_against_spec};
         let ctx = GfContext::shared(Gf2Poly::from_exponents(&[2, 1, 0])).unwrap();
@@ -318,26 +348,24 @@ mod tests {
         for n in [s1, s2, s3] {
             nl.set_net_name(n, "x");
         }
-        // RATO adds s3 (level 1) before s1 and s2 (level 2).
+        // RATO ranks s3 (level 1) above s1 and s2 (level 2); each keeps
+        // its own variable, and its name is the netlist's.
         let m = CircuitModel::build(&nl, &ctx).unwrap();
-        let name = |n: NetId| m.ring.var_info(m.net_var[n.index()]).name.as_str();
-        assert_eq!([name(s3), name(s1), name(s2)], ["x", "x@1", "x@2"]);
-        let named_x: Vec<&str> = m
-            .ring
-            .vars()
-            .map(|(_, info)| info.name.as_str())
-            .filter(|n| n.starts_with('x'))
-            .collect();
-        assert_eq!(named_x, ["x", "x@1", "x@2"]);
+        let var = |n: NetId| m.net_var[n.index()];
+        assert!(var(s3) < var(s1) && var(s1) < var(s2));
+        for n in [s1, s2, s3] {
+            assert_eq!(nl.net_name(net_of(&m, var(n))), "x");
+        }
+        assert_eq!(m.ring.var_by_name("x"), None);
 
-        // The full-GB baseline's declaration-order ring names them the
-        // same way, and every engine still decides the circuit.
+        // The full-GB baseline's declaration-order ring keeps them apart
+        // too, and every engine still decides the circuit.
         let decl = CircuitVarOrder::Declaration;
         let unlimited = Budget::unlimited();
         let m = CircuitModel::build_in(&nl, &ctx, ExponentMode::Plain, decl, false, &unlimited)
             .unwrap();
-        let name = |n: NetId| m.ring.var_info(m.net_var[n.index()]).name.as_str();
-        assert_eq!([name(s1), name(s2), name(s3)], ["x", "x@1", "x@2"]);
+        let var = |n: NetId| m.net_var[n.index()];
+        assert!(var(s1) < var(s2) && var(s2) < var(s3));
         for order in [
             CircuitVarOrder::Declaration,
             CircuitVarOrder::ReverseTopological,
@@ -360,9 +388,11 @@ mod tests {
         let ctx = GfContext::shared(Gf2Poly::from_exponents(&[2, 1, 0])).unwrap();
         let nl = fig2();
         let m = CircuitModel::build(&nl, &ctx).unwrap();
-        for (g, p) in nl.gates().iter().zip(&m.gate_polys) {
+        for g in nl.gates() {
+            let x = m.net_var[g.output.index()];
+            let p = m.gate_poly(x);
             let lm = p.leading_monomial().expect("gate polys are non-zero");
-            assert_eq!(lm, &Monomial::var(m.net_var[g.output.index()]));
+            assert_eq!(lm, &Monomial::var(x));
         }
     }
 
@@ -371,13 +401,12 @@ mod tests {
         let ctx = GfContext::shared(Gf2Poly::from_exponents(&[2, 1, 0])).unwrap();
         let nl = fig2();
         let m = CircuitModel::build(&nl, &ctx).unwrap();
+        let lead = |p: &Poly| net_of(&m, p.leading_monomial().unwrap().leading_var().unwrap());
         // f_w leads with z0.
-        let lm = m.output_word_poly.leading_monomial().unwrap();
-        assert_eq!(m.ring.var_info(lm.leading_var().unwrap()).name, "z0");
+        assert_eq!(nl.net_name(lead(&m.output_word_poly)), "z0");
         // f_wA leads with a0, f_wB with b0.
         for (wp, want) in m.input_word_polys.iter().zip(["a0", "b0"]) {
-            let lv = wp.leading_monomial().unwrap().leading_var().unwrap();
-            assert_eq!(m.ring.var_info(lv).name, want);
+            assert_eq!(nl.net_name(lead(wp)), want);
         }
     }
 
@@ -394,7 +423,7 @@ mod tests {
             let z = nl.add_gate(kind, &ins);
             nl.set_output_word("Z", vec![z]);
             let m = CircuitModel::build(&nl, &ctx).unwrap();
-            let p = &m.gate_polys[0];
+            let p = &m.gate_poly(m.net_var[z.index()]);
             // Enumerate all input combinations.
             for bits in 0u32..(1 << arity.max(1)) {
                 let in_vals: Vec<bool> = (0..arity).map(|i| (bits >> i) & 1 == 1).collect();

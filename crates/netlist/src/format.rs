@@ -65,18 +65,14 @@ pub fn emit(nl: &Netlist) -> String {
 /// error surfaced by [`Netlist::validate`].
 pub fn parse(text: &str) -> Result<Netlist, NetlistError> {
     let mut nl = Netlist::new("unnamed");
-    let mut nets: HashMap<String, NetId> = HashMap::new();
+    // Keyed by slices of `text`: a net costs one allocation, its name.
+    let mut nets: HashMap<&str, NetId> = HashMap::new();
     let perr =
         |line_no: usize, msg: &str| NetlistError::Parse(format!("line {}: {msg}", line_no + 1));
 
-    let lookup = |nl: &mut Netlist, nets: &mut HashMap<String, NetId>, name: &str| -> NetId {
-        if let Some(&id) = nets.get(name) {
-            return id;
-        }
-        let id = nl.add_named_net(name.to_string());
-        nets.insert(name.to_string(), id);
-        id
-    };
+    fn lookup<'t>(nl: &mut Netlist, nets: &mut HashMap<&'t str, NetId>, name: &'t str) -> NetId {
+        *nets.entry(name).or_insert_with(|| nl.add_named_net(name))
+    }
 
     let mut saw_output = false;
     for (line_no, raw) in text.lines().enumerate() {

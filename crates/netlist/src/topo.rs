@@ -122,10 +122,13 @@ pub fn rato_order(nl: &Netlist) -> Option<Vec<NetId>> {
         .iter()
         .map(|&g| nl.gate(g).output)
         .filter(|&n| out_pos[n.index()] == u32::MAX);
-    let ranked: Vec<NetId> = out_bits
-        .chain(others)
-        .filter(|&n| nl.driver_of(n).is_some() && !nl.is_primary_input(n))
-        .collect();
+    // Sized up front, so the allocations do not grow with the gate count.
+    let mut ranked: Vec<NetId> = Vec::with_capacity(nl.num_gates());
+    ranked.extend(
+        out_bits
+            .chain(others)
+            .filter(|&n| nl.driver_of(n).is_some() && !nl.is_primary_input(n)),
+    );
     // A stable counting sort by level keeps that order inside each level.
     let max_level = ranked.iter().map(|n| level[n.index()]).max().unwrap_or(0) as usize;
     let mut start = vec![0usize; max_level + 2];

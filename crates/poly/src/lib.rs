@@ -14,8 +14,8 @@
 //! * [`Poly`] — sorted sparse polynomials with [`gfab_field::Gf`]
 //!   coefficients.
 //! * [`reduce`] — multivariate division (normal forms) against divisor sets,
-//!   with a fast path for "triangular" circuit polynomials of the form
-//!   `x + tail(x)`.
+//!   with "triangular" circuit polynomials of the form `x + tail(x)` held as
+//!   rank-indexed [`reduce::TailRecord`]s instead of polynomials.
 //! * [`buchberger`] — S-polynomials and Buchberger's algorithm with the
 //!   product and chain criteria, plus reduced Gröbner bases.
 //! * [`vanishing`] — the vanishing ideal

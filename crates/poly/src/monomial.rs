@@ -487,10 +487,13 @@ impl fmt::Display for MonomialDisplay<'_> {
             }
             first = false;
             let name = &self.ring.var_info(v).name;
-            if e == 1 {
-                write!(f, "{name}")?;
+            if name.is_empty() {
+                write!(f, "{v}")?;
             } else {
-                write!(f, "{name}^{e}")?;
+                write!(f, "{name}")?;
+            }
+            if e != 1 {
+                write!(f, "^{e}")?;
             }
         }
         Ok(())

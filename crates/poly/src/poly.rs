@@ -3,6 +3,7 @@
 use crate::monomial::Monomial;
 use crate::ring::{PolyError, Ring, VarId};
 use gfab_field::Gf;
+use std::collections::HashMap;
 use std::fmt;
 
 /// One `coefficient · monomial` term.
@@ -277,7 +278,8 @@ impl Poly {
     }
 
     /// Evaluates the polynomial at a full assignment (`values[i]` is the
-    /// value of `VarId(i)`).
+    /// value of `VarId(i)`). Each power `values[v]^e` that some term needs
+    /// is computed once per evaluation, however many terms share it.
     ///
     /// # Panics
     ///
@@ -285,12 +287,17 @@ impl Poly {
     #[must_use]
     pub fn eval(&self, ring: &Ring, values: &[Gf]) -> Gf {
         let ctx = ring.ctx();
+        let mut powers: HashMap<(VarId, u64), Gf> = HashMap::new();
         let mut acc = ctx.zero();
         for (m, c) in &self.terms {
             let mut t = c.clone();
             for &(v, e) in m.factors() {
                 let val = &values[v.index()];
-                t = ctx.mul(&t, &ctx.pow_u64(val, e));
+                let power = match e {
+                    1 => val,
+                    _ => powers.entry((v, e)).or_insert_with(|| ctx.pow_u64(val, e)),
+                };
+                t = ctx.mul(&t, power);
             }
             ctx.add_assign(&mut acc, &t);
         }
@@ -576,6 +583,48 @@ mod tests {
                 let got = p.mul(&q, &ring).unwrap();
                 assert_normalized(&got);
                 assert_eq!(got, want, "{mode:?} round {round}");
+            }
+        }
+    }
+
+    #[test]
+    fn eval_equals_the_per_term_power_evaluation() {
+        // Exponents repeat across terms, so powers are shared; the largest
+        // reach 2^40.
+        const EXPONENTS: [u64; 8] = [1, 2, 3, 7, 255, 256, (1 << 32) + 5, 1 << 40];
+        let mut rng = Rng::seed_from_u64(0xE7A1);
+        for mode in [ExponentMode::Plain, ExponentMode::Quotient] {
+            let ctx =
+                GfContext::shared(gfab_field::nist::irreducible_polynomial(8).unwrap()).unwrap();
+            let mut rb = RingBuilder::new(ctx.clone(), mode);
+            let vars = [
+                ("A", VarKind::Word),
+                ("B", VarKind::Word),
+                ("x", VarKind::Bit),
+            ]
+            .map(|(name, kind)| rb.add_var(name, kind));
+            let ring = rb.build();
+            for round in 0..100 {
+                let terms = (0..rng.random_range(0..40))
+                    .map(|_| {
+                        let mut factors = Vec::new();
+                        for &v in &vars {
+                            if rng.random_bool(0.7) {
+                                factors.push((v, EXPONENTS[rng.random_range(0..EXPONENTS.len())]));
+                            }
+                        }
+                        (Monomial::from_factors(factors), ctx.random(&mut rng))
+                    })
+                    .collect();
+                let p = Poly::from_terms(terms);
+                let values: Vec<Gf> = vars.iter().map(|_| ctx.random(&mut rng)).collect();
+                let per_term = p.terms().iter().fold(ctx.zero(), |acc, (m, c)| {
+                    let t = m.factors().iter().fold(c.clone(), |t, &(v, e)| {
+                        ctx.mul(&t, &ctx.pow_u64(&values[v.index()], e))
+                    });
+                    ctx.add(&acc, &t)
+                });
+                assert_eq!(p.eval(&ring, &values), per_term, "{mode:?} round {round}");
             }
         }
     }

@@ -2,11 +2,16 @@
 //!
 //! The abstraction flow of the paper is, after the single S-polynomial, a
 //! long chain of divisions `Spoly(f_w, f_g) →+ r` modulo the circuit
-//! polynomials and the vanishing polynomials. Under RATO every circuit
-//! polynomial has the form `x + tail(x)` with a distinct leading *variable*,
-//! so the reducer indexes those divisors by leading variable for O(1)
-//! lookup; arbitrary divisors (e.g. explicit vanishing polynomials in
-//! `Plain` mode) go through a linear scan.
+//! polynomials and the vanishing polynomials. Under RATO every gate
+//! polynomial has the form `x + tail(x)` with a distinct leading
+//! *variable* and a unit-coefficient tail over at most two smaller
+//! variables, fixed by the gate's kind. Such a divisor is held as a
+//! 12-byte [`TailRecord`] in a table indexed by the rank of `x`, and its
+//! tail is built only when the reducer divides by it (Yu–Ciesielski's
+//! backward rewriting drives the same step from the gate list). Explicit
+//! divisors led by a bare variable, such as the word definitions, are
+//! indexed by that variable; arbitrary divisors (e.g. explicit vanishing
+//! polynomials in `Plain` mode) go through a linear scan.
 //!
 //! # The working store
 //!
@@ -374,15 +379,144 @@ impl WorkStore {
     }
 }
 
-/// One prepared divisor: the polynomial plus the slot of its precomputed
-/// inverse leading coefficient in [`Reducer::inverses`] (`None` for monic
-/// divisors, the common case — gate polynomials under RATO all have unit
-/// leading coefficients, so the table stays tiny and an entry stays at 16
-/// bytes instead of embedding a field element).
+/// Which unit-coefficient terms the tail of a [`TailRecord`] holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TailShape {
+    /// The product `a·b`.
+    pub ab: bool,
+    /// The input `a`.
+    pub a: bool,
+    /// The input `b`.
+    pub b: bool,
+    /// The constant `1`.
+    pub one: bool,
+}
+
+/// A divisor `x + tail` held as a record instead of a polynomial: its
+/// leading term is the bare variable `x` with coefficient 1, and its tail
+/// is a sum of unit-coefficient terms among `a·b`, `a`, `b` and `1`, over
+/// at most two variables that rank below `x`. Every gate polynomial of a
+/// circuit under RATO has this form (Section 4 of the paper). A record
+/// does not name `x`: a [`Divisors`] table holds one record per rank.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TailRecord {
+    /// The greater input (the smaller rank).
+    a: VarId,
+    /// The other input; equal to `a` for a tail over one variable.
+    b: VarId,
+    shape: TailShape,
+}
+
+impl TailRecord {
+    /// The record of the tail `shape` over the inputs `a` and `b` (the
+    /// same variable twice for a tail over one input). Terms that coincide
+    /// merge as [`Poly::from_terms`] merges them, so a tail fed twice by
+    /// one variable holds exactly the terms of its polynomial in `ring`:
+    /// in Quotient mode `a·a = a`, and `a + a` vanishes.
+    #[must_use]
+    pub fn new(ring: &Ring, a: VarId, b: VarId, shape: TailShape) -> Self {
+        if a < b {
+            return TailRecord { a, b, shape };
+        }
+        if b < a {
+            let shape = TailShape {
+                a: shape.b,
+                b: shape.a,
+                ..shape
+            };
+            return TailRecord { a: b, b: a, shape };
+        }
+        let square_is_a = ring.combine_exponents(a, 1, 1) == Ok(1);
+        let copies = u8::from(shape.a) + u8::from(shape.b) + u8::from(shape.ab && square_is_a);
+        let shape = TailShape {
+            ab: shape.ab && !square_is_a,
+            a: copies % 2 == 1,
+            b: false,
+            one: shape.one,
+        };
+        TailRecord { a, b, shape }
+    }
+
+    /// The tail's monomials in descending order, as the divisor's
+    /// polynomial lists them: `a·b > a > b > 1`, since `a` ranks above
+    /// `b`. A product of `a` with itself survives merging only where
+    /// `a·a = a²`.
+    fn tail(self) -> impl Iterator<Item = Monomial> {
+        let TailRecord { a, b, shape } = self;
+        let ab = (shape.ab).then(|| {
+            if a == b {
+                Monomial::var_pow(a, 2)
+            } else {
+                Monomial::from_canonical_inline(&[(a, 1), (b, 1)])
+            }
+        });
+        let a = shape.a.then(|| Monomial::var(a));
+        let b = shape.b.then(|| Monomial::var(b));
+        let one = shape.one.then(Monomial::one);
+        [ab, a, b, one].into_iter().flatten()
+    }
+
+    /// The divisor `x + tail` as an explicit polynomial.
+    #[must_use]
+    pub fn poly(self, ring: &Ring, x: VarId) -> Poly {
+        let one = ring.ctx().one();
+        let terms = std::iter::once(Monomial::var(x)).chain(self.tail());
+        Poly::from_terms(terms.map(|m| (m, one.clone())).collect())
+    }
+}
+
+/// The divisors of a [`Reducer`]: a table of [`TailRecord`]s led by
+/// consecutive variables, and explicit polynomials. Any iterator of
+/// polynomials converts into a set of explicit divisors alone, so
+/// `Reducer::new(&ring, polys.iter())` divides by `polys`.
+#[derive(Debug, Clone)]
+pub struct Divisors<'a> {
+    records: &'a [TailRecord],
+    /// The leading variable of `records[0]`.
+    first: VarId,
+    polys: Vec<&'a Poly>,
+}
+
+impl<'a> Divisors<'a> {
+    /// The divisors `x_i + tail(records[i])` with `x_i = first + i`, plus
+    /// `polys`. Each record's inputs must rank below its variable, which
+    /// RATO guarantees for gate records.
+    pub fn new(
+        records: &'a [TailRecord],
+        first: VarId,
+        polys: impl IntoIterator<Item = &'a Poly>,
+    ) -> Self {
+        Divisors {
+            records,
+            first,
+            polys: polys.into_iter().collect(),
+        }
+    }
+}
+
+impl<'a, I: IntoIterator<Item = &'a Poly>> From<I> for Divisors<'a> {
+    fn from(polys: I) -> Self {
+        Divisors::new(&[], VarId(0), polys)
+    }
+}
+
+/// One prepared explicit divisor: the polynomial plus the slot of its
+/// precomputed inverse leading coefficient in [`Reducer::inverses`]
+/// (`None` for monic divisors, the common case — the word definitions
+/// have unit leading coefficients, so the table stays tiny and an entry
+/// stays at 16 bytes instead of embedding a field element).
 #[derive(Debug, Clone, Copy)]
 struct DivEntry<'a> {
     poly: &'a Poly,
     inv_lc: Option<u32>,
+}
+
+/// The divisor [`Reducer::find_divisor`] picked for a monomial.
+enum Found<'r, 'a> {
+    /// The record of the divisor led by the variable.
+    Record(VarId, TailRecord),
+    /// An explicit divisor.
+    Poly(&'r DivEntry<'a>),
 }
 
 /// [`Reducer::by_lead_var`] slot of a variable that leads no divisor.
@@ -390,25 +524,33 @@ const NO_DIVISOR: u32 = u32::MAX;
 
 /// A set of divisors prepared for repeated normal-form computations.
 ///
-/// Divisors whose leading monomial is a single variable with exponent 1
-/// (every circuit polynomial under RATO) are indexed by a dense table over
-/// the ring's variable ranks for O(1) lookup; everything else is scanned
-/// linearly. Non-monic divisors have their leading coefficients inverted
-/// once at construction (one batched Montgomery-trick inversion for all of
-/// them), so the division hot loop never runs an extended GCD.
+/// Tail records are looked up by rank in their table. Explicit divisors
+/// whose leading monomial is a single variable with exponent 1 (the word
+/// definitions) are indexed by a dense table over the ranks they lead;
+/// everything else is scanned linearly. Non-monic divisors have their
+/// leading coefficients inverted once at construction (one batched
+/// Montgomery-trick inversion for all of them), so the division hot loop
+/// never runs an extended GCD. Construction walks the explicit divisors
+/// only, never the records.
 #[derive(Debug, Clone)]
 pub struct Reducer<'a> {
     ring: &'a Ring,
-    /// All prepared divisors; the index tables below point in here.
+    /// `records[i]` is the tail of the divisor led by rank
+    /// `first_record + i`.
+    records: &'a [TailRecord],
+    first_record: usize,
+    /// All prepared explicit divisors; the index tables below point in
+    /// here.
     entries: Vec<DivEntry<'a>>,
     /// Inverse leading coefficients of the non-monic divisors.
     inverses: Vec<Gf>,
     /// Index into `entries` of the divisor with leading monomial `x` (a
-    /// bare variable), by the RATO rank of `x` (`VarId::index`), or
-    /// [`NO_DIVISOR`]. Dense: the ring orders are small and the lookup
-    /// sits on the innermost division loop.
+    /// bare variable), by the rank of `x` less `lead_base`, or
+    /// [`NO_DIVISOR`]. Dense over the ranks the explicit divisors lead:
+    /// the lookup sits on the innermost division loop.
     by_lead_var: Vec<u32>,
-    /// All other divisors.
+    lead_base: usize,
+    /// All other explicit divisors, in divisor order.
     general: Vec<usize>,
 }
 
@@ -416,16 +558,23 @@ impl<'a> Reducer<'a> {
     /// Prepares a reducer over `divisors`.
     ///
     /// Zero divisors are ignored. If several divisors share the same bare
-    /// leading variable the first one wins the index and the rest go to the
-    /// general list (division remains correct, just slower).
-    pub fn new(ring: &'a Ring, divisors: impl IntoIterator<Item = &'a Poly>) -> Self {
-        let divisors = divisors.into_iter();
-        let mut by_lead_var = vec![NO_DIVISOR; ring.num_vars()];
+    /// leading variable, a record wins the index, then the first explicit
+    /// divisor, and the rest go to the general list (division remains
+    /// correct, just slower).
+    pub fn new(ring: &'a Ring, divisors: impl Into<Divisors<'a>>) -> Self {
+        let Divisors {
+            records,
+            first,
+            polys,
+        } = divisors.into();
+        let first_record = first.index();
         let mut general = Vec::new();
-        let mut entries: Vec<DivEntry<'a>> = Vec::with_capacity(divisors.size_hint().0);
+        let mut entries: Vec<DivEntry<'a>> = Vec::with_capacity(polys.len());
         // Leading coefficients of the non-monic divisors, in slot order.
         let mut lcs: Vec<Gf> = Vec::new();
-        for d in divisors {
+        // (rank, entry) of the divisors led by a bare variable.
+        let mut bare: Vec<(usize, u32)> = Vec::new();
+        for d in polys {
             let Some((lm, lc)) = d.leading_term() else {
                 continue;
             };
@@ -435,16 +584,25 @@ impl<'a> Reducer<'a> {
                 (lcs.len() - 1) as u32
             });
             entries.push(DivEntry { poly: d, inv_lc });
-            let factors = lm.factors();
-            if factors.len() == 1 && factors[0].1 == 1 {
-                let slot = &mut by_lead_var[factors[0].0.index()];
-                if *slot == NO_DIVISOR {
-                    *slot = idx as u32;
-                    continue;
+            match lm.factors() {
+                &[(v, 1)] if v.index().wrapping_sub(first_record) >= records.len() => {
+                    bare.push((v.index(), idx as u32));
                 }
+                _ => general.push(idx),
             }
-            general.push(idx);
         }
+        let lead_base = bare.iter().map(|&(v, _)| v).min().unwrap_or(0);
+        let span = bare.iter().map(|&(v, _)| v + 1 - lead_base).max();
+        let mut by_lead_var = vec![NO_DIVISOR; span.unwrap_or(0)];
+        for (v, idx) in bare {
+            let slot = &mut by_lead_var[v - lead_base];
+            if *slot == NO_DIVISOR {
+                *slot = idx;
+            } else {
+                general.push(idx as usize);
+            }
+        }
+        general.sort_unstable();
         // Invert every non-unit leading coefficient in one batch
         // (Montgomery's trick: a single extended GCD for the whole set).
         let inverses = ring
@@ -453,9 +611,12 @@ impl<'a> Reducer<'a> {
             .expect("leading coefficients are non-zero");
         Reducer {
             ring,
+            records,
+            first_record,
             entries,
             inverses,
             by_lead_var,
+            lead_base,
             general,
         }
     }
@@ -466,17 +627,21 @@ impl<'a> Reducer<'a> {
     }
 
     /// Finds a divisor whose leading monomial divides `m`.
-    fn find_divisor(&self, m: &Monomial) -> Option<&DivEntry<'a>> {
+    fn find_divisor(&self, m: &Monomial) -> Option<Found<'_, 'a>> {
         for &(v, _) in m.factors() {
-            let i = self.by_lead_var[v.index()];
-            if i != NO_DIVISOR {
-                return Some(&self.entries[i as usize]);
+            if let Some(&r) = self.records.get(v.index().wrapping_sub(self.first_record)) {
+                return Some(Found::Record(v, r));
+            }
+            let slot = self.by_lead_var.get(v.index().wrapping_sub(self.lead_base));
+            if let Some(&i) = slot.filter(|&&i| i != NO_DIVISOR) {
+                return Some(Found::Poly(&self.entries[i as usize]));
             }
         }
         self.general
             .iter()
             .map(|&i| &self.entries[i])
             .find(|e| e.poly.leading_monomial().is_some_and(|lm| lm.divides(m)))
+            .map(Found::Poly)
     }
 
     /// Computes the normal form (remainder) of `f` under multivariate
@@ -557,7 +722,22 @@ impl<'a> Reducer<'a> {
             }
             match self.find_divisor(&m) {
                 None => remainder.push((m, c)),
-                Some(entry) => {
+                Some(Found::Record(x, r)) => {
+                    stats.steps += 1;
+                    // m = q·x; cancel c·m with c·q·(x + tail): the same
+                    // terms, in the same order, as the explicit path below
+                    // pushes for the record's polynomial.
+                    debug_assert!(
+                        r.tail().all(|t| t.leading_var().is_none_or(|v| x < v)),
+                        "a tail record's inputs rank below its variable"
+                    );
+                    let q = Monomial::var(x).quotient_of(&m);
+                    for t in r.tail() {
+                        let nm = if q.is_one() { t } else { t.mul(&q, self.ring)? };
+                        work.push(nm, &c);
+                    }
+                }
+                Some(Found::Poly(entry)) => {
                     stats.steps += 1;
                     let d = entry.poly;
                     // m = q * lm(d); cancel c*m with (c / lc(d)) * q * d.
@@ -570,10 +750,8 @@ impl<'a> Reducer<'a> {
                         Some(i) => ctx.mul(&c, &self.inverses[i as usize]),
                     };
                     // Subtract scale * q * tail(d) (char 2: subtract = add).
-                    // Gate polynomials have unit coefficients, so skip the
-                    // field multiplication whenever either factor is 1, and
-                    // skip the monomial merge-multiply when q = 1 (the
-                    // common case for the triangular RATO substitutions).
+                    // Skip the field multiplication whenever either factor
+                    // is 1, and the monomial merge-multiply when q = 1.
                     let trivial_q = q.is_one();
                     for (tm, tc) in d.terms().iter().skip(1) {
                         let nm = if trivial_q {
@@ -834,14 +1012,18 @@ mod tests {
                 stats.cancellations += 1;
                 continue;
             }
-            let Some(entry) = red.find_divisor(&m) else {
-                remainder.push((m, c));
-                continue;
+            // A record divides as its explicit polynomial.
+            let (d, inv_lc) = match red.find_divisor(&m) {
+                None => {
+                    remainder.push((m, c));
+                    continue;
+                }
+                Some(Found::Record(x, r)) => (Cow::Owned(r.poly(red.ring, x)), None),
+                Some(Found::Poly(entry)) => (Cow::Borrowed(entry.poly), entry.inv_lc),
             };
             stats.steps += 1;
-            let d = entry.poly;
             let q = d.leading_monomial().expect("non-zero").quotient_of(&m);
-            let scale = match entry.inv_lc {
+            let scale = match inv_lc {
                 None => c,
                 Some(i) => ctx.mul(&c, &red.inverses[i as usize]),
             };
@@ -963,6 +1145,34 @@ mod tests {
         out
     }
 
+    /// A random table of tail records led by consecutive variables, each
+    /// over inputs that rank below its variable (sometimes one input
+    /// twice), with a random shape.
+    fn random_records(rng: &mut Rng, ring: &Ring) -> (VarId, Vec<TailRecord>) {
+        let n = ring.num_vars();
+        let first = rng.random_range(0..n - FREE_VARS);
+        let len = rng.random_range(0..n - FREE_VARS - first + 1);
+        let records = (first..first + len)
+            .map(|x| {
+                let a = VarId(rng.random_range(x + 1..n) as u32);
+                let b = if rng.random_bool(0.3) {
+                    a
+                } else {
+                    VarId(rng.random_range(x + 1..n) as u32)
+                };
+                let mut bit = || rng.random_bool(0.5);
+                let shape = TailShape {
+                    ab: bit(),
+                    a: bit(),
+                    b: bit(),
+                    one: bit(),
+                };
+                TailRecord::new(ring, a, b, shape)
+            })
+            .collect();
+        (VarId(first as u32), records)
+    }
+
     fn random_ring(rng: &mut Rng, mode: ExponentMode) -> Ring {
         // k = 8 and 9 put Quotient-mode word exponents on both sides of
         // 255; k = 40 lets them pass 2^32; k = 100 has two-limb slots.
@@ -1002,7 +1212,10 @@ mod tests {
     #[test]
     fn working_store_matches_the_whole_term_heap() {
         let mut rng = Rng::seed_from_u64(0x5702E);
-        let (mut spilled, mut cut) = (0, 0);
+        // Each case also runs with a table of tail records over part of
+        // its ring, drawn from a second stream.
+        let mut record_rng = Rng::seed_from_u64(0x7A11);
+        let (mut spilled, mut cut, mut record_steps) = (0, 0, 0);
         for mode in [ExponentMode::Plain, ExponentMode::Quotient] {
             for case in 0..150 {
                 let ring = random_ring(&mut rng, mode);
@@ -1014,11 +1227,77 @@ mod tests {
                 let [no_room, room] = assert_matches_reference(&red, &f, &what);
                 cut += u64::from(no_room.is_err());
                 spilled += room.expect("four polls are room enough").spilled_terms;
+
+                let (first, records) = random_records(&mut record_rng, &ring);
+                let red = Reducer::new(&ring, Divisors::new(&records, first, &divisors));
+                let what = format!("{what}, {} records from {first}", records.len());
+                let [_, room] = assert_matches_reference(&red, &f, &what);
+                let records_only = Reducer::new(&ring, Divisors::new(&records, first, []));
+                if room.is_ok() {
+                    record_steps += records_only.normal_form_with_stats(&f).unwrap().1.steps;
+                }
             }
         }
+        assert!(record_steps > 0, "no record divided a term");
         // The sample must reach the spill table and the budget's cut.
         assert!(spilled > 0, "no term spilled");
         assert!(cut > 0, "no run polled its budget");
+    }
+
+    #[test]
+    fn a_record_holds_its_polynomial_merged_and_in_order() {
+        use crate::ring::VarInfo;
+        let shapes = (0..16u8).map(|bits| TailShape {
+            ab: bits & 1 != 0,
+            a: bits & 2 != 0,
+            b: bits & 4 != 0,
+            one: bits & 8 != 0,
+        });
+        for mode in [ExponentMode::Plain, ExponentMode::Quotient] {
+            let ctx = GfContext::shared(irreducible_polynomial(3).unwrap()).unwrap();
+            let mut rb = RingBuilder::new(ctx.clone(), mode);
+            let [x, a, b] = [(); 3].map(|()| rb.add_unnamed(VarKind::Bit));
+            let w = rb.add_var("W", VarKind::Word);
+            let ring = rb.build();
+            assert_eq!(
+                ring.var_info(w),
+                &VarInfo {
+                    name: "W".into(),
+                    kind: VarKind::Word
+                }
+            );
+            for shape in shapes.clone() {
+                for (i, j) in [(a, b), (b, a), (a, a), (b, w), (w, w)] {
+                    // The polynomial as the terms of the tail shape, with
+                    // the product taken by the ring and merged by
+                    // `from_terms`.
+                    let (mi, mj) = (Monomial::var(i), Monomial::var(j));
+                    let terms = [
+                        (true, Monomial::var(x)),
+                        (shape.ab, mi.mul(&mj, &ring).unwrap()),
+                        (shape.a, mi),
+                        (shape.b, mj),
+                        (shape.one, Monomial::one()),
+                    ];
+                    let want = Poly::from_terms(
+                        terms
+                            .into_iter()
+                            .filter(|&(on, _)| on)
+                            .map(|(_, m)| (m, ctx.one()))
+                            .collect(),
+                    );
+                    let r = TailRecord::new(&ring, i, j, shape);
+                    let what = format!("{mode:?} {shape:?} on {i}, {j}");
+                    assert_eq!(r.poly(&ring, x), want, "{what}");
+                    // The tail comes out as the polynomial lists it.
+                    let tail: Vec<Monomial> = r.tail().collect();
+                    let listed: Vec<Monomial> =
+                        want.terms()[1..].iter().map(|(m, _)| m.clone()).collect();
+                    assert_eq!(tail, listed, "{what}");
+                }
+            }
+        }
+        assert!(std::mem::size_of::<TailRecord>() <= 16);
     }
 
     #[test]

@@ -43,11 +43,24 @@ pub enum VarKind {
 /// Metadata for one ring variable.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VarInfo {
-    /// Human-readable name (net name or word name).
+    /// Human-readable name; empty for an unnamed variable (a circuit
+    /// model names only its words, see [`RingBuilder::add_unnamed`]).
     pub name: String,
     /// Bit or word semantics.
     pub kind: VarKind,
 }
+
+/// The metadata of every unnamed bit variable.
+static UNNAMED_BIT: VarInfo = VarInfo {
+    name: String::new(),
+    kind: VarKind::Bit,
+};
+
+/// The metadata of every unnamed word variable.
+static UNNAMED_WORD: VarInfo = VarInfo {
+    name: String::new(),
+    kind: VarKind::Word,
+};
 
 /// How monomial multiplication treats exponents (see crate docs).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -104,11 +117,12 @@ impl From<gfab_field::budget::BudgetExceeded> for PolyError {
 #[derive(Debug, Clone)]
 pub struct Ring {
     ctx: Arc<GfContext>,
-    vars: Vec<VarInfo>,
+    /// The kind of every variable, by rank.
+    kinds: Vec<VarKind>,
+    /// The named variables, ascending by rank.
+    named: Vec<(VarId, VarInfo)>,
     by_name: HashMap<String, NameSlot>,
     mode: ExponentMode,
-    /// `q = 2^k` when it fits in `u64`, used for word-exponent reduction.
-    order_u64: Option<u64>,
 }
 
 impl Ring {
@@ -119,7 +133,7 @@ impl Ring {
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
-        self.vars.len()
+        self.kinds.len()
     }
 
     /// The exponent mode this ring was built with.
@@ -133,7 +147,22 @@ impl Ring {
     ///
     /// Panics if `v` is out of range for this ring.
     pub fn var_info(&self, v: VarId) -> &VarInfo {
-        &self.vars[v.index()]
+        match self.named.binary_search_by_key(&v, |(w, _)| *w) {
+            Ok(i) => &self.named[i].1,
+            Err(_) => match self.var_kind(v) {
+                VarKind::Bit => &UNNAMED_BIT,
+                VarKind::Word => &UNNAMED_WORD,
+            },
+        }
+    }
+
+    /// Whether `v` ranges over bits or over the field.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range for this ring.
+    pub fn var_kind(&self, v: VarId) -> VarKind {
+        self.kinds[v.index()]
     }
 
     /// Looks a variable up by name.
@@ -143,10 +172,7 @@ impl Ring {
 
     /// Iterates over `(VarId, &VarInfo)` from greatest to smallest.
     pub fn vars(&self) -> impl Iterator<Item = (VarId, &VarInfo)> {
-        self.vars
-            .iter()
-            .enumerate()
-            .map(|(i, info)| (VarId(i as u32), info))
+        (0..self.num_vars() as u32).map(|i| (VarId(i), self.var_info(VarId(i))))
     }
 
     /// The polynomial consisting of the single variable `v`.
@@ -167,7 +193,7 @@ impl Ring {
     /// maps `e ≥ 1` to `((e − 1) mod (q − 1)) + 1`. Identity when `q` does
     /// not fit in `u64` or `e = 0`.
     pub fn reduce_word_exponent(&self, e: u64) -> u64 {
-        match self.order_u64 {
+        match self.ctx.order_u64() {
             Some(q) if e >= q => ((e - 1) % (q - 1)) + 1,
             _ => e,
         }
@@ -183,7 +209,7 @@ impl Ring {
         if self.mode == ExponentMode::Plain {
             return Ok(sum);
         }
-        match self.var_info(v).kind {
+        match self.var_kind(v) {
             VarKind::Bit => Ok(sum.min(1)),
             VarKind::Word => Ok(self.reduce_word_exponent(sum)),
         }
@@ -220,7 +246,8 @@ struct NameSlot {
 #[derive(Debug)]
 pub struct RingBuilder {
     ctx: Arc<GfContext>,
-    vars: Vec<VarInfo>,
+    kinds: Vec<VarKind>,
+    named: Vec<(VarId, VarInfo)>,
     /// The one name map of the ring: uniqueness check while building,
     /// [`Ring::var_by_name`] afterwards.
     by_name: HashMap<String, NameSlot>,
@@ -238,8 +265,9 @@ impl RingBuilder {
     pub fn with_capacity(ctx: Arc<GfContext>, mode: ExponentMode, num_vars: usize) -> Self {
         RingBuilder {
             ctx,
-            vars: Vec::with_capacity(num_vars),
-            by_name: HashMap::with_capacity(num_vars),
+            kinds: Vec::with_capacity(num_vars),
+            named: Vec::new(),
+            by_name: HashMap::new(),
             mode,
         }
     }
@@ -253,7 +281,7 @@ impl RingBuilder {
     /// passes). A suffixed name that is itself taken moves on to the next
     /// suffix.
     pub fn add_var(&mut self, name: impl Into<String>, kind: VarKind) -> VarId {
-        let var = VarId(self.vars.len() as u32);
+        let var = self.add_unnamed(kind);
         let name = match self.by_name.entry(name.into()) {
             Entry::Vacant(e) => {
                 let name = e.key().clone();
@@ -265,7 +293,18 @@ impl RingBuilder {
                 self.suffixed(&base, var)
             }
         };
-        self.vars.push(VarInfo { name, kind });
+        self.named.push((var, VarInfo { name, kind }));
+        var
+    }
+
+    /// Appends the next-smaller variable without a name: it has no entry
+    /// in the name map, [`Ring::var_info`] gives it an empty name, and
+    /// polynomials print it as its rank (`v7`). A circuit model leaves its
+    /// net and primary-input-bit variables unnamed; their names live in
+    /// the netlist.
+    pub fn add_unnamed(&mut self, kind: VarKind) -> VarId {
+        let var = VarId(self.kinds.len() as u32);
+        self.kinds.push(kind);
         var
     }
 
@@ -286,13 +325,12 @@ impl RingBuilder {
 
     /// Finalizes the ring.
     pub fn build(self) -> Ring {
-        let order_u64 = self.ctx.order_u64();
         Ring {
             ctx: self.ctx,
-            vars: self.vars,
+            kinds: self.kinds,
+            named: self.named,
             by_name: self.by_name,
             mode: self.mode,
-            order_u64,
         }
     }
 }
@@ -366,5 +404,34 @@ mod tests {
         for (&v, name) in ids.iter().zip(names) {
             assert_eq!(r.var_by_name(name), Some(v));
         }
+    }
+
+    #[test]
+    fn unnamed_variables_keep_their_kind_and_never_collide() {
+        let ctx = GfContext::shared(Gf2Poly::from_exponents(&[2, 1, 0])).unwrap();
+        let mut rb = RingBuilder::new(ctx, ExponentMode::Quotient);
+        let a = rb.add_unnamed(VarKind::Bit);
+        let x = rb.add_var("x", VarKind::Bit);
+        let b = rb.add_unnamed(VarKind::Bit);
+        let z = rb.add_var("Z", VarKind::Word);
+        let w = rb.add_unnamed(VarKind::Word);
+        let r = rb.build();
+        assert_eq!(r.num_vars(), 5);
+        let names: Vec<&str> = r.vars().map(|(_, info)| info.name.as_str()).collect();
+        assert_eq!(names, ["", "x", "", "Z", ""]);
+        assert_eq!([a, x, b, z, w].map(|v| r.var_kind(v)), {
+            use VarKind::{Bit, Word};
+            [Bit, Bit, Bit, Word, Word]
+        });
+        assert_eq!(r.var_info(w).kind, VarKind::Word);
+        assert_eq!((r.var_by_name("x"), r.var_by_name("")), (Some(x), None));
+        // Quotient arithmetic reads the kind of an unnamed variable too.
+        assert_eq!(r.combine_exponents(a, 1, 1).unwrap(), 1);
+        assert_eq!(r.combine_exponents(w, 2, 2).unwrap(), 1);
+        let p = Poly::from_terms(vec![(
+            Monomial::from_factors(vec![(a, 1), (x, 1), (w, 2)]),
+            r.ctx().one(),
+        )]);
+        assert_eq!(p.display(&r).to_string(), "v0*x*v4^2");
     }
 }

@@ -10,10 +10,12 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use gfab::core::fullgb::{full_gb_abstraction, CircuitVarOrder, FullGbOutcome};
+use gfab::core::model::CircuitModel;
 use gfab::core::CoreError;
 use gfab::field::{Gf2Poly, GfContext, Rng};
-use gfab::netlist::{mutate, GateId, Netlist};
+use gfab::netlist::{mutate, GateId, NetId, Netlist};
 use gfab::poly::buchberger::GbLimits;
+use gfab::poly::{Ring, RingBuilder, VarKind};
 use gfab::Verifier;
 
 fn fig2_multiplier() -> Netlist {
@@ -35,6 +37,23 @@ fn fig2_multiplier() -> Netlist {
     nl
 }
 
+/// `model`'s ring with each net variable named after its net, for
+/// printing: the model's ring names only the words.
+fn named_ring(model: &CircuitModel, nl: &Netlist) -> Ring {
+    let mut net_of = vec![None; model.ring.num_vars()];
+    for (n, &v) in model.net_var.iter().enumerate() {
+        if model.ring.var_kind(v) == VarKind::Bit {
+            net_of[v.index()] = Some(NetId(n as u32));
+        }
+    }
+    let mut rb = RingBuilder::new(model.ring.ctx().clone(), model.ring.mode());
+    for (v, info) in model.ring.vars() {
+        let name = net_of[v.index()].map_or(info.name.as_str(), |n| nl.net_name(n));
+        rb.add_var(name, info.kind);
+    }
+    rb.build()
+}
+
 fn main() -> Result<(), CoreError> {
     // F_4 with P(x) = x² + x + 1 (the paper's field for Fig. 2).
     let ctx =
@@ -48,14 +67,24 @@ fn main() -> Result<(), CoreError> {
     // A verification session: one builder, reused for every extraction.
     let verifier = Verifier::new(&ctx);
 
-    // The polynomial model (Example 4.2's f_1 … f_10).
+    // The polynomial model (Example 4.2's f_1 … f_10): the gate
+    // polynomials, built from the model's gate records, then the words.
     let report = verifier.extract(&nl)?;
     let result = report.as_flat().expect("flat netlist gives flat report");
+    let model = &result.model;
     println!("\npolynomial model under RATO (f_1 ... f_{}):", {
-        result.model.gate_polys.len() + 1 + result.model.input_word_polys.len()
+        nl.num_gates() + 1 + model.input_word_polys.len()
     });
-    for p in result.model.all_polys() {
-        println!("  {}", p.display(&result.model.ring));
+    let names = named_ring(model, &nl);
+    for g in nl.gates() {
+        let p = model.gate_poly(model.net_var[g.output.index()]);
+        println!("  {}", p.display(&names));
+    }
+    for p in [&model.output_word_poly]
+        .into_iter()
+        .chain(&model.input_word_polys)
+    {
+        println!("  {}", p.display(&names));
     }
 
     // Guided extraction (Example 5.1, correct circuit).

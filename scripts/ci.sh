@@ -61,6 +61,30 @@ trap 'rm -rf "$TRACE_DIR"' EXIT
     --trace-json "$TRACE_DIR/trace.jsonl" > /dev/null
 "$GFAB" trace-check "$TRACE_DIR/trace.jsonl"
 
+echo "== examples: build (release) and run all five =="
+# Each takes milliseconds and must exit 0. quickstart lists the model of
+# Example 4.2, the one place the program prints a model's net names: the
+# ring names only the words, so the listing looks the nets up in the
+# netlist, and must read exactly as below.
+cargo build --release --offline --examples
+for ex in quickstart verify_multiplier hierarchical_montgomery bug_hunting reverse_engineer; do
+    target/release/examples/$ex > "$TRACE_DIR/example_$ex.txt"
+done
+sed -n '/^polynomial model under RATO/,+10p' "$TRACE_DIR/example_quickstart.txt" \
+    | diff -u - /dev/fd/3 3<<'MODEL' || { echo "quickstart: model listing changed" >&2; exit 1; }
+polynomial model under RATO (f_1 ... f_10):
+  s0 + a0*b0
+  s1 + a0*b1
+  s2 + a1*b0
+  s3 + a1*b1
+  r0 + s1 + s2
+  z0 + s0 + s3
+  z1 + s3 + r0
+  z0 + α*z1 + Z
+  a0 + α*a1 + A
+  b0 + α*b1 + B
+MODEL
+
 echo "== trace-diff smoke: self-comparison has zero deltas =="
 # A trace diffed against itself must gate clean at threshold 0 and show
 # no field deltas at all; and the same workload at a different thread

@@ -9,7 +9,9 @@
 //!   phases that do real algebra, and the gauges survive the JSONL
 //!   round trip;
 //! * runs without `mem_stats` record no memory gauges at all (the
-//!   accounting is opt-in, not ambient).
+//!   accounting is opt-in, not ambient);
+//! * the model build's allocation count does not grow with the gate
+//!   count.
 
 use gfab::circuits::{mastrovito_multiplier, montgomery_multiplier_hier};
 use gfab::field::nist::irreducible_polynomial;
@@ -91,6 +93,30 @@ fn mem_stats_attributes_peak_bytes_to_phases() {
     // And the gauges survive the JSONL round trip.
     let parsed = Trace::from_jsonl(&trace.to_jsonl()).expect("round trip");
     assert_eq!(peak_of(&parsed, "guided-reduction"), Some(reduce));
+}
+
+#[test]
+fn model_build_allocations_do_not_grow_with_the_gate_count() {
+    let _serial = serial();
+    // A model is a few flat tables per netlist: one record per gate, one
+    // variable kind per net, no polynomial or name string per gate.
+    let [small, large] = [16, 64].map(|k| {
+        let ctx = GfContext::shared(irreducible_polynomial(k).unwrap()).unwrap();
+        let nl = mastrovito_multiplier(&ctx);
+        let v = Verifier::new(&ctx).trace(true).mem_stats(true).threads(1);
+        let trace = v.extract(&nl).unwrap().trace.expect("tracing on");
+        let allocs = trace
+            .spans()
+            .iter()
+            .filter(|s| s.phase.slug() == "model-build")
+            .flat_map(|s| &s.gauges)
+            .find(|(g, _)| *g == Gauge::MemAllocs)
+            .map(|(_, v)| *v)
+            .expect("model span has an allocation count");
+        (nl.num_gates(), allocs)
+    });
+    assert!(large.0 > 10 * small.0, "gates: {small:?} vs {large:?}");
+    assert_eq!(small.1, large.1, "(gates, model-build allocations)");
 }
 
 #[test]
