@@ -81,9 +81,9 @@ impl Verdict {
         )
     }
 
-    /// The one-word verdict shown on result lines, in ledger rows and in
-    /// live `query-done` events: `equivalent`, `inequivalent` or
-    /// `unknown`.
+    /// The one-word verdict shown on result lines, on a query's root
+    /// span and in live `query-done` events: `equivalent`,
+    /// `inequivalent` or `unknown`.
     #[must_use]
     pub fn word(&self) -> &'static str {
         match self {
@@ -142,70 +142,26 @@ pub struct SatStats {
 }
 
 /// A full equivalence report: verdict plus per-side extraction statistics.
-///
-/// Prefer the accessor methods ([`EquivReport::verdict`],
-/// [`EquivReport::counterexample`], [`EquivReport::sat_stats`],
-/// [`EquivReport::trace`], …) — they are the uniform surface shared with
-/// `ExtractReport`. The public fields remain readable for one more
-/// release and will become private.
 #[derive(Debug, Clone)]
 pub struct EquivReport {
-    /// The verdict. Deprecated as a field: use [`EquivReport::verdict`].
+    /// The verdict.
     pub verdict: Verdict,
-    /// Spec extraction statistics. Deprecated as a field: use
-    /// [`EquivReport::spec_stats`].
+    /// Spec extraction statistics.
     pub spec_stats: ExtractionStats,
     /// Impl extraction statistics (aggregated over blocks for
-    /// hierarchical implementations). Deprecated as a field: use
-    /// [`EquivReport::impl_stats`].
+    /// hierarchical implementations).
     pub impl_stats: ExtractionStats,
+    /// How each side's extraction ended, spec first: `case1`, `case2`,
+    /// `residual` or `timed-out` (see [`ExtractionResult::case`]), or
+    /// `not-run` when the simulation pre-check decided before either
+    /// side was extracted.
+    pub cases: [&'static str; 2],
     /// SAT fallback effort, when the `Verifier` ladder ran the SAT rung
-    /// (present whether or not that rung decided the query). Deprecated
-    /// as a field: use [`EquivReport::sat_stats`].
+    /// (present whether or not that rung decided the query).
     pub sat: Option<SatStats>,
     /// The query's span tree, when telemetry was enabled (the `Verifier`
-    /// attaches it after the query completes). Deprecated as a field:
-    /// use [`EquivReport::trace`].
+    /// attaches it after the query completes).
     pub trace: Option<Trace>,
-}
-
-impl EquivReport {
-    /// The verdict.
-    #[must_use]
-    pub fn verdict(&self) -> &Verdict {
-        &self.verdict
-    }
-
-    /// The distinguishing input assignment, when the verdict carries one.
-    #[must_use]
-    pub fn counterexample(&self) -> Option<&[Gf]> {
-        self.verdict.counterexample()
-    }
-
-    /// Spec-side extraction statistics.
-    #[must_use]
-    pub fn spec_stats(&self) -> &ExtractionStats {
-        &self.spec_stats
-    }
-
-    /// Impl-side extraction statistics (aggregated over blocks for
-    /// hierarchical implementations).
-    #[must_use]
-    pub fn impl_stats(&self) -> &ExtractionStats {
-        &self.impl_stats
-    }
-
-    /// SAT fallback effort, when the SAT rung ran.
-    #[must_use]
-    pub fn sat_stats(&self) -> Option<&SatStats> {
-        self.sat.as_ref()
-    }
-
-    /// The query's span tree, when telemetry was enabled.
-    #[must_use]
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
-    }
 }
 
 /// Checks a flat spec against a flat or hierarchical implementation over
@@ -283,6 +239,7 @@ pub fn check_equivalence_budgeted_with(
                 verdict: Verdict::InequivalentBySimulation { counterexample },
                 spec_stats: ExtractionStats::default(),
                 impl_stats: ExtractionStats::default(),
+                cases: ["not-run"; 2],
                 sat: None,
                 trace: None,
             });
@@ -306,10 +263,9 @@ pub fn check_equivalence_budgeted_with(
             Circuit::Flat(nl) => provider.extract(nl, ctx, opts, budget).map(ImplSide::Flat),
             Circuit::Hier(design) => {
                 match extract_hierarchical_budgeted_with(provider, design, ctx, opts, budget) {
-                    Ok(h) => Ok(ImplSide::Hier(Some(h))),
-                    Err(CoreError::BudgetExhausted { .. } | CoreError::CompletionLimit(_)) => {
-                        Ok(ImplSide::Hier(None))
-                    }
+                    Ok(h) => Ok(ImplSide::Hier(Ok(h))),
+                    Err(CoreError::BudgetExhausted { .. }) => Ok(ImplSide::Hier(Err("timed-out"))),
+                    Err(CoreError::CompletionLimit(_)) => Ok(ImplSide::Hier(Err("residual"))),
                     Err(e) => Err(e),
                 }
             }
@@ -328,9 +284,10 @@ pub fn check_equivalence_budgeted_with(
         (spec_side(), impl_side())
     };
     let (spec_res, impl_res) = (spec_res?, impl_res?);
-    let impl_fn = match &impl_res {
-        ImplSide::Flat(r) => r.canonical(),
-        ImplSide::Hier(h) => h.as_ref().map(|h| &h.function),
+    let (impl_fn, impl_case) = match &impl_res {
+        ImplSide::Flat(r) => (r.canonical(), r.case()),
+        ImplSide::Hier(Ok(h)) => (Some(&h.function), h.case()),
+        ImplSide::Hier(Err(case)) => (None, *case),
     };
     let verdict = match (spec_res.canonical(), impl_fn) {
         (Some(f1), Some(f2)) => decide(f1.clone(), f2.clone()),
@@ -372,6 +329,7 @@ pub fn check_equivalence_budgeted_with(
             }
         }
     };
+    let cases = [spec_res.case(), impl_case];
     let impl_stats = match impl_res {
         ImplSide::Flat(r) => r.stats,
         ImplSide::Hier(h) => h.map(|h| h.stats()).unwrap_or_default(),
@@ -380,17 +338,19 @@ pub fn check_equivalence_budgeted_with(
         verdict,
         spec_stats: spec_res.stats,
         impl_stats,
+        cases,
         sat: None,
         trace: None,
     })
 }
 
-/// The impl side of the ladder: a flat extraction, or a hierarchical one
-/// that is `None` when a block ran out of budget or stayed in Case 2.
+/// The impl side of the ladder: a flat extraction, or a hierarchical
+/// one, which is `timed-out` when a block ran out of budget and
+/// `residual` when one stayed in Case 2.
 #[allow(clippy::large_enum_variant)] // one short-lived local per query
 enum ImplSide {
     Flat(ExtractionResult),
-    Hier(Option<HierExtraction>),
+    Hier(Result<HierExtraction, &'static str>),
 }
 
 fn decide(f1: WordFunction, f2: WordFunction) -> Verdict {

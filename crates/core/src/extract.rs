@@ -177,8 +177,9 @@ pub enum Extraction {
 }
 
 impl Extraction {
-    /// The one-word outcome shown on result lines, in ledger rows and in
-    /// live `query-done` events: `extracted`, `residual` or `timeout`.
+    /// The one-word outcome shown on result lines, on a query's root
+    /// span and in live `query-done` events: `extracted`, `residual` or
+    /// `timeout`.
     #[must_use]
     pub fn word(&self) -> &'static str {
         match self {
@@ -206,6 +207,19 @@ impl ExtractionResult {
         match &self.outcome {
             Extraction::Canonical(f) => Some(f),
             Extraction::Residual { .. } | Extraction::TimedOut { .. } => None,
+        }
+    }
+
+    /// How the extraction ended, as a query's root span names it:
+    /// `case1` (the guided reduction alone reached the canonical form),
+    /// `case2` (the Case-2 completion did), `residual` or `timed-out`.
+    #[must_use]
+    pub fn case(&self) -> &'static str {
+        match (&self.outcome, self.stats.case2_completion) {
+            (Extraction::Canonical(_), false) => "case1",
+            (Extraction::Canonical(_), true) => "case2",
+            (Extraction::Residual { .. }, _) => "residual",
+            (Extraction::TimedOut { .. }, _) => "timed-out",
         }
     }
 

@@ -31,6 +31,18 @@ pub struct HierExtraction {
 }
 
 impl HierExtraction {
+    /// How the design's extraction ended, in the words of
+    /// [`ExtractionResult::case`](crate::ExtractionResult::case): `case2`
+    /// when some block needed the Case-2 completion, `case1` otherwise.
+    #[must_use]
+    pub fn case(&self) -> &'static str {
+        if self.blocks.iter().any(|(_, _, s)| s.case2_completion) {
+            "case2"
+        } else {
+            "case1"
+        }
+    }
+
     /// Statistics of the whole design: block counts and times summed,
     /// peak terms of the largest block, and the composition time added
     /// to `duration`.

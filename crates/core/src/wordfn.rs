@@ -98,6 +98,14 @@ impl WordFunction {
             && self.poly == other.poly
     }
 
+    /// Whether [`find_counterexample`](Self::find_counterexample) sweeps
+    /// the whole input space, of at most 2^16 points, rather than
+    /// sampling it.
+    #[must_use]
+    pub fn exhaustive_search(&self) -> bool {
+        self.ctx.k() * self.input_names.len() <= 16
+    }
+
     /// Searches for an input assignment on which the two functions differ.
     ///
     /// Exhaustive when the whole input space has at most 2^16 points;
@@ -117,8 +125,7 @@ impl WordFunction {
         }
         let k = self.ctx.k();
         let n = self.input_names.len();
-        if k * n <= 16 {
-            // Exhaustive sweep.
+        if self.exhaustive_search() {
             let total = 1u64 << (k * n);
             for pattern in 0..total {
                 let inputs: Vec<Gf> = (0..n)

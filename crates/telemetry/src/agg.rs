@@ -15,20 +15,22 @@
 //!   parseable label land in the `"unknown"` group rather than being
 //!   dropped, so group totals always cover every span.
 //!
-//! # Exact merge
+//! # Shards
 //!
 //! Every per-group statistic — span count, summed counters, and the
-//! wall-time [`HistData`] the percentiles are computed from — merges
-//! exactly: aggregating N shard traces one by one equals aggregating
-//! their concatenation, byte for byte in both the rendered table and
-//! the JSONL document. That is what makes sharded sweeps (one trace per
-//! worker, per host, per CI job) trustworthy to combine after the fact.
+//! wall-time [`HistData`] the percentiles are computed from — sums
+//! exactly: several shard traces folded into one aggregation, one by
+//! one, give the aggregation of their concatenation, byte for byte in
+//! both the rendered table and the JSONL document. That is what makes
+//! sharded sweeps (one trace per worker, per host, per CI job)
+//! trustworthy to combine after the fact: give every shard's trace to
+//! one `gfab trace-agg` run.
 //!
 //! # The `agg` document
 //!
 //! [`TraceAgg::to_jsonl`] writes a line-oriented strict-JSON document
 //! framed like every gfab JSONL file (see [`crate::Trace::to_jsonl`]): a
-//! header line `{"type":"agg","version":4,"group_by":G,"groups":N}`
+//! header line `{"type":"agg","version":5,"group_by":G,"groups":N}`
 //! (plus an optional `"producer"`), then exactly `N` `"group"` lines
 //! sorted by key, each carrying the span count, recomputable work
 //! units, the counter map, the wall-µs histogram and its p50/p90/p99.
@@ -43,13 +45,12 @@
 //! Counters are summed from files, so every sum is checked: a group's
 //! counter, its work units, or the total over all groups overflowing a
 //! `u64` is an error naming the group and the counter — from
-//! [`TraceAgg::add_trace`], [`TraceAgg::merge`] and the parser alike —
-//! never a wrapped total.
+//! [`TraceAgg::add_trace`] and the parser alike — never a wrapped total.
 
 use crate::json::{write_json_string, Json, Obj};
 use crate::jsonl::{
     err_at, expect_keys, field_err, get_count, get_map, get_slug, get_str, get_u64, header_line,
-    parse_hist, read, write_hist_json, FieldError, Frame, Kind,
+    parse_hist, read, write_hist_json, write_map, write_u64, FieldError, Frame, Kind,
 };
 use crate::trace::fmt_duration;
 use crate::{Counter, HistData, ParseError, SpanRecord, Trace};
@@ -57,38 +58,16 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Duration;
 
-/// How [`TraceAgg`] buckets spans into groups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GroupBy {
-    /// Label-free phase path from the root down (trace-diff's key).
-    Phase,
-    /// Field degree parsed from the root span's label (`k163`).
-    K,
-    /// Architecture name parsed from the root span's label
-    /// (`mastrovito`, `montgomery`, …).
-    Arch,
-}
-
-impl GroupBy {
-    /// Stable identifier used on the CLI and in the `agg` header.
-    #[must_use]
-    pub fn slug(self) -> &'static str {
-        match self {
-            GroupBy::Phase => "phase",
-            GroupBy::K => "k",
-            GroupBy::Arch => "arch",
-        }
-    }
-
-    /// Inverse of [`GroupBy::slug`]; `None` for unknown identifiers.
-    #[must_use]
-    pub fn from_slug(s: &str) -> Option<GroupBy> {
-        Some(match s {
-            "phase" => GroupBy::Phase,
-            "k" => GroupBy::K,
-            "arch" => GroupBy::Arch,
-            _ => return None,
-        })
+slug_enum! {
+    /// How [`TraceAgg`] buckets spans into groups.
+    pub enum GroupBy {
+        /// Label-free phase path from the root down (trace-diff's key).
+        Phase = "phase",
+        /// Field degree parsed from the root span's label (`k163`).
+        K = "k",
+        /// Architecture name parsed from the root span's label
+        /// (`mastrovito`, `montgomery`, …).
+        Arch = "arch",
     }
 }
 
@@ -97,8 +76,8 @@ impl GroupBy {
 pub struct AggGroup {
     /// Number of spans merged into this group.
     pub spans: u64,
-    /// Summed counters, kept sorted by slug (canonical order, so shard
-    /// merges serialize identically regardless of arrival order).
+    /// Summed counters, kept sorted by slug (canonical order, so
+    /// shards folded in any order serialize identically).
     pub counters: Vec<(Counter, u64)>,
     /// Distribution of span durations in microseconds.
     pub wall_us: HistData,
@@ -129,15 +108,6 @@ impl AggGroup {
             }
             Err(i) => self.counters.insert(i, (counter, value)),
         }
-        Ok(())
-    }
-
-    fn merge(&mut self, other: &AggGroup) -> Result<(), Counter> {
-        self.spans = self.spans.saturating_add(other.spans);
-        for (c, v) in &other.counters {
-            self.add_counter(*c, *v)?;
-        }
-        self.wall_us.merge(&other.wall_us);
         Ok(())
     }
 }
@@ -261,28 +231,6 @@ impl TraceAgg {
         self.check_work()
     }
 
-    /// Merges another aggregation in (shard recombination).
-    ///
-    /// # Errors
-    ///
-    /// When the two sides were grouped differently — their keys would
-    /// not be comparable — or, as for [`TraceAgg::add_trace`], a sum
-    /// overflows.
-    pub fn merge(&mut self, other: &TraceAgg) -> Result<(), String> {
-        if self.group_by != other.group_by {
-            return Err(format!(
-                "cannot merge a --group-by {} aggregation into a --group-by {} one",
-                other.group_by.slug(),
-                self.group_by.slug()
-            ));
-        }
-        for (key, g) in &other.groups {
-            let mine = self.groups.entry(key.clone()).or_default();
-            mine.merge(g).map_err(|c| overflow(key, c))?;
-        }
-        self.check_work()
-    }
-
     /// Checks that the work-unit total, and so every group's, fits a
     /// `u64`.
     fn check_work(&self) -> Result<(), String> {
@@ -326,19 +274,9 @@ impl TraceAgg {
         for (key, g) in &self.groups {
             out.push_str("{\"type\":\"group\",\"key\":");
             write_json_string(&mut out, key);
-            let _ = write!(
-                out,
-                ",\"spans\":{},\"work_units\":{},\"counters\":{{",
-                g.spans,
-                g.work()
-            );
-            for (i, (c, v)) in g.counters.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\":{}", c.slug(), v);
-            }
-            out.push_str("},\"wall_us\":");
+            let _ = write!(out, ",\"spans\":{},\"work_units\":{},", g.spans, g.work());
+            write_map(&mut out, "counters", &g.counters, Counter::slug, write_u64);
+            out.push_str(",\"wall_us\":");
             write_hist_json(&mut out, &g.wall_us);
             let _ = write!(
                 out,
@@ -521,6 +459,7 @@ mod tests {
             counters: Vec::new(),
             gauges: Vec::new(),
             hists: Vec::new(),
+            attrs: Vec::new(),
         }
     }
 
@@ -586,21 +525,7 @@ mod tests {
             unsharded.add_trace(&whole).unwrap();
             assert_eq!(sharded, unsharded, "group_by {}", group_by.slug());
             assert_eq!(sharded.to_jsonl(), unsharded.to_jsonl());
-
-            // And TraceAgg::merge of per-shard aggregations agrees too.
-            let mut left = TraceAgg::new(group_by);
-            left.add_trace(&a).unwrap();
-            let mut right = TraceAgg::new(group_by);
-            right.add_trace(&b).unwrap();
-            left.merge(&right).unwrap();
-            assert_eq!(left, sharded);
         }
-
-        let mut phase = TraceAgg::new(GroupBy::Phase);
-        let mut arch = TraceAgg::new(GroupBy::Arch);
-        phase.add_trace(&a).unwrap();
-        arch.add_trace(&b).unwrap();
-        assert!(phase.merge(&arch).is_err(), "mismatched group_by");
     }
 
     #[test]
@@ -608,7 +533,7 @@ mod tests {
         let mut agg = TraceAgg::new(GroupBy::Phase);
         agg.add_trace(&sample()).unwrap();
         let text = agg.to_jsonl_tagged("gfab test");
-        assert!(text.starts_with("{\"type\":\"agg\",\"version\":4,"));
+        assert!(text.starts_with("{\"type\":\"agg\",\"version\":5,"));
         let parsed = TraceAgg::from_jsonl(&text).expect("round trip");
         assert_eq!(parsed, agg);
         assert_eq!(parsed.to_jsonl(), agg.to_jsonl());

@@ -345,6 +345,7 @@ mod tests {
             counters: Vec::new(),
             gauges: Vec::new(),
             hists: Vec::new(),
+            attrs: Vec::new(),
         }
     }
 

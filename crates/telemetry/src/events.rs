@@ -32,7 +32,7 @@
 //! One JSON object per line, framed and read like every gfab JSONL file
 //! (see [`crate::Trace::to_jsonl`]) and validated by `gfab trace-check`:
 //!
-//! * **Header** (first line): `{"type":"events","version":4}` plus an
+//! * **Header** (first line): `{"type":"events","version":5}` plus an
 //!   optional `"producer"` string (the emitting tool's version).
 //! * **Event lines**: `{"type":"event","seq":N,"ts_us":N,"thread":N,`
 //!   `"event":"<kind>",...}` with kind-specific fields (see
@@ -585,7 +585,7 @@ mod tests {
         let good = render(&sample_events(), true);
 
         let e =
-            EventStream::from_jsonl(&good.replace("\"version\":4", "\"version\":1")).unwrap_err();
+            EventStream::from_jsonl(&good.replace("\"version\":5", "\"version\":1")).unwrap_err();
         assert_eq!(e.path, "version");
 
         let e =

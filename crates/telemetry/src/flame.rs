@@ -351,6 +351,7 @@ mod tests {
             counters: Vec::new(),
             gauges: Vec::new(),
             hists: Vec::new(),
+            attrs: Vec::new(),
         }
     }
 

@@ -1,31 +1,31 @@
 //! The one reader behind every JSONL file gfab writes, and the span
 //! codec of [`Trace`] (the `--trace-json` sink).
 //!
-//! # Files (version 4)
+//! # Files (version 5)
 //!
 //! Every file is UTF-8, one JSON object per line, each line naming its
 //! record type in `"type"`. Four kinds of file share one framing:
 //!
 //! | kind | header line | record lines | footer line |
 //! |---|---|---|---|
-//! | trace (`--trace-json`) | `{"type":"trace","version":4,"spans":N}` | exactly `N` `span` | — |
-//! | agg (`trace-agg --json`) | `{"type":"agg","version":4,"group_by":G,"groups":N}` | exactly `N` `group` | — |
-//! | events (`--events`) | `{"type":"events","version":4}` | any number of `event` | optional `{"type":"events-end","events":N,"dropped":D}` |
-//! | ledger (`--ledger`) | — | `run`, each carrying `"version":4` | — |
+//! | trace (`--trace-json`) | `{"type":"trace","version":5,"spans":N}` | exactly `N` `span` | — |
+//! | agg (`trace-agg --json`) | `{"type":"agg","version":5,"group_by":G,"groups":N}` | exactly `N` `group` | — |
+//! | events (`--events`) | `{"type":"events","version":5}` | any number of `event` | optional `{"type":"events-end","events":N,"dropped":D}` |
+//! | ledger (`--ledger`) | — | root `span`, each carrying `"version":5` | — |
 //!
 //! A header may also carry an optional `"producer"` string: the emitting
 //! tool's version (e.g. `gfab 0.4.0+abc1234`, what `gfab --version`
 //! prints), so a file names the build that wrote it. The record lines of
 //! each kind are documented with their parsers: spans below, groups in
-//! [`crate::TraceAgg`], events in [`crate::events`], runs in
-//! [`crate::ledger`].
+//! [`crate::TraceAgg`], events in [`crate::events`]. A ledger's lines
+//! are spans too, with the extra attributes [`crate::ledger`] requires.
 //!
 //! [`read`] is the only code that walks the lines of a file: it checks
 //! the header, the footer, the declared record count and the version,
 //! and hands each record line to the parser of its kind. The rules are
 //! the same for every kind:
 //!
-//! * Only version 4 is read; any other `"version"` is an error.
+//! * Only version 5 is read; any other `"version"` is an error.
 //! * A non-JSON *final* line is torn — its writer was cut off or is
 //!   still writing — and is ignored and reported. Declared counts still
 //!   catch a truncated trace or agg file.
@@ -55,10 +55,15 @@
 //! * `"hists"`: object mapping [`Hist`] slugs to histogram objects
 //!   `{"count":C,"sum":S,"min":m,"max":M,"buckets":[b0,…,b15]}` with
 //!   exactly [`HIST_BUCKETS`](crate::HIST_BUCKETS) buckets summing to
-//!   `C`.
+//!   `C`;
+//! * `"attrs"`, only on a root span that has attributes: object mapping
+//!   [`Attr`] slugs to values of the key's type ([`Attr::is_int`]). A
+//!   `check` root carries `verdict`, `rung`, `spec`, `impl` and, with a
+//!   counterexample, `cex`; an `extract` root `verdict` and `case`.
 //!
-//! Unknown fields, unknown slugs, duplicate ids, dangling parents, a
-//! wrong span count and malformed histograms are all errors.
+//! Unknown fields, unknown slugs, attributes on a child span or of the
+//! wrong type, duplicate ids, dangling parents, a wrong span count and
+//! malformed histograms are all errors.
 //!
 //! # Version history
 //!
@@ -67,22 +72,27 @@
 //! * **v3** — span lines unchanged; adds the `agg` and ledger `run`
 //!   documents.
 //! * **v4** — span lines unchanged; adds the `events` stream.
+//! * **v5** — adds the root-span `attrs`, and a ledger's lines become
+//!   root `span` lines in place of `run` rows.
 //!
-//! Versions 1–3 were readable until one reader replaced the four
-//! per-kind ones; no build since v4 was introduced writes them, and
-//! they are now rejected naming `version`.
+//! Only the current version is read. Versions 1–3 became unreadable when
+//! one reader replaced the four per-kind ones, and v4 files when v5
+//! replaced the `run` row: a v4 trace, agg, event stream or ledger is
+//! rejected with an error naming `version`.
 
 use crate::agg::{parse_group, TraceAgg};
 use crate::events::{parse_event, EventStream};
 use crate::json::{parse_object, write_json_string, Json, Obj};
 use crate::ledger::Ledger;
-use crate::{Counter, Gauge, Hist, HistData, Phase, SpanRecord, Trace, HIST_BUCKETS};
+use crate::{
+    Attr, AttrValue, Counter, Gauge, Hist, HistData, Phase, SpanRecord, Trace, HIST_BUCKETS,
+};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::time::Duration;
 
 /// Schema version written and read by every gfab JSONL file.
-pub const JSONL_VERSION: u64 = 4;
+pub const JSONL_VERSION: u64 = 5;
 
 /// A JSONL parse/validation failure, with the 1-based offending line and
 /// (when the problem is tied to a specific field) the field path within
@@ -165,10 +175,9 @@ impl Kind {
     /// The `type` of the record lines.
     fn record(self) -> &'static str {
         match self {
-            Kind::Trace => "span",
+            Kind::Trace | Kind::Ledger => "span",
             Kind::Agg => "group",
             Kind::Events => "event",
-            Kind::Ledger => "run",
         }
     }
 
@@ -192,16 +201,21 @@ impl Kind {
     }
 
     /// The kind of a file, from the `type` of its first line: a header,
-    /// or a ledger `run` row.
+    /// or a ledger's `span` line.
     fn of(text: &str) -> Result<Kind, ParseError> {
         let (n, line) = lines(text).next().ok_or_else(|| err(0, "empty file"))?;
         let obj = parse_object(line).map_err(|m| err(n, m))?;
+        // A file another version wrote fails on its version, whatever
+        // its lines were called then.
+        if let Some(Json::Num(_)) = obj.get("version") {
+            check_version(&obj).map_err(|e| e.on_line(n))?;
+        }
         let ty = type_of(&obj);
         KINDS
             .into_iter()
             .find(|k| k.header().map_or(k.record(), |(h, _)| h) == ty)
             .ok_or_else(|| {
-                let want = "a header or a \"run\" line";
+                let want = "a header or a \"span\" line";
                 err_at(
                     n,
                     "type",
@@ -334,7 +348,7 @@ pub(crate) fn read<T>(
         if let (Some(_), Some((f, _))) = (&frame.footer, kind.footer()) {
             return Err(err(n, format!("content after the {f} footer")));
         }
-        let obj = match parse_object(line) {
+        let mut obj = match parse_object(line) {
             Ok(obj) => obj,
             Err(_) if i + 1 == body.len() => {
                 frame.torn = Some(n);
@@ -352,13 +366,23 @@ pub(crate) fn read<T>(
             frame.footer = Some((n, obj));
             continue;
         }
-        let record = if ty == kind.record() {
-            // Header-less ledger rows each carry their own version.
-            let version = match kind.header() {
-                None => check_version(&obj),
-                Some(_) => Ok(()),
-            };
-            version.and_then(|()| parse(&obj))
+        // Header-less ledger lines each carry their own version, which
+        // is not a field of the record. A line another version wrote is
+        // never mere garbage, even to a lenient reader.
+        let version = match kind.header() {
+            None => check_version(&obj),
+            Some(_) => Ok(()),
+        };
+        let record = if let Err(e) = version {
+            if let Some(Json::Num(_)) = obj.get("version") {
+                return Err(e.on_line(n));
+            }
+            Err(e)
+        } else if ty == kind.record() {
+            if kind.header().is_none() {
+                obj.0.retain(|(k, _)| k != "version");
+            }
+            parse(&obj)
         } else {
             let want = kind.record();
             let e = field_err(
@@ -473,15 +497,33 @@ const SPAN_KEYS: [&str; 11] = [
 ];
 
 /// Parses one `span` line (see the module docs).
-fn parse_span(obj: &Obj) -> Result<SpanRecord, FieldError> {
-    expect_keys(obj, &SPAN_KEYS)?;
+pub(crate) fn parse_span(obj: &Obj) -> Result<SpanRecord, FieldError> {
+    expect_keys_opt(obj, &SPAN_KEYS, &["attrs"])?;
     let id = get_u64(obj, "id")?;
     if id == 0 {
         return Err(field_err("id", "span id must be >= 1"));
     }
+    let parent = get_opt_u64(obj, "parent")?;
+    let attrs = match obj.get("attrs") {
+        None => Vec::new(),
+        Some(_) if parent.is_some() => {
+            return Err(field_err("attrs", "only a root span carries attributes"))
+        }
+        Some(_) => get_map(obj, "attrs", "attribute", Attr::from_slug, get_attr)?,
+    };
+    let mistyped = |(a, v): &&(Attr, AttrValue)| a.is_int() != matches!(v, AttrValue::Int(_));
+    if let Some((a, _)) = attrs.iter().find(mistyped) {
+        let want = if a.is_int() {
+            "an unsigned integer"
+        } else {
+            "a string"
+        };
+        let message = format!("attribute {:?} must be {want}", a.slug());
+        return Err(field_err(format!("attrs.{}", a.slug()), message));
+    }
     Ok(SpanRecord {
         id,
-        parent: get_opt_u64(obj, "parent")?,
+        parent,
         phase: get_slug(obj, "phase", "phase", Phase::from_slug)?,
         label: get_opt_str(obj, "label")?,
         thread: get_u64(obj, "thread")?,
@@ -490,11 +532,22 @@ fn parse_span(obj: &Obj) -> Result<SpanRecord, FieldError> {
         counters: get_map(obj, "counters", "counter", Counter::from_slug, get_count)?,
         gauges: get_map(obj, "gauges", "gauge", Gauge::from_slug, get_count)?,
         hists: get_map(obj, "hists", "histogram", Hist::from_slug, parse_hist)?,
+        attrs,
     })
 }
 
+/// An attribute value: a string or an unsigned integer, checked
+/// against its key's type by [`parse_span`].
+fn get_attr(value: &Json) -> Result<AttrValue, FieldError> {
+    match value {
+        Json::Str(s) => Ok(AttrValue::Str(s.clone())),
+        Json::Num(n) => Ok(AttrValue::Int(*n)),
+        _ => Err(field_err("", "must be a string or an unsigned integer")),
+    }
+}
+
 impl Trace {
-    /// Serializes the trace to the documented JSONL schema (version 4).
+    /// Serializes the trace to the documented JSONL schema (version 5).
     #[must_use]
     pub fn to_jsonl(&self) -> String {
         self.emit_jsonl(None)
@@ -512,47 +565,8 @@ impl Trace {
         let fields = format!(",\"spans\":{}", self.spans().len());
         let mut out = header_line("trace", &fields, producer) + "\n";
         for s in self.spans() {
-            let _ = write!(out, "{{\"type\":\"span\",\"id\":{},\"parent\":", s.id);
-            match s.parent {
-                Some(p) => {
-                    let _ = write!(out, "{p}");
-                }
-                None => out.push_str("null"),
-            }
-            let _ = write!(out, ",\"phase\":\"{}\",\"label\":", s.phase.slug());
-            match &s.label {
-                Some(l) => write_json_string(&mut out, l),
-                None => out.push_str("null"),
-            }
-            let _ = write!(
-                out,
-                ",\"thread\":{},\"start_us\":{},\"dur_us\":{},\"counters\":{{",
-                s.thread,
-                s.start.as_micros(),
-                s.duration.as_micros()
-            );
-            for (i, (c, v)) in s.counters.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\":{}", c.slug(), v);
-            }
-            out.push_str("},\"gauges\":{");
-            for (i, (g, v)) in s.gauges.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\":{}", g.slug(), v);
-            }
-            out.push_str("},\"hists\":{");
-            for (i, (h, d)) in s.hists.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\":", h.slug());
-                write_hist_json(&mut out, d);
-            }
-            out.push_str("}}\n");
+            write_span(&mut out, s, false);
+            out.push('\n');
         }
         out
     }
@@ -586,6 +600,71 @@ impl Trace {
             frame.records.into_iter().map(|(_, s)| s).collect(),
         ))
     }
+}
+
+/// Appends one `span` line (no newline). A ledger line also carries
+/// the schema version, right after its type; `attrs` is written only
+/// when the span has attributes.
+pub(crate) fn write_span(out: &mut String, s: &SpanRecord, version: bool) {
+    out.push_str("{\"type\":\"span\"");
+    if version {
+        let _ = write!(out, ",\"version\":{JSONL_VERSION}");
+    }
+    let _ = write!(out, ",\"id\":{},\"parent\":", s.id);
+    match s.parent {
+        Some(p) => {
+            let _ = write!(out, "{p}");
+        }
+        None => out.push_str("null"),
+    }
+    let _ = write!(out, ",\"phase\":\"{}\",\"label\":", s.phase.slug());
+    match &s.label {
+        Some(l) => write_json_string(out, l),
+        None => out.push_str("null"),
+    }
+    let _ = write!(
+        out,
+        ",\"thread\":{},\"start_us\":{},\"dur_us\":{},",
+        s.thread,
+        s.start.as_micros(),
+        s.duration.as_micros()
+    );
+    write_map(out, "counters", &s.counters, Counter::slug, write_u64);
+    out.push(',');
+    write_map(out, "gauges", &s.gauges, Gauge::slug, write_u64);
+    out.push(',');
+    write_map(out, "hists", &s.hists, Hist::slug, write_hist_json);
+    if !s.attrs.is_empty() {
+        out.push(',');
+        write_map(out, "attrs", &s.attrs, Attr::slug, |out, v| match v {
+            AttrValue::Str(text) => write_json_string(out, text),
+            AttrValue::Int(n) => write_u64(out, n),
+        });
+    }
+    out.push('}');
+}
+
+/// Appends `"key":{"slug":value,…}`, each value written by `value`.
+pub(crate) fn write_map<K: Copy, V>(
+    out: &mut String,
+    key: &str,
+    items: &[(K, V)],
+    slug: fn(K) -> &'static str,
+    value: impl Fn(&mut String, &V),
+) {
+    let _ = write!(out, "\"{key}\":{{");
+    for (i, (k, v)) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "\"{}\":", slug(*k));
+        value(out, v);
+    }
+    out.push('}');
+}
+
+pub(crate) fn write_u64(out: &mut String, v: &u64) {
+    let _ = write!(out, "{v}");
 }
 
 /// Appends the canonical JSON form of a histogram — the object shape
@@ -807,6 +886,10 @@ mod tests {
                 counters: vec![(Counter::Gates, 12), (Counter::ReductionSteps, 34)],
                 gauges: vec![(Gauge::MemPeakBytes, 4096), (Gauge::MemAllocs, 7)],
                 hists: vec![(Hist::DivisionChainLen, hist)],
+                attrs: vec![
+                    (Attr::Verdict, "extracted".into()),
+                    (Attr::K, AttrValue::Int(16)),
+                ],
             },
             SpanRecord {
                 id: 2,
@@ -819,6 +902,7 @@ mod tests {
                 counters: vec![],
                 gauges: vec![],
                 hists: vec![],
+                attrs: vec![],
             },
         ])
     }
@@ -857,18 +941,48 @@ mod tests {
     }
 
     #[test]
-    fn pre_v4_headers_are_rejected_naming_version() {
+    fn attrs_are_written_only_on_roots_and_typed_by_key() {
+        let text = sample().to_jsonl();
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(
+            lines[1].ends_with(",\"attrs\":{\"verdict\":\"extracted\",\"k\":16}}"),
+            "{}",
+            lines[1]
+        );
+        assert!(lines[2].ends_with(",\"hists\":{}}"), "no attrs, no field");
+        // Unknown keys, values of the wrong type and attributes on a
+        // child span are errors naming the field.
+        let e = Trace::from_jsonl(&text.replace("\"verdict\":", "\"mood\":")).unwrap_err();
+        assert_eq!((e.line, e.path.as_str()), (2, "attrs.mood"));
+        assert!(e.message.contains("unknown attribute"), "{e}");
+        let e = Trace::from_jsonl(&text.replace("\"k\":16", "\"k\":\"16\"")).unwrap_err();
+        assert_eq!((e.line, e.path.as_str()), (2, "attrs.k"));
+        assert!(e.message.contains("unsigned integer"), "{e}");
+        let e = Trace::from_jsonl(&text.replace("\"extracted\"", "7")).unwrap_err();
+        assert_eq!((e.line, e.path.as_str()), (2, "attrs.verdict"));
+        let child = text.replace(
+            "\"hists\":{}}",
+            "\"hists\":{},\"attrs\":{\"verdict\":\"extracted\"}}",
+        );
+        let e = Trace::from_jsonl(&child).unwrap_err();
+        assert_eq!((e.line, e.path.as_str()), (3, "attrs"));
+        assert!(e.message.contains("root"), "{e}");
+    }
+
+    #[test]
+    fn pre_v5_headers_are_rejected_naming_version() {
         // A hand-written version-1 file (the pre-metrics schema), and
-        // v2/v3 headers over today's span lines: none is read.
+        // v2/v3/v4 headers over today's span lines: none is read.
         let v1 = concat!(
             "{\"type\":\"trace\",\"version\":1,\"spans\":1}\n",
             "{\"type\":\"span\",\"id\":1,\"parent\":null,\"phase\":\"extract\",\"label\":null,",
             "\"thread\":0,\"start_us\":5,\"dur_us\":1000,\"counters\":{\"gates\":12}}\n",
         );
         let current = sample().to_jsonl();
-        let v2 = current.replace("\"version\":4", "\"version\":2");
-        let v3 = current.replace("\"version\":4", "\"version\":3");
-        for text in [v1, &v2, &v3] {
+        let v2 = current.replace("\"version\":5", "\"version\":2");
+        let v3 = current.replace("\"version\":5", "\"version\":3");
+        let v4 = current.replace("\"version\":5", "\"version\":4");
+        for text in [v1, &v2, &v3, &v4] {
             let e = Trace::from_jsonl(text).unwrap_err();
             assert_eq!((e.line, e.path.as_str()), (1, "version"), "{e}");
             assert!(e.message.contains("unsupported version"), "{e}");
@@ -888,7 +1002,7 @@ mod tests {
     #[test]
     fn rejects_missing_and_unknown_fields_with_paths() {
         let missing =
-            "{\"type\":\"trace\",\"version\":4,\"spans\":1}\n{\"type\":\"span\",\"id\":1}";
+            "{\"type\":\"trace\",\"version\":5,\"spans\":1}\n{\"type\":\"span\",\"id\":1}";
         let e = Trace::from_jsonl(missing).unwrap_err();
         assert!(e.message.contains("missing required field"), "{e}");
         assert_eq!(e.line, 2);
@@ -968,10 +1082,14 @@ mod tests {
             Trace::from_jsonl(&text.replace("\"type\":\"trace\"", "\"type\":\"agg\"")).unwrap_err();
         assert_eq!((e.line, e.path.as_str()), (1, "type"));
         assert!(e.message.contains("found a \"agg\" header"), "{e}");
-        let e = Trace::from_jsonl(&text.replacen("\"type\":\"span\"", "\"type\":\"run\"", 1))
+        let e = Trace::from_jsonl(&text.replacen("\"type\":\"span\"", "\"type\":\"event\"", 1))
             .unwrap_err();
         assert_eq!((e.line, e.path.as_str()), (2, "type"));
-        assert!(e.message.contains("found a \"run\" line"), "{e}");
+        assert!(e.message.contains("found a \"event\" line"), "{e}");
+        // The v4 ledger's `run` row is no longer a record of any kind.
+        let e = Trace::from_jsonl(&text.replacen("\"type\":\"span\"", "\"type\":\"run\"", 1))
+            .unwrap_err();
+        assert!(e.message.contains("unknown type \"run\""), "{e}");
         let e = check_jsonl("{\"type\":\"walk\"}").unwrap_err();
         assert!(e.message.contains("unknown type \"walk\""), "{e}");
     }

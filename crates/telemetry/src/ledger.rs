@@ -1,6 +1,6 @@
 //! Persistent run ledger (`--ledger PATH`, `gfab report`).
 //!
-//! A ledger is an append-only JSONL file that accumulates one row per
+//! A ledger is an append-only JSONL file that accumulates one line per
 //! verification query across *runs* of the tool — the durable memory
 //! that individual `--trace-json` files lack. `extract`, `equiv`,
 //! `batch` and `fuzz` append to it when `--ledger PATH` is given;
@@ -8,134 +8,81 @@
 //! (plain text or `--md` markdown), once or, with `--follow`, again
 //! whenever the ledger grows.
 //!
-//! # Row format
+//! # Line format
 //!
-//! One strict-JSON object per line:
+//! A line is the query's trace collapsed into one root `span` line
+//! ([`Trace::collapsed`](crate::Trace::collapsed)), labelled with the
+//! query name (a netlist's file stem, `spec~impl`, a batch query name or
+//! `campaign-seed<N>`) and carrying the schema `version`, since a ledger
+//! has no header. Besides the root's outcome attributes it carries the
+//! ones a ledger needs; `verdict` and these are required on every line:
 //!
 //! ```text
-//! {"type":"run","version":4,"ts_ms":..,"run":"<ts_ms>-<pid>",
-//!  "producer":"gfab x.y.z","cmd":"equiv","fp":"<16 hex>",
-//!  "query":"<name>","k":16,"verdict":"equivalent","exit":0,
-//!  "work_units":..,"wall_us":..[,"mem_peak_bytes":..]}
+//! {"type":"span","version":5,"id":1,"parent":null,"phase":"check",
+//!  "label":"m8~w8",…,"attrs":{"verdict":"equivalent","rung":"word",
+//!  "spec":"case1","impl":"case1","cmd":"equiv","fp":"<16 hex>",
+//!  "run":"<ts_ms>-<pid>","producer":"gfab x.y.z","exit":0,"k":8,
+//!  "ts-ms":…}}
 //! ```
 //!
-//! * `run` identifies one process invocation: every row a single run
-//!   appends carries the same id, so multi-query `batch` runs group.
+//! * `run` is shared by every line of one process invocation, so
+//!   multi-query `batch` runs group.
 //! * `fp` is a [FNV-1a] fingerprint of the command line *excluding* the
-//!   `--ledger PATH` pair, so "the same command logged to a different
-//!   ledger" still fingerprints identically. `gfab report` uses it to
-//!   pair up repeat runs of the same command and report work-unit
-//!   drift.
-//! * `k` is the field width `GF(2^k)` when the row concerns a single
-//!   modulus, and `0` for mixed/aggregate rows (a fuzz campaign).
-//! * `mem_peak_bytes` is present only when the run measured it
-//!   (`--mem-stats`).
+//!   `--ledger PATH` pair; `gfab report` pairs up repeat runs of the
+//!   same command by it to report work-unit drift.
+//! * `k` is the field width, `0` for mixed lines (a fuzz campaign).
+//! * An outcome with no trace — an extraction stopped on its budget, a
+//!   failed or timed-out batch query — is a bare root lasting the
+//!   query's elapsed time, with no counters.
 //!
 //! [FNV-1a]: https://en.wikipedia.org/wiki/Fowler%E2%80%93Noll%E2%80%93Vo_hash_function
 //!
 //! # Crash safety
 //!
-//! Writers open the file in append mode and write each row as a single
-//! `write` of one line; concurrent appenders therefore interleave at
-//! line granularity on POSIX. The reader (the one every gfab JSONL file
-//! goes through, see [`crate::Trace::to_jsonl`]) tolerates one torn
-//! line — an unparsable *final* line, the signature of a crash mid-
-//! append — and reports it; garbage anywhere else is an error, except
-//! to the lenient read of `gfab report`, which skips and counts it.
+//! Writers open the file in append mode and write each line as a single
+//! `write`; concurrent appenders therefore interleave at line
+//! granularity on POSIX. The reader (the one every gfab JSONL file goes
+//! through, see [`crate::Trace::to_jsonl`]) tolerates one torn line — an
+//! unparsable *final* line, the signature of a crash mid-append — and
+//! reports it; garbage anywhere else is an error, except to the lenient
+//! read of `gfab report`, which skips and counts it.
 
-use crate::json::{write_json_string, Obj};
-use crate::jsonl::{
-    expect_keys_opt, get_str, get_u64, read, FieldError, Kind, ParseError, JSONL_VERSION,
-};
+use crate::json::Obj;
+use crate::jsonl::{field_err, parse_span, read, write_span, FieldError, Kind, ParseError};
 use crate::metrics::HistData;
+use crate::{Attr, AttrValue, SpanRecord};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
 
-/// One ledger row: the durable record of one verification query (or
-/// one whole fuzz campaign) in one run. See the module docs for the
-/// field semantics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LedgerRow {
-    /// Wall-clock timestamp of the append, in milliseconds since the
-    /// Unix epoch.
-    pub ts_ms: u64,
-    /// Run id shared by all rows of one process invocation.
-    pub run: String,
-    /// Producing tool and version, e.g. `gfab 0.4.0`.
-    pub producer: String,
-    /// Subcommand that produced the row (`extract`, `equiv`, `batch`,
-    /// `fuzz`).
-    pub cmd: String,
-    /// Command-line fingerprint (16 lowercase hex digits); see
-    /// [`fingerprint`].
-    pub fp: String,
-    /// Query name: a file stem, a batch query name, or a campaign tag.
-    pub query: String,
-    /// Field width `k` of `GF(2^k)`; `0` when mixed or unknown.
-    pub k: u64,
-    /// Outcome verdict (`equivalent`, `inequivalent`, `extracted`,
-    /// `timeout`, `failed`, …).
-    pub verdict: String,
-    /// Process-level exit code the outcome maps to (0/1/2/3).
-    pub exit: u64,
-    /// Deterministic work units spent on the query.
-    pub work_units: u64,
-    /// Wall-clock time spent on the query, microseconds.
-    pub wall_us: u64,
-    /// Peak heap in bytes when measured (`--mem-stats`), else `None`.
-    pub mem_peak_bytes: Option<u64>,
-}
+/// The attributes every ledger line carries.
+const REQUIRED: [Attr; 8] = [
+    Attr::Verdict,
+    Attr::Cmd,
+    Attr::Fp,
+    Attr::Run,
+    Attr::Exit,
+    Attr::K,
+    Attr::TsMs,
+    Attr::Producer,
+];
 
-impl LedgerRow {
-    /// Serializes the row as one JSONL line (no trailing newline).
-    #[must_use]
-    pub fn to_json_line(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"type\":\"run\",\"version\":{JSONL_VERSION},\"ts_ms\":{},\"run\":",
-            self.ts_ms
-        );
-        write_json_string(&mut out, &self.run);
-        out.push_str(",\"producer\":");
-        write_json_string(&mut out, &self.producer);
-        out.push_str(",\"cmd\":");
-        write_json_string(&mut out, &self.cmd);
-        out.push_str(",\"fp\":");
-        write_json_string(&mut out, &self.fp);
-        out.push_str(",\"query\":");
-        write_json_string(&mut out, &self.query);
-        let _ = write!(out, ",\"k\":{},\"verdict\":", self.k);
-        write_json_string(&mut out, &self.verdict);
-        let _ = write!(
-            out,
-            ",\"exit\":{},\"work_units\":{},\"wall_us\":{}",
-            self.exit, self.work_units, self.wall_us
-        );
-        if let Some(m) = self.mem_peak_bytes {
-            let _ = write!(out, ",\"mem_peak_bytes\":{m}");
-        }
-        out.push('}');
-        out
-    }
-
-    /// Appends the row to the ledger at `path` (created if absent) as
-    /// one atomic-at-line-granularity write.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error opening or writing the file.
-    pub fn append(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        let mut line = self.to_json_line();
-        line.push('\n');
-        f.write_all(line.as_bytes())
-    }
+/// Appends `row` to the ledger at `path` (created if absent) as one
+/// line, in a single write.
+///
+/// # Errors
+///
+/// Any I/O error opening or writing the file.
+pub fn append(path: &Path, row: &SpanRecord) -> std::io::Result<()> {
+    let mut line = String::new();
+    write_span(&mut line, row, true);
+    line.push('\n');
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)?
+        .write_all(line.as_bytes())
 }
 
 /// Fingerprint of a command line: FNV-1a 64-bit over the subcommand and
@@ -168,50 +115,56 @@ pub fn fingerprint(cmd: &str, args: &[String]) -> String {
     format!("{h:016x}")
 }
 
-const RUN_KEYS: [&str; 13] = [
-    "type",
-    "version",
-    "ts_ms",
-    "run",
-    "producer",
-    "cmd",
-    "fp",
-    "query",
-    "k",
-    "verdict",
-    "exit",
-    "work_units",
-    "wall_us",
-];
+/// Parses one ledger line: a root span carrying [`REQUIRED`].
+fn parse_row(obj: &Obj) -> Result<SpanRecord, FieldError> {
+    let row = parse_span(obj)?;
+    if row.parent.is_some() {
+        return Err(field_err("parent", "a ledger line is a root span"));
+    }
+    match REQUIRED.into_iter().find(|a| row.attr(*a).is_none()) {
+        Some(a) => Err(field_err(
+            format!("attrs.{}", a.slug()),
+            format!("missing required attribute {:?}", a.slug()),
+        )),
+        None => Ok(row),
+    }
+}
 
-/// Parses one `run` row (see the module docs).
-pub(crate) fn parse_run(obj: &Obj) -> Result<LedgerRow, FieldError> {
-    expect_keys_opt(obj, &RUN_KEYS, &["mem_peak_bytes"])?;
-    Ok(LedgerRow {
-        ts_ms: get_u64(obj, "ts_ms")?,
-        run: get_str(obj, "run")?,
-        producer: get_str(obj, "producer")?,
-        cmd: get_str(obj, "cmd")?,
-        fp: get_str(obj, "fp")?,
-        query: get_str(obj, "query")?,
-        k: get_u64(obj, "k")?,
-        verdict: get_str(obj, "verdict")?,
-        exit: get_u64(obj, "exit")?,
-        work_units: get_u64(obj, "work_units")?,
-        wall_us: get_u64(obj, "wall_us")?,
-        mem_peak_bytes: match obj.get("mem_peak_bytes") {
-            None => None,
-            Some(_) => Some(get_u64(obj, "mem_peak_bytes")?),
-        },
-    })
+/// A string attribute of a row that [`parse_row`] accepted.
+fn text(row: &SpanRecord, key: Attr) -> &str {
+    match row.attr(key) {
+        Some(AttrValue::Str(s)) => s,
+        _ => "",
+    }
+}
+
+/// An integer attribute of a row that [`parse_row`] accepted.
+fn int(row: &SpanRecord, key: Attr) -> u64 {
+    match row.attr(key) {
+        Some(AttrValue::Int(n)) => *n,
+        _ => 0,
+    }
+}
+
+/// The work units of one row, or the row's run when they overflow.
+fn work(row: &SpanRecord) -> Result<u64, String> {
+    row.counters
+        .iter()
+        .filter(|(c, _)| c.is_work())
+        .try_fold(0u64, |sum, (_, v)| sum.checked_add(*v))
+        .ok_or_else(|| overflow(text(row, Attr::Run)))
+}
+
+fn overflow(run: &str) -> String {
+    format!("run {run}: the sum of counter work_units overflows u64")
 }
 
 /// A parsed ledger: all intact rows in file order, plus what the reader
 /// set aside (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct Ledger {
-    /// Intact rows, oldest first.
-    pub rows: Vec<LedgerRow>,
+    /// Intact rows, oldest first: one root span per query.
+    pub rows: Vec<SpanRecord>,
     /// The number of the torn final line that was ignored (a crash or a
     /// writer still mid-append), if any.
     pub torn: Option<usize>,
@@ -229,9 +182,10 @@ impl Ledger {
     /// # Errors
     ///
     /// A [`ParseError`] naming the line and field path of the first bad
-    /// row (strict) or of a line from another kind of file (either way).
+    /// row (strict), or of a line from another kind of file or another
+    /// schema version (either way).
     pub fn from_jsonl(text: &str, lenient: bool) -> Result<Ledger, ParseError> {
-        let frame = read(text, Kind::Ledger, lenient, parse_run)?;
+        let frame = read(text, Kind::Ledger, lenient, parse_row)?;
         Ok(Ledger {
             rows: frame.records.into_iter().map(|(_, r)| r).collect(),
             torn: frame.torn,
@@ -242,18 +196,19 @@ impl Ledger {
     /// The number of distinct runs (process invocations) in the ledger.
     #[must_use]
     pub fn runs(&self) -> usize {
-        let runs: BTreeSet<&str> = self.rows.iter().map(|r| r.run.as_str()).collect();
+        let runs: BTreeSet<&str> = self.rows.iter().map(|r| text(r, Attr::Run)).collect();
         runs.len()
     }
 
     /// Renders the report dashboard: verdict mix, per-`k` latency
-    /// percentiles, the work-unit delta between the two most recent
-    /// runs of each repeated command fingerprint, and the latest rows.
-    /// Markdown tables when `md`, aligned plain text otherwise.
+    /// percentiles over the rows' durations, the work-unit delta between
+    /// the two most recent runs of each repeated command fingerprint,
+    /// and the latest rows. Markdown tables when `md`, aligned plain
+    /// text otherwise.
     ///
     /// # Errors
     ///
-    /// When the `work_units` of one run's rows sum past `u64::MAX`; the
+    /// When the work units of one run's rows sum past `u64::MAX`; the
     /// message names the run.
     pub fn render_report(&self, md: bool) -> Result<String, String> {
         let mut out = String::new();
@@ -280,7 +235,7 @@ impl Ledger {
         // Verdict mix.
         let mut verdicts: BTreeMap<&str, u64> = BTreeMap::new();
         for r in &self.rows {
-            *verdicts.entry(r.verdict.as_str()).or_insert(0) += 1;
+            *verdicts.entry(text(r, Attr::Verdict)).or_insert(0) += 1;
         }
         section(&mut out, md, "Verdicts");
         let rows: Vec<Vec<String>> = verdicts
@@ -292,7 +247,8 @@ impl Ledger {
         // Per-k latency percentiles from mergeable histograms.
         let mut by_k: BTreeMap<u64, HistData> = BTreeMap::new();
         for r in &self.rows {
-            by_k.entry(r.k).or_default().record(r.wall_us);
+            let us = r.duration.as_micros().min(u128::from(u64::MAX)) as u64;
+            by_k.entry(int(r, Attr::K)).or_default().record(us);
         }
         section(&mut out, md, "Latency by field width");
         let rows: Vec<Vec<String>> = by_k
@@ -324,16 +280,15 @@ impl Ledger {
         type RunTotals<'a> = Vec<(&'a str, u64)>;
         let mut per_fp: BTreeMap<&str, (&str, RunTotals)> = BTreeMap::new();
         for r in &self.rows {
+            let (run, units) = (text(r, Attr::Run), work(r)?);
             let (_, runs) = per_fp
-                .entry(r.fp.as_str())
-                .or_insert((r.cmd.as_str(), Vec::new()));
+                .entry(text(r, Attr::Fp))
+                .or_insert((text(r, Attr::Cmd), Vec::new()));
             match runs.last_mut() {
-                Some((run, work)) if *run == r.run => {
-                    *work = work.checked_add(r.work_units).ok_or_else(|| {
-                        format!("run {run}: the sum of counter work_units overflows u64")
-                    })?;
+                Some((last, sum)) if *last == run => {
+                    *sum = sum.checked_add(units).ok_or_else(|| overflow(run))?;
                 }
-                _ => runs.push((r.run.as_str(), r.work_units)),
+                _ => runs.push((run, units)),
             }
         }
         let mut rows: Vec<Vec<String>> = Vec::new();
@@ -371,15 +326,15 @@ impl Ledger {
         let rows: Vec<Vec<String>> = self.rows[self.rows.len().saturating_sub(5)..]
             .iter()
             .map(|r| {
-                vec![
-                    r.query.clone(),
-                    r.verdict.clone(),
-                    r.exit.to_string(),
-                    r.work_units.to_string(),
-                    format!("{}us", r.wall_us),
-                ]
+                Ok(vec![
+                    r.label.clone().unwrap_or_default(),
+                    text(r, Attr::Verdict).to_string(),
+                    int(r, Attr::Exit).to_string(),
+                    work(r)?.to_string(),
+                    format!("{}us", r.duration.as_micros()),
+                ])
             })
-            .collect();
+            .collect::<Result<_, String>>()?;
         table(
             &mut out,
             md,
@@ -438,26 +393,35 @@ fn table(out: &mut String, md: bool, headers: &[&str], rows: &[Vec<String>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Counter, Gauge, Phase, Trace};
+    use std::time::Duration;
 
-    fn row(run: &str, fp: &str, k: u64, verdict: &str, work: u64, wall: u64) -> LedgerRow {
-        LedgerRow {
-            ts_ms: 1_700_000_000_000,
-            run: run.into(),
-            producer: "gfab 0.4.0".into(),
-            cmd: "equiv".into(),
-            fp: fp.into(),
-            query: "q".into(),
-            k,
-            verdict: verdict.into(),
-            exit: 0,
-            work_units: work,
-            wall_us: wall,
-            mem_peak_bytes: None,
-        }
+    fn row(run: &str, fp: &str, k: u64, verdict: &str, work: u64, wall: u64) -> SpanRecord {
+        let mut r = Trace::default().collapsed(Phase::Check, "q");
+        r.duration = Duration::from_micros(wall);
+        r.counters = vec![(Counter::ReductionSteps, work)];
+        r.attrs = vec![
+            (Attr::Verdict, verdict.into()),
+            (Attr::Cmd, "equiv".into()),
+            (Attr::Fp, fp.into()),
+            (Attr::Run, run.into()),
+            (Attr::Producer, "gfab 0.4.0".into()),
+            (Attr::Exit, 0.into()),
+            (Attr::K, k.into()),
+            (Attr::TsMs, 1_700_000_000_000.into()),
+        ];
+        r
+    }
+
+    /// One row as a ledger line, without its newline.
+    fn to_line(r: &SpanRecord) -> String {
+        let mut line = String::new();
+        write_span(&mut line, r, true);
+        line
     }
 
     /// Parses one row through the strict reader.
-    fn parse_line(line: &str) -> Result<LedgerRow, ParseError> {
+    fn parse_line(line: &str) -> Result<SpanRecord, ParseError> {
         let mut ledger = Ledger::from_jsonl(line, false)?;
         assert_eq!(ledger.rows.len(), 1, "{line}");
         Ok(ledger.rows.remove(0))
@@ -466,63 +430,79 @@ mod tests {
     #[test]
     fn rows_round_trip_with_and_without_mem() {
         let mut r = row("1-2", "00ff", 16, "equivalent", 120, 900);
-        let line = r.to_json_line();
+        let line = to_line(&r);
+        assert!(
+            line.starts_with("{\"type\":\"span\",\"version\":5,"),
+            "{line}"
+        );
         assert_eq!(parse_line(&line).unwrap(), r);
-        r.mem_peak_bytes = Some(4096);
-        let line = r.to_json_line();
-        assert!(line.contains("\"mem_peak_bytes\":4096"));
+        r.gauges = vec![(Gauge::MemPeakBytes, 4096)];
+        let line = to_line(&r);
+        assert!(line.contains("\"mem-peak-bytes\":4096"));
         assert_eq!(parse_line(&line).unwrap(), r);
         // Strictness: unknown keys, wrong types and other versions are
         // rejected with the field named.
         let e = parse_line(&line.replace("\"k\":16", "\"k\":16,\"extra\":1")).unwrap_err();
+        assert!(e.message.contains("unknown attribute"), "{e}");
+        assert_eq!(e.path, "attrs.extra");
+        let e = parse_line(&line.replace("\"hists\"", "\"extra\":1,\"hists\"")).unwrap_err();
         assert!(e.message.contains("unexpected field"), "{e}");
         assert_eq!(e.path, "extra");
         let e = parse_line(&line.replace("\"k\":16", "\"k\":\"16\"")).unwrap_err();
-        assert_eq!(e.path, "k");
-        for version in ["99", "3"] {
-            let e = parse_line(&line.replace("\"version\":4", &format!("\"version\":{version}")))
+        assert_eq!(e.path, "attrs.k");
+        for version in ["99", "3", "4"] {
+            let e = parse_line(&line.replace("\"version\":5", &format!("\"version\":{version}")))
                 .unwrap_err();
             assert_eq!(e.path, "version");
         }
+        // A ledger line is a root that names its run.
+        let e = parse_line(&line.replace("\"run\":\"1-2\",", "")).unwrap_err();
+        assert_eq!(e.path, "attrs.run");
+        let e = parse_line(&line.replace("\"parent\":null", "\"parent\":1")).unwrap_err();
+        assert_eq!(e.path, "attrs");
     }
 
     #[test]
     fn parse_tolerates_only_a_torn_final_line() {
-        let good = row("1-2", "00ff", 16, "equivalent", 1, 2).to_json_line();
-        let text = format!("{good}\n{good}\n{{\"type\":\"run\",\"vers");
+        let good = to_line(&row("1-2", "00ff", 16, "equivalent", 1, 2));
+        let text = format!("{good}\n{good}\n{{\"type\":\"span\",\"vers");
         let ledger = Ledger::from_jsonl(&text, false).expect("torn tail tolerated");
         assert_eq!(ledger.rows.len(), 2);
         assert_eq!(ledger.torn, Some(3));
         // Torn line in the middle is an error.
-        let text = format!("{good}\n{{\"type\":\"run\",\"vers\n{good}");
+        let text = format!("{good}\n{{\"type\":\"span\",\"vers\n{good}");
         assert_eq!(Ledger::from_jsonl(&text, false).unwrap_err().line, 2);
         // A well-formed final line with bad fields is an error too.
-        let bad = good.replace("\"type\":\"run\"", "\"type\":\"walk\"");
+        let bad = good.replace("\"type\":\"span\"", "\"type\":\"walk\"");
         let e = Ledger::from_jsonl(&format!("{good}\n{bad}"), false).unwrap_err();
         assert_eq!((e.line, e.path.as_str()), (2, "type"));
     }
 
     #[test]
     fn lenient_parse_skips_mid_file_garbage_with_a_counter() {
-        let good = row("1-2", "00ff", 16, "equivalent", 1, 2).to_json_line();
+        let good = to_line(&row("1-2", "00ff", 16, "equivalent", 1, 2));
         // Mid-file garbage (torn line healed over by later appends) plus
         // a genuinely torn tail.
-        let text = format!("{good}\n{{\"type\":\"run\",\"vers\n{good}\n{{\"type\":\"run\",\"ve");
+        let text = format!("{good}\n{{\"type\":\"span\",\"vers\n{good}\n{{\"type\":\"span\",\"ve");
         let ledger = Ledger::from_jsonl(&text, true).unwrap();
         assert_eq!(ledger.rows.len(), 2);
         assert_eq!(ledger.skipped, 1);
         assert_eq!(ledger.torn, Some(4));
         // A well-formed line with bad fields is skipped, not fatal.
-        let bad = good.replace("\"type\":\"run\"", "\"type\":\"walk\"");
+        let bad = good.replace("\"type\":\"span\"", "\"type\":\"walk\"");
         let ledger = Ledger::from_jsonl(&format!("{bad}\n{good}"), true).unwrap();
         assert_eq!(ledger.rows.len(), 1);
         assert_eq!(ledger.skipped, 1);
         assert_eq!(ledger.torn, None);
         // But a line of another kind of file is an error even here.
-        let span = "{\"type\":\"trace\",\"version\":4,\"spans\":0}";
+        let span = "{\"type\":\"trace\",\"version\":5,\"spans\":0}";
         let e = Ledger::from_jsonl(&format!("{good}\n{span}"), true).unwrap_err();
         assert_eq!((e.line, e.path.as_str()), (2, "type"));
         assert!(e.message.contains("found a \"trace\" header"), "{e}");
+        // And so is a line of another schema version.
+        let old = good.replace("\"version\":5", "\"version\":4");
+        let e = Ledger::from_jsonl(&format!("{good}\n{old}"), true).unwrap_err();
+        assert_eq!((e.line, e.path.as_str()), (2, "version"));
         // Strict parse still rejects the same inputs.
         assert!(Ledger::from_jsonl(&text, false).is_err());
     }
@@ -608,8 +588,8 @@ mod tests {
         let path = dir.join("ledger.jsonl");
         let _ = std::fs::remove_file(&path);
         let r = row("1-2", "00ff", 16, "equivalent", 1, 2);
-        r.append(&path).unwrap();
-        r.append(&path).unwrap();
+        append(&path, &r).unwrap();
+        append(&path, &r).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let ledger = Ledger::from_jsonl(&text, false).unwrap();
         assert_eq!(ledger.rows.len(), 2);

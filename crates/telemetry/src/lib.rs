@@ -12,6 +12,9 @@
 //!   so a phase is spelled identically everywhere it can appear.
 //! * [`Counter`] — typed work counters (division steps, S-polynomials,
 //!   conflicts, …) attached to the span that performed the work.
+//! * [`Attr`] — the closed set of root-span attributes that name a
+//!   query's outcome: its verdict, the rung that decided and the
+//!   evidence (Case 1 or 2 per side, where a counterexample came from).
 //! * [`Telemetry`] / [`Span`] — a cheaply cloneable handle that either
 //!   records hierarchical spans into a [`Collector`] or does nothing at
 //!   all. The disabled path is a single branch on an `Option`, so code
@@ -40,12 +43,50 @@
 //!
 //! See [`Trace::to_jsonl`] for the documented line format. One strict
 //! reader frames every JSONL file gfab writes — traces, `agg` summaries,
-//! `--events` streams and `--ledger` run ledgers — and
-//! [`check_jsonl`] is what `gfab trace-check` and CI use to validate
-//! emitted files of any of the four kinds.
+//! `--events` streams and `--ledger` run ledgers, whose lines are root
+//! spans — and [`check_jsonl`] is what `gfab trace-check` and CI use to
+//! validate emitted files of any of the four kinds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+/// Declares a closed vocabulary keyed by slugs: an enum whose variants
+/// each name their stable kebab-case JSONL key, with `ALL`, `slug` and
+/// `from_slug` generated from that one table.
+macro_rules! slug_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $($(#[$vmeta:meta])* $variant:ident = $slug:literal,)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[non_exhaustive]
+        pub enum $name {
+            $($(#[$vmeta])* $variant,)*
+        }
+
+        impl $name {
+            /// Every variant, in declaration order.
+            pub(crate) const ALL: &'static [$name] = &[$($name::$variant),*];
+
+            /// Stable kebab-case key used in the JSONL schema.
+            #[must_use]
+            pub fn slug(self) -> &'static str {
+                match self {
+                    $($name::$variant => $slug,)*
+                }
+            }
+
+            /// Inverse of `slug`; `None` for unknown keys.
+            #[must_use]
+            pub fn from_slug(s: &str) -> Option<$name> {
+                $name::ALL.iter().copied().find(|v| v.slug() == s)
+            }
+        }
+    };
+}
 
 mod agg;
 mod diff;
@@ -64,112 +105,59 @@ pub use diff::{DiffRow, Regression, TraceDiff};
 pub use events::{Event, EventBus, EventKind, EventReceiver, EventStream, Recv};
 pub use flame::{critical_path, folded, parse_folded, speedscope, CriticalPath};
 pub use jsonl::{check_jsonl, ParseError, JSONL_VERSION};
-pub use ledger::{fingerprint, Ledger, LedgerRow};
+pub use ledger::{fingerprint, Ledger};
 pub use metrics::{Gauge, Hist, HistData, HIST_BUCKETS};
 pub use span::{Collector, Span, SpanRecord, Telemetry};
 pub use trace::Trace;
 
-/// A phase of the verification pipeline.
-///
-/// The closed vocabulary shared by telemetry spans, budget-exhaustion
-/// errors and timed-out extraction outcomes. [`std::fmt::Display`] gives
-/// the human-readable name used in error messages and tables;
-/// [`Phase::slug`] gives the stable kebab-case identifier used in the
-/// JSONL trace schema.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum Phase {
-    /// A whole `Verifier::check` equivalence query (root span).
-    Check,
-    /// A whole word-level extraction of one netlist (flat root span, or
-    /// the per-side "spec"/"impl" span inside an equivalence check).
-    Extract,
-    /// Extraction of one hierarchical block (label = instance name).
-    Block,
-    /// Word-level composition of extracted block functions.
-    Compose,
-    /// Circuit-model construction (ring, gate polynomials, word relations).
-    ModelBuild,
-    /// The RATO guided reduction: one division chain to a normal form.
-    GuidedReduction,
-    /// Case-2 completion of a residual: trace substitution on the query
-    /// path, the bounded Gröbner basis of Section 5 as its reference.
-    Case2Completion,
-    /// Buchberger pair processing inside a Gröbner-basis computation.
-    Buchberger,
-    /// Inter-reduction of a completed basis.
-    BasisReduction,
-    /// A bit-parallel random simulation sweep.
-    Simulation,
-    /// Miter construction for the SAT fallback.
-    MiterBuild,
-    /// Tseitin CNF encoding of the miter.
-    TseitinEncode,
-    /// CDCL solver construction (watch lists, clause database).
-    SolverBuild,
-    /// The CDCL search itself.
-    SatSolve,
-    /// Generic polynomial algebra outside any more specific phase.
-    Algebra,
-    /// An artifact-cache probe by the batch engine (hit or miss).
-    CacheLookup,
-    /// One fuzz-campaign case: generate, fault, run the differential
-    /// oracle (label = `arch/k/fault`).
-    FuzzCase,
-    /// Delta-debugging shrink of one failing fuzz specimen.
-    Shrink,
-}
-
-impl Phase {
-    /// Stable kebab-case identifier used in the JSONL schema.
-    #[must_use]
-    pub fn slug(self) -> &'static str {
-        match self {
-            Phase::Check => "check",
-            Phase::Extract => "extract",
-            Phase::Block => "block",
-            Phase::Compose => "compose",
-            Phase::ModelBuild => "model-build",
-            Phase::GuidedReduction => "guided-reduction",
-            Phase::Case2Completion => "case2-completion",
-            Phase::Buchberger => "buchberger",
-            Phase::BasisReduction => "basis-reduction",
-            Phase::Simulation => "simulation",
-            Phase::MiterBuild => "miter-build",
-            Phase::TseitinEncode => "tseitin-encode",
-            Phase::SolverBuild => "solver-build",
-            Phase::SatSolve => "sat-solve",
-            Phase::Algebra => "algebra",
-            Phase::CacheLookup => "cache-lookup",
-            Phase::FuzzCase => "fuzz-case",
-            Phase::Shrink => "shrink",
-        }
-    }
-
-    /// Inverse of [`Phase::slug`]; `None` for unknown identifiers.
-    #[must_use]
-    pub fn from_slug(s: &str) -> Option<Phase> {
-        Some(match s {
-            "check" => Phase::Check,
-            "extract" => Phase::Extract,
-            "block" => Phase::Block,
-            "compose" => Phase::Compose,
-            "model-build" => Phase::ModelBuild,
-            "guided-reduction" => Phase::GuidedReduction,
-            "case2-completion" => Phase::Case2Completion,
-            "buchberger" => Phase::Buchberger,
-            "basis-reduction" => Phase::BasisReduction,
-            "simulation" => Phase::Simulation,
-            "miter-build" => Phase::MiterBuild,
-            "tseitin-encode" => Phase::TseitinEncode,
-            "solver-build" => Phase::SolverBuild,
-            "sat-solve" => Phase::SatSolve,
-            "algebra" => Phase::Algebra,
-            "cache-lookup" => Phase::CacheLookup,
-            "fuzz-case" => Phase::FuzzCase,
-            "shrink" => Phase::Shrink,
-            _ => return None,
-        })
+slug_enum! {
+    /// A phase of the verification pipeline.
+    ///
+    /// The closed vocabulary shared by telemetry spans, budget-exhaustion
+    /// errors and timed-out extraction outcomes. [`std::fmt::Display`] gives
+    /// the human-readable name used in error messages and tables;
+    /// [`Phase::slug`] gives the stable kebab-case identifier used in the
+    /// JSONL trace schema.
+    pub enum Phase {
+        /// A whole `Verifier::check` equivalence query (root span).
+        Check = "check",
+        /// A whole word-level extraction of one netlist (flat root span, or
+        /// the per-side "spec"/"impl" span inside an equivalence check).
+        Extract = "extract",
+        /// Extraction of one hierarchical block (label = instance name).
+        Block = "block",
+        /// Word-level composition of extracted block functions.
+        Compose = "compose",
+        /// Circuit-model construction (ring, gate polynomials, word relations).
+        ModelBuild = "model-build",
+        /// The RATO guided reduction: one division chain to a normal form.
+        GuidedReduction = "guided-reduction",
+        /// Case-2 completion of a residual: trace substitution on the query
+        /// path, the bounded Gröbner basis of Section 5 as its reference.
+        Case2Completion = "case2-completion",
+        /// Buchberger pair processing inside a Gröbner-basis computation.
+        Buchberger = "buchberger",
+        /// Inter-reduction of a completed basis.
+        BasisReduction = "basis-reduction",
+        /// A bit-parallel random simulation sweep.
+        Simulation = "simulation",
+        /// Miter construction for the SAT fallback.
+        MiterBuild = "miter-build",
+        /// Tseitin CNF encoding of the miter.
+        TseitinEncode = "tseitin-encode",
+        /// CDCL solver construction (watch lists, clause database).
+        SolverBuild = "solver-build",
+        /// The CDCL search itself.
+        SatSolve = "sat-solve",
+        /// Generic polynomial algebra outside any more specific phase.
+        Algebra = "algebra",
+        /// An artifact-cache probe by the batch engine (hit or miss).
+        CacheLookup = "cache-lookup",
+        /// One fuzz-campaign case: generate, fault, run the differential
+        /// oracle (label = `arch/k/fault`).
+        FuzzCase = "fuzz-case",
+        /// Delta-debugging shrink of one failing fuzz specimen.
+        Shrink = "shrink",
     }
 }
 
@@ -198,128 +186,88 @@ impl std::fmt::Display for Phase {
     }
 }
 
-/// A typed work counter attached to the span that performed the work.
-///
-/// [`Counter::slug`] is the stable key used in the JSONL schema and the
-/// human-readable renderers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum Counter {
-    /// Gates modelled into polynomials.
-    Gates,
-    /// Division steps taken by a reduction (lead-term rewrites).
-    ReductionSteps,
-    /// Peak number of live monomials during a reduction.
-    PeakTerms,
-    /// Coefficient cancellations observed during a reduction.
-    Cancellations,
-    /// Terms left in the remainder of a reduction.
-    RemainderTerms,
-    /// Cooperative-budget polls issued by a phase.
-    BudgetPolls,
-    /// S-polynomials formed and reduced by Buchberger.
-    SPolynomials,
-    /// Critical pairs discarded by the product/chain criteria.
-    PairsSkipped,
-    /// Size of the (reduced) Gröbner basis.
-    BasisSize,
-    /// Random vectors pushed through a simulation sweep.
-    SimVectors,
-    /// CNF variables produced by the Tseitin encoding.
-    CnfVars,
-    /// CNF clauses produced by the Tseitin encoding.
-    CnfClauses,
-    /// CDCL conflicts.
-    Conflicts,
-    /// CDCL decisions.
-    Decisions,
-    /// CDCL unit propagations.
-    Propagations,
-    /// CDCL restarts.
-    Restarts,
-    /// Clauses learned by the CDCL solver.
-    LearnedClauses,
-    /// Hierarchical blocks extracted.
-    Blocks,
-    /// Artifact-cache lookups that found a byte-verified entry.
-    CacheHits,
-    /// Artifact-cache lookups that fell through to a fresh computation.
-    CacheMisses,
-    /// Artifact-cache entries evicted under capacity pressure.
-    CacheEvictions,
-    /// Fuzz cases executed by a campaign.
-    FuzzCases,
-    /// Faults injected into fuzz specimens.
-    FaultsInjected,
-    /// Faulted specimens the differential oracle refuted (caught bugs).
-    FuzzCaught,
-    /// Oracle findings (engine disagreements, escapes, bogus
-    /// counterexamples, unexpected Unknowns).
-    FuzzFindings,
-    /// Shrink candidates evaluated by the delta-debugging loop.
-    ShrinkSteps,
-    /// Field coefficient multiplications performed by the GF kernels.
-    CoeffMuls,
-    /// Field coefficient squarings performed by the GF kernels.
-    CoeffSquares,
-    /// Word-level modular-reduction folds performed by the precomputed
-    /// reducer (one per folded overflow limb).
-    ReductionFolds,
-    /// Coefficient-kernel results that landed in inline (stack) limb
-    /// storage — the zero-allocation fast path.
-    CoeffsInline,
-    /// Coefficient-kernel results that spilled to heap limb storage
-    /// (only possible for k > 576).
-    CoeffsHeap,
-    /// Reduction terms kept whole in the working store's spill table
-    /// because their packed key could not describe the monomial (three or
-    /// more factors, an exponent of 255 or more).
-    SpilledTerms,
-    /// Term products multiplied out by the Case-2 trace substitution.
-    TermProducts,
+slug_enum! {
+    /// A typed work counter attached to the span that performed the work.
+    ///
+    /// [`Counter::slug`] is the stable key used in the JSONL schema and the
+    /// human-readable renderers.
+    pub enum Counter {
+        /// Gates modelled into polynomials.
+        Gates = "gates",
+        /// Division steps taken by a reduction (lead-term rewrites).
+        ReductionSteps = "reduction-steps",
+        /// Peak number of live monomials during a reduction.
+        PeakTerms = "peak-terms",
+        /// Coefficient cancellations observed during a reduction.
+        Cancellations = "cancellations",
+        /// Terms left in the remainder of a reduction.
+        RemainderTerms = "remainder-terms",
+        /// Cooperative-budget polls issued by a phase.
+        BudgetPolls = "budget-polls",
+        /// S-polynomials formed and reduced by Buchberger.
+        SPolynomials = "s-polynomials",
+        /// Critical pairs discarded by the product/chain criteria.
+        PairsSkipped = "pairs-skipped",
+        /// Size of the (reduced) Gröbner basis.
+        BasisSize = "basis-size",
+        /// Random vectors pushed through a simulation sweep.
+        SimVectors = "sim-vectors",
+        /// CNF variables produced by the Tseitin encoding.
+        CnfVars = "cnf-vars",
+        /// CNF clauses produced by the Tseitin encoding.
+        CnfClauses = "cnf-clauses",
+        /// CDCL conflicts.
+        Conflicts = "conflicts",
+        /// CDCL decisions.
+        Decisions = "decisions",
+        /// CDCL unit propagations.
+        Propagations = "propagations",
+        /// CDCL restarts.
+        Restarts = "restarts",
+        /// Clauses learned by the CDCL solver.
+        LearnedClauses = "learned-clauses",
+        /// Hierarchical blocks extracted.
+        Blocks = "blocks",
+        /// Artifact-cache lookups that found a byte-verified entry.
+        CacheHits = "cache-hits",
+        /// Artifact-cache lookups that fell through to a fresh computation.
+        CacheMisses = "cache-misses",
+        /// Artifact-cache entries evicted under capacity pressure.
+        CacheEvictions = "cache-evictions",
+        /// Fuzz cases executed by a campaign.
+        FuzzCases = "fuzz-cases",
+        /// Faults injected into fuzz specimens.
+        FaultsInjected = "faults-injected",
+        /// Faulted specimens the differential oracle refuted (caught bugs).
+        FuzzCaught = "fuzz-caught",
+        /// Oracle findings (engine disagreements, escapes, bogus
+        /// counterexamples, unexpected Unknowns).
+        FuzzFindings = "fuzz-findings",
+        /// Shrink candidates evaluated by the delta-debugging loop.
+        ShrinkSteps = "shrink-steps",
+        /// Field coefficient multiplications performed by the GF kernels.
+        CoeffMuls = "coeff-muls",
+        /// Field coefficient squarings performed by the GF kernels.
+        CoeffSquares = "coeff-squares",
+        /// Word-level modular-reduction folds performed by the precomputed
+        /// reducer (one per folded overflow limb).
+        ReductionFolds = "reduction-folds",
+        /// Coefficient-kernel results that landed in inline (stack) limb
+        /// storage — the zero-allocation fast path.
+        CoeffsInline = "coeff-inline",
+        /// Coefficient-kernel results that spilled to heap limb storage
+        /// (only possible for k > 576).
+        CoeffsHeap = "coeff-heap",
+        /// Reduction terms kept whole in the working store's spill table
+        /// because their packed key could not describe the monomial (three or
+        /// more factors, an exponent of 255 or more).
+        SpilledTerms = "spilled-terms",
+        /// Term products multiplied out by the Case-2 trace substitution.
+        TermProducts = "term-products",
+    }
 }
 
 impl Counter {
-    /// Stable kebab-case key used in the JSONL schema.
-    #[must_use]
-    pub fn slug(self) -> &'static str {
-        match self {
-            Counter::Gates => "gates",
-            Counter::ReductionSteps => "reduction-steps",
-            Counter::PeakTerms => "peak-terms",
-            Counter::Cancellations => "cancellations",
-            Counter::RemainderTerms => "remainder-terms",
-            Counter::BudgetPolls => "budget-polls",
-            Counter::SPolynomials => "s-polynomials",
-            Counter::PairsSkipped => "pairs-skipped",
-            Counter::BasisSize => "basis-size",
-            Counter::SimVectors => "sim-vectors",
-            Counter::CnfVars => "cnf-vars",
-            Counter::CnfClauses => "cnf-clauses",
-            Counter::Conflicts => "conflicts",
-            Counter::Decisions => "decisions",
-            Counter::Propagations => "propagations",
-            Counter::Restarts => "restarts",
-            Counter::LearnedClauses => "learned-clauses",
-            Counter::Blocks => "blocks",
-            Counter::CacheHits => "cache-hits",
-            Counter::CacheMisses => "cache-misses",
-            Counter::CacheEvictions => "cache-evictions",
-            Counter::FuzzCases => "fuzz-cases",
-            Counter::FaultsInjected => "faults-injected",
-            Counter::FuzzCaught => "fuzz-caught",
-            Counter::FuzzFindings => "fuzz-findings",
-            Counter::ShrinkSteps => "shrink-steps",
-            Counter::CoeffMuls => "coeff-muls",
-            Counter::CoeffSquares => "coeff-squares",
-            Counter::ReductionFolds => "reduction-folds",
-            Counter::CoeffsInline => "coeff-inline",
-            Counter::CoeffsHeap => "coeff-heap",
-            Counter::SpilledTerms => "spilled-terms",
-            Counter::TermProducts => "term-products",
-        }
-    }
-
     /// Whether this counter is a *work-unit* counter: a deterministic
     /// measure of algebraic/search effort that is bit-identical across
     /// thread counts and machines (division steps, Gröbner pairs, Case-2
@@ -338,47 +286,6 @@ impl Counter {
                 | Counter::ShrinkSteps
         )
     }
-
-    /// Inverse of [`Counter::slug`]; `None` for unknown keys.
-    #[must_use]
-    pub fn from_slug(s: &str) -> Option<Counter> {
-        Some(match s {
-            "gates" => Counter::Gates,
-            "reduction-steps" => Counter::ReductionSteps,
-            "peak-terms" => Counter::PeakTerms,
-            "cancellations" => Counter::Cancellations,
-            "remainder-terms" => Counter::RemainderTerms,
-            "budget-polls" => Counter::BudgetPolls,
-            "s-polynomials" => Counter::SPolynomials,
-            "pairs-skipped" => Counter::PairsSkipped,
-            "basis-size" => Counter::BasisSize,
-            "sim-vectors" => Counter::SimVectors,
-            "cnf-vars" => Counter::CnfVars,
-            "cnf-clauses" => Counter::CnfClauses,
-            "conflicts" => Counter::Conflicts,
-            "decisions" => Counter::Decisions,
-            "propagations" => Counter::Propagations,
-            "restarts" => Counter::Restarts,
-            "learned-clauses" => Counter::LearnedClauses,
-            "blocks" => Counter::Blocks,
-            "cache-hits" => Counter::CacheHits,
-            "cache-misses" => Counter::CacheMisses,
-            "cache-evictions" => Counter::CacheEvictions,
-            "fuzz-cases" => Counter::FuzzCases,
-            "faults-injected" => Counter::FaultsInjected,
-            "fuzz-caught" => Counter::FuzzCaught,
-            "fuzz-findings" => Counter::FuzzFindings,
-            "shrink-steps" => Counter::ShrinkSteps,
-            "coeff-muls" => Counter::CoeffMuls,
-            "coeff-squares" => Counter::CoeffSquares,
-            "reduction-folds" => Counter::ReductionFolds,
-            "coeff-inline" => Counter::CoeffsInline,
-            "coeff-heap" => Counter::CoeffsHeap,
-            "spilled-terms" => Counter::SpilledTerms,
-            "term-products" => Counter::TermProducts,
-            _ => return None,
-        })
-    }
 }
 
 impl std::fmt::Display for Counter {
@@ -387,34 +294,89 @@ impl std::fmt::Display for Counter {
     }
 }
 
+slug_enum! {
+    /// A root-span attribute: the closed set of keys that name a query's
+    /// outcome on its root span and, on a ledger line, the run the line
+    /// belongs to. Only root spans carry attributes. Each key has a fixed
+    /// value type ([`Attr::is_int`]); [`Attr::slug`] is its JSONL key.
+    pub enum Attr {
+        /// The verdict word (`equivalent`, `extracted`, `timeout`, …).
+        Verdict = "verdict",
+        /// The rung of the equivalence ladder that decided: `pre-check`,
+        /// `word`, `refute`, `sat` or `none`.
+        Rung = "rung",
+        /// How the spec side's extraction ended: `case1`, `case2`,
+        /// `residual`, `timed-out` or `not-run`.
+        Spec = "spec",
+        /// How the impl side's extraction ended, as [`Attr::Spec`] says.
+        Impl = "impl",
+        /// How an `extract` query's extraction ended, as [`Attr::Spec`] says.
+        Case = "case",
+        /// Where the counterexample came from: `exhaustive` or `sampled`
+        /// (word-level search), `pre-check`, `refute` or `sat`.
+        Cex = "cex",
+        /// The subcommand that appended a ledger line.
+        Cmd = "cmd",
+        /// The command-line fingerprint of a ledger line.
+        Fp = "fp",
+        /// The id shared by the ledger lines of one invocation.
+        Run = "run",
+        /// The exit code (0–3) a ledger line's outcome maps to.
+        Exit = "exit",
+        /// The field width `k` of a ledger line (0 when mixed).
+        K = "k",
+        /// When a ledger line was appended, in ms since the Unix epoch.
+        TsMs = "ts-ms",
+        /// The build that appended a ledger line.
+        Producer = "producer",
+    }
+}
+
+impl Attr {
+    /// Whether the key's value is an unsigned integer; every other
+    /// key's value is a string.
+    #[must_use]
+    pub fn is_int(self) -> bool {
+        matches!(self, Attr::Exit | Attr::K | Attr::TsMs)
+    }
+}
+
+/// The value of an [`Attr`]: an integer for the keys whose
+/// [`Attr::is_int`] holds, a string for the others.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AttrValue {
+    /// A string value.
+    Str(String),
+    /// An unsigned integer value.
+    Int(u64),
+}
+
+impl From<&str> for AttrValue {
+    fn from(s: &str) -> AttrValue {
+        AttrValue::Str(s.to_owned())
+    }
+}
+
+impl From<String> for AttrValue {
+    fn from(s: String) -> AttrValue {
+        AttrValue::Str(s)
+    }
+}
+
+impl From<u64> for AttrValue {
+    fn from(n: u64) -> AttrValue {
+        AttrValue::Int(n)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const ALL_PHASES: [Phase; 18] = [
-        Phase::Check,
-        Phase::Extract,
-        Phase::Block,
-        Phase::Compose,
-        Phase::ModelBuild,
-        Phase::GuidedReduction,
-        Phase::Case2Completion,
-        Phase::Buchberger,
-        Phase::BasisReduction,
-        Phase::Simulation,
-        Phase::MiterBuild,
-        Phase::TseitinEncode,
-        Phase::SolverBuild,
-        Phase::SatSolve,
-        Phase::Algebra,
-        Phase::CacheLookup,
-        Phase::FuzzCase,
-        Phase::Shrink,
-    ];
-
     #[test]
     fn phase_slugs_round_trip() {
-        for p in ALL_PHASES {
+        assert_eq!(Phase::ALL.len(), 18);
+        for &p in Phase::ALL {
             assert_eq!(Phase::from_slug(p.slug()), Some(p));
             assert!(!p.to_string().is_empty());
         }
@@ -423,45 +385,19 @@ mod tests {
 
     #[test]
     fn counter_slugs_round_trip() {
-        const ALL: [Counter; 33] = [
-            Counter::Gates,
-            Counter::ReductionSteps,
-            Counter::PeakTerms,
-            Counter::Cancellations,
-            Counter::RemainderTerms,
-            Counter::BudgetPolls,
-            Counter::SPolynomials,
-            Counter::PairsSkipped,
-            Counter::BasisSize,
-            Counter::SimVectors,
-            Counter::CnfVars,
-            Counter::CnfClauses,
-            Counter::Conflicts,
-            Counter::Decisions,
-            Counter::Propagations,
-            Counter::Restarts,
-            Counter::LearnedClauses,
-            Counter::Blocks,
-            Counter::CacheHits,
-            Counter::CacheMisses,
-            Counter::CacheEvictions,
-            Counter::FuzzCases,
-            Counter::FaultsInjected,
-            Counter::FuzzCaught,
-            Counter::FuzzFindings,
-            Counter::ShrinkSteps,
-            Counter::CoeffMuls,
-            Counter::CoeffSquares,
-            Counter::ReductionFolds,
-            Counter::CoeffsInline,
-            Counter::CoeffsHeap,
-            Counter::SpilledTerms,
-            Counter::TermProducts,
-        ];
-        for c in ALL {
+        assert_eq!(Counter::ALL.len(), 33);
+        for &c in Counter::ALL {
             assert_eq!(Counter::from_slug(c.slug()), Some(c));
         }
         assert_eq!(Counter::from_slug("no-such-counter"), None);
+    }
+
+    #[test]
+    fn attr_slugs_round_trip() {
+        for &a in Attr::ALL {
+            assert_eq!(Attr::from_slug(a.slug()), Some(a));
+        }
+        assert_eq!(Attr::from_slug("no-such-attr"), None);
     }
 
     #[test]

@@ -14,47 +14,26 @@
 /// bucket which is open-ended.
 pub const HIST_BUCKETS: usize = 16;
 
-/// A sampled (non-monotonic) per-span value.
-///
-/// Unlike counters, gauges carry an explicit aggregation rule: when two
-/// spans of the same phase are merged (trace-diff aggregation, nested
-/// span roll-ups) the combined value is [`Gauge::combine`] of the parts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum Gauge {
-    /// Peak live heap bytes observed on the span's thread while the span
-    /// was open (memory accounting must be enabled). Combines by `max`.
-    MemPeakBytes,
-    /// Total bytes allocated on the span's thread while the span was
-    /// open. Combines by `+`.
-    MemAllocBytes,
-    /// Number of heap allocations on the span's thread while the span
-    /// was open. Combines by `+`.
-    MemAllocs,
+slug_enum! {
+    /// A sampled (non-monotonic) per-span value.
+    ///
+    /// Unlike counters, gauges carry an explicit aggregation rule: when two
+    /// spans of the same phase are merged (trace-diff aggregation, nested
+    /// span roll-ups) the combined value is [`Gauge::combine`] of the parts.
+    pub enum Gauge {
+        /// Peak live heap bytes observed on the span's thread while the span
+        /// was open (memory accounting must be enabled). Combines by `max`.
+        MemPeakBytes = "mem-peak-bytes",
+        /// Total bytes allocated on the span's thread while the span was
+        /// open. Combines by `+`.
+        MemAllocBytes = "mem-alloc-bytes",
+        /// Number of heap allocations on the span's thread while the span
+        /// was open. Combines by `+`.
+        MemAllocs = "mem-allocs",
+    }
 }
 
 impl Gauge {
-    /// Stable kebab-case key used in the JSONL schema (v2).
-    #[must_use]
-    pub fn slug(self) -> &'static str {
-        match self {
-            Gauge::MemPeakBytes => "mem-peak-bytes",
-            Gauge::MemAllocBytes => "mem-alloc-bytes",
-            Gauge::MemAllocs => "mem-allocs",
-        }
-    }
-
-    /// Inverse of [`Gauge::slug`]; `None` for unknown keys.
-    #[must_use]
-    pub fn from_slug(s: &str) -> Option<Gauge> {
-        Some(match s {
-            "mem-peak-bytes" => Gauge::MemPeakBytes,
-            "mem-alloc-bytes" => Gauge::MemAllocBytes,
-            "mem-allocs" => Gauge::MemAllocs,
-            _ => return None,
-        })
-    }
-
     /// Combines two observations of this gauge (see variant docs).
     #[must_use]
     pub fn combine(self, a: u64, b: u64) -> u64 {
@@ -71,56 +50,29 @@ impl std::fmt::Display for Gauge {
     }
 }
 
-/// A histogram kind: which quantity a [`HistData`] is a distribution of.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum Hist {
-    /// Division steps per reduction chain (one sample per normal form).
-    DivisionChainLen,
-    /// Live working-polynomial terms, sampled every budget stride during
-    /// a guided reduction.
-    ReductionPolySize,
-    /// Terms per S-polynomial reduced by Buchberger.
-    SPolyTerms,
-    /// Literals per CNF clause emitted by the Tseitin encoding.
-    CnfClauseLen,
-    /// Microseconds per simulation sweep batch (wall time — excluded
-    /// from deterministic comparisons, informational in diffs).
-    SimBatchUs,
-    /// Microseconds a batch-engine query spent queued before a worker
-    /// dequeued it (wall time — excluded from deterministic
-    /// comparisons, informational in diffs).
-    QueueLatencyUs,
+slug_enum! {
+    /// A histogram kind: which quantity a [`HistData`] is a distribution of.
+    pub enum Hist {
+        /// Division steps per reduction chain (one sample per normal form).
+        DivisionChainLen = "division-chain-len",
+        /// Live working-polynomial terms, sampled every budget stride during
+        /// a guided reduction.
+        ReductionPolySize = "reduction-poly-size",
+        /// Terms per S-polynomial reduced by Buchberger.
+        SPolyTerms = "s-poly-terms",
+        /// Literals per CNF clause emitted by the Tseitin encoding.
+        CnfClauseLen = "cnf-clause-len",
+        /// Microseconds per simulation sweep batch (wall time — excluded
+        /// from deterministic comparisons, informational in diffs).
+        SimBatchUs = "sim-batch-us",
+        /// Microseconds a batch-engine query spent queued before a worker
+        /// dequeued it (wall time — excluded from deterministic
+        /// comparisons, informational in diffs).
+        QueueLatencyUs = "queue-latency-us",
+    }
 }
 
 impl Hist {
-    /// Stable kebab-case key used in the JSONL schema (v2).
-    #[must_use]
-    pub fn slug(self) -> &'static str {
-        match self {
-            Hist::DivisionChainLen => "division-chain-len",
-            Hist::ReductionPolySize => "reduction-poly-size",
-            Hist::SPolyTerms => "s-poly-terms",
-            Hist::CnfClauseLen => "cnf-clause-len",
-            Hist::SimBatchUs => "sim-batch-us",
-            Hist::QueueLatencyUs => "queue-latency-us",
-        }
-    }
-
-    /// Inverse of [`Hist::slug`]; `None` for unknown keys.
-    #[must_use]
-    pub fn from_slug(s: &str) -> Option<Hist> {
-        Some(match s {
-            "division-chain-len" => Hist::DivisionChainLen,
-            "reduction-poly-size" => Hist::ReductionPolySize,
-            "s-poly-terms" => Hist::SPolyTerms,
-            "cnf-clause-len" => Hist::CnfClauseLen,
-            "sim-batch-us" => Hist::SimBatchUs,
-            "queue-latency-us" => Hist::QueueLatencyUs,
-            _ => return None,
-        })
-    }
-
     /// Whether samples of this histogram are deterministic across thread
     /// counts and machines (everything except wall-time histograms).
     #[must_use]

@@ -3,7 +3,7 @@
 
 use crate::events::{EventBus, EventKind};
 use crate::mem::{self, MemSnapshot};
-use crate::{Counter, Gauge, Hist, HistData, Phase};
+use crate::{Attr, AttrValue, Counter, Gauge, Hist, HistData, Phase};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -45,6 +45,31 @@ pub struct SpanRecord {
     pub gauges: Vec<(Gauge, u64)>,
     /// Fixed-bucket histograms attributed to this span.
     pub hists: Vec<(Hist, HistData)>,
+    /// Attributes naming the query's outcome; only a root span has any.
+    pub attrs: Vec<(Attr, AttrValue)>,
+}
+
+impl SpanRecord {
+    /// The value of attribute `key`, if the span carries it.
+    #[must_use]
+    pub fn attr(&self, key: Attr) -> Option<&AttrValue> {
+        self.attrs.iter().find(|(a, _)| *a == key).map(|(_, v)| v)
+    }
+}
+
+/// Folds `value` into the slot of `key` with `combine`, or appends a
+/// slot: how a span's counters and gauges accumulate, and a collapsed
+/// trace's.
+pub(crate) fn accumulate<K: PartialEq>(
+    slots: &mut Vec<(K, u64)>,
+    key: K,
+    value: u64,
+    combine: impl Fn(u64, u64) -> u64,
+) {
+    match slots.iter_mut().find(|(k, _)| *k == key) {
+        Some(slot) => slot.1 = combine(slot.1, value),
+        None => slots.push((key, value)),
+    }
 }
 
 /// In-memory sink for finished spans.
@@ -186,6 +211,7 @@ impl Telemetry {
             counters: Vec::new(),
             gauges: Vec::new(),
             hists: Vec::new(),
+            attrs: Vec::new(),
         }
     }
 }
@@ -224,6 +250,7 @@ pub struct Span {
     counters: Vec<(Counter, u64)>,
     gauges: Vec<(Gauge, u64)>,
     hists: Vec<(Hist, HistData)>,
+    attrs: Vec<(Attr, AttrValue)>,
 }
 
 impl Span {
@@ -242,13 +269,8 @@ impl Span {
         if let Some(ev) = self.events.as_mut().filter(|_| counter.is_work()) {
             ev.work += value;
         }
-        if self.state.is_none() {
-            return;
-        }
-        if let Some(slot) = self.counters.iter_mut().find(|(c, _)| *c == counter) {
-            slot.1 += value;
-        } else {
-            self.counters.push((counter, value));
+        if self.state.is_some() {
+            accumulate(&mut self.counters, counter, value, u64::saturating_add);
         }
     }
 
@@ -256,13 +278,8 @@ impl Span {
     /// gauge combine per [`Gauge::combine`]. No-op when tracing is
     /// disabled.
     pub fn gauge(&mut self, gauge: Gauge, value: u64) {
-        if self.state.is_none() {
-            return;
-        }
-        if let Some(slot) = self.gauges.iter_mut().find(|(g, _)| *g == gauge) {
-            slot.1 = gauge.combine(slot.1, value);
-        } else {
-            self.gauges.push((gauge, value));
+        if self.state.is_some() {
+            accumulate(&mut self.gauges, gauge, value, |a, b| gauge.combine(a, b));
         }
     }
 
@@ -290,6 +307,21 @@ impl Span {
             self.hists.push((hist, HistData::new()));
             &mut self.hists.last_mut().expect("just pushed").1
         }
+    }
+
+    /// Sets attribute `key` of a root span to `value`, replacing an
+    /// earlier value. No-op when tracing is disabled or the span has a
+    /// parent: only root spans carry attributes. Callers compute values
+    /// only when [`Span::is_enabled`] holds, so a disabled span costs
+    /// one branch and no allocation.
+    pub fn attr(&mut self, key: Attr, value: impl Into<AttrValue>) {
+        if self.state.as_ref().is_none_or(|s| s.parent.is_some()) {
+            return;
+        }
+        let value = value.into();
+        debug_assert_eq!(key.is_int(), matches!(value, AttrValue::Int(_)), "{key:?}");
+        self.attrs.retain(|(a, _)| *a != key);
+        self.attrs.push((key, value));
     }
 
     /// A [`Telemetry`] handle whose spans will nest under this span.
@@ -348,6 +380,7 @@ impl Span {
                 counters: std::mem::take(&mut self.counters),
                 gauges: std::mem::take(&mut self.gauges),
                 hists: std::mem::take(&mut self.hists),
+                attrs: std::mem::take(&mut self.attrs),
             });
         }
         duration
@@ -428,6 +461,36 @@ mod tests {
             .expect("histogram recorded");
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 16);
+    }
+
+    #[test]
+    fn only_enabled_root_spans_carry_attributes() {
+        let mut off = Telemetry::disabled().span(Phase::Check);
+        off.attr(Attr::Verdict, "equivalent");
+        assert!(off.attrs.is_empty(), "disabled spans must not allocate");
+        let _ = off.finish();
+
+        let collector = Collector::new();
+        let tele = Telemetry::attached(&collector);
+        let mut root = tele.span(Phase::Check);
+        let mut child = root.telemetry().span(Phase::Extract);
+        child.attr(Attr::Case, "case1");
+        let _ = child.finish();
+        root.attr(Attr::Verdict, "unknown");
+        root.attr(Attr::Verdict, "equivalent");
+        root.attr(Attr::K, 8u64);
+        let _ = root.finish();
+        let trace = collector.snapshot();
+        let (root, child) = (&trace.spans()[0], &trace.spans()[1]);
+        assert_eq!(
+            root.attrs,
+            [
+                (Attr::Verdict, AttrValue::from("equivalent")),
+                (Attr::K, AttrValue::Int(8))
+            ]
+        );
+        assert_eq!(root.attr(Attr::K), Some(&AttrValue::Int(8)));
+        assert!(child.attrs.is_empty());
     }
 
     #[test]

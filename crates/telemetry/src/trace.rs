@@ -1,5 +1,6 @@
 //! The query side: a finished [`Trace`] and its renderers.
 
+use crate::span::accumulate;
 use crate::{Counter, Gauge, Hist, HistData, Phase, SpanRecord};
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -143,6 +144,41 @@ impl Trace {
             (Some(s), Some(e)) => e.saturating_sub(s),
             _ => Duration::ZERO,
         }
+    }
+
+    /// The whole trace collapsed into one root span of `phase` labelled
+    /// `label`, the shape of a ledger line: counters summed over every
+    /// span, gauges combined per [`Gauge::combine`], the wall clock as
+    /// its duration and the first root's attributes. Histograms are left
+    /// out. An empty trace collapses to a root of zero duration.
+    #[must_use]
+    pub fn collapsed(&self, phase: Phase, label: &str) -> SpanRecord {
+        let mut row = SpanRecord {
+            id: 1,
+            parent: None,
+            phase,
+            label: Some(label.to_owned()),
+            thread: 0,
+            start: Duration::ZERO,
+            duration: self.wall(),
+            counters: Vec::new(),
+            gauges: Vec::new(),
+            hists: Vec::new(),
+            attrs: self
+                .roots()
+                .next()
+                .map(|r| r.attrs.clone())
+                .unwrap_or_default(),
+        };
+        for s in &self.spans {
+            for &(c, v) in &s.counters {
+                accumulate(&mut row.counters, c, v, u64::saturating_add);
+            }
+            for &(g, v) in &s.gauges {
+                accumulate(&mut row.gauges, g, v, |a, b| g.combine(a, b));
+            }
+        }
+        row
     }
 
     /// Self time of span `s`: its duration minus the duration of its
@@ -367,6 +403,7 @@ mod tests {
             counters: Vec::new(),
             gauges: Vec::new(),
             hists: Vec::new(),
+            attrs: Vec::new(),
         }
     }
 
@@ -410,6 +447,31 @@ mod tests {
         assert!(table.contains("peak mem"));
         assert!(table.contains("3.0MiB"));
         assert_eq!(t.gauge_total(Gauge::MemPeakBytes), Some(3 * 1024 * 1024));
+    }
+
+    #[test]
+    fn collapse_sums_counters_over_the_wall_clock() {
+        use crate::{Attr, AttrValue};
+        let mut spans = sample().spans().to_vec();
+        spans[0].attrs = vec![(Attr::Verdict, "extracted".into())];
+        spans[1].counters.push((Counter::ReductionSteps, 3));
+        spans[1].gauges = vec![(Gauge::MemPeakBytes, 10)];
+        spans[2].counters = vec![(Counter::Gates, 2), (Counter::ReductionSteps, 4)];
+        spans[2].gauges = vec![(Gauge::MemPeakBytes, 30)];
+        let row = Trace::from_spans(spans).collapsed(Phase::Extract, "sq8");
+        assert_eq!((row.id, row.parent, row.phase), (1, None, Phase::Extract));
+        assert_eq!(row.label.as_deref(), Some("sq8"));
+        assert_eq!(row.duration, Duration::from_millis(100));
+        assert_eq!(
+            row.counters,
+            [(Counter::Gates, 9), (Counter::ReductionSteps, 7)]
+        );
+        assert_eq!(row.gauges, [(Gauge::MemPeakBytes, 30)]);
+        assert!(row.hists.is_empty());
+        assert_eq!(row.attr(Attr::Verdict), Some(&AttrValue::from("extracted")));
+        let empty = Trace::default().collapsed(Phase::Check, "q");
+        assert_eq!(empty.duration, Duration::ZERO);
+        assert!(empty.counters.is_empty() && empty.attrs.is_empty());
     }
 
     #[test]

@@ -52,6 +52,7 @@ echo "== telemetry smoke: --trace-json emits a schema-valid trace =="
 # Generate a small Mastrovito/Montgomery pair, run an equivalence check
 # with JSONL tracing, and validate the trace with the binary's own strict
 # parser (every line must parse and carry exactly the documented fields).
+# The root span must name the rung that decided: word-level matching.
 GFAB=target/release/gfab
 TRACE_DIR=$(mktemp -d)
 trap 'rm -rf "$TRACE_DIR"' EXIT
@@ -60,6 +61,7 @@ trap 'rm -rf "$TRACE_DIR"' EXIT
 "$GFAB" equiv "$TRACE_DIR/spec.nl" "$TRACE_DIR/impl.nl" --k 16 \
     --trace-json "$TRACE_DIR/trace.jsonl" > /dev/null
 "$GFAB" trace-check "$TRACE_DIR/trace.jsonl"
+grep '"parent":null' "$TRACE_DIR/trace.jsonl" | grep -q '"rung":"word"'
 
 echo "== examples: build (release) and run all five =="
 # Each takes milliseconds and must exit 0. quickstart lists the model of
@@ -170,10 +172,11 @@ first_case=$(ls "$TRACE_DIR"/fuzz_corpus/case-*.json | head -1)
 
 echo "== cross-run observability smoke: trace-agg, flame, ledger =="
 # A batch run and a small clean fuzz sweep, both writing merged traces
-# and appending to one shared ledger; then the three cross-run views
-# must all work: trace-agg emits a v4 agg document that trace-check
-# accepts, flame reports a critical path (and exports folded stacks),
-# and report renders the accumulated ledger dashboard.
+# and appending to one shared ledger of root span lines; then the three
+# cross-run views must all work: trace-agg emits a v5 agg document that
+# trace-check accepts, flame reports a critical path (and exports folded
+# stacks), trace-check accepts the ledger, and report renders the
+# accumulated ledger dashboard.
 "$GFAB" batch "$TRACE_DIR/batch.json" --threads 2 \
     --trace-json "$TRACE_DIR/batch_trace.jsonl" \
     --ledger "$TRACE_DIR/ledger.jsonl" > /dev/null
@@ -187,7 +190,7 @@ echo "== cross-run observability smoke: trace-agg, flame, ledger =="
     | grep -q 'critical path:'
 "$GFAB" flame "$TRACE_DIR/batch_trace.jsonl" --out folded \
     | grep -q '[a-z] [0-9]'
-"$GFAB" trace-check "$TRACE_DIR/ledger.jsonl"
+"$GFAB" trace-check "$TRACE_DIR/ledger.jsonl" | grep -q '^valid ledger: '
 "$GFAB" report "$TRACE_DIR/ledger.jsonl" > "$TRACE_DIR/report.txt"
 # The verdict mix must show both producers: batch's equivalence verdicts
 # and the fuzz campaign's clean-sweep row.
@@ -198,7 +201,7 @@ grep -q 'clean' "$TRACE_DIR/report.txt"
 echo "== live events smoke: --events stream, piped --progress, report --follow =="
 # A batch run with both live sinks on, stdout/stderr piped (so the
 # binary sees no terminal): the event stream must validate as a strict
-# v4 NDJSON document, and nothing written anywhere may contain an ANSI
+# v5 NDJSON document, and nothing written anywhere may contain an ANSI
 # escape byte. Then `report --follow --iterations 1` renders the ledger
 # once and exits.
 "$GFAB" batch "$TRACE_DIR/batch.json" --threads 2 --progress \

@@ -144,7 +144,7 @@ pub enum QueryOutcome {
 }
 
 impl QueryOutcome {
-    /// The one-word verdict used on result lines, in ledger rows and in
+    /// The one-word verdict used on result lines, in ledger lines and in
     /// live `query-done` events: `failed`, `timeout`, an extraction's
     /// [`word`](crate::core::Extraction::word) (`extracted` for a
     /// hierarchical design) or a verdict's [`word`](crate::core::equiv::Verdict::word).
@@ -156,7 +156,7 @@ impl QueryOutcome {
             QueryOutcome::Extracted(report) => {
                 report.as_flat().map_or("extracted", |r| r.outcome.word())
             }
-            QueryOutcome::Checked(report) => report.verdict().word(),
+            QueryOutcome::Checked(report) => report.verdict.word(),
         }
     }
 

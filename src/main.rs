@@ -30,11 +30,11 @@ use gfab::field::nist::irreducible_polynomial;
 use gfab::field::{Gf2Poly, GfContext};
 use gfab::netlist::{format as nlformat, Netlist};
 use gfab::sat::equiv::{check_equivalence_sat_traced, SatVerdict};
-use gfab::telemetry::Telemetry;
+use gfab::telemetry::{Attr, AttrValue, Phase, SpanRecord, Telemetry, Trace};
 use gfab::Verifier;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Route every allocation through the accounting hooks so `--mem-stats`
 /// can attribute memory to phases; with tracking off (the default) each
@@ -185,11 +185,13 @@ running the queries sequentially, at any --threads value. With batch,
 of wall clock); --trace prints the full span tree with counters;
 --mem-stats additionally attributes live-bytes peak and allocation
 totals to each phase (implies --stats); --trace-json FILE writes the
-span records as JSONL (one object per span). `gfab trace-check`
-validates any JSONL file gfab writes: a trace, a trace-agg --json
-summary, an --events stream or a --ledger file. One reader frames all
-four, reads schema version 4 only, and ignores (and reports) a torn
-final line, such as a file being read while its writer is mid-line.
+span records as JSONL (one object per span); the root span's attrs
+name the outcome: the verdict, the rung that decided, each side's case
+and a counterexample's source. `gfab trace-check` validates any JSONL
+file gfab writes: a trace, a trace-agg --json summary, an --events
+stream or a --ledger file. One reader frames all four, reads schema
+version 5 only, and ignores (and reports) a torn final line, such as a
+file being read while its writer is mid-line.
 
 trace-diff aligns two JSONL traces by phase path and reports per-phase
 deltas. With --threshold PCT it exits 1 when any phase's *work units*
@@ -204,9 +206,9 @@ is `trace-diff BASE CUR --threshold 0` run in both directions.
 trace-agg streams any number of JSONL traces into per-group summaries
 (span counts, work units, wall-time p50/p90/p99/max from mergeable
 histograms), grouped by phase path (default), field width k, or
-generator architecture. Aggregating shards separately and merging
-yields byte-identical output to aggregating their concatenation.
---json FILE writes the summary as a strict v4 `agg` JSONL document
+generator architecture. Several shard traces given to one run
+aggregate byte-identically to their concatenation.
+--json FILE writes the summary as a strict v5 `agg` JSONL document
 that `gfab trace-check` validates. A group's counter or work-unit sum
 that overflows u64 exits 2 naming the group and counter, as does a run
 whose work units overflow in `report`'s drift table.
@@ -219,20 +221,19 @@ non-overlapping spans — the serial dependency bound on the run; it is
 always >= the longest single span and <= the wall clock, and the gap
 to the wall clock is the available parallel slack.
 
---ledger FILE appends one JSONL row per query (build, command
-fingerprint, k, verdict, exit code, work units, wall time, peak memory
-under --mem-stats) to a persistent append-only run ledger; extract,
-equiv, batch and fuzz all accept it, and the same file can accumulate
-rows from all of them across runs. `gfab report LEDGER` renders the
-accumulated history as a dashboard — verdict mix, per-k latency
-percentiles, and the work-unit drift between the two most recent runs
-of each repeated command line, and the latest five rows (--md for
-markdown). Writes are crash-safe at line granularity; the reader
-tolerates one torn final line, and report skips and counts any other
-unparsable line rather than dying on it. `gfab report LEDGER --follow`
-keeps reading the file while other processes append to it, re-rendering
-the report whenever it changes (a missing file reads as empty;
---interval sets the poll cadence, --iterations bounds the loop).
+--ledger FILE appends each query's root span, collapsed over its trace
+and naming the command, its fingerprint, k and the exit code, to a
+persistent append-only run ledger; extract, equiv, batch and fuzz all
+accept it, across runs. `gfab report LEDGER` renders the accumulated
+history as a dashboard — verdict mix, per-k latency percentiles, and
+the work-unit drift between the two most recent runs of each repeated
+command line, and the latest five rows (--md for markdown). Writes are
+crash-safe at line granularity; the reader tolerates one torn final
+line, and report skips and counts any other unparsable line rather
+than dying on it. `gfab report LEDGER --follow` keeps reading the file
+while other processes append to it, re-rendering the report whenever
+it changes (a missing file reads as empty; --interval sets the poll
+cadence, --iterations bounds the loop).
 
 --progress renders a live status line on stderr while the query runs
 (phase, work units/s, budget remaining, per-worker queries). On a real
@@ -362,66 +363,70 @@ fn now_ms() -> u64 {
         .map_or(0, |d| d.as_millis().min(u128::from(u64::MAX)) as u64)
 }
 
-/// One query's contribution to a ledger row; the invocation-level
-/// fields (run id, fingerprint, producer) come from [`LedgerArgs`].
-struct QueryRecord<'a> {
-    query: &'a str,
-    k: u64,
-    verdict: &'a str,
-    exit: u8,
-    work_units: u64,
-    wall: std::time::Duration,
-    mem_peak_bytes: Option<u64>,
-}
-
 /// `--ledger PATH` handling shared by `extract`, `equiv`, `batch` and
-/// `fuzz`: one run id and command fingerprint per process invocation,
-/// one appended row per query.
+/// `fuzz`: each query appends one root span line, which also names the
+/// invocation (its command, fingerprint, run id and build).
 struct LedgerArgs {
-    cmd: &'static str,
     path: Option<std::path::PathBuf>,
-    run: String,
-    fp: String,
+    invocation: [(Attr, AttrValue); 4],
 }
 
 impl LedgerArgs {
     fn new(args: &Args) -> Self {
         LedgerArgs {
-            cmd: args.cmd.name,
             path: args.value("--ledger").map(std::path::PathBuf::from),
-            run: format!("{}-{}", now_ms(), std::process::id()),
-            fp: args.fingerprint(),
+            invocation: [
+                (Attr::Cmd, args.cmd.name.into()),
+                (Attr::Fp, args.fingerprint().into()),
+                (
+                    Attr::Run,
+                    format!("{}-{}", now_ms(), std::process::id()).into(),
+                ),
+                (Attr::Producer, gfab::version::version_string().into()),
+            ],
         }
     }
 
-    /// Whether rows will be appended (and hence whether the query needs
-    /// a telemetry collector for work-unit accounting).
+    /// Whether lines will be appended (and hence whether the query needs
+    /// a telemetry collector to collapse into its line).
     fn enabled(&self) -> bool {
         self.path.is_some()
     }
 
-    /// Appends one row; a no-op without `--ledger`.
-    fn append(&self, rec: &QueryRecord) -> Result<(), String> {
+    /// Appends `row` (see [`ledger_row`]) with the query's exit code and
+    /// field width `k`; a no-op without `--ledger`.
+    fn append(&self, mut row: SpanRecord, exit: u8, k: u64) -> Result<(), String> {
         let Some(path) = &self.path else {
             return Ok(());
         };
-        let row = gfab::telemetry::LedgerRow {
-            ts_ms: now_ms(),
-            run: self.run.clone(),
-            producer: gfab::version::version_string(),
-            cmd: self.cmd.to_string(),
-            fp: self.fp.clone(),
-            query: rec.query.to_string(),
-            k: rec.k,
-            verdict: rec.verdict.to_string(),
-            exit: u64::from(rec.exit),
-            work_units: rec.work_units,
-            wall_us: rec.wall.as_micros().min(u128::from(u64::MAX)) as u64,
-            mem_peak_bytes: rec.mem_peak_bytes,
-        };
-        row.append(path)
+        row.attrs.extend(self.invocation.iter().cloned());
+        row.attrs.push((Attr::Exit, u64::from(exit).into()));
+        row.attrs.push((Attr::K, k.into()));
+        row.attrs.push((Attr::TsMs, now_ms().into()));
+        gfab::telemetry::ledger::append(path, &row)
             .map_err(|e| format!("cannot append to ledger {}: {e}", path.display()))
     }
+}
+
+/// One query's ledger line: its trace collapsed into a root span of
+/// `phase` labelled `query`, or for an outcome with no trace a bare root
+/// lasting `wall`. A root that does not name its verdict (a fuzz
+/// campaign, an outcome with no trace) gets `verdict`.
+fn ledger_row(
+    trace: Option<&Trace>,
+    phase: Phase,
+    query: &str,
+    verdict: &str,
+    wall: Duration,
+) -> SpanRecord {
+    let mut row = trace.unwrap_or(&Trace::default()).collapsed(phase, query);
+    if trace.is_none() {
+        row.duration = wall;
+    }
+    if row.attr(Attr::Verdict).is_none() {
+        row.attrs.push((Attr::Verdict, verdict.into()));
+    }
+    row
 }
 
 /// The file stem of a netlist path, for ledger query names.
@@ -465,15 +470,8 @@ fn cmd_extract(args: &Args) -> Result<ExitCode, String> {
                 None => println!("TIMED OUT during {phase}: {reason}"),
             }
             let exit = exit_code("timeout");
-            ledger.append(&QueryRecord {
-                query: stem(path),
-                k: ctx.k() as u64,
-                verdict: "timeout",
-                exit,
-                work_units: 0,
-                wall: t.elapsed(),
-                mem_peak_bytes: None,
-            })?;
+            let row = ledger_row(None, Phase::Extract, stem(path), "timeout", t.elapsed());
+            ledger.append(row, exit, ctx.k() as u64)?;
             return Ok(ExitCode::from(exit));
         }
         Err(e) => return Err(e.to_string()),
@@ -501,18 +499,14 @@ fn cmd_extract(args: &Args) -> Result<ExitCode, String> {
         result.stats.model_time, result.stats.reduce_time, result.stats.case2_time
     );
     tracing.emit(report.trace.as_ref())?;
-    ledger.append(&QueryRecord {
-        query: stem(path),
-        k: ctx.k() as u64,
+    let row = ledger_row(
+        report.trace.as_ref(),
+        Phase::Extract,
+        stem(path),
         verdict,
-        exit,
-        work_units: report.trace.as_ref().map_or(0, |t| t.work_units()),
-        wall: elapsed,
-        mem_peak_bytes: report
-            .trace
-            .as_ref()
-            .and_then(|t| t.gauge_total(gfab::telemetry::Gauge::MemPeakBytes)),
-    })?;
+        elapsed,
+    );
+    ledger.append(row, exit, ctx.k() as u64)?;
     Ok(ExitCode::from(exit))
 }
 
@@ -609,18 +603,15 @@ fn cmd_equiv(args: &Args) -> Result<ExitCode, String> {
     println!("({elapsed:?})");
     let verdict = report.verdict.word();
     let exit = exit_code(verdict);
-    ledger.append(&QueryRecord {
-        query: &format!("{}~{}", stem(spec_path), stem(impl_path)),
-        k: ctx.k() as u64,
+    let query = format!("{}~{}", stem(spec_path), stem(impl_path));
+    let row = ledger_row(
+        report.trace.as_ref(),
+        Phase::Check,
+        &query,
         verdict,
-        exit,
-        work_units: report.trace.as_ref().map_or(0, |t| t.work_units()),
-        wall: elapsed,
-        mem_peak_bytes: report
-            .trace
-            .as_ref()
-            .and_then(|t| t.gauge_total(gfab::telemetry::Gauge::MemPeakBytes)),
-    })?;
+        elapsed,
+    );
+    ledger.append(row, exit, ctx.k() as u64)?;
     Ok(ExitCode::from(exit))
 }
 
@@ -660,7 +651,7 @@ fn cmd_sat_equiv(args: &Args) -> Result<ExitCode, String> {
 /// Overall exit: any usage/internal failure → 2, else any unknown → 3,
 /// else any refutation → 1, else 0.
 fn cmd_batch(args: &Args) -> Result<ExitCode, String> {
-    use gfab::engine::EngineConfig;
+    use gfab::engine::{BatchOp, EngineConfig};
     use gfab::telemetry::json::write_json_string;
 
     let queries = gfab::manifest::load_manifest(args.positionals[0])?;
@@ -682,10 +673,6 @@ fn cmd_batch(args: &Args) -> Result<ExitCode, String> {
         events: reporter.bus().clone(),
         ..EngineConfig::default()
     });
-    let k_of: std::collections::BTreeMap<&str, u64> = queries
-        .iter()
-        .map(|q| (q.name.as_str(), q.modulus.degree().unwrap_or(0) as u64))
-        .collect();
 
     let mut seen = [false; 4]; // seen[e] = some query exited with e
                                // Per-query traces are merged into one batch-wide trace for
@@ -696,7 +683,7 @@ fn cmd_batch(args: &Args) -> Result<ExitCode, String> {
     let mut pass_offset = std::time::Duration::ZERO;
     for pass in 0..repeat {
         let report = engine.run_batch(&queries);
-        for r in &report.results {
+        for (q, r) in queries.iter().zip(&report.results) {
             let exit = r.outcome.exit_severity();
             let fields = render_query_result(&r.outcome);
             seen[exit as usize] = true;
@@ -716,15 +703,19 @@ fn cmd_batch(args: &Args) -> Result<ExitCode, String> {
                     ));
                 }
             }
-            ledger.append(&QueryRecord {
-                query: &r.name,
-                k: k_of.get(r.name.as_str()).copied().unwrap_or(0),
-                verdict: r.outcome.verdict_word(),
-                exit,
-                work_units: outcome_trace(&r.outcome).map_or(0, |t| t.work_units()),
-                wall: r.duration,
-                mem_peak_bytes: None,
-            })?;
+            let phase = match q.op {
+                BatchOp::Extract(_) => Phase::Extract,
+                BatchOp::Equiv { .. } => Phase::Check,
+            };
+            let verdict = r.outcome.verdict_word();
+            let row = ledger_row(
+                outcome_trace(&r.outcome),
+                phase,
+                &r.name,
+                verdict,
+                r.duration,
+            );
+            ledger.append(row, exit, q.modulus.degree().unwrap_or(0) as u64)?;
         }
         pass_offset += report.wall;
         let c = &report.cache;
@@ -787,8 +778,8 @@ fn cmd_batch(args: &Args) -> Result<ExitCode, String> {
 fn outcome_trace(outcome: &gfab::engine::QueryOutcome) -> Option<&gfab::telemetry::Trace> {
     use gfab::engine::QueryOutcome;
     match outcome {
-        QueryOutcome::Extracted(report) => report.trace(),
-        QueryOutcome::Checked(report) => report.trace(),
+        QueryOutcome::Extracted(report) => report.trace.as_ref(),
+        QueryOutcome::Checked(report) => report.trace.as_ref(),
         QueryOutcome::TimedOut(_) | QueryOutcome::Failed(_) => None,
     }
 }
@@ -829,7 +820,7 @@ fn render_query_result(outcome: &gfab::engine::QueryOutcome) -> String {
             }
         }
         QueryOutcome::Checked(report) => {
-            let v = report.verdict();
+            let v = &report.verdict;
             s.push_str(&format!(
                 "\"op\":\"equiv\",\"verdict\":\"{}\",\"method\":\"{}\"",
                 v.word(),
@@ -1078,7 +1069,7 @@ fn parse_fuzz_config(args: &Args) -> Result<gfab::fuzz::FuzzConfig, String> {
 
 fn cmd_fuzz(args: &Args) -> Result<ExitCode, String> {
     use gfab::fuzz::{replay_case, run_campaign, write_corpus, CorpusCase, ReplayVerdict};
-    use gfab::telemetry::{Collector, Telemetry};
+    use gfab::telemetry::Collector;
 
     let mut cfg = parse_fuzz_config(args)?;
 
@@ -1111,7 +1102,7 @@ fn cmd_fuzz(args: &Args) -> Result<ExitCode, String> {
     let ledger = LedgerArgs::new(args);
     let reporter = live::start(args)?;
     let collector = Collector::new();
-    if json.is_some() || tree {
+    if json.is_some() || tree || ledger.enabled() {
         cfg.telemetry = Telemetry::attached(&collector);
     }
     cfg.telemetry = cfg.telemetry.with_events(reporter.bus());
@@ -1126,14 +1117,12 @@ fn cmd_fuzz(args: &Args) -> Result<ExitCode, String> {
         let names = write_corpus(std::path::Path::new(dir), &report)?;
         eprintln!("wrote {} corpus case(s) to {dir}", names.len());
     }
-    if json.is_some() || tree {
-        let trace = collector.snapshot();
-        if tree {
-            eprintln!("{}", trace.render_tree());
-        }
-        if let Some(path) = json {
-            write_trace(path, &trace)?;
-        }
+    let trace = collector.snapshot();
+    if tree {
+        eprintln!("{}", trace.render_tree());
+    }
+    if let Some(path) = json {
+        write_trace(path, &trace)?;
     }
     if args.has("--stats") {
         let s = &report.summary;
@@ -1188,16 +1177,10 @@ fn cmd_fuzz(args: &Args) -> Result<ExitCode, String> {
     } else {
         (0, "clean")
     };
-    // One row for the whole campaign: k is mixed across cases (0), and
-    // the work units are the campaign's deterministic oracle total.
-    ledger.append(&QueryRecord {
-        query: &format!("campaign-seed{}", cfg.seed),
-        k: 0,
-        verdict,
-        exit,
-        work_units: report.summary.work_units,
-        wall: report.wall,
-        mem_peak_bytes: None,
-    })?;
+    // One line for the whole campaign, k mixed across cases (0): its
+    // trace carries exactly the campaign's deterministic work units.
+    let query = format!("campaign-seed{}", cfg.seed);
+    let row = ledger_row(Some(&trace), Phase::FuzzCase, &query, verdict, report.wall);
+    ledger.append(row, exit, 0)?;
     Ok(ExitCode::from(exit))
 }

@@ -45,7 +45,7 @@ use crate::field::budget::{Budget, BudgetObserver, BudgetSpec};
 use crate::field::{Gf, GfContext};
 use crate::netlist::Netlist;
 use crate::sat::equiv::{check_equivalence_sat_traced, SatVerdict};
-use crate::telemetry::{Collector, EventBus, EventKind, Phase, Telemetry, Trace};
+use crate::telemetry::{Attr, Collector, EventBus, EventKind, Phase, Span, Telemetry, Trace};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -126,13 +126,6 @@ impl ExtractReport {
             ExtractOutcome::Flat(_) => None,
             ExtractOutcome::Hier(h) => Some(h),
         }
-    }
-
-    /// The query's telemetry span tree (`None` unless the session has
-    /// [`Verifier::trace`] enabled) — the accessor twin of the `trace`
-    /// field, uniform with [`EquivReport::trace`].
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
     }
 }
 
@@ -338,7 +331,9 @@ impl Verifier {
     /// Abstracts a circuit to its word-level polynomial. Accepts a flat
     /// [`Netlist`] or a hierarchical
     /// [`HierDesign`](crate::netlist::hierarchy::HierDesign) (blocks extracted
-    /// concurrently, then composed at word level).
+    /// concurrently, then composed at word level). With tracing on, the
+    /// root `extract` span names the `verdict` and the `case` the
+    /// extraction ended in.
     ///
     /// # Errors
     ///
@@ -350,7 +345,7 @@ impl Verifier {
             Circuit::Flat(nl) => nl.name().to_string(),
             Circuit::Hier(design) => design.name.clone(),
         };
-        let root = options.telemetry.span_labeled(Phase::Extract, &name);
+        let mut root = options.telemetry.span_labeled(Phase::Extract, &name);
         options.telemetry = root.telemetry();
         let provider = self.provider.as_deref().unwrap_or(&DirectExtract);
         let budget = self.observed(options.budget.start());
@@ -363,6 +358,14 @@ impl Verifier {
                     .map(ExtractOutcome::Hier)
             }
         };
+        if let (true, Ok(outcome)) = (root.is_enabled(), &outcome) {
+            let (verdict, case) = match outcome {
+                ExtractOutcome::Flat(r) => (r.outcome.word(), r.case()),
+                ExtractOutcome::Hier(h) => ("extracted", h.case()),
+            };
+            root.attr(Attr::Verdict, verdict);
+            root.attr(Attr::Case, case);
+        }
         let _ = root.finish();
         let outcome = outcome?;
         Ok(ExtractReport {
@@ -383,6 +386,12 @@ impl Verifier {
     /// equivalent, refuted with a counterexample, or `Unknown` naming the
     /// exhausted resource.
     ///
+    /// With tracing on, the root `check` span names the outcome in its
+    /// attributes: the `verdict`, the `rung` that decided (`pre-check`,
+    /// `word`, `refute`, `sat` or `none`), how the `spec` and `impl`
+    /// extractions ended ([`EquivReport::cases`]) and, when there is a
+    /// counterexample, where it came from (`cex`).
+    ///
     /// # Errors
     ///
     /// Any [`CoreError`] from the underlying extraction (budget exhaustion
@@ -396,9 +405,13 @@ impl Verifier {
         let (collector, mut options, _mem) = self.query_setup();
         let root = options.telemetry.span_labeled(Phase::Check, spec.name());
         options.telemetry = root.telemetry();
-        let snapshot = |root: crate::telemetry::Span| {
+        let finish = |mut root: Span, mut report: EquivReport| {
+            if root.is_enabled() {
+                record_outcome(&mut root, &report);
+            }
             let _ = root.finish();
-            collector.as_ref().map(|c| c.snapshot())
+            report.trace = collector.as_ref().map(|c| c.snapshot());
+            Ok(report)
         };
         // The full budget spans the whole ladder; the word-level phase is
         // run under half the wall clock so the SAT fallback always has
@@ -433,15 +446,12 @@ impl Verifier {
             &word_budget,
         );
         let (word_report, reason) = match word {
-            Ok(mut r) => match &r.verdict {
+            Ok(r) => match &r.verdict {
                 Verdict::Unknown { reason } => {
                     let reason = reason.clone();
                     (Some(r), reason)
                 }
-                _ => {
-                    r.trace = snapshot(root);
-                    return Ok(r);
-                }
+                _ => return finish(root, r),
             },
             Err(e @ CoreError::BudgetExhausted { .. }) => (None, e.to_string()),
             Err(e) => return Err(e),
@@ -475,14 +485,17 @@ impl Verifier {
                 reason: format!("{reason}; SAT fallback also inconclusive: {i}"),
             },
         };
-        let (spec_stats, impl_stats) = match word_report {
-            Some(r) => (r.spec_stats, r.impl_stats),
-            None => Default::default(),
+        // A word level that stopped on its budget before either side
+        // returned leaves both sides timed out.
+        let (spec_stats, impl_stats, cases) = match word_report {
+            Some(r) => (r.spec_stats, r.impl_stats, r.cases),
+            None => (Default::default(), Default::default(), ["timed-out"; 2]),
         };
-        Ok(EquivReport {
+        let report = EquivReport {
             verdict,
             spec_stats,
             impl_stats,
+            cases,
             sat: Some(SatStats {
                 conflicts: sat.stats.conflicts,
                 decisions: sat.stats.decisions,
@@ -492,8 +505,42 @@ impl Verifier {
                 cnf_vars: sat.cnf_vars as usize,
                 cnf_clauses: sat.cnf_clauses,
             }),
-            trace: snapshot(root),
-        })
+            trace: None,
+        };
+        finish(root, report)
+    }
+}
+
+/// Names a check's outcome on its root span: the verdict, the rung of
+/// the ladder that decided, how each side's extraction ended, and where
+/// a counterexample came from.
+fn record_outcome(root: &mut Span, report: &EquivReport) {
+    let [spec, impl_] = report.cases;
+    let (rung, cex) = match &report.verdict {
+        Verdict::Inequivalent {
+            spec: f,
+            counterexample: Some(_),
+            ..
+        } => (
+            "word",
+            Some(if f.exhaustive_search() {
+                "exhaustive"
+            } else {
+                "sampled"
+            }),
+        ),
+        Verdict::InequivalentBySimulation { .. } if spec == "not-run" => {
+            ("pre-check", Some("pre-check"))
+        }
+        Verdict::InequivalentBySimulation { .. } => ("refute", Some("refute")),
+        v => (v.method(), v.counterexample().map(|_| v.method())),
+    };
+    root.attr(Attr::Verdict, report.verdict.word());
+    root.attr(Attr::Rung, rung);
+    root.attr(Attr::Spec, spec);
+    root.attr(Attr::Impl, impl_);
+    if let Some(cex) = cex {
+        root.attr(Attr::Cex, cex);
     }
 }
 
@@ -555,7 +602,7 @@ mod tests {
         assert!(stats.cancellations > 0);
         // An equivalence check reports the same aggregate for its impl.
         let report = v.check(&mastrovito_multiplier(&ctx), &design).unwrap();
-        let checked = report.impl_stats();
+        let checked = &report.impl_stats;
         assert_eq!(
             (checked.gates, checked.reduction_steps),
             (stats.gates, stats.reduction_steps)

@@ -96,7 +96,7 @@ fn fingerprint(outcome: &QueryOutcome) -> String {
             (None, Some(flat)) => format!("flat:{:?}", flat.outcome),
             (None, None) => "hier:none".into(),
         },
-        QueryOutcome::Checked(r) => match r.verdict() {
+        QueryOutcome::Checked(r) => match &r.verdict {
             Verdict::Equivalent { function } => format!("eq:{}", func(function)),
             Verdict::Inequivalent {
                 spec,

@@ -263,16 +263,16 @@ fn single_value_trigger_stops_at_the_product_cap() {
     let start = Instant::now();
     let report = check_equivalence(&spec, &bad, &ctx, &options).unwrap();
     let elapsed = start.elapsed();
-    let Verdict::Unknown { reason } = report.verdict() else {
-        panic!("unexpected verdict {:?}", report.verdict());
+    let Verdict::Unknown { reason } = &report.verdict else {
+        panic!("unexpected verdict {:?}", report.verdict);
     };
     assert_eq!(
         reason,
         "impl abstraction did not reach a canonical form \
          (and 256 random simulations found no difference)"
     );
-    assert!(report.impl_stats().case2_completion);
-    assert_eq!(report.impl_stats().budget_exhausted, None);
+    assert!(report.impl_stats.case2_completion);
+    assert_eq!(report.impl_stats.budget_exhausted, None);
     assert_eq!(
         collector.snapshot().counter_total(Counter::TermProducts),
         CASE2_MAX_PRODUCTS

@@ -369,9 +369,9 @@ fn report_follow_renders_and_skips_garbage_lines() {
     // Drift sums never wrap: two rows of one run at 2^63 work units each,
     // then a later run at 1, exit 2 naming the run and the counter.
     let with_work = |row: &str, work: u64| {
-        let at = row.find("\"work_units\":").expect("row has work_units") + 13;
-        let end = at + row[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
-        format!("{}{work}{}", &row[..at], &row[end..])
+        let at = row.find("\"counters\":{").expect("row has counters") + 12;
+        let end = at + row[at..].find('}').unwrap();
+        format!("{}\"gates\":{work}{}", &row[..at], &row[end..])
     };
     let big = with_work(&rows[0], 1 << 63);
     std::fs::write(
@@ -394,28 +394,27 @@ fn report_follow_renders_and_skips_garbage_lines() {
 
 #[test]
 fn lenient_reader_races_a_concurrently_appending_writer() {
-    use gfab::telemetry::{Ledger, LedgerRow};
+    use gfab::telemetry::{ledger, Attr, Counter, Ledger, Phase, Trace};
     let dir = scratch("race");
     let path = dir.join("ledger.jsonl");
     let writer_path = path.clone();
     const ROWS: u64 = 300;
     let writer = std::thread::spawn(move || {
         for i in 0..ROWS {
-            let row = LedgerRow {
-                ts_ms: i,
-                run: "race-run".into(),
-                producer: "test".into(),
-                cmd: "extract".into(),
-                fp: "fp".into(),
-                query: format!("q{i}"),
-                k: 8,
-                verdict: "extracted".into(),
-                exit: 0,
-                work_units: i,
-                wall_us: 10,
-                mem_peak_bytes: None,
-            };
-            row.append(&writer_path).expect("append row");
+            let mut row = Trace::default().collapsed(Phase::Extract, &format!("q{i}"));
+            row.duration = std::time::Duration::from_micros(10);
+            row.counters = vec![(Counter::ReductionSteps, i)];
+            row.attrs = vec![
+                (Attr::Verdict, "extracted".into()),
+                (Attr::Cmd, "extract".into()),
+                (Attr::Fp, "fp".into()),
+                (Attr::Run, "race-run".into()),
+                (Attr::Producer, "test".into()),
+                (Attr::Exit, 0u64.into()),
+                (Attr::K, 8u64.into()),
+                (Attr::TsMs, i.into()),
+            ];
+            ledger::append(&writer_path, &row).expect("append row");
         }
     });
     // Hammer the reader mid-append: every snapshot must parse without

@@ -60,6 +60,7 @@ fn sample_trace(salt: u64) -> Trace {
         counters: Vec::new(),
         gauges: Vec::new(),
         hists: Vec::new(),
+        attrs: Vec::new(),
     };
     let mut root = mk(1, None, Phase::Check, 0, 0, 1000 + salt);
     root.label = Some(format!("mastrovito_{}", 8 + salt));

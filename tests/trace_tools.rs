@@ -1,7 +1,7 @@
 //! Integration tests for the trace comparison tooling:
 //!
 //! * `gfab trace-diff` — alignment by phase path, deterministic
-//!   work-unit gating across thread counts, rejection of pre-v4 files,
+//!   work-unit gating across thread counts, rejection of pre-v5 files,
 //!   mutation-style regression detection in both directions (the perf
 //!   gate's exact check), and overflow-proof sums;
 //! * `gfab trace-check` — line number *and* field path on corrupted
@@ -249,7 +249,7 @@ fn twin_trace(gates: u64, samples: u64) -> String {
         )
     };
     format!(
-        "{{\"type\":\"trace\",\"version\":4,\"spans\":3}}\n\
+        "{{\"type\":\"trace\",\"version\":5,\"spans\":3}}\n\
          {{\"type\":\"span\",\"id\":1,\"parent\":null,\"phase\":\"extract\",\
          \"label\":\"mastrovito_16\",\"thread\":0,\"start_us\":0,\"dur_us\":10,\
          \"counters\":{{}},\"gauges\":{{}},\"hists\":{{}}}}\n{}{}",
@@ -258,9 +258,9 @@ fn twin_trace(gates: u64, samples: u64) -> String {
     )
 }
 
-/// A hand-written v4 trace: two spans shaped like an `extract` run.
-const V4_TRACE: &str = concat!(
-    "{\"type\":\"trace\",\"version\":4,\"spans\":2}\n",
+/// A hand-written v5 trace: two spans shaped like an `extract` run.
+const V5_TRACE: &str = concat!(
+    "{\"type\":\"trace\",\"version\":5,\"spans\":2}\n",
     "{\"type\":\"span\",\"id\":1,\"parent\":null,\"phase\":\"extract\",\"label\":\"old\",",
     "\"thread\":0,\"start_us\":0,\"dur_us\":1000,\"counters\":{\"gates\":12},",
     "\"gauges\":{},\"hists\":{}}\n",
@@ -271,14 +271,14 @@ const V4_TRACE: &str = concat!(
 
 #[test]
 fn trace_diff_rejects_pre_v4_traces_and_aligns_renamed_blocks() {
-    let base = temp_dir().join("v4-base.jsonl");
-    std::fs::write(&base, V4_TRACE).expect("write v4 trace");
+    let base = temp_dir().join("v5-base.jsonl");
+    std::fs::write(&base, V5_TRACE).expect("write v5 trace");
     // The current run renamed the labelled block: alignment is by phase
     // path, so this must not split the rows.
-    let cur = temp_dir().join("v4-renamed.jsonl");
+    let cur = temp_dir().join("v5-renamed.jsonl");
     std::fs::write(
         &cur,
-        V4_TRACE.replace("\"label\":\"old\"", "\"label\":\"renamed\""),
+        V5_TRACE.replace("\"label\":\"old\"", "\"label\":\"renamed\""),
     )
     .expect("write renamed trace");
     let out = run(&[
@@ -293,13 +293,13 @@ fn trace_diff_rejects_pre_v4_traces_and_aligns_renamed_blocks() {
     assert!(text.contains("OK"), "stdout: {text}");
     assert_eq!(text.lines().filter(|l| l.starts_with("extract")).count(), 2);
 
-    // Only version 4 is read: a v1, v2 or v3 header fails naming the
-    // line and `version`, on either side of the diff.
-    for version in 1..=3 {
+    // Only version 5 is read: a v1 to v4 header fails naming the line
+    // and `version`, on either side of the diff.
+    for version in 1..=4 {
         let old = temp_dir().join(format!("v{version}-base.jsonl"));
         std::fs::write(
             &old,
-            V4_TRACE.replace("\"version\":4", &format!("\"version\":{version}")),
+            V5_TRACE.replace("\"version\":5", &format!("\"version\":{version}")),
         )
         .expect("write old trace");
         for (a, b) in [(&old, &cur), (&cur, &old)] {
@@ -368,7 +368,11 @@ fn trace_check_names_line_and_field_path() {
     std::fs::write(&bad, format!("{}\n{bad_row}\n{}\n", lines[0], lines[0])).expect("write");
     let out = run(&["trace-check", bad.to_str().unwrap()]);
     assert_eq!(code(&out), 2, "stdout: {}", stdout(&out));
-    assert!(stderr(&out).contains("line 2, field k"), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("line 2, field attrs.k"),
+        "{}",
+        stderr(&out)
+    );
     let torn = temp_dir().join("check-ledger-torn.jsonl");
     std::fs::write(&torn, format!("{rows}{{\"type\":\"run\",\"vers")).expect("write");
     let out = run(&["trace-check", torn.to_str().unwrap()]);
