@@ -1,16 +1,20 @@
 //! Coefficient-kernel microbenchmark and differential gate.
 //!
 //! Exercises the zero-allocation GF(2^k) kernels (windowed comb multiply,
-//! spread-table squaring, precomputed modular reduction, batch inversion)
-//! against the bit-serial `gfab_field::reference` oracle.
+//! the shift path for a one-bit operand `α^e`, spread-table squaring,
+//! precomputed modular reduction, batch inversion) against the bit-serial
+//! `gfab_field::reference` oracle.
 //!
 //! Modes:
 //!
 //! * default — timing sweep: per-op latency of the kernel path vs the
 //!   reference path at each k, with the speedup factor and inline-storage
-//!   residency.
+//!   residency. `alpha_mul_ns` times `α^e` × random, the product of the
+//!   division chain (every tail coefficient of a word definition is a
+//!   power of `α`); `mul_ns` times random × random.
 //! * `--smoke` — quick differential self-check over every NIST field plus
-//!   small dense moduli; exits 1 on any mismatch (wired into `ci.sh`).
+//!   small dense moduli, including `α^e · x` for every `e < k` on each
+//!   side; exits 1 on any mismatch (wired into `ci.sh`).
 //!
 //! The kernels' work counters are pinned exactly by
 //! `kernel_counter_deltas_are_deterministic` in `tests/field_kernels.rs`.
@@ -97,6 +101,24 @@ fn smoke_field(ctx: &GfContext, rng: &mut Rng, checks: &mut u64) {
         );
         *checks += 1;
     }
+    // The shift path: α^e on either side, for every e < k, against a
+    // random element, zero and one.
+    let xs = [random_element(ctx, rng), ctx.zero(), ctx.one()];
+    for e in 0..ctx.k() {
+        let power = Gf2Poly::monomial(e);
+        let alpha_e = ctx.element(power.clone());
+        for x in &xs {
+            let want = reference::field_mul(&m, &power, x.as_poly());
+            let sides = [
+                ("alpha^e * x", (&alpha_e, x)),
+                ("x * alpha^e", (x, &alpha_e)),
+            ];
+            for (op, (a, b)) in sides {
+                assert_differential(ctx.k(), op, ctx.mul(a, b).as_poly(), &want);
+                *checks += 1;
+            }
+        }
+    }
     // Edge cases: zero annihilates, one is neutral, alpha matches x.
     let alpha = ctx.alpha();
     assert!(ctx.mul(&ctx.zero(), &alpha).is_zero());
@@ -154,8 +176,16 @@ fn best_ns_per_call(calls_per_pass: usize, mut f: impl FnMut()) -> f64 {
 fn run_timing(sweep: &[usize]) {
     println!("Coefficient-kernel timings (kernel path vs bit-serial reference)\n");
     println!(
-        "{:>5} {:>12} {:>12} {:>9} {:>12} {:>12} {:>9} {:>8}",
-        "k", "mul_ns", "ref_mul_ns", "speedup", "sq_ns", "ref_sq_ns", "sq_spdup", "inline%"
+        "{:>5} {:>12} {:>12} {:>12} {:>9} {:>12} {:>12} {:>9} {:>8}",
+        "k",
+        "mul_ns",
+        "alpha_mul_ns",
+        "ref_mul_ns",
+        "speedup",
+        "sq_ns",
+        "ref_sq_ns",
+        "sq_spdup",
+        "inline%"
     );
     for &k in sweep {
         let p = irreducible_polynomial(k).expect("k checked by require_field");
@@ -164,11 +194,19 @@ fn run_timing(sweep: &[usize]) {
         let mut rng = Rng::seed_from_u64(0xBE2C_0000 ^ k as u64);
         let elems: Vec<Gf> = (0..128).map(|_| random_element(&ctx, &mut rng)).collect();
         let pairs: Vec<(&Gf, &Gf)> = elems.chunks(2).map(|c| (&c[0], &c[1])).collect();
+        let powers: Vec<Gf> = (0..pairs.len())
+            .map(|_| ctx.element(Gf2Poly::monomial(rng.random_range(0..k))))
+            .collect();
 
         let before = kernel::snapshot();
         let mul_ns = best_ns_per_call(pairs.len(), || {
             for (a, b) in &pairs {
                 std::hint::black_box(ctx.mul(a, b));
+            }
+        });
+        let alpha_mul_ns = best_ns_per_call(pairs.len(), || {
+            for (p, (_, b)) in powers.iter().zip(&pairs) {
+                std::hint::black_box(ctx.mul(p, b));
             }
         });
         let sq_ns = best_ns_per_call(elems.len(), || {
@@ -198,8 +236,8 @@ fn run_timing(sweep: &[usize]) {
         let speedup = ref_mul_ns / mul_ns;
         let sq_speedup = ref_sq_ns / sq_ns;
         println!(
-            "{:>5} {:>12.0} {:>12.0} {:>8.1}x {:>12.0} {:>12.0} {:>8.1}x {:>7.1}%",
-            k, mul_ns, ref_mul_ns, speedup, sq_ns, ref_sq_ns, sq_speedup, inline_pct
+            "{:>5} {:>12.0} {:>12.0} {:>12.0} {:>8.1}x {:>12.0} {:>12.0} {:>8.1}x {:>7.1}%",
+            k, mul_ns, alpha_mul_ns, ref_mul_ns, speedup, sq_ns, ref_sq_ns, sq_speedup, inline_pct
         );
     }
 }

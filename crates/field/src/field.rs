@@ -3,7 +3,7 @@
 use crate::gf2poly::{mul_comb, square_into, Gf2Poly, STACK_ACC, STACK_TABLE};
 use crate::kernel;
 use crate::limbs::INLINE_LIMBS;
-use crate::reduce_mod::ModReducer;
+use crate::reduce_mod::{xor_slice_shifted, ModReducer};
 use crate::rng::Rng;
 use std::cell::RefCell;
 use std::fmt;
@@ -116,6 +116,14 @@ thread_local! {
     // capacity (k > 576). Reused across calls so even the big-field path
     // settles into zero steady-state allocation.
     static BIG_SCRATCH: RefCell<(Vec<u64>, Vec<u64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// The exponent `e` of an element that is the single power `α^e`: its
+/// normalized limbs hold exactly one set bit.
+fn single_power(limbs: &[u64]) -> Option<usize> {
+    let (&top, below) = limbs.split_last()?;
+    (top.is_power_of_two() && below.iter().all(|&w| w == 0))
+        .then(|| 64 * below.len() + top.trailing_zeros() as usize)
 }
 
 /// The field `F_{2^k} = F_2[x] / (P(x))` for an irreducible `P` of degree `k`.
@@ -305,10 +313,14 @@ impl GfContext {
         a.0.add_assign(&b.0);
     }
 
-    /// Field multiplication: 4-bit windowed comb product folded by the
-    /// precomputed modular reducer. For k ≤ 576 the entire operation runs
-    /// on stack buffers and the result lands in inline limb storage — no
-    /// heap allocation.
+    /// Field multiplication: the carry-less product folded by the
+    /// precomputed modular reducer. When either operand is a single power
+    /// `α^e` (one set bit, as is every tail coefficient of a word
+    /// definition), the product is the other operand shifted up by `e`
+    /// bits; every other product runs the 4-bit windowed comb. Either way
+    /// the unreduced product, and so the fold count, is the same. For
+    /// k ≤ 576 the entire operation runs on stack buffers and the result
+    /// lands in inline limb storage — no heap allocation.
     #[must_use]
     pub fn mul(&self, a: &Gf, b: &Gf) -> Gf {
         kernel::on_mul();
@@ -317,10 +329,19 @@ impl GfContext {
         }
         let (al, bl) = (a.0.limbs(), b.0.limbs());
         let n = al.len() + bl.len();
+        let shift = match (single_power(al), single_power(bl)) {
+            (Some(e), _) => Some((e, bl)),
+            (None, Some(e)) => Some((e, al)),
+            (None, None) => None,
+        };
         if al.len() <= INLINE_LIMBS && bl.len() <= INLINE_LIMBS {
             let mut acc = [0u64; STACK_ACC];
-            let mut table = [0u64; STACK_TABLE];
-            mul_comb(al, bl, &mut acc[..n], &mut table);
+            if let Some((e, x)) = shift {
+                xor_slice_shifted(&mut acc[e / 64..n], x, e % 64);
+            } else {
+                let mut table = [0u64; STACK_TABLE];
+                mul_comb(al, bl, &mut acc[..n], &mut table);
+            }
             self.reducer.reduce_in_place(&mut acc[..n + 1]);
             let out = Gf2Poly::from_limb_slice(&acc[..n]);
             kernel::note_result(out.is_inline());
@@ -335,8 +356,13 @@ impl GfContext {
             if table.len() < 16 * tw {
                 table.resize(16 * tw, 0);
             }
-            acc[n] = 0;
-            mul_comb(al, bl, &mut acc[..n], table);
+            if let Some((e, x)) = shift {
+                acc[..=n].fill(0);
+                xor_slice_shifted(&mut acc[e / 64..n], x, e % 64);
+            } else {
+                acc[n] = 0;
+                mul_comb(al, bl, &mut acc[..n], table);
+            }
             self.reducer.reduce_in_place(&mut acc[..n + 1]);
             let out = Gf2Poly::from_limb_slice(&acc[..n]);
             kernel::note_result(out.is_inline());

@@ -228,9 +228,10 @@ fn xor_shifted(buf: &mut [u64], w: u64, off: usize) {
     }
 }
 
-/// XORs the limb slice `row` into `buf` at bit offset `s < 64`.
+/// XORs the limb slice `row` into `buf` at bit offset `s < 64`; `buf`
+/// must hold the bits shifted past `row`'s last limb.
 #[inline]
-fn xor_slice_shifted(buf: &mut [u64], row: &[u64], s: usize) {
+pub(crate) fn xor_slice_shifted(buf: &mut [u64], row: &[u64], s: usize) {
     if s == 0 {
         for (dst, &src) in buf.iter_mut().zip(row) {
             *dst ^= src;

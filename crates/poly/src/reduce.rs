@@ -15,8 +15,10 @@
 //!
 //! # The working store
 //!
-//! The working polynomial of one normal form is a 4-ary max-heap of
-//! 16-byte entries, each a packed key and a tag, over two side tables:
+//! The working polynomial of one normal form is a monotone radix queue
+//! of 16-byte nodes, each a packed key, a tag and a link. A node never
+//! moves, so its index also names its coefficient's slot in a limb arena
+//! at the field's width, ⌈k/64⌉ words.
 //!
 //! * **The key** packs the monomial's first two factors in pure-lex
 //!   order, 32 bits each: the inverted rank (24 bits) above the exponent
@@ -26,21 +28,36 @@
 //! * **Exact terms** are those the key describes whole: at most two
 //!   factors, exponents below 255, ranks below 2²⁴ − 1 (every term of
 //!   the Mastrovito and Montgomery division chains). They keep no
-//!   monomial: it is decoded from the key when the term is popped, and the
-//!   tag names the coefficient's slot in a limb arena at the field's
-//!   width, ⌈k/64⌉ words.
-//! * **Spilled terms** are all others. Monomial and coefficient go whole
-//!   into a spill table that the tag points at. An exponent of 255 or
-//!   more saturates its field and blanks the rest of the key (else
-//!   `x^300·y` against `x^400·z` would be decided on `y`/`z`); a rank the
-//!   field cannot hold does the same; a third factor is simply not in
-//!   the key.
+//!   monomial: it is decoded from the key when the term is popped.
+//! * **Spilled terms** are all others. Their monomial goes into a spill
+//!   table that the tag points at. An exponent of 255 or more saturates
+//!   its field and blanks the rest of the key (else `x^300·y` against
+//!   `x^400·z` would be decided on `y`/`z`); a rank the field cannot hold
+//!   does the same; a third factor is simply not in the key.
 //!
 //! The key is therefore always a faithful prefix of the order: two
-//! different keys order like their monomials. Equal keys are decided —
-//! for the heap order and for the merge test alike — by the full
-//! monomials whenever a spilled term is involved, while two exact terms
-//! with equal keys have equal monomials. So the store pops the same
+//! different keys order like their monomials, so a smaller monomial never
+//! packs a larger key. Division only ever pushes terms smaller than the
+//! monomial it just cancelled (a divisor's tail times the quotient), so
+//! no pushed key exceeds the last key popped: the queue is monotone, and
+//! a radix heap orders it (Ahuja, Mehlhorn, Orlin and Tarjan, 1990). Of
+//! its 65 buckets, bucket 0 holds the keys equal to the last key popped,
+//! `last`, and bucket `i` those whose highest bit differing from `last`
+//! is bit `i − 1`; every key of bucket `i` exceeds every key of bucket
+//! `i + 1`. A pop takes from bucket 0. When bucket 0 is empty, the lowest
+//! non-empty bucket's greatest key, recorded as its nodes entered it,
+//! becomes `last`, and that bucket's nodes move down into lower buckets
+//! in one pass. Each bucket is a list threaded through the node arena,
+//! with one free list, so the arena never holds more nodes than the
+//! store's peak term count.
+//!
+//! Bucket 0 then holds exactly the queued copies of one key, and two
+//! exact terms with equal keys have equal monomials: a pop drains it
+//! whole. A spilled monomial never packs exactly, so it equals no exact
+//! one; when a spilled term's key reaches bucket 0, its monomial moves
+//! from the spill table into the ties, a binary max-heap by full
+//! monomial, and a pop takes the ties' greatest monomial whenever it
+//! exceeds that of bucket 0's exact terms. So the store pops the same
 //! sequence of distinct monomials, with the same summed coefficients and
 //! the same live sizes, as a max-heap of whole `(Monomial, Gf)` terms:
 //! steps, peak terms, cancellations and every sampled size are those of
@@ -52,8 +69,7 @@ use crate::ring::{PolyError, Ring, VarId};
 use gfab_field::budget::Budget;
 use gfab_field::{kernel, Gf, GfContext, KernelCounts};
 use gfab_telemetry::HistData;
-use std::borrow::Cow;
-use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// How many division-loop iterations run between two budget polls. Strided
 /// so the atomic loads and `Instant::now()` calls are amortised away from
@@ -131,7 +147,7 @@ fn pack_factor(v: VarId, e: u64) -> (u64, bool) {
     }
 }
 
-/// The heap key of `m`, and whether it describes `m` exactly (so that
+/// The packed key of `m`, and whether it describes `m` exactly (so that
 /// [`unpack`] recovers it).
 fn pack(m: &Monomial) -> (u64, bool) {
     let factors = m.factors();
@@ -160,43 +176,60 @@ fn unpack(key: u64) -> Monomial {
     }
 }
 
-/// Children per heap node. Four halves the depth of a binary heap, and
-/// the four 16-byte siblings compared at each level share about one
-/// cache line.
-const ARITY: usize = 4;
-
-/// Tag bit of an entry whose term lives in the spill table.
+/// Tag bit of a node whose monomial lives in the spill table.
 const SPILLED: u32 = 1 << 31;
 
-/// One heap entry of the working store: 16 bytes.
+/// Buckets of the radix queue: bucket 0 for the keys equal to the last
+/// key popped, bucket `i` for those whose highest bit differing from it
+/// is bit `i − 1`.
+const BUCKETS: usize = 65;
+
+/// The end of a bucket's list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One node of the working store: 16 bytes.
 #[derive(Debug, Clone, Copy)]
-struct Entry {
+struct Node {
     /// The packed monomial key.
     key: u64,
-    /// An exact term's coefficient slot, or `SPILLED | i` for entry `i` of
-    /// the spill table.
+    /// `SPILLED | i` for entry `i` of the spill table; 0 for an exact
+    /// term.
     tag: u32,
+    /// The next node of the same bucket, or of the free list.
+    next: u32,
 }
 
-impl Entry {
-    fn spilled(self) -> bool {
-        self.tag & SPILLED != 0
-    }
+/// The bucket of `key` while `last` is the last key popped.
+fn bucket(key: u64, last: u64) -> usize {
+    (u64::BITS - (key ^ last).leading_zeros()) as usize
 }
 
 /// The working polynomial of one normal form (see the module docs).
 struct WorkStore {
-    /// Max-heap of [`ARITY`] children per node, in [`WorkStore::above`]
-    /// order.
-    heap: Vec<Entry>,
+    /// Node arena. Nodes never move; a node's index is its coefficient
+    /// slot.
+    nodes: Vec<Node>,
+    /// First node of the free list.
+    free: u32,
+    /// First node of each bucket's list; bucket 0 lists exact terms only.
+    heads: [u32; BUCKETS],
+    /// Greatest key of each non-empty bucket from 1 on.
+    maxima: [u64; BUCKETS],
+    /// Bit `i − 1` is set while bucket `i ≥ 1` is non-empty.
+    occupied: u64,
+    /// Spilled terms whose key equals `last`, by full monomial.
+    ties: BinaryHeap<(Monomial, u32)>,
+    /// The last key popped (`u64::MAX` before the first pop): no queued
+    /// key exceeds it.
+    last: u64,
+    /// Queued nodes.
+    len: usize,
     /// Limbs per coefficient slot: ⌈k/64⌉.
     width: usize,
     /// Coefficient arena; slot `i` is `coeffs[i * width ..][.. width]`.
     coeffs: Vec<u64>,
-    /// Arena slots free for reuse.
-    free_coeffs: Vec<u32>,
-    /// Whole terms of the spilled entries.
-    spill: Vec<(Monomial, Gf)>,
+    /// Monomials of the spilled nodes in buckets 1 and up.
+    spill: Vec<Monomial>,
     /// Spill entries free for reuse.
     free_spill: Vec<u32>,
     /// Coefficient sum of the term being merged, at slot width.
@@ -209,10 +242,16 @@ impl WorkStore {
     fn new(ctx: &GfContext, terms: usize) -> Self {
         let width = ctx.k().div_ceil(64);
         WorkStore {
-            heap: Vec::with_capacity(terms),
+            nodes: Vec::with_capacity(terms),
+            free: NIL,
+            heads: [NIL; BUCKETS],
+            maxima: [0; BUCKETS],
+            occupied: 0,
+            ties: BinaryHeap::new(),
+            last: u64::MAX,
+            len: 0,
             width,
             coeffs: Vec::with_capacity(terms * width),
-            free_coeffs: Vec::new(),
             spill: Vec::new(),
             free_spill: Vec::new(),
             acc: vec![0; width],
@@ -221,160 +260,162 @@ impl WorkStore {
     }
 
     fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// The monomial of `e`, decoded from an exact key or borrowed from the
-    /// spill table.
-    fn monomial(&self, e: Entry) -> Cow<'_, Monomial> {
-        if e.spilled() {
-            Cow::Borrowed(&self.spill[(e.tag & !SPILLED) as usize].0)
-        } else {
-            Cow::Owned(unpack(e.key))
-        }
-    }
-
-    /// Whether `a` sorts strictly above `b`: by key, and on a key tie
-    /// involving a spilled term by the full monomials.
-    fn above(&self, a: Entry, b: Entry) -> bool {
-        match a.key.cmp(&b.key) {
-            Ordering::Equal => (a.spilled() || b.spilled()) && self.monomial(a) > self.monomial(b),
-            ord => ord == Ordering::Greater,
-        }
+        self.len
     }
 
     /// Adds the term `c·m`.
     fn push(&mut self, m: Monomial, c: &Gf) {
         let (key, exact) = pack(&m);
+        debug_assert!(
+            key <= self.last,
+            "pushed key {key:#x} exceeds the last key popped, {:#x}",
+            self.last
+        );
+        let i = self.alloc();
+        self.store_coeff(i, c);
         let tag = if exact {
-            self.store_coeff(c)
+            0
         } else {
             self.spilled += 1;
-            let i = match self.free_spill.pop() {
-                Some(i) => {
-                    self.spill[i as usize] = (m, c.clone());
-                    i
+            let s = match self.free_spill.pop() {
+                Some(s) => {
+                    self.spill[s as usize] = m;
+                    s
                 }
                 None => {
-                    self.spill.push((m, c.clone()));
-                    Self::tag_of(self.spill.len() - 1)
+                    self.spill.push(m);
+                    Self::index_of(self.spill.len() - 1)
                 }
             };
-            i | SPILLED
+            s | SPILLED
         };
-        self.heap.push(Entry { key, tag });
-        self.sift_up(self.heap.len() - 1);
+        self.nodes[i as usize] = Node {
+            key,
+            tag,
+            next: NIL,
+        };
+        self.file(i);
+        self.len += 1;
     }
 
-    /// An arena slot or spill index as a tag, which leaves the top bit
-    /// for [`SPILLED`].
-    fn tag_of(index: usize) -> u32 {
+    /// A node or spill index as a `u32`, which leaves the top bit for
+    /// [`SPILLED`] and `u32::MAX` for [`NIL`].
+    fn index_of(index: usize) -> u32 {
         assert!(index < SPILLED as usize, "working store exceeds 2^31 terms");
         index as u32
     }
 
-    /// Copies `c`'s limbs into a free arena slot and returns the slot.
-    fn store_coeff(&mut self, c: &Gf) -> u32 {
+    /// A free node, from the free list or else new at the end of the
+    /// arena with its coefficient slot.
+    fn alloc(&mut self) -> u32 {
+        if self.free != NIL {
+            let i = self.free;
+            self.free = self.nodes[i as usize].next;
+            return i;
+        }
+        let i = Self::index_of(self.nodes.len());
+        self.nodes.push(Node {
+            key: 0,
+            tag: 0,
+            next: NIL,
+        });
+        self.coeffs.resize(self.coeffs.len() + self.width, 0);
+        i
+    }
+
+    /// Copies `c`'s limbs into the coefficient slot of node `i`.
+    fn store_coeff(&mut self, i: u32, c: &Gf) {
         let limbs = c.as_poly().limbs();
         let w = self.width;
         debug_assert!(limbs.len() <= w, "coefficient wider than the field");
-        let slot = match self.free_coeffs.pop() {
-            Some(slot) => slot,
-            None => {
-                let slot = Self::tag_of(self.coeffs.len() / w);
-                self.coeffs.resize(self.coeffs.len() + w, 0);
-                slot
-            }
-        };
-        let dst = &mut self.coeffs[slot as usize * w..][..w];
+        let dst = &mut self.coeffs[i as usize * w..][..w];
         dst[..limbs.len()].copy_from_slice(limbs);
         dst[limbs.len()..].fill(0);
-        slot
     }
 
-    /// Removes and returns the greatest entry.
-    fn pop(&mut self) -> Option<Entry> {
-        let last = self.heap.pop()?;
-        if self.heap.is_empty() {
-            return Some(last);
+    /// Files node `i` in the bucket of its key, recording the bucket's
+    /// greatest key; a spilled node of bucket 0 joins the ties instead,
+    /// and its spill entry is freed.
+    fn file(&mut self, i: u32) {
+        let Node { key, tag, .. } = self.nodes[i as usize];
+        let b = bucket(key, self.last);
+        if b == 0 && tag & SPILLED != 0 {
+            let s = tag & !SPILLED;
+            self.free_spill.push(s);
+            let m = std::mem::take(&mut self.spill[s as usize]);
+            self.ties.push((m, i));
+            return;
         }
-        let top = std::mem::replace(&mut self.heap[0], last);
-        self.sift_down_to_bottom(0);
-        Some(top)
+        if b > 0 {
+            let bit = 1 << (b - 1);
+            if self.occupied & bit == 0 {
+                self.occupied |= bit;
+                self.maxima[b] = key;
+            } else {
+                self.maxima[b] = self.maxima[b].max(key);
+            }
+        }
+        self.nodes[i as usize].next = self.heads[b];
+        self.heads[b] = i;
     }
 
-    fn sift_up(&mut self, mut pos: usize) {
-        let e = self.heap[pos];
-        while pos > 0 {
-            let parent = (pos - 1) / ARITY;
-            if !self.above(e, self.heap[parent]) {
-                break;
-            }
-            self.heap[pos] = self.heap[parent];
-            pos = parent;
+    /// Refills the empty bucket 0 and ties from the lowest non-empty
+    /// bucket: its greatest key becomes `last`, and its nodes move into
+    /// buckets below it.
+    fn refill(&mut self) {
+        debug_assert!(self.occupied != 0, "refill of an empty store");
+        let b = self.occupied.trailing_zeros() as usize + 1;
+        self.occupied &= !(1 << (b - 1));
+        self.last = self.maxima[b];
+        let mut i = std::mem::replace(&mut self.heads[b], NIL);
+        while i != NIL {
+            let next = self.nodes[i as usize].next;
+            self.file(i);
+            i = next;
         }
-        self.heap[pos] = e;
     }
 
-    /// Moves the entry at `pos` down to a leaf along the path of greatest
-    /// children, then back up: fewer comparisons than a plain sift-down
-    /// when, as after a pop, the entry came from the bottom.
-    fn sift_down_to_bottom(&mut self, mut pos: usize) {
-        let end = self.heap.len();
-        let e = self.heap[pos];
-        loop {
-            let first = ARITY * pos + 1;
-            if first >= end {
-                break;
-            }
-            let mut best = first;
-            for child in first + 1..(first + ARITY).min(end) {
-                if self.above(self.heap[child], self.heap[best]) {
-                    best = child;
-                }
-            }
-            self.heap[pos] = self.heap[best];
-            pos = best;
-        }
-        self.heap[pos] = e;
-        self.sift_up(pos);
-    }
-
-    /// XORs the coefficient of the popped entry `e` into the accumulator
-    /// and frees its storage; a spilled term also hands back its monomial.
-    fn absorb(&mut self, e: Entry) -> Option<Monomial> {
-        if !e.spilled() {
-            let w = self.width;
-            let slot = &self.coeffs[e.tag as usize * w..][..w];
-            for (a, x) in self.acc.iter_mut().zip(slot) {
-                *a ^= x;
-            }
-            self.free_coeffs.push(e.tag);
-            return None;
-        }
-        let i = e.tag & !SPILLED;
-        self.free_spill.push(i);
-        let (m, c) = std::mem::take(&mut self.spill[i as usize]);
-        for (a, x) in self.acc.iter_mut().zip(c.as_poly().limbs()) {
+    /// XORs node `i`'s coefficient into the accumulator and frees the
+    /// node.
+    fn absorb(&mut self, i: u32) {
+        let w = self.width;
+        let slot = &self.coeffs[i as usize * w..][..w];
+        for (a, x) in self.acc.iter_mut().zip(slot) {
             *a ^= x;
         }
-        Some(m)
+        self.nodes[i as usize].next = self.free;
+        self.free = i;
+        self.len -= 1;
     }
 
-    /// Takes the popped entry `top` and every queued entry with the same
-    /// monomial out of the store: the monomial and the summed coefficient.
-    fn take_merged(&mut self, top: Entry, ctx: &GfContext) -> (Monomial, Gf) {
-        self.acc.fill(0);
-        let m = self.absorb(top).unwrap_or_else(|| unpack(top.key));
-        while let Some(&next) = self.heap.first() {
-            if next.key != top.key
-                || ((next.spilled() || top.spilled()) && *self.monomial(next) != m)
-            {
-                break;
-            }
-            self.pop();
-            self.absorb(next);
+    /// Takes every queued term of the greatest monomial out of the
+    /// non-empty store: the monomial and the summed coefficient.
+    fn take_greatest(&mut self, ctx: &GfContext) -> (Monomial, Gf) {
+        if self.heads[0] == NIL && self.ties.is_empty() {
+            self.refill();
         }
+        self.acc.fill(0);
+        let tie_first = self
+            .ties
+            .peek()
+            .is_some_and(|(m, _)| self.heads[0] == NIL || *m > unpack(self.last));
+        let m = if tie_first {
+            let (m, i) = self.ties.pop().expect("peeked");
+            self.absorb(i);
+            while self.ties.peek().is_some_and(|(t, _)| *t == m) {
+                let (_, i) = self.ties.pop().expect("peeked");
+                self.absorb(i);
+            }
+            m
+        } else {
+            let mut i = std::mem::replace(&mut self.heads[0], NIL);
+            while i != NIL {
+                let next = self.nodes[i as usize].next;
+                self.absorb(i);
+                i = next;
+            }
+            unpack(self.last)
+        };
         (m, ctx.from_reduced_limbs(&self.acc))
     }
 }
@@ -688,34 +729,47 @@ impl<'a> Reducer<'a> {
         f: &Poly,
         budget: Option<&Budget>,
     ) -> Result<(Poly, ReductionStats), PolyError> {
+        let mut work = WorkStore::new(self.ring.ctx(), f.num_terms() * 2);
+        self.divide(f, budget, &mut work)
+    }
+
+    /// The division loop of a normal form, over the empty working store
+    /// `work`.
+    fn divide(
+        &self,
+        f: &Poly,
+        budget: Option<&Budget>,
+        work: &mut WorkStore,
+    ) -> Result<(Poly, ReductionStats), PolyError> {
         let ctx = self.ring.ctx();
         let mut iterations: u64 = 0;
         let mut stats = ReductionStats::default();
         let kernel_before = kernel::snapshot();
         // Lazy-merge working store: terms are pushed without merging, and
-        // equal monomials merge when they surface together at the top.
-        // This keeps the per-step cost at O(log n) pushes, and the store's
-        // buffers are reused across all cancellations of one normal form.
-        let mut work = WorkStore::new(ctx, f.num_terms() * 2);
+        // equal monomials merge when they surface together in bucket 0.
+        // An exact term costs O(1) to push and pop plus its moves between
+        // buckets (at most 64 over its life), a spilled one O(log n) more
+        // in the ties, and the store's nodes are reused across all
+        // cancellations of one normal form.
         for (m, c) in f.terms() {
             work.push(m.clone(), c);
         }
         // Remainder terms accumulate in strictly descending order because we
         // always move the current maximum.
         let mut remainder: Vec<(Monomial, Gf)> = Vec::new();
-        while let Some(top) = work.pop() {
+        while work.len() > 0 {
             iterations += 1;
             if iterations.is_multiple_of(SIZE_SAMPLE_STRIDE) {
-                stats.size_hist.record(work.len() as u64 + 1);
+                stats.size_hist.record(work.len() as u64);
                 if let Some(b) = budget {
                     if iterations.is_multiple_of(BUDGET_STRIDE) {
                         b.tick(BUDGET_STRIDE)?;
                     }
                 }
             }
-            stats.peak_terms = stats.peak_terms.max(work.len() + 1);
+            stats.peak_terms = stats.peak_terms.max(work.len());
             // Merge every queued term with the same monomial.
-            let (m, c) = work.take_merged(top, ctx);
+            let (m, c) = work.take_greatest(ctx);
             if c.is_zero() {
                 stats.cancellations += 1;
                 continue;
@@ -782,6 +836,13 @@ impl<'a> Reducer<'a> {
         };
         stats.spilled_terms = work.spilled;
         stats.kernel = kernel::snapshot().delta_since(&kernel_before);
+        // Nodes are freed before a step pushes, so the arena never holds
+        // more nodes than the live peak.
+        debug_assert_eq!(
+            work.nodes.len(),
+            stats.peak_terms,
+            "node arena above the peak"
+        );
         Ok((Poly::from_terms(remainder), stats))
     }
 }
@@ -959,7 +1020,7 @@ mod tests {
 
     use gfab_field::nist::irreducible_polynomial;
     use gfab_field::Rng;
-    use std::collections::BinaryHeap;
+    use std::borrow::Cow;
 
     /// Whether a packed key can describe `m`, stated from the monomial's
     /// shape alone: at most two factors, exponents below 255, ranks below
@@ -1329,8 +1390,8 @@ mod tests {
         }
         assert_eq!(store.spilled, 4);
         let mut popped = Vec::new();
-        while let Some(top) = store.pop() {
-            popped.push(store.take_merged(top, &ctx));
+        while store.len() > 0 {
+            popped.push(store.take_greatest(&ctx));
         }
         let sum = |cs: &[&Gf]| cs.iter().fold(ctx.zero(), |s, c| s.add(c));
         assert_eq!(
@@ -1402,13 +1463,44 @@ mod tests {
 
     #[test]
     fn a_live_term_is_smaller_than_a_whole_term_heap_entry() {
-        assert_eq!(std::mem::size_of::<Entry>(), 16);
-        // Heap entry, coefficient slot and (at worst) a free-list index,
-        // against the 40-byte monomial plus 80-byte `Gf` of a whole term.
+        assert_eq!(std::mem::size_of::<Node>(), 16);
+        // Node and coefficient slot (the free list runs through the
+        // nodes), against the 40-byte monomial plus 80-byte `Gf` of a
+        // whole term.
         let whole = std::mem::size_of::<(Monomial, Gf)>();
         assert_eq!(whole, 120);
         for k in 2..=576usize {
-            assert!(16 + 8 * k.div_ceil(64) + 4 < whole, "k = {k}");
+            assert!(16 + 8 * k.div_ceil(64) < whole, "k = {k}");
         }
+    }
+
+    #[test]
+    fn node_arena_ends_at_peak_terms() {
+        // The arena never outgrows the live peak, in both modes, with
+        // records, spilled terms and non-monic divisors. The multipliers'
+        // division chains meet the same check through the assertion at
+        // the end of `divide`: in a debug build, `tests/cross_method.rs`
+        // runs Mastrovito and flattened Montgomery at k = 16 and 64
+        // through it (this crate cannot build the circuits).
+        let mut rng = Rng::seed_from_u64(0xA7E4A);
+        let mut peaks = 0;
+        for mode in [ExponentMode::Plain, ExponentMode::Quotient] {
+            for _ in 0..100 {
+                let ring = random_ring(&mut rng, mode);
+                let divisors = random_divisors(&mut rng, &ring);
+                let (first, records) = random_records(&mut rng, &ring);
+                let red = Reducer::new(&ring, Divisors::new(&records, first, &divisors));
+                let terms = rng.random_range(1..7);
+                let f = random_poly(&mut rng, &ring, 0..ring.num_vars(), terms, 4);
+                let mut work = WorkStore::new(ring.ctx(), 1);
+                let Ok((_, stats)) = red.divide(&f, None, &mut work) else {
+                    continue;
+                };
+                assert_eq!(work.nodes.len(), stats.peak_terms, "{}", f.display(&ring));
+                assert_eq!(work.len(), 0);
+                peaks += stats.peak_terms;
+            }
+        }
+        assert!(peaks > 0);
     }
 }

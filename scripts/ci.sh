@@ -27,11 +27,28 @@ echo "== perfbench: builds against the library and passes its self-tests =="
 # self-tests, fails here rather than at the next benchmark run.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "== bug-hunt smoke: the benchmark's known answers through the release query path =="
+# All 59 fault and control queries of the `bug-hunt` workload (k = 2 to
+# 163): each verdict is checked against the benchmark's own simulation,
+# and the traced mirror is compared with the untraced rounds step for
+# step. The last line must report them correct.
+bughunt_log=$(mktemp)
+bughunt=$(bash perfbench/run.sh --workload bug-hunt --seed 1 --seconds 3 --trace 1 \
+    2> "$bughunt_log") || { tail -n 20 "$bughunt_log" >&2; exit 1; }
+last=$(printf '%s\n' "$bughunt" | tail -n 1)
+if [[ "$last" != *'"correct": true'* ]]; then
+    grep 'check failed' "$bughunt_log" >&2 || true
+    echo "bug-hunt smoke: not correct: $last" >&2
+    exit 1
+fi
+rm -f "$bughunt_log"
+
 echo "== kernel smoke: coefficient kernels vs reference oracle =="
 # Differential self-check of the zero-allocation GF(2^k) coefficient
-# kernels (windowed comb multiply, spread-table squaring, precomputed
-# modular reduction, batch inversion) against the bit-serial reference
-# module, over every NIST field plus small dense moduli. Exits 1 on any
+# kernels (windowed comb multiply, the shift path of a one-bit operand
+# α^e for every e < k, spread-table squaring, precomputed modular
+# reduction, batch inversion) against the bit-serial reference module,
+# over every NIST field plus small dense moduli. Exits 1 on any
 # mismatch. (The bench bins are not part of the root package's build.)
 cargo build --release --offline -p gfab-bench
 target/release/kernels --smoke

@@ -239,6 +239,27 @@ impl Verifier {
     /// a work cap is fully deterministic: whether it trips depends only on
     /// the total work a query needs, never on thread count or machine
     /// speed.
+    ///
+    /// The guided reduction charges and polls the cap once every 1,024
+    /// division iterations (`BUDGET_STRIDE` in `gfab_poly::reduce`), so a
+    /// normal form shorter than that runs to its end under any cap, and a
+    /// cap below 1,024 acts as 1,024 at each poll site. ROADMAP.md item 3
+    /// records this. The k = 5 Mastrovito multiplier against the
+    /// flattened Montgomery multiplier (56 and 191 division steps) is
+    /// still decided at the word level under a cap of one unit:
+    ///
+    /// ```
+    /// use gfab::circuits::{mastrovito_multiplier, montgomery_multiplier_hier};
+    /// use gfab::core::equiv::Verdict;
+    /// use gfab::field::{nist::irreducible_polynomial, GfContext};
+    /// use gfab::Verifier;
+    ///
+    /// let ctx = GfContext::shared(irreducible_polynomial(5).unwrap()).unwrap();
+    /// let spec = mastrovito_multiplier(&ctx);
+    /// let impl_ = montgomery_multiplier_hier(&ctx).flatten();
+    /// let report = Verifier::new(&ctx).work_cap(1).check(&spec, &impl_).unwrap();
+    /// assert!(matches!(report.verdict, Verdict::Equivalent { .. }));
+    /// ```
     #[must_use]
     pub fn work_cap(mut self, units: u64) -> Self {
         self.options.budget.work = Some(units);

@@ -1,7 +1,8 @@
 //! Differential suite for the zero-allocation GF(2^k) coefficient kernels.
 //!
-//! Every operation of the optimized path (windowed comb multiply,
-//! spread-table squaring, precomputed modular reduction, batch inversion)
+//! Every operation of the optimized path (windowed comb multiply, the
+//! shift path for a one-bit operand `α^e`, spread-table squaring,
+//! precomputed modular reduction, batch inversion)
 //! is checked element-for-element against the bit-serial
 //! `gfab_field::reference` oracle, over:
 //!
@@ -114,6 +115,42 @@ fn kernels_match_reference_on_random_dense_moduli() {
         };
         let ctx = GfContext::new(modulus).unwrap();
         check_field(&ctx, &mut rng, 12);
+    }
+}
+
+/// `α^e · x` and `x · α^e` for every `e < k`, with `x` random, zero and
+/// one: the products of the division chain, which take the shift path.
+fn check_one_bit_products(ctx: &GfContext, rng: &mut Rng) {
+    let m = ctx.modulus();
+    let xs = [random_element(ctx, rng), ctx.zero(), ctx.one()];
+    for e in 0..ctx.k() {
+        let power = Gf2Poly::monomial(e);
+        let alpha_e = ctx.element(power.clone());
+        for x in &xs {
+            let want = reference::field_mul(m, &power, x.as_poly());
+            let k = ctx.k();
+            assert_eq!(ctx.mul(&alpha_e, x).as_poly(), &want, "k={k} α^{e}·{x}");
+            assert_eq!(ctx.mul(x, &alpha_e).as_poly(), &want, "k={k} {x}·α^{e}");
+        }
+    }
+}
+
+#[test]
+fn one_bit_products_match_reference() {
+    let mut rng = Rng::seed_from_u64(0xD1FF_0007);
+    for k in NIST_DEGREES {
+        let ctx = GfContext::new(irreducible_polynomial(k).unwrap()).unwrap();
+        check_one_bit_products(&ctx, &mut rng);
+    }
+    // The limb boundaries, with the table modulus and a random dense one
+    // (the dense reduction path); k = 2 has only x² + x + 1.
+    for k in [2, 63, 64, 65, 128, 129] {
+        let ctx = GfContext::new(irreducible_polynomial(k).unwrap()).unwrap();
+        check_one_bit_products(&ctx, &mut rng);
+        if k > 2 {
+            let ctx = GfContext::new(random_dense_irreducible(k, &mut rng)).unwrap();
+            check_one_bit_products(&ctx, &mut rng);
+        }
     }
 }
 
