@@ -12,16 +12,24 @@
 //! 3. **Constant-operand blocks**: the paper's Table 2 notes Blk A/B/Out
 //!    are "simplified by constant-propagation". We compare extracting the
 //!    constant-folded block vs. the full two-operand block.
+//! 4. **Literal chain vs. linear divisors**: the flattened Montgomery
+//!    multiplier divided by its literal gate polynomials, as in the paper,
+//!    and by the model the query path builds, where each XOR tree that
+//!    feeds a product gate is one linear divisor. Both normal forms must
+//!    be the same polynomial (else exit 1).
 //!
 //! Run: `cargo run --release -p gfab-bench --bin table4 [--trace-json FILE] [k ...]`
-//! The k list applies to ablation 3 (default 16 32 64 163); ablations 1
-//! and 2 pin their own sweeps. In the trace, each circuit is one
-//! `extract` root span labelled with its name; the Buchberger, Case-2
-//! (labelled by route) and extraction spans nest under it.
+//! The k list applies to ablations 3 and 4 (default 16 32 64 163);
+//! ablations 1 and 2 pin their own sweeps. In the trace, each circuit is
+//! one `extract` root span labelled with its name (ablation 4:
+//! `montgomery-literal_16`, `montgomery-linear_16`); the Buchberger,
+//! Case-2 (labelled by route), model and reduction spans nest under it.
 
 use gfab_bench::{field, fmt_secs, TableArgs};
+use gfab_circuits::montgomery_multiplier_hier;
 use gfab_circuits::{mastrovito_multiplier, monpro, MonproOperand};
 use gfab_core::fullgb::{full_gb_abstraction_traced, CircuitVarOrder, FullGbOutcome};
+use gfab_core::model::{CircuitModel, GateDivisors};
 use gfab_core::telemetry::{Counter, Phase, Span};
 use gfab_core::{
     case2_by_groebner, case2_by_substitution, extract_word_polynomial_budgeted,
@@ -32,6 +40,8 @@ use gfab_field::GfContext;
 use gfab_netlist::mutate::inject_random_bug;
 use gfab_netlist::Netlist;
 use gfab_poly::buchberger::GbLimits;
+use gfab_poly::reduce::Reducer;
+use gfab_poly::ExponentMode;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,8 +49,9 @@ use std::time::{Duration, Instant};
 fn main() -> ExitCode {
     let args = TableArgs::parse();
     ablation_variable_order(&args);
-    let wrong = ablation_case2_cost(&args);
+    let mut wrong = ablation_case2_cost(&args);
     ablation_constant_blocks(&args);
+    wrong.extend(ablation_linear_divisors(&args));
     args.finish(&wrong)
 }
 
@@ -237,4 +248,66 @@ fn ablation_constant_blocks(args: &TableArgs) {
             t_full.as_secs_f64() / t_const.as_secs_f64().max(1e-9)
         );
     }
+}
+
+/// Ablation 4; returns the k whose two normal forms differ.
+fn ablation_linear_divisors(args: &TableArgs) -> Vec<String> {
+    println!();
+    println!("Ablation 4: flattened Montgomery division chain, literal gate polynomials vs. linear divisors");
+    println!(
+        "{:>4} {:>8} {:>9} {:>10} {:>10} {:>10}",
+        "k", "chain", "absorbed", "steps", "peak", "t_nf"
+    );
+    let mut wrong = Vec::new();
+    for k in args.sweep(&[16, 32, 64, 163], &[]) {
+        let ctx = field(k);
+        let nl = montgomery_multiplier_hier(&ctx).flatten();
+        let mut remainders = Vec::new();
+        for (chain, divisors) in [
+            ("literal", GateDivisors::Literal),
+            ("linear", GateDivisors::Linear),
+        ] {
+            let span = args.row_span(Phase::Extract, &format!("montgomery-{chain}_{k}"));
+            let tele = span.telemetry();
+            let mut model_span = tele.span(Phase::ModelBuild);
+            let (mode, rato) = (ExponentMode::Quotient, CircuitVarOrder::ReverseTopological);
+            let unlimited = Budget::unlimited();
+            let model = CircuitModel::build_in(&nl, &ctx, mode, rato, false, divisors, &unlimited)
+                .expect("model");
+            let absorbed = model.absorbed_gates();
+            model_span.counter(Counter::Gates, nl.num_gates() as u64);
+            if absorbed > 0 {
+                model_span.counter(Counter::AbsorbedGates, absorbed as u64);
+            }
+            let _ = model_span.finish();
+            let mut reduce_span = tele.span(Phase::GuidedReduction);
+            let t = Instant::now();
+            let reducer = Reducer::new(&model.ring, model.divisors());
+            let (r, stats) = reducer
+                .normal_form_with_stats(&model.output_word_poly)
+                .expect("normal form");
+            let t_nf = t.elapsed();
+            reduce_span.counter(Counter::ReductionSteps, stats.steps);
+            reduce_span.counter(Counter::PeakTerms, stats.peak_terms as u64);
+            reduce_span.counter(Counter::Cancellations, stats.cancellations);
+            let _ = reduce_span.finish();
+            let _ = span.finish();
+            println!(
+                "{:>4} {:>8} {:>9} {:>10} {:>10} {:>10}",
+                k,
+                chain,
+                absorbed,
+                stats.steps,
+                stats.peak_terms,
+                fmt_secs(t_nf)
+            );
+            remainders.push(r);
+        }
+        if remainders[0] != remainders[1] {
+            wrong.push(format!(
+                "ablation 4, k = {k}: the linear divisors changed the normal form"
+            ));
+        }
+    }
+    wrong
 }

@@ -290,6 +290,9 @@ pub fn extract_word_polynomial_budgeted(
     let mut model_span = tele.span(Phase::ModelBuild);
     let model = CircuitModel::build_budgeted(nl, ctx, budget)?;
     model_span.counter(Counter::Gates, nl.num_gates() as u64);
+    if model.absorbed_gates() > 0 {
+        model_span.counter(Counter::AbsorbedGates, model.absorbed_gates() as u64);
+    }
     let mut stats = ExtractionStats {
         gates: nl.num_gates(),
         ring_vars: model.ring.num_vars(),

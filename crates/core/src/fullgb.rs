@@ -10,7 +10,7 @@
 //! small circuits and to measure how quickly the unguided route explodes.
 
 use crate::error::CoreError;
-use crate::model::{word_function, CircuitModel};
+use crate::model::{word_function, CircuitModel, GateDivisors};
 use crate::wordfn::WordFunction;
 use gfab_field::budget::Budget;
 use gfab_field::GfContext;
@@ -101,7 +101,16 @@ pub fn full_gb_abstraction_traced(
     // Circuit bits (per `order`) > PI bits > Z > input words, in Plain
     // mode: J_0 must be explicit generators.
     let unlimited = Budget::unlimited();
-    let m = CircuitModel::build_in(nl, ctx, ExponentMode::Plain, order, false, &unlimited)?;
+    let literal = GateDivisors::Literal;
+    let m = CircuitModel::build_in(
+        nl,
+        ctx,
+        ExponentMode::Plain,
+        order,
+        false,
+        literal,
+        &unlimited,
+    )?;
     // Gates in topological order: Buchberger's pair order follows the
     // generator list, which must not depend on how the netlist was built.
     // The explicit gate polynomials are built here, from the records.

@@ -18,7 +18,7 @@
 
 use crate::error::CoreError;
 use crate::fullgb::CircuitVarOrder;
-use crate::model::CircuitModel;
+use crate::model::{CircuitModel, GateDivisors};
 use gfab_field::budget::Budget;
 use gfab_field::GfContext;
 use gfab_netlist::Netlist;
@@ -84,7 +84,16 @@ pub fn verify_against_spec(
     // definitions now lead with their WORD variable (Z > z_0 …, A > a_0 …).
     let rato = CircuitVarOrder::ReverseTopological;
     let unlimited = Budget::unlimited();
-    let m = CircuitModel::build_in(nl, ctx, ExponentMode::Quotient, rato, true, &unlimited)?;
+    let literal = GateDivisors::Literal;
+    let m = CircuitModel::build_in(
+        nl,
+        ctx,
+        ExponentMode::Quotient,
+        rato,
+        true,
+        literal,
+        &unlimited,
+    )?;
 
     // f = Z + F(A, …): relabel the spec body into this ring.
     let spec_body = spec_f.relabel(|v| {

@@ -15,13 +15,25 @@ use crate::fullgb::CircuitVarOrder;
 use crate::wordfn::WordFunction;
 use gfab_field::budget::Budget;
 use gfab_field::GfContext;
-use gfab_netlist::{topo, Gate, GateKind, NetId, Netlist, NetlistError};
+use gfab_netlist::topo::{self, Readers};
+use gfab_netlist::{Gate, GateId, GateKind, NetId, Netlist, NetlistError};
 use gfab_poly::reduce::{Divisors, TailRecord, TailShape};
 use gfab_poly::{ExponentMode, Monomial, Poly, Ring, RingBuilder, VarId, VarKind};
 use std::sync::Arc;
 
-/// The polynomial model of a circuit: its ring, one tail record per gate,
-/// the word-definition polynomials, and the variable maps.
+/// How [`CircuitModel::build_in`] divides by the gates of an XOR tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GateDivisors {
+    /// Every gate by its own gate polynomial (Section 4 of the paper).
+    Literal,
+    /// Each XOR tree whose root a product gate reads by one linear
+    /// divisor, every other gate by its gate polynomial.
+    Linear,
+}
+
+/// The polynomial model of a circuit: its ring, one tail record per gate
+/// with the leaf arena of its linear records, the word-definition
+/// polynomials, and the variable maps.
 #[derive(Debug, Clone)]
 pub struct CircuitModel {
     /// The polynomial ring: RATO in Quotient exponent mode, as
@@ -36,9 +48,14 @@ pub struct CircuitModel {
     pub z_var: VarId,
     /// The input word variables, in input-word declaration order.
     pub input_vars: Vec<VarId>,
-    /// The gate polynomial `x + tail(x)` led by variable `first_gate + i`
-    /// is `gate_records[i]`, 12 bytes per gate.
+    /// The divisor `x + tail(x)` led by variable `first_gate + i` is
+    /// `gate_records[i]`, 12 bytes per gate: the gate's polynomial, or the
+    /// linear divisor of the XOR tree it is the root of.
     gate_records: Vec<TailRecord>,
+    /// The leaves of the linear records, tree by tree.
+    leaves: Vec<VarId>,
+    /// The gates absorbed into linear records.
+    absorbed_gates: usize,
     /// The variable of the first gate record.
     first_gate: VarId,
     /// The output word-definition polynomial
@@ -50,7 +67,9 @@ pub struct CircuitModel {
 }
 
 impl CircuitModel {
-    /// Builds the model from a validated netlist.
+    /// Builds the model from a validated netlist, with a linear divisor
+    /// for each XOR tree that feeds a product gate (see
+    /// [`build_in`](CircuitModel::build_in)).
     ///
     /// # Errors
     ///
@@ -75,7 +94,8 @@ impl CircuitModel {
         budget: &Budget,
     ) -> Result<Self, CoreError> {
         let rato = CircuitVarOrder::ReverseTopological;
-        Self::build_in(nl, ctx, ExponentMode::Quotient, rato, false, budget)
+        let linear = GateDivisors::Linear;
+        Self::build_in(nl, ctx, ExponentMode::Quotient, rato, false, linear, budget)
     }
 
     /// The one builder of a circuit's ring and polynomials, which decides
@@ -96,6 +116,29 @@ impl CircuitModel {
     /// of a build do not grow with the gate count: a gate costs its
     /// record, its variable's kind and its net's entry in `net_var`.
     ///
+    /// With [`GateDivisors::Literal`] every gate gets its gate polynomial.
+    /// With [`GateDivisors::Linear`] each XOR tree whose root a product
+    /// gate reads is divided by one linear divisor (DESIGN.md §5):
+    ///
+    /// * a net is *absorbed* when a linear gate (XOR, XNOR, NOT, BUF)
+    ///   drives it, exactly one gate input reads it, that reader is
+    ///   linear, and it is no output-word bit;
+    /// * a *root* is a linear gate whose output is not absorbed; its tree
+    ///   is the root and the absorbed gates that feed into it, and its
+    ///   *leaves* are the unabsorbed inputs of the tree's gates;
+    /// * a root *qualifies* when its tree absorbs a gate and a product
+    ///   gate (AND, OR, NAND, NOR) reads it. Its record becomes the linear
+    ///   divisor `x + leaf_1 + … + leaf_n`, plus 1 when the tree holds an
+    ///   odd number of XNOR and NOT gates; a leaf reached an even number
+    ///   of times cancels.
+    ///
+    /// Each linear divisor is the sum of its tree's gate polynomials, and
+    /// every gate keeps its literal record otherwise, absorbed gates
+    /// included, so both divisor sets are triangular bases of one ideal
+    /// and give every polynomial the same remainder. Only the division
+    /// chain is shorter: an absorbed gate is no longer divided out once
+    /// per cofactor of its root.
+    ///
     /// # Errors
     ///
     /// As [`build_budgeted`](CircuitModel::build_budgeted).
@@ -105,16 +148,16 @@ impl CircuitModel {
         mode: ExponentMode,
         order: CircuitVarOrder,
         words_first: bool,
+        divisors: GateDivisors,
         budget: &Budget,
     ) -> Result<Self, CoreError> {
         // The structural checks, then the build's one Kahn pass: it ranks
-        // the nets and finds a cycle.
+        // the nets, finds a cycle and lists each gate's readers.
         nl.validate_structure()?;
-        let internal = match order {
+        let (internal, readers) = match order {
             CircuitVarOrder::ReverseTopological => topo::rato_order(nl),
-            CircuitVarOrder::Declaration => {
-                topo::topological_gates(nl).map(|_| nl.gates().iter().map(|g| g.output).collect())
-            }
+            CircuitVarOrder::Declaration => topo::topological_order(nl)
+                .map(|(_, readers)| (nl.gates().iter().map(|g| g.output).collect(), readers)),
         }
         .ok_or(NetlistError::CombinationalCycle)?;
         let k = ctx.k();
@@ -155,8 +198,10 @@ impl CircuitModel {
         }
 
         // --- Gate records, in rank order -----------------------------------
+        let trees = (divisors == GateDivisors::Linear).then(|| Trees::new(nl, readers));
         let first_gate = internal.first().map_or(VarId(0), |&n| net_var[n.index()]);
         let mut gate_records = Vec::with_capacity(internal.len());
+        let (mut leaves, mut absorbed_gates) = (Vec::new(), 0);
         for (i, &n) in internal.iter().enumerate() {
             if i % 4096 == 0 {
                 budget.check().map_err(|e| CoreError::BudgetExhausted {
@@ -166,8 +211,24 @@ impl CircuitModel {
                 })?;
             }
             let g = nl.driver_of(n).expect("every ranked net is a gate output");
-            gate_records.push(gate_record(&ring, &net_var, nl.gate(g)));
+            let gate = nl.gate(g);
+            let record = match &trees {
+                Some(trees) if gate.kind.is_linear() && trees.qualifies(g) => {
+                    if leaves.capacity() == 0 {
+                        // Every tree from here on lies in `internal[i..]`,
+                        // and a gate has at most two inputs: one
+                        // allocation holds all their leaves.
+                        leaves.reserve_exact(2 * (internal.len() - i));
+                    }
+                    let (record, absorbed) = trees.linear_record(gate, &net_var, &mut leaves);
+                    absorbed_gates += absorbed;
+                    record
+                }
+                _ => gate_record(&ring, &net_var, gate),
+            };
+            gate_records.push(record);
         }
+        leaves.shrink_to_fit();
 
         // --- Word-definition polynomials (Eqn. 1) -------------------------
         // `bits[0] + bits[1]·α + … + bits[w-1]·α^{w-1} + W`.
@@ -193,17 +254,21 @@ impl CircuitModel {
             z_var,
             input_vars,
             gate_records,
+            leaves,
+            absorbed_gates,
             first_gate,
             output_word_poly,
             input_word_polys,
         })
     }
 
-    /// The gate polynomial led by `var` (Section 4 of the paper: the
-    /// output variable plus the tail implementing the gate's Boolean
-    /// operator over `F_2 ⊂ F_{2^k}`), built from its record. The reducer
-    /// divides by the records themselves; explicit gate polynomials serve
-    /// the full-GB baseline's generators, listings and tests.
+    /// The polynomial of the record led by `var`, built from the record:
+    /// the gate polynomial (Section 4 of the paper: the output variable
+    /// plus the tail implementing the gate's Boolean operator over
+    /// `F_2 ⊂ F_{2^k}`), or the linear divisor of the tree `var` is the
+    /// root of. The reducer divides by the records themselves; explicit
+    /// polynomials serve the full-GB baseline's generators, listings and
+    /// tests.
     ///
     /// # Panics
     ///
@@ -211,7 +276,14 @@ impl CircuitModel {
     #[must_use]
     pub fn gate_poly(&self, var: VarId) -> Poly {
         let i = var.index().wrapping_sub(self.first_gate.index());
-        self.gate_records[i].poly(&self.ring, var)
+        self.gate_records[i].poly(&self.ring, &self.leaves, var)
+    }
+
+    /// How many gates the linear divisors absorbed: 0 unless the model
+    /// was built with them and some tree qualified.
+    #[must_use]
+    pub fn absorbed_gates(&self) -> usize {
+        self.absorbed_gates
     }
 
     /// The divisor set of the guided extraction: the gate records and the
@@ -219,15 +291,111 @@ impl CircuitModel {
     /// output word definition, which is the dividend side of the single
     /// surviving critical pair.
     pub fn divisors(&self) -> Divisors<'_> {
-        Divisors::new(&self.gate_records, self.first_gate, &self.input_word_polys)
+        self.records_with(&self.input_word_polys)
     }
 
     /// All circuit polynomials `F = {f_1, …, f_s}` as divisors: the gate
     /// records plus every word definition (the generators of the circuit
     /// ideal `J`).
     pub fn all_divisors(&self) -> Divisors<'_> {
-        let words = std::iter::once(&self.output_word_poly).chain(&self.input_word_polys);
-        Divisors::new(&self.gate_records, self.first_gate, words)
+        self.records_with(std::iter::once(&self.output_word_poly).chain(&self.input_word_polys))
+    }
+
+    /// The gate records and `words` as one divisor set.
+    fn records_with<'a>(&'a self, words: impl IntoIterator<Item = &'a Poly>) -> Divisors<'a> {
+        Divisors::new(&self.gate_records, &self.leaves, self.first_gate, words)
+    }
+}
+
+/// The XOR trees of a netlist, found from the Kahn pass's [`Readers`]
+/// (see [`CircuitModel::build_in`]).
+struct Trees<'n> {
+    nl: &'n Netlist,
+    readers: Readers,
+    /// Bit `i % 64` of word `i / 64` is set when net `i` is an output-word
+    /// bit.
+    output_bits: Vec<u64>,
+}
+
+impl<'n> Trees<'n> {
+    fn new(nl: &'n Netlist, readers: Readers) -> Self {
+        let mut output_bits = vec![0u64; nl.num_nets().div_ceil(64)];
+        for b in &nl.output_word().bits {
+            output_bits[b.index() / 64] |= 1 << (b.index() % 64);
+        }
+        Trees {
+            nl,
+            readers,
+            output_bits,
+        }
+    }
+
+    /// The linear gate driving `n` when `n` is absorbed: exactly one gate
+    /// input reads it, and it is no output-word bit. The caller knows the
+    /// reader is linear.
+    fn absorbed(&self, n: NetId) -> Option<GateId> {
+        let g = self.nl.driver_of(n)?;
+        let absorbed = self.nl.gate(g).kind.is_linear()
+            && self.readers.single(g)
+            && self.output_bits[n.index() / 64] & (1 << (n.index() % 64)) == 0;
+        absorbed.then_some(g)
+    }
+
+    /// Whether the linear gate `g` is a qualifying root: a product gate
+    /// reads it (so it is no absorbed net) and its tree absorbs a gate.
+    fn qualifies(&self, g: GateId) -> bool {
+        let inputs = &self.nl.gate(g).inputs;
+        self.readers.by_product(g) && inputs.iter().any(|&i| self.absorbed(i).is_some())
+    }
+
+    /// The linear record of the qualifying root gate `root`, its leaves
+    /// appended to `leaves`, and the number of gates its tree absorbs.
+    fn linear_record(
+        &self,
+        root: &Gate,
+        net_var: &[VarId],
+        leaves: &mut Vec<VarId>,
+    ) -> (TailRecord, usize) {
+        let nl = self.nl;
+        let flips = |kind| kind == GateKind::Xnor || kind == GateKind::Not;
+        // The tree's inputs, as nets while they are pending (from `next`
+        // on): an absorbed one is replaced by its driver's inputs, an
+        // unabsorbed one becomes its variable.
+        let start = leaves.len();
+        leaves.extend(root.inputs.iter().map(|n| VarId(n.0)));
+        let (mut one, mut absorbed) = (flips(root.kind), 0);
+        let mut next = start;
+        while let Some(&pending) = leaves.get(next) {
+            let n = NetId(pending.0);
+            match self.absorbed(n) {
+                Some(g) => {
+                    let gate = nl.gate(g);
+                    absorbed += 1;
+                    one ^= flips(gate.kind);
+                    leaves[next] = VarId(gate.inputs[0].0);
+                    leaves.extend(gate.inputs[1..].iter().map(|n| VarId(n.0)));
+                }
+                None => {
+                    leaves[next] = net_var[n.index()];
+                    next += 1;
+                }
+            }
+        }
+        // A leaf reached twice cancels: once sorted, each leaf either
+        // cancels the kept copy before it or is kept.
+        let tree = &mut leaves[start..];
+        tree.sort_unstable();
+        let mut len = 0;
+        for j in 0..tree.len() {
+            if len > 0 && tree[len - 1] == tree[j] {
+                len -= 1;
+            } else {
+                tree[len] = tree[j];
+                len += 1;
+            }
+        }
+        leaves.truncate(start + len);
+        (TailRecord::linear(start, len, one), absorbed)
     }
 }
 
@@ -362,8 +530,17 @@ mod tests {
         // too, and every engine still decides the circuit.
         let decl = CircuitVarOrder::Declaration;
         let unlimited = Budget::unlimited();
-        let m = CircuitModel::build_in(&nl, &ctx, ExponentMode::Plain, decl, false, &unlimited)
-            .unwrap();
+        let literal = GateDivisors::Literal;
+        let m = CircuitModel::build_in(
+            &nl,
+            &ctx,
+            ExponentMode::Plain,
+            decl,
+            false,
+            literal,
+            &unlimited,
+        )
+        .unwrap();
         let var = |n: NetId| m.net_var[n.index()];
         assert!(var(s1) < var(s2) && var(s2) < var(s3));
         for order in [
@@ -456,7 +633,9 @@ mod tests {
         let order = CircuitVarOrder::ReverseTopological;
         let build = |words_first| {
             let (mode, unlimited) = (ExponentMode::Quotient, Budget::unlimited());
-            CircuitModel::build_in(&nl, &ctx, mode, order, words_first, &unlimited).unwrap()
+            let literal = GateDivisors::Literal;
+            CircuitModel::build_in(&nl, &ctx, mode, order, words_first, literal, &unlimited)
+                .unwrap()
         };
         let (last, first) = (build(false), build(true));
         assert_eq!(first.z_var, VarId(0));

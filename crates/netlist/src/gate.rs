@@ -59,6 +59,16 @@ impl GateKind {
         }
     }
 
+    /// Whether the gate's output is the sum of its inputs over `F_2`,
+    /// plus 1 for XNOR and NOT: XOR, XNOR, NOT and BUF. Its polynomial is
+    /// then linear; AND, OR, NAND and NOR multiply their inputs.
+    pub fn is_linear(self) -> bool {
+        matches!(
+            self,
+            GateKind::Xor | GateKind::Xnor | GateKind::Not | GateKind::Buf
+        )
+    }
+
     /// Evaluates the gate on boolean inputs.
     ///
     /// # Panics

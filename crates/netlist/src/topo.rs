@@ -11,6 +11,40 @@ use crate::netlist::{GateId, NetId, Netlist};
 /// first-in, first-out order and each gate's consumers are visited in gate
 /// order, so the result is a pure function of the netlist.
 pub fn topological_gates(nl: &Netlist) -> Option<Vec<GateId>> {
+    topological_order(nl).map(|(order, _)| order)
+}
+
+/// How each gate's output is read, two bits per gate that the Kahn pass
+/// of [`topological_order`] sets as it walks the gates' inputs.
+#[derive(Debug, Clone)]
+pub struct Readers {
+    /// Bit `g % 64` of word `g / 64` is set when exactly one gate input
+    /// reads gate `g`'s output.
+    single: Vec<u64>,
+    /// Bit `g % 64` of word `g / 64` is set when a product gate (one that
+    /// is not [`crate::GateKind::is_linear`]) reads gate `g`'s output.
+    product: Vec<u64>,
+}
+
+impl Readers {
+    /// Whether exactly one gate input reads `g`'s output (a gate fed twice
+    /// by it counts twice).
+    pub fn single(&self, g: GateId) -> bool {
+        bit(&self.single, g)
+    }
+
+    /// Whether a product gate (AND, OR, NAND, NOR) reads `g`'s output.
+    pub fn by_product(&self, g: GateId) -> bool {
+        bit(&self.product, g)
+    }
+}
+
+fn bit(bits: &[u64], g: GateId) -> bool {
+    bits[g.index() / 64] & (1 << (g.index() % 64)) != 0
+}
+
+/// [`topological_gates`] and the [`Readers`] of every gate.
+pub fn topological_order(nl: &Netlist) -> Option<(Vec<GateId>, Readers)> {
     let n = nl.num_gates();
     // indegree[g] = number of inputs of g that are driven by another gate.
     let mut indegree = vec![0u32; n];
@@ -24,18 +58,29 @@ pub fn topological_gates(nl: &Netlist) -> Option<Vec<GateId>> {
             }
         }
     }
+    let mut readers = Readers {
+        single: vec![0; n.div_ceil(64)],
+        product: vec![0; n.div_ceil(64)],
+    };
     for g in 0..n {
+        if start[g + 1] == 1 {
+            readers.single[g / 64] |= 1 << (g % 64);
+        }
         start[g + 1] += start[g];
     }
     let mut next = start.clone();
     let mut consumers = vec![0u32; start[n] as usize];
     for (gi, gate) in nl.gates().iter().enumerate() {
+        let product = !gate.kind.is_linear();
         for &inp in &gate.inputs {
             if let Some(drv) = nl.driver_of(inp) {
                 indegree[gi] += 1;
                 let slot = &mut next[drv.index()];
                 consumers[*slot as usize] = gi as u32;
                 *slot += 1;
+                if product {
+                    readers.product[drv.index() / 64] |= 1 << (drv.index() % 64);
+                }
             }
         }
     }
@@ -57,7 +102,7 @@ pub fn topological_gates(nl: &Netlist) -> Option<Vec<GateId>> {
             }
         }
     }
-    (order.len() == n).then_some(order)
+    (order.len() == n).then_some((order, readers))
 }
 
 /// Reverse-topological level of every net, given a topological gate
@@ -102,9 +147,10 @@ fn reverse_topological_levels(nl: &Netlist, order: &[GateId]) -> Vec<u32> {
 /// level 1, and so on up its cone.
 ///
 /// One Kahn pass and a stable counting sort by level; no comparison sort.
-/// Returns `None` on a cyclic netlist.
-pub fn rato_order(nl: &Netlist) -> Option<Vec<NetId>> {
-    let order = topological_gates(nl)?;
+/// The pass's [`Readers`] come back with the rank. Returns `None` on a
+/// cyclic netlist.
+pub fn rato_order(nl: &Netlist) -> Option<(Vec<NetId>, Readers)> {
+    let (order, readers) = topological_order(nl)?;
     let level = reverse_topological_levels(nl, &order);
     let bits = nl.try_output_word().map_or(&[][..], |w| &w.bits[..]);
     // Bit position of each output-word net (its last, if repeated), or
@@ -144,7 +190,7 @@ pub fn rato_order(nl: &Netlist) -> Option<Vec<NetId>> {
         rank[*slot] = n;
         *slot += 1;
     }
-    Some(rank)
+    Some((rank, readers))
 }
 
 /// Longest path length (in gates) from any primary input to any output —
@@ -205,6 +251,27 @@ mod tests {
         }
     }
 
+    #[test]
+    fn readers_flag_single_and_product_reads() {
+        // Fig. 2 plus t = s1 AND s1 and u = r0 AND a0: gates s0..s3 are
+        // 0..3, r0 is 4, z0 is 5, z1 is 6, t is 7 and u is 8. s3 is read
+        // twice, s1 by r0 and twice by t, r0 by z1 and u.
+        let mut nl = fig2();
+        let [s1, r0] = [1, 4].map(|g| nl.gates()[g].output);
+        let a0 = nl.input_words()[0].bits[0];
+        nl.and(s1, s1);
+        nl.and(r0, a0);
+        let (order, readers) = topological_order(&nl).unwrap();
+        assert_eq!(order, topological_gates(&nl).unwrap());
+        let flags = |f: &dyn Fn(GateId) -> bool| (0..9).map(|g| f(GateId(g))).collect::<Vec<_>>();
+        let (t, f) = (true, false);
+        assert_eq!(flags(&|g| readers.single(g)), [t, f, t, f, f, f, f, f, f]);
+        assert_eq!(
+            flags(&|g| readers.by_product(g)),
+            [f, t, f, f, t, f, f, f, f]
+        );
+    }
+
     fn levels(nl: &Netlist) -> Vec<u32> {
         reverse_topological_levels(nl, &topological_gates(nl).unwrap())
     }
@@ -232,7 +299,7 @@ mod tests {
         let nl = fig2();
         let net = |g: usize| nl.gates()[g].output;
         let [s0, s1, s2, s3, r0, z0, z1] = [0, 1, 2, 3, 4, 5, 6].map(net);
-        assert_eq!(rato_order(&nl).unwrap(), [z0, z1, s0, s3, r0, s1, s2]);
+        assert_eq!(rato_order(&nl).unwrap().0, [z0, z1, s0, s3, r0, s1, s2]);
     }
 
     #[test]
@@ -248,7 +315,10 @@ mod tests {
         assert_eq!((levels[d.index()], levels[t.index()]), (0, 1));
         let net = |g: usize| nl.gates()[g].output;
         let [s0, s1, s2, _, r0, z0, z1] = [0, 1, 2, 3, 4, 5, 6].map(net);
-        assert_eq!(rato_order(&nl).unwrap(), [z0, z1, d, s0, s3, t, r0, s1, s2]);
+        assert_eq!(
+            rato_order(&nl).unwrap().0,
+            [z0, z1, d, s0, s3, t, r0, s1, s2]
+        );
     }
 
     #[test]
@@ -258,7 +328,7 @@ mod tests {
         let mut nl = fig2();
         let bits = nl.output_word().bits.clone();
         nl.set_output_word("Z", vec![bits[1], bits[0]]);
-        let order = rato_order(&nl).unwrap();
+        let (order, _) = rato_order(&nl).unwrap();
         assert_eq!(order[..2], [bits[1], bits[0]]);
     }
 

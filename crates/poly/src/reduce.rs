@@ -4,14 +4,25 @@
 //! long chain of divisions `Spoly(f_w, f_g) →+ r` modulo the circuit
 //! polynomials and the vanishing polynomials. Under RATO every gate
 //! polynomial has the form `x + tail(x)` with a distinct leading
-//! *variable* and a unit-coefficient tail over at most two smaller
-//! variables, fixed by the gate's kind. Such a divisor is held as a
-//! 12-byte [`TailRecord`] in a table indexed by the rank of `x`, and its
-//! tail is built only when the reducer divides by it (Yu–Ciesielski's
-//! backward rewriting drives the same step from the gate list). Explicit
-//! divisors led by a bare variable, such as the word definitions, are
-//! indexed by that variable; arbitrary divisors (e.g. explicit vanishing
-//! polynomials in `Plain` mode) go through a linear scan.
+//! *variable* and a unit-coefficient tail over smaller variables. Such a
+//! divisor is held as a 12-byte [`TailRecord`] in a table indexed by the
+//! rank of `x`, and its tail is built only when the reducer divides by it
+//! (Yu–Ciesielski's backward rewriting drives the same step from the gate
+//! list). A record is of one of two kinds:
+//!
+//! * a **literal** record holds one gate polynomial: a tail over at most
+//!   two variables, fixed by the gate's kind;
+//! * a **linear** record holds `x + leaf_1 + … + leaf_n`, plus 1 or not:
+//!   the sum of the gate polynomials of a tree of XOR, XNOR, NOT and BUF
+//!   gates, which a circuit model divides by in place of the tree's
+//!   chain. Its leaves are a slice of one leaf arena, lent with the
+//!   records by [`Divisors`], and the division loop pushes them out of
+//!   line, so the literal step keeps its code.
+//!
+//! Explicit divisors led by a bare variable, such as the word
+//! definitions, are indexed by that variable; arbitrary divisors (e.g.
+//! explicit vanishing polynomials in `Plain` mode) go through a linear
+//! scan.
 //!
 //! # The working store
 //!
@@ -433,29 +444,46 @@ pub struct TailShape {
     pub one: bool,
 }
 
+/// Top bit of a record's `b` field: the record is linear.
+const LINEAR: u32 = 1 << 31;
+
 /// A divisor `x + tail` held as a record instead of a polynomial: its
 /// leading term is the bare variable `x` with coefficient 1, and its tail
-/// is a sum of unit-coefficient terms among `a·b`, `a`, `b` and `1`, over
-/// at most two variables that rank below `x`. Every gate polynomial of a
-/// circuit under RATO has this form (Section 4 of the paper). A record
-/// does not name `x`: a [`Divisors`] table holds one record per rank.
+/// is a sum of unit-coefficient terms over variables that rank below `x`.
+/// A record is one of two kinds, 12 bytes either way:
+///
+/// * **literal** ([`TailRecord::new`]): the tail is a sum among `a·b`,
+///   `a`, `b` and `1`, over at most two variables. Every gate polynomial
+///   of a circuit under RATO has this form (Section 4 of the paper).
+/// * **linear** ([`TailRecord::linear`]): the tail is
+///   `leaf_1 + … + leaf_n`, plus `1` or not, where the leaves are a slice
+///   of the leaf arena that a [`Divisors`] lends with its records. The sum
+///   of the gate polynomials of a tree of XOR, XNOR, NOT and BUF gates has
+///   this form.
+///
+/// A record does not name `x`: a [`Divisors`] table holds one record per
+/// rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TailRecord {
-    /// The greater input (the smaller rank).
+    /// Literal: the greater input (the smaller rank). Linear: the arena
+    /// index of the first leaf.
     a: VarId,
-    /// The other input; equal to `a` for a tail over one variable.
+    /// Literal: the other input, equal to `a` for a tail over one
+    /// variable. Linear: [`LINEAR`] plus the number of leaves.
     b: VarId,
+    /// Literal: the tail's terms. Linear: only `one` can be set.
     shape: TailShape,
 }
 
 impl TailRecord {
-    /// The record of the tail `shape` over the inputs `a` and `b` (the
-    /// same variable twice for a tail over one input). Terms that coincide
-    /// merge as [`Poly::from_terms`] merges them, so a tail fed twice by
-    /// one variable holds exactly the terms of its polynomial in `ring`:
-    /// in Quotient mode `a·a = a`, and `a + a` vanishes.
+    /// The literal record of the tail `shape` over the inputs `a` and `b`
+    /// (the same variable twice for a tail over one input). Terms that
+    /// coincide merge as [`Poly::from_terms`] merges them, so a tail fed
+    /// twice by one variable holds exactly the terms of its polynomial in
+    /// `ring`: in Quotient mode `a·a = a`, and `a + a` vanishes.
     #[must_use]
     pub fn new(ring: &Ring, a: VarId, b: VarId, shape: TailShape) -> Self {
+        debug_assert!(a.0.max(b.0) < LINEAR, "a rank no record can hold");
         if a < b {
             return TailRecord { a, b, shape };
         }
@@ -478,9 +506,58 @@ impl TailRecord {
         TailRecord { a, b, shape }
     }
 
-    /// The tail's monomials in descending order, as the divisor's
-    /// polynomial lists them: `a·b > a > b > 1`, since `a` ranks above
-    /// `b`. A product of `a` with itself survives merging only where
+    /// The linear record whose tail is `leaves[start..start + len]` of the
+    /// leaf arena, plus `1` if `one` is set. The leaves must be distinct,
+    /// rank below the record's variable and stand in ascending rank (that
+    /// is, in descending order), as the divisor's polynomial lists them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start` or `len` is 2³¹ or more.
+    #[must_use]
+    pub fn linear(start: usize, len: usize, one: bool) -> Self {
+        let field = |n: usize| {
+            u32::try_from(n)
+                .ok()
+                .filter(|&n| n < LINEAR)
+                .expect("leaf arena exceeds 2^31 entries")
+        };
+        TailRecord {
+            a: VarId(field(start)),
+            b: VarId(LINEAR | field(len)),
+            shape: TailShape {
+                ab: false,
+                a: false,
+                b: false,
+                one,
+            },
+        }
+    }
+
+    /// Whether this is a linear record.
+    #[must_use]
+    pub fn is_linear(self) -> bool {
+        self.b.0 & LINEAR != 0
+    }
+
+    /// A linear record's leaves in `arena`.
+    fn leaves(self, arena: &[VarId]) -> &[VarId] {
+        &arena[self.a.index()..][..(self.b.0 & !LINEAR) as usize]
+    }
+
+    /// A linear record's tail in descending order: its leaves in `arena`,
+    /// then `1` if the record holds it.
+    fn linear_tail(self, arena: &[VarId]) -> impl Iterator<Item = Monomial> + '_ {
+        let one = self.shape.one.then(Monomial::one);
+        self.leaves(arena)
+            .iter()
+            .map(|&v| Monomial::var(v))
+            .chain(one)
+    }
+
+    /// A literal record's tail in descending order, as the divisor's
+    /// polynomial lists it: `a·b > a > b > 1`, since `a` ranks above `b`.
+    /// A product of `a` with itself survives merging only where
     /// `a·a = a²`.
     fn tail(self) -> impl Iterator<Item = Monomial> {
         let TailRecord { a, b, shape } = self;
@@ -497,22 +574,31 @@ impl TailRecord {
         [ab, a, b, one].into_iter().flatten()
     }
 
-    /// The divisor `x + tail` as an explicit polynomial.
+    /// The divisor `x + tail` as an explicit polynomial; a linear record
+    /// reads its leaves from `arena`.
     #[must_use]
-    pub fn poly(self, ring: &Ring, x: VarId) -> Poly {
+    pub fn poly(self, ring: &Ring, arena: &[VarId], x: VarId) -> Poly {
         let one = ring.ctx().one();
-        let terms = std::iter::once(Monomial::var(x)).chain(self.tail());
+        let tail: Vec<Monomial> = if self.is_linear() {
+            self.linear_tail(arena).collect()
+        } else {
+            self.tail().collect()
+        };
+        let terms = std::iter::once(Monomial::var(x)).chain(tail);
         Poly::from_terms(terms.map(|m| (m, one.clone())).collect())
     }
 }
 
 /// The divisors of a [`Reducer`]: a table of [`TailRecord`]s led by
-/// consecutive variables, and explicit polynomials. Any iterator of
-/// polynomials converts into a set of explicit divisors alone, so
-/// `Reducer::new(&ring, polys.iter())` divides by `polys`.
+/// consecutive variables with the leaf arena of its linear records, and
+/// explicit polynomials. Any iterator of polynomials converts into a set
+/// of explicit divisors alone, so `Reducer::new(&ring, polys.iter())`
+/// divides by `polys`.
 #[derive(Debug, Clone)]
 pub struct Divisors<'a> {
     records: &'a [TailRecord],
+    /// The leaves that the linear records' slices point into.
+    leaves: &'a [VarId],
     /// The leading variable of `records[0]`.
     first: VarId,
     polys: Vec<&'a Poly>,
@@ -520,15 +606,18 @@ pub struct Divisors<'a> {
 
 impl<'a> Divisors<'a> {
     /// The divisors `x_i + tail(records[i])` with `x_i = first + i`, plus
-    /// `polys`. Each record's inputs must rank below its variable, which
-    /// RATO guarantees for gate records.
+    /// `polys`; the linear records' leaves are slices of `leaves`. Each
+    /// record's inputs or leaves must rank below its variable, which RATO
+    /// guarantees for gate records.
     pub fn new(
         records: &'a [TailRecord],
+        leaves: &'a [VarId],
         first: VarId,
         polys: impl IntoIterator<Item = &'a Poly>,
     ) -> Self {
         Divisors {
             records,
+            leaves,
             first,
             polys: polys.into_iter().collect(),
         }
@@ -537,7 +626,7 @@ impl<'a> Divisors<'a> {
 
 impl<'a, I: IntoIterator<Item = &'a Poly>> From<I> for Divisors<'a> {
     fn from(polys: I) -> Self {
-        Divisors::new(&[], VarId(0), polys)
+        Divisors::new(&[], &[], VarId(0), polys)
     }
 }
 
@@ -580,6 +669,8 @@ pub struct Reducer<'a> {
     /// `first_record + i`.
     records: &'a [TailRecord],
     first_record: usize,
+    /// The leaf arena of the linear records.
+    leaves: &'a [VarId],
     /// All prepared explicit divisors; the index tables below point in
     /// here.
     entries: Vec<DivEntry<'a>>,
@@ -605,6 +696,7 @@ impl<'a> Reducer<'a> {
     pub fn new(ring: &'a Ring, divisors: impl Into<Divisors<'a>>) -> Self {
         let Divisors {
             records,
+            leaves,
             first,
             polys,
         } = divisors.into();
@@ -654,6 +746,7 @@ impl<'a> Reducer<'a> {
             ring,
             records,
             first_record,
+            leaves,
             entries,
             inverses,
             by_lead_var,
@@ -781,11 +874,15 @@ impl<'a> Reducer<'a> {
                     // m = q·x; cancel c·m with c·q·(x + tail): the same
                     // terms, in the same order, as the explicit path below
                     // pushes for the record's polynomial.
+                    let q = Monomial::var(x).quotient_of(&m);
+                    if r.is_linear() {
+                        self.push_linear_tail(x, r, &q, &c, work)?;
+                        continue;
+                    }
                     debug_assert!(
                         r.tail().all(|t| t.leading_var().is_none_or(|v| x < v)),
                         "a tail record's inputs rank below its variable"
                     );
-                    let q = Monomial::var(x).quotient_of(&m);
                     for t in r.tail() {
                         let nm = if q.is_one() { t } else { t.mul(&q, self.ring)? };
                         work.push(nm, &c);
@@ -844,6 +941,30 @@ impl<'a> Reducer<'a> {
             "node arena above the peak"
         );
         Ok((Poly::from_terms(remainder), stats))
+    }
+
+    /// Pushes `c·q·tail` for the linear record `r` led by `x`. Out of
+    /// line, so the literal records' step keeps its code.
+    #[inline(never)]
+    fn push_linear_tail(
+        &self,
+        x: VarId,
+        r: TailRecord,
+        q: &Monomial,
+        c: &Gf,
+        work: &mut WorkStore,
+    ) -> Result<(), PolyError> {
+        debug_assert!(
+            std::iter::once(&x)
+                .chain(r.leaves(self.leaves))
+                .is_sorted_by(|a, b| a < b),
+            "a linear record's leaves are distinct and rank below its variable, in order"
+        );
+        for t in r.linear_tail(self.leaves) {
+            let nm = if q.is_one() { t } else { t.mul(q, self.ring)? };
+            work.push(nm, c);
+        }
+        Ok(())
     }
 }
 
@@ -1079,7 +1200,7 @@ mod tests {
                     remainder.push((m, c));
                     continue;
                 }
-                Some(Found::Record(x, r)) => (Cow::Owned(r.poly(red.ring, x)), None),
+                Some(Found::Record(x, r)) => (Cow::Owned(r.poly(red.ring, red.leaves, x)), None),
                 Some(Found::Poly(entry)) => (Cow::Borrowed(entry.poly), entry.inv_lc),
             };
             stats.steps += 1;
@@ -1206,15 +1327,26 @@ mod tests {
         out
     }
 
-    /// A random table of tail records led by consecutive variables, each
-    /// over inputs that rank below its variable (sometimes one input
-    /// twice), with a random shape.
-    fn random_records(rng: &mut Rng, ring: &Ring) -> (VarId, Vec<TailRecord>) {
+    /// A random table of tail records led by consecutive variables, and
+    /// its leaf arena. A literal record is over inputs that rank below its
+    /// variable (sometimes one input twice), with a random shape; a linear
+    /// one over a random set of them, with or without the constant.
+    fn random_records(rng: &mut Rng, ring: &Ring) -> (VarId, Vec<TailRecord>, Vec<VarId>) {
         let n = ring.num_vars();
         let first = rng.random_range(0..n - FREE_VARS);
         let len = rng.random_range(0..n - FREE_VARS - first + 1);
+        let mut leaves = Vec::new();
         let records = (first..first + len)
             .map(|x| {
+                if rng.random_bool(0.3) {
+                    let start = leaves.len();
+                    leaves.extend(
+                        (x + 1..n)
+                            .filter(|_| rng.random_bool(0.5))
+                            .map(|v| VarId(v as u32)),
+                    );
+                    return TailRecord::linear(start, leaves.len() - start, rng.random_bool(0.5));
+                }
                 let a = VarId(rng.random_range(x + 1..n) as u32);
                 let b = if rng.random_bool(0.3) {
                     a
@@ -1231,7 +1363,7 @@ mod tests {
                 TailRecord::new(ring, a, b, shape)
             })
             .collect();
-        (VarId(first as u32), records)
+        (VarId(first as u32), records, leaves)
     }
 
     fn random_ring(rng: &mut Rng, mode: ExponentMode) -> Ring {
@@ -1276,7 +1408,7 @@ mod tests {
         // Each case also runs with a table of tail records over part of
         // its ring, drawn from a second stream.
         let mut record_rng = Rng::seed_from_u64(0x7A11);
-        let (mut spilled, mut cut, mut record_steps) = (0, 0, 0);
+        let (mut spilled, mut cut, mut record_steps, mut linear_records) = (0, 0, 0, 0);
         for mode in [ExponentMode::Plain, ExponentMode::Quotient] {
             for case in 0..150 {
                 let ring = random_ring(&mut rng, mode);
@@ -1289,17 +1421,19 @@ mod tests {
                 cut += u64::from(no_room.is_err());
                 spilled += room.expect("four polls are room enough").spilled_terms;
 
-                let (first, records) = random_records(&mut record_rng, &ring);
-                let red = Reducer::new(&ring, Divisors::new(&records, first, &divisors));
+                let (first, records, leaves) = random_records(&mut record_rng, &ring);
+                let red = Reducer::new(&ring, Divisors::new(&records, &leaves, first, &divisors));
                 let what = format!("{what}, {} records from {first}", records.len());
                 let [_, room] = assert_matches_reference(&red, &f, &what);
-                let records_only = Reducer::new(&ring, Divisors::new(&records, first, []));
+                let records_only = Reducer::new(&ring, Divisors::new(&records, &leaves, first, []));
                 if room.is_ok() {
                     record_steps += records_only.normal_form_with_stats(&f).unwrap().1.steps;
+                    linear_records += records.iter().filter(|r| r.is_linear()).count();
                 }
             }
         }
         assert!(record_steps > 0, "no record divided a term");
+        assert!(linear_records > 0, "no linear record was drawn");
         // The sample must reach the spill table and the budget's cut.
         assert!(spilled > 0, "no term spilled");
         assert!(cut > 0, "no run polled its budget");
@@ -1349,7 +1483,7 @@ mod tests {
                     );
                     let r = TailRecord::new(&ring, i, j, shape);
                     let what = format!("{mode:?} {shape:?} on {i}, {j}");
-                    assert_eq!(r.poly(&ring, x), want, "{what}");
+                    assert_eq!(r.poly(&ring, &[], x), want, "{what}");
                     // The tail comes out as the polynomial lists it.
                     let tail: Vec<Monomial> = r.tail().collect();
                     let listed: Vec<Monomial> =
@@ -1358,7 +1492,41 @@ mod tests {
                 }
             }
         }
-        assert!(std::mem::size_of::<TailRecord>() <= 16);
+        assert_eq!(std::mem::size_of::<TailRecord>(), 12);
+    }
+
+    #[test]
+    fn a_linear_record_holds_its_slice_of_the_arena() {
+        let ctx = GfContext::shared(irreducible_polynomial(3).unwrap()).unwrap();
+        let mut rb = RingBuilder::new(ctx.clone(), ExponentMode::Quotient);
+        let [x, a, b, c] = [(); 4].map(|()| rb.add_unnamed(VarKind::Bit));
+        let ring = rb.build();
+        let arena = [c, a, b, c];
+        for (start, len, one) in [(1, 3, true), (1, 2, false), (0, 1, true), (4, 0, true)] {
+            let r = TailRecord::linear(start, len, one);
+            assert!(r.is_linear());
+            let mut terms: Vec<_> = arena[start..start + len]
+                .iter()
+                .map(|&v| (Monomial::var(v), ctx.one()))
+                .collect();
+            terms.push((Monomial::var(x), ctx.one()));
+            if one {
+                terms.push((Monomial::one(), ctx.one()));
+            }
+            assert_eq!(r.poly(&ring, &arena, x), Poly::from_terms(terms));
+        }
+        assert!(!TailRecord::new(
+            &ring,
+            a,
+            b,
+            TailShape {
+                ab: false,
+                a: true,
+                b: true,
+                one: false
+            }
+        )
+        .is_linear());
     }
 
     #[test]
@@ -1488,8 +1656,8 @@ mod tests {
             for _ in 0..100 {
                 let ring = random_ring(&mut rng, mode);
                 let divisors = random_divisors(&mut rng, &ring);
-                let (first, records) = random_records(&mut rng, &ring);
-                let red = Reducer::new(&ring, Divisors::new(&records, first, &divisors));
+                let (first, records, leaves) = random_records(&mut rng, &ring);
+                let red = Reducer::new(&ring, Divisors::new(&records, &leaves, first, &divisors));
                 let terms = rng.random_range(1..7);
                 let f = random_poly(&mut rng, &ring, 0..ring.num_vars(), terms, 4);
                 let mut work = WorkStore::new(ring.ctx(), 1);

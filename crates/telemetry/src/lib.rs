@@ -264,6 +264,10 @@ slug_enum! {
         SpilledTerms = "spilled-terms",
         /// Term products multiplied out by the Case-2 trace substitution.
         TermProducts = "term-products",
+        /// Gates absorbed into the linear divisors of a circuit model:
+        /// the intermediate gates of the XOR trees it divides by one
+        /// linear divisor each. Recorded only when non-zero.
+        AbsorbedGates = "absorbed-gates",
     }
 }
 
@@ -385,7 +389,7 @@ mod tests {
 
     #[test]
     fn counter_slugs_round_trip() {
-        assert_eq!(Counter::ALL.len(), 33);
+        assert_eq!(Counter::ALL.len(), 34);
         for &c in Counter::ALL {
             assert_eq!(Counter::from_slug(c.slug()), Some(c));
         }
@@ -430,6 +434,14 @@ mod tests {
         ] {
             assert!(!c.is_work());
         }
+    }
+
+    #[test]
+    fn absorbed_gates_are_informational() {
+        // The collapse shows in the division steps it saves; the count of
+        // absorbed gates describes the divisor set, not work done, so a
+        // circuit whose model changes gates no differently.
+        assert!(!Counter::AbsorbedGates.is_work());
     }
 
     #[test]

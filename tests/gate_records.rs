@@ -1,15 +1,17 @@
 //! The guided reducer divides by gate records: when it pops a term led by
 //! a gate's variable it builds that gate's tail from a 12-byte record,
 //! instead of reading a stored polynomial. These tests hold the record
-//! path to the explicit gate polynomials: on every registry architecture,
-//! clean and with each structural fault, and on gates fed twice by one
-//! net, both give the same remainder and every `ReductionStats` field
-//! alike, in both layouts of the circuit ring, unbudgeted and under work
-//! caps.
+//! path to the explicit polynomials of the records: on every registry
+//! architecture, clean and with each structural fault, and on gates fed
+//! twice by one net, both give the same remainder and every
+//! `ReductionStats` field alike, in both layouts of the circuit ring, with
+//! literal records only and with linear divisors, unbudgeted and under
+//! work caps. `tests/linear_divisors.rs` holds the linear divisors to the
+//! literal chain.
 
 use gfab::circuits::registry::{build_pair, ALL_ARCHES};
 use gfab::core::fullgb::CircuitVarOrder;
-use gfab::core::model::CircuitModel;
+use gfab::core::model::{CircuitModel, GateDivisors};
 use gfab::field::budget::Budget;
 use gfab::field::nist::irreducible_polynomial;
 use gfab::field::{GfContext, Rng};
@@ -67,14 +69,21 @@ fn explicit_reducer<'a>(ring: &'a Ring, gates: &'a [Poly], words: &[&'a Poly]) -
 }
 
 /// Both layouts of `nl`'s RATO ring: the guided extraction's divisors
-/// (words last) and the membership test's (words first), each against
-/// its explicit twin.
+/// (words last) and the membership test's (words first), each with and
+/// without linear divisors, each against its explicit twin.
 fn assert_records_match_polys(nl: &Netlist, ctx: &Arc<GfContext>, what: &str) -> u64 {
     let mut steps = 0;
-    for words_first in [false, true] {
+    let (literal, linear) = (GateDivisors::Literal, GateDivisors::Linear);
+    for (words_first, divisors) in [
+        (false, literal),
+        (true, literal),
+        (false, linear),
+        (true, linear),
+    ] {
         let (mode, rato) = (ExponentMode::Quotient, CircuitVarOrder::ReverseTopological);
         let unlimited = Budget::unlimited();
-        let m = CircuitModel::build_in(nl, ctx, mode, rato, words_first, &unlimited).unwrap();
+        let m =
+            CircuitModel::build_in(nl, ctx, mode, rato, words_first, divisors, &unlimited).unwrap();
         let gate_polys: Vec<Poly> = nl
             .gates()
             .iter()
@@ -85,7 +94,7 @@ fn assert_records_match_polys(nl: &Netlist, ctx: &Arc<GfContext>, what: &str) ->
             .into_iter()
             .chain(&m.input_word_polys)
             .collect();
-        let what = format!("{what}, words first: {words_first}");
+        let what = format!("{what}, words first: {words_first}, {divisors:?} divisors");
         // The guided extraction's dividend, and a membership-style one
         // that every word definition takes part in.
         let z_plus_a = m

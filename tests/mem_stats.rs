@@ -16,7 +16,8 @@
 use gfab::circuits::{mastrovito_multiplier, montgomery_multiplier_hier};
 use gfab::field::nist::irreducible_polynomial;
 use gfab::field::GfContext;
-use gfab::telemetry::{mem, Gauge, Trace};
+use gfab::netlist::Netlist;
+use gfab::telemetry::{mem, Counter, Gauge, Trace};
 use gfab::Verifier;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -99,24 +100,56 @@ fn mem_stats_attributes_peak_bytes_to_phases() {
 fn model_build_allocations_do_not_grow_with_the_gate_count() {
     let _serial = serial();
     // A model is a few flat tables per netlist: one record per gate, one
-    // variable kind per net, no polynomial or name string per gate.
-    let [small, large] = [16, 64].map(|k| {
-        let ctx = GfContext::shared(irreducible_polynomial(k).unwrap()).unwrap();
-        let nl = mastrovito_multiplier(&ctx);
-        let v = Verifier::new(&ctx).trace(true).mem_stats(true).threads(1);
-        let trace = v.extract(&nl).unwrap().trace.expect("tracing on");
-        let allocs = trace
-            .spans()
-            .iter()
-            .filter(|s| s.phase.slug() == "model-build")
-            .flat_map(|s| &s.gauges)
-            .find(|(g, _)| *g == Gauge::MemAllocs)
-            .map(|(_, v)| *v)
-            .expect("model span has an allocation count");
-        (nl.num_gates(), allocs)
-    });
-    assert!(large.0 > 10 * small.0, "gates: {small:?} vs {large:?}");
-    assert_eq!(small.1, large.1, "(gates, model-build allocations)");
+    // variable kind per net, no polynomial or name string per gate. The
+    // flattened Montgomery multiplier's XOR trees collapse into linear
+    // divisors, whose leaves share one arena sized before it is filled.
+    let mastrovito = |ctx: &Arc<GfContext>| mastrovito_multiplier(ctx);
+    let montgomery = |ctx: &Arc<GfContext>| montgomery_multiplier_hier(ctx).flatten();
+    for (arch, build) in [
+        (
+            "mastrovito",
+            &mastrovito as &dyn Fn(&Arc<GfContext>) -> Netlist,
+        ),
+        ("montgomery", &montgomery),
+    ] {
+        let [small, large] = [16, 64].map(|k| {
+            let ctx = GfContext::shared(irreducible_polynomial(k).unwrap()).unwrap();
+            let nl = build(&ctx);
+            let v = Verifier::new(&ctx).trace(true).mem_stats(true).threads(1);
+            let trace = v.extract(&nl).unwrap().trace.expect("tracing on");
+            let model = trace
+                .spans()
+                .iter()
+                .find(|s| s.phase.slug() == "model-build")
+                .expect("a model span");
+            let allocs = model
+                .gauges
+                .iter()
+                .find(|(g, _)| *g == Gauge::MemAllocs)
+                .map(|(_, v)| *v)
+                .expect("model span has an allocation count");
+            let absorbed = model
+                .counters
+                .iter()
+                .find(|(c, _)| *c == Counter::AbsorbedGates)
+                .map_or(0, |(_, v)| *v);
+            (nl.num_gates(), allocs, absorbed)
+        });
+        assert!(
+            large.0 > 10 * small.0,
+            "{arch} gates: {small:?} vs {large:?}"
+        );
+        assert_eq!(
+            small.1, large.1,
+            "{arch} (gates, model-build allocations, absorbed)"
+        );
+        let collapses = arch == "montgomery";
+        assert_eq!(
+            small.2 > 0 && large.2 > 0,
+            collapses,
+            "{arch} {small:?} {large:?}"
+        );
+    }
 }
 
 #[test]
